@@ -69,8 +69,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load(path):
     try:
         return load_config(path)
-    except FileNotFoundError as exc:
-        raise _Usage(f"config file not found: {exc.filename}") from exc
+    except OSError as exc:  # the config file or the checkpoint it names
+        raise _Usage(f"cannot read {exc.filename}: {exc.strerror}") from exc
     except (ConfigError, json.JSONDecodeError) as exc:
         raise _Usage(f"bad config: {exc}") from exc
 
@@ -126,10 +126,13 @@ def _cmd_verify_identities(args) -> int:
 
     reports = []
     for dim in dims:
-        mf = manufactured_field(dim, seed=args.seed + dim)
-        reports.extend(
-            run_all_identities(mf, law, args.gamma, grids, delta=args.delta, nu=args.nu)
-        )
+        try:
+            mf = manufactured_field(dim, seed=args.seed + dim)
+            reports.extend(
+                run_all_identities(mf, law, args.gamma, grids, delta=args.delta, nu=args.nu)
+            )
+        except ValueError as exc:
+            raise _Usage(f"cannot certify in {dim}D: {exc}") from exc
     payload = [r.to_json() for r in reports]
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.out:

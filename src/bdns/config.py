@@ -77,32 +77,32 @@ def parse_config(obj: dict) -> RunSetup:
             limiter=obj.get("limiter", "mc"),
             allow_non_admissible=bool(obj.get("allow_non_admissible", False)),
         )
+
+        init_spec = _require(obj, "initial")
+        if "checkpoint" in init_spec:
+            initial, ck_grid = load_checkpoint(init_spec["checkpoint"])
+            if ck_grid.sizes != grid.sizes or ck_grid.lengths != grid.lengths:
+                raise ConfigError(
+                    f"checkpoint grid {ck_grid.sizes} does not match config grid {grid.sizes}"
+                )
+        elif "preset" in init_spec:
+            initial = make_initial(init_spec["preset"], grid, init_spec.get("params"))
+        else:
+            raise ConfigError("initial needs either 'preset' or 'checkpoint'")
+
+        study = None
+        if "study" in obj:
+            s = obj["study"]
+            if "preset" not in init_spec:
+                raise ConfigError("stability studies need a preset initial profile")
+            study = InitialDataSpec(
+                base_preset=init_spec["preset"],
+                base_params=init_spec.get("params", {}),
+                sigma0=float(s.get("sigma0", 0.1)),
+                n_max=int(s.get("n_max", 4)),
+            )
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
-
-    init_spec = _require(obj, "initial")
-    if "checkpoint" in init_spec:
-        initial, ck_grid = load_checkpoint(init_spec["checkpoint"])
-        if ck_grid.sizes != grid.sizes or ck_grid.lengths != grid.lengths:
-            raise ConfigError(
-                f"checkpoint grid {ck_grid.sizes} does not match config grid {grid.sizes}"
-            )
-    elif "preset" in init_spec:
-        initial = make_initial(init_spec["preset"], grid, init_spec.get("params"))
-    else:
-        raise ConfigError("initial needs either 'preset' or 'checkpoint'")
-
-    study = None
-    if "study" in obj:
-        s = obj["study"]
-        if "preset" not in init_spec:
-            raise ConfigError("stability studies need a preset initial profile")
-        study = InitialDataSpec(
-            base_preset=init_spec["preset"],
-            base_params=init_spec.get("params", {}),
-            sigma0=float(s.get("sigma0", 0.1)),
-            n_max=int(s.get("n_max", 4)),
-        )
     return RunSetup(config=config, initial=initial, study=study, initial_spec=init_spec)
 
 

@@ -18,6 +18,10 @@ A ledger row collects, at one instant:
 * the compactness quantities (pressure space-time integrand, the
   higher-integrability momentum norm, h/sqrt(rho) and psi in L^6).
 
+Each functional has one definition, a method of the per-state bundle
+``_Fields``; the public helpers, :func:`ledger_row` and the stability study's
+hypothesis table are views of it.  Densities enter as ``max(rho, 0)``.
+
 Ledger columns carry fixed wire-format tags (e.g. ``E_eq15``,
 ``X_BD_lemma31``); downstream tooling keys on those names.
 """
@@ -27,6 +31,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -55,112 +60,159 @@ class MomentParams:
 
 
 class _Fields:
-    """Shared lazily-computed pieces for the functionals on one state."""
+    """One state's derived fields, each computed at most once, and the single
+    definition of every functional on them."""
 
-    def __init__(self, state: State, grid: PeriodicGrid, law, gamma: float, eps_vac: float):
+    def __init__(self, state: State, grid: PeriodicGrid, law, gamma: float | None,
+                 eps_vac: float):
         self.state = state
         self.grid = grid
         self.law = law
         self.gamma = gamma
         self.eps_vac = eps_vac
-        self.rho = state.rho
+        self.rho = np.maximum(state.rho, 0.0)
         self.wet = state.rho > eps_vac
-        self._cache: dict[str, object] = {}
 
-    def _get(self, name, build):
-        if name not in self._cache:
-            self._cache[name] = build()
-        return self._cache[name]
-
-    @property
+    @cached_property
     def d(self):
-        return self._get("d", lambda: derived(self.state, self.grid, self.eps_vac))
+        return derived(self.state, self.grid, self.eps_vac)
 
-    @property
+    @cached_property
+    def sru2(self):
+        return np.sum(self.d.sqrt_rho_u**2, axis=0)
+
+    @cached_property
     def grad_u(self):
         # grad_u[i, j] = d_i u_j
-        def build():
-            u = self.d.u
-            return np.stack([grad(u[j], self.grid) for j in range(self.grid.dim)], axis=1)
+        u = self.d.u
+        return np.stack([grad(u[j], self.grid) for j in range(self.grid.dim)], axis=1)
 
-        return self._get("grad_u", build)
-
-    @property
+    @cached_property
     def grad_u_sq(self):
-        return self._get("grad_u_sq", lambda: np.sum(self.grad_u**2, axis=(0, 1)))
+        return np.sum(self.grad_u**2, axis=(0, 1))
 
-    @property
-    def div_u(self):
-        def build():
-            gu = self.grad_u
-            return sum(gu[a, a] for a in range(self.grid.dim))
-
-        return self._get("div_u", build)
-
-    @property
+    @cached_property
     def grad_sqrt_rho(self):
-        return self._get("gsr", lambda: grad(self.d.sqrt_rho, self.grid))
+        return grad(self.d.sqrt_rho, self.grid)
 
-    @property
+    @cached_property
+    def gsr2(self):
+        return np.sum(self.grad_sqrt_rho**2, axis=0)
+
+    @cached_property
     def h(self):
-        return self._get("h", lambda: self.law.h(self.rho))
+        return self.law.h(self.rho)
 
-    @property
+    @cached_property
     def hp(self):
-        return self._get("hp", lambda: self.law.h_prime(self.rho))
+        return self.law.h_prime(self.rho)
 
-    @property
-    def g(self):
-        return self._get("g", lambda: self.law.g(self.rho))
+    @cached_property
+    def pressure(self):
+        return self.rho**self.gamma / (self.gamma - 1.0)
 
-    @property
-    def bd_velocity(self):
-        """sqrt(rho) u + 2 h'(rho) grad(sqrt(rho)), the weighted entropy velocity."""
-        return self._get(
-            "bdv", lambda: self.d.sqrt_rho_u + 2.0 * self.hp * self.grad_sqrt_rho
-        )
+    def over_sqrt_rho(self, q):
+        """q / sqrt(rho) on wet cells, zero on vacuum cells."""
+        return np.where(self.wet, q / np.where(self.wet, self.d.sqrt_rho, 1.0), 0.0)
+
+    @cached_property
+    def hp_grad_sqrt_rho_sq(self) -> float:
+        """int h'^2 |grad sqrt(rho)|^2."""
+        return integrate(self.hp**2 * self.gsr2, self.grid)
+
+    @cached_property
+    def pressure_weight(self) -> float:
+        """int h' rho^{gamma-1} |grad sqrt(rho)|^2: the cross term over 4 gamma."""
+        return integrate(self.hp * self.rho ** (self.gamma - 1.0) * self.gsr2, self.grid)
+
+    # -- functionals ---------------------------------------------------------
+
+    def energy(self) -> float:
+        return integrate(0.5 * self.sru2 + self.pressure, self.grid)
+
+    def dissipation(self) -> float:
+        div_u = sum(self.grad_u[a, a] for a in range(self.grid.dim))
+        return integrate(self.h * self.grad_u_sq + self.law.g(self.rho) * div_u**2, self.grid)
+
+    def bd_entropy(self) -> float:
+        # sqrt(rho) u + 2 h'(rho) grad(sqrt(rho)), the weighted entropy velocity
+        bdv = self.d.sqrt_rho_u + 2.0 * self.hp * self.grad_sqrt_rho
+        return integrate(0.5 * np.sum(bdv**2, axis=0) + self.pressure, self.grid)
+
+    def bd_cross(self) -> float:
+        return 4.0 * self.gamma * self.pressure_weight
+
+    def moment(self, delta: float) -> float:
+        umag = np.sqrt(np.sum(self.d.u**2, axis=0))
+        return integrate(self.sru2 * umag**delta, self.grid) / (2.0 + delta)
+
+    def moment_rhs(self, delta: float) -> float:
+        wet = self.wet
+        p = 2.0 / (2.0 - delta)
+        num = np.where(wet, self.rho, 0.0) ** (2.0 * self.gamma - delta / 2.0)
+        den = np.where(wet, self.h, 1.0)
+        factor1 = integrate(np.where(wet, num / den, 0.0) ** p, self.grid)
+        factor2 = integrate(self.sru2, self.grid)
+        return factor1 ** ((2.0 - delta) / 2.0) * factor2 ** (delta / 2.0)
+
+    def apriori(self) -> dict[str, float]:
+        grid, rho, gamma = self.grid, self.rho, self.gamma
+        return {
+            "sqrt_rho_u_L2_eq19": lp_norm(self.d.sqrt_rho_u, grid, 2),
+            "rho_L1_eq19": integrate(rho, grid),
+            "rho_Lgamma_eq19": lp_norm(rho, grid, gamma),
+            "sqrt_h_grad_u_L2_eq19": math.sqrt(
+                max(integrate(self.h * self.grad_u_sq, grid), 0.0)
+            ),
+            "hprime_grad_sqrt_rho_L2_eq20": math.sqrt(max(self.hp_grad_sqrt_rho_sq, 0.0)),
+            "sqrt_hprime_rho_gm2_grad_rho_L2_eq20": math.sqrt(
+                max(4.0 * self.pressure_weight, 0.0)
+            ),
+            "sqrt_rho_grad_u_L2_eq21": math.sqrt(max(integrate(rho * self.grad_u_sq, grid), 0.0)),
+            "grad_sqrt_rho_L2_eq21": lp_norm(self.grad_sqrt_rho, grid, 2),
+            "grad_rho_gamma_half_L2_eq21": lp_norm(grad(rho ** (gamma / 2.0), grid), grid, 2),
+        }
+
+    def compactness(self, alpha: float) -> dict[str, float]:
+        grid, rho = self.grid, self.rho
+        return {
+            "rho_gamma_L53_lemma42": integrate(rho ** (5.0 * self.gamma / 3.0), grid),
+            "sqrt_rho_u_L2p2alpha_lemma43": lp_norm(self.d.sqrt_rho_u, grid, 2.0 + 2.0 * alpha),
+            "h_over_sqrt_rho_L6_lemma44": lp_norm(self.over_sqrt_rho(self.h), grid, 6),
+            "psi_L6_lemma44": lp_norm(np.asarray(self.law.psi(rho)), grid, 6),
+        }
 
 
 def energy(state: State, grid: PeriodicGrid, gamma: float, eps_vac: float) -> float:
     """Total energy: kinetic (via the weighted momentum) plus pressure potential."""
     if gamma <= 1.0:
         raise ValueError("gamma must exceed 1")
-    f = _Fields(state, grid, None, gamma, eps_vac)
-    kin = 0.5 * np.sum(f.d.sqrt_rho_u**2, axis=0)
-    return integrate(kin + state.rho**gamma / (gamma - 1.0), grid)
+    return _Fields(state, grid, None, gamma, eps_vac).energy()
 
 
 def dissipation(state: State, grid: PeriodicGrid, law, eps_vac: float) -> float:
     """Viscous dissipation rate: int h |grad u|^2 + g (div u)^2."""
-    f = _Fields(state, grid, law, 2.0, eps_vac)
-    return integrate(f.h * f.grad_u_sq + f.g * f.div_u**2, grid)
+    return _Fields(state, grid, law, None, eps_vac).dissipation()
 
 
 def bd_entropy(state: State, grid: PeriodicGrid, law, gamma: float, eps_vac: float) -> float:
     """Weighted entropy functional, vacuum-safe form of
     int rho |u + grad(phi(rho))|^2 / 2 + rho^gamma/(gamma-1)."""
-    f = _Fields(state, grid, law, gamma, eps_vac)
-    quad = 0.5 * np.sum(f.bd_velocity**2, axis=0)
-    return integrate(quad + state.rho**gamma / (gamma - 1.0), grid)
+    return _Fields(state, grid, law, gamma, eps_vac).bd_entropy()
 
 
 def bd_cross(state: State, grid: PeriodicGrid, law, gamma: float, eps_vac: float) -> float:
     """Pressure cross term int grad(phi) . grad(rho^gamma), computed through
     the sqrt-density chain rule as 4*gamma*int h' rho^{gamma-1} |grad sqrt(rho)|^2,
     which is nonnegative for any law with h' >= 0."""
-    f = _Fields(state, grid, law, gamma, eps_vac)
-    gsr2 = np.sum(f.grad_sqrt_rho**2, axis=0)
-    return 4.0 * gamma * integrate(f.hp * np.maximum(state.rho, 0.0) ** (gamma - 1.0) * gsr2, grid)
+    return _Fields(state, grid, law, gamma, eps_vac).bd_cross()
 
 
 def moment_functional(state: State, grid: PeriodicGrid, delta: float, eps_vac: float) -> float:
     """int rho |u|^{2+delta} / (2+delta), computed as |sqrt(rho)u|^2 |u|^delta."""
     if not 0.0 < delta < 2.0:
         raise ValueError(f"delta must lie in (0, 2), got {delta}")
-    f = _Fields(state, grid, None, 2.0, eps_vac)
-    umag = np.sqrt(np.sum(f.d.u**2, axis=0))
-    sru2 = np.sum(f.d.sqrt_rho_u**2, axis=0)
-    return integrate(sru2 * umag**delta, grid) / (2.0 + delta)
+    return _Fields(state, grid, None, None, eps_vac).moment(delta)
 
 
 def moment_rhs(state: State, grid: PeriodicGrid, law, gamma: float, delta: float,
@@ -170,13 +222,7 @@ def moment_rhs(state: State, grid: PeriodicGrid, law, gamma: float, delta: float
     rho^{2 gamma - delta/2} / h(rho) is taken as zero."""
     if not 0.0 < delta < 2.0:
         raise ValueError(f"delta must lie in (0, 2), got {delta}")
-    f = _Fields(state, grid, law, gamma, eps_vac)
-    p = 2.0 / (2.0 - delta)
-    num = np.where(f.wet, state.rho, 0.0) ** (2.0 * gamma - delta / 2.0)
-    den = np.where(f.wet, f.h, 1.0)
-    factor1 = integrate(np.where(f.wet, num / den, 0.0) ** p, grid)
-    factor2 = integrate(np.sum(f.d.sqrt_rho_u**2, axis=0), grid)
-    return factor1 ** ((2.0 - delta) / 2.0) * factor2 ** (delta / 2.0)
+    return _Fields(state, grid, law, gamma, eps_vac).moment_rhs(delta)
 
 
 APRIORI_COLUMNS = (
@@ -216,23 +262,7 @@ TIME_AGGREGATION = {
 def apriori_bounds(state: State, grid: PeriodicGrid, law, gamma: float,
                    eps_vac: float) -> dict[str, float]:
     """Instantaneous values of the three a priori bound sets."""
-    f = _Fields(state, grid, law, gamma, eps_vac)
-    rho = np.maximum(state.rho, 0.0)
-    gsr2 = np.sum(f.grad_sqrt_rho**2, axis=0)
-    vals = {
-        "sqrt_rho_u_L2_eq19": lp_norm(f.d.sqrt_rho_u, grid, 2),
-        "rho_L1_eq19": integrate(rho, grid),
-        "rho_Lgamma_eq19": lp_norm(rho, grid, gamma),
-        "sqrt_h_grad_u_L2_eq19": math.sqrt(max(integrate(f.h * f.grad_u_sq, grid), 0.0)),
-        "hprime_grad_sqrt_rho_L2_eq20": math.sqrt(max(integrate(f.hp**2 * gsr2, grid), 0.0)),
-        "sqrt_hprime_rho_gm2_grad_rho_L2_eq20": math.sqrt(
-            max(4.0 * integrate(f.hp * rho ** (gamma - 1.0) * gsr2, grid), 0.0)
-        ),
-        "sqrt_rho_grad_u_L2_eq21": math.sqrt(max(integrate(rho * f.grad_u_sq, grid), 0.0)),
-        "grad_sqrt_rho_L2_eq21": lp_norm(f.grad_sqrt_rho, grid, 2),
-        "grad_rho_gamma_half_L2_eq21": lp_norm(grad(rho ** (gamma / 2.0), grid), grid, 2),
-    }
-    return vals
+    return _Fields(state, grid, law, gamma, eps_vac).apriori()
 
 
 def compactness_quantities(state: State, grid: PeriodicGrid, law, gamma: float,
@@ -240,15 +270,7 @@ def compactness_quantities(state: State, grid: PeriodicGrid, law, gamma: float,
     """Quantities controlling strong convergence: the space-time pressure
     integrand, the improved momentum integrability norm, and the L6 norms of
     h/sqrt(rho) and psi(rho)."""
-    f = _Fields(state, grid, law, gamma, eps_vac)
-    rho = np.maximum(state.rho, 0.0)
-    h_over_sqrt = np.where(f.wet, f.h / np.where(f.wet, f.d.sqrt_rho, 1.0), 0.0)
-    return {
-        "rho_gamma_L53_lemma42": integrate(rho ** (5.0 * gamma / 3.0), grid),
-        "sqrt_rho_u_L2p2alpha_lemma43": lp_norm(f.d.sqrt_rho_u, grid, 2.0 + 2.0 * mp.alpha),
-        "h_over_sqrt_rho_L6_lemma44": lp_norm(h_over_sqrt, grid, 6),
-        "psi_L6_lemma44": lp_norm(np.asarray(law.psi(rho)), grid, 6),
-    }
+    return _Fields(state, grid, law, gamma, eps_vac).compactness(mp.alpha)
 
 
 LEDGER_COLUMNS = (
@@ -269,34 +291,23 @@ LEDGER_COLUMNS = (
 
 def ledger_row(state: State, grid: PeriodicGrid, law, gamma: float, mp: MomentParams,
                eps_vac: float, clamp_count: int = 0, cutoff_count: int = 0) -> dict[str, float]:
-    """One full diagnostics row; shares the derived-field work across entries."""
+    """One full diagnostics row, every column taken from one field bundle."""
     f = _Fields(state, grid, law, gamma, eps_vac)
-    rho = np.maximum(state.rho, 0.0)
-    sru = f.d.sqrt_rho_u
-    gsr2 = np.sum(f.grad_sqrt_rho**2, axis=0)
-    umag = np.sqrt(np.sum(f.d.u**2, axis=0))
-    sru2 = np.sum(sru**2, axis=0)
-    pressure = rho**gamma / (gamma - 1.0)
-
-    e_val = integrate(0.5 * sru2 + pressure, grid)
-    bdv2 = np.sum(f.bd_velocity**2, axis=0)
-    cross_term = integrate(np.sum(sru * 2.0 * f.hp * f.grad_sqrt_rho, axis=0), grid)
-
-    row = {
+    cross = np.sum(f.d.sqrt_rho_u * 2.0 * f.hp * f.grad_sqrt_rho, axis=0)
+    return {
         "t": state.t,
-        "E_eq15": e_val,
-        "D_visc_eq15": integrate(f.h * f.grad_u_sq + f.g * f.div_u**2, grid),
-        "E_BD_lemma31": integrate(0.5 * bdv2 + pressure, grid),
-        "X_BD_lemma31": 4.0 * gamma * integrate(f.hp * rho ** (gamma - 1.0) * gsr2, grid),
-        "BD_cross_term": cross_term,
-        "M_delta_lemma32": integrate(sru2 * umag**mp.delta, grid) / (2.0 + mp.delta),
-        "RHS_delta_lemma32": moment_rhs(state, grid, law, gamma, mp.delta, eps_vac),
+        "E_eq15": f.energy(),
+        "D_visc_eq15": f.dissipation(),
+        "E_BD_lemma31": f.bd_entropy(),
+        "X_BD_lemma31": f.bd_cross(),
+        "BD_cross_term": integrate(cross, grid),
+        "M_delta_lemma32": f.moment(mp.delta),
+        "RHS_delta_lemma32": f.moment_rhs(mp.delta),
+        **f.apriori(),
+        **f.compactness(mp.alpha),
+        "clamp_count": float(clamp_count),
+        "cutoff_count": float(cutoff_count),
     }
-    row.update(apriori_bounds(state, grid, law, gamma, eps_vac))
-    row.update(compactness_quantities(state, grid, law, gamma, mp, eps_vac))
-    row["clamp_count"] = float(clamp_count)
-    row["cutoff_count"] = float(cutoff_count)
-    return row
 
 
 @dataclass
@@ -452,12 +463,11 @@ def weak_form_residual(trajectory, grid: PeriodicGrid, law, gamma: float,
     for st in states:
         f = _Fields(st, grid, law, gamma, eps_vac)
         sru = f.d.sqrt_rho_u
-        rho = np.maximum(st.rho, 0.0)
+        rho = f.rho
         sqrt_rho = f.d.sqrt_rho
         gsr = f.grad_sqrt_rho
-        safe_sqrt = np.where(f.wet, sqrt_rho, 1.0)
-        h_ov = np.where(f.wet, f.h / safe_sqrt, 0.0)
-        g_ov = np.where(f.wet, f.g / safe_sqrt, 0.0)
+        h_ov = f.over_sqrt_rho(f.h)
+        g_ov = f.over_sqrt_rho(law.g(rho))
         gp = law.g_prime(rho)
 
         # momentum . dphi/dt, with m written as sqrt(rho) * (sqrt(rho) u)

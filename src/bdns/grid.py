@@ -249,19 +249,27 @@ def save_checkpoint(path, state: State, grid: PeriodicGrid):
 
 
 def load_checkpoint(path) -> tuple[State, PeriodicGrid]:
+    """Inverse of :func:`save_checkpoint`; a malformed file raises ValueError."""
     with open(path, "rb") as fh:
-        magic, version, dim = struct.unpack("<4sII", fh.read(12))
+        data = fh.read()
+    try:
+        magic, version, dim = struct.unpack_from("<4sII", data)
         if magic != CHECKPOINT_MAGIC:
             raise ValueError(f"bad checkpoint magic {magic!r}")
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
-        sizes = struct.unpack(f"<{dim}I", fh.read(4 * dim))
-        lengths = struct.unpack(f"<{dim}d", fh.read(8 * dim))
-        (t,) = struct.unpack("<d", fh.read(8))
-        grid = PeriodicGrid(sizes, lengths)
-        n = grid.n_cells
-        rho = np.frombuffer(fh.read(8 * n), dtype="<f8").reshape(sizes).copy()
-        mom = np.empty((dim, *sizes))
-        for a in range(dim):
-            mom[a] = np.frombuffer(fh.read(8 * n), dtype="<f8").reshape(sizes)
-    return State(t, rho, mom), grid
+        if dim not in (1, 2):
+            raise ValueError(f"bad checkpoint dimension {dim}")
+        sizes = struct.unpack_from(f"<{dim}I", data, 12)
+        lengths = struct.unpack_from(f"<{dim}d", data, 12 + 4 * dim)
+        (t,) = struct.unpack_from("<d", data, 12 + 12 * dim)
+    except struct.error as exc:
+        raise ValueError(f"checkpoint header truncated: {exc}") from exc
+    grid = PeriodicGrid(sizes, lengths)
+    head, payload = 20 + 12 * dim, 8 * grid.n_cells * (1 + dim)
+    if len(data) != head + payload:
+        raise ValueError(
+            f"checkpoint payload is {len(data) - head} bytes; a {sizes} grid needs {payload}"
+        )
+    fields = np.frombuffer(data, dtype="<f8", offset=head).reshape((1 + dim, *sizes))
+    return State(t, fields[0].astype(float), fields[1:].astype(float)), grid

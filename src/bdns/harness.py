@@ -12,6 +12,9 @@ convergence distances of the stability statement between members:
 * d_u:   space-time L^2 distance of the weighted velocities sqrt(rho) u,
 * d_m:   space-time L^1 distance of the momenta.
 
+The hypothesis table's energy and moment are the ledger's ``E_eq15`` and
+``M_delta_lemma32``, so the moment is int rho |u|^{2+delta} / (2+delta).
+
 "Up to a subsequence" is not algorithmic, so the study reports
 consecutive-pair distances of the generated sequence (Cauchy behaviour)
 instead of extracting subsequences.  Cross-member norms use the ledger
@@ -26,14 +29,14 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .diagnostics import EntropyLedger, TIME_AGGREGATION
-from .grid import PeriodicGrid, State, derived, grad, integrate, lp_norm
+from .diagnostics import EntropyLedger, TIME_AGGREGATION, _Fields
+from .grid import PeriodicGrid, State, integrate, lp_norm
 from .presets import make_initial
-from .solver import SolverConfig, Trajectory, run
+from .solver import SolverConfig, Trajectory, _resolve_eps_vac, run
 
 METRIC_TOL = 1e-12
 UNIFORMITY_FACTOR = 10.0
@@ -72,17 +75,12 @@ def hypothesis_functionals(state: State, grid: PeriodicGrid, law, gamma: float,
                            delta: float, eps_vac: float) -> dict[str, float]:
     """The initial-data finiteness checks: energy, weighted density-gradient
     integral (vacuum-safe form 4 int h'^2 |grad sqrt(rho)|^2), and the
-    velocity moment."""
-    d = derived(state, grid, eps_vac)
-    rho = np.maximum(state.rho, 0.0)
-    sru2 = np.sum(d.sqrt_rho_u**2, axis=0)
-    gsr = grad(d.sqrt_rho, grid)
-    hp = law.h_prime(rho)
-    umag = np.sqrt(np.sum(d.u**2, axis=0))
+    velocity moment int rho |u|^{2+delta} / (2+delta)."""
+    f = _Fields(state, grid, law, gamma, eps_vac)
     return {
-        "energy": integrate(0.5 * sru2 + rho**gamma / (gamma - 1.0), grid),
-        "grad_h_over_rho": 4.0 * integrate(hp**2 * np.sum(gsr**2, axis=0), grid),
-        "moment": integrate(0.5 * sru2 * umag**delta, grid),
+        "energy": f.energy(),
+        "grad_h_over_rho": 4.0 * f.hp_grad_sqrt_rho_sq,
+        "moment": f.moment(delta),
     }
 
 
@@ -202,12 +200,7 @@ def run_study(spec: InitialDataSpec, config: SolverConfig,
     if n_max is None:
         n_max = spec.n_max
     spec = InitialDataSpec(spec.base_preset, spec.base_params, spec.sigma0, n_max)
-    eps_vac = config.eps_vac
-    if eps_vac is None:
-        probe = make_initial(spec.base_preset, grid, spec.base_params)
-        eps_vac = 1e-10 * max(float(np.max(probe.rho)), 1e-30)
-    from dataclasses import replace
-
+    eps_vac = _resolve_eps_vac(config, make_initial(spec.base_preset, grid, spec.base_params))
     cfg = replace(config, eps_vac=eps_vac)
     states, table = generate_sequence(spec, grid, cfg.law, cfg.gamma,
                                       cfg.moment.delta, eps_vac)

@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -168,7 +169,8 @@ def gradient_flow_field(dim: int, seed: int = 0, n_modes: int = 2, kmax: int = 2
 
 
 class _Ctx:
-    """All spectral quantities for one field on one grid, computed lazily."""
+    """All spectral quantities for one field on one grid, each computed at
+    most once and shared by every checker run on that grid."""
 
     def __init__(self, mf: ManufacturedField, law, gamma: float, n: int):
         self.grid = PeriodicGrid(tuple(n for _ in range(mf.dim)))
@@ -180,166 +182,136 @@ class _Ctx:
         self.gamma = gamma
         self.rho, self.u = mf.evaluate(self.grid)
         self.dim = mf.dim
-        self._cache = {}
-
-    def _get(self, name, build):
-        if name not in self._cache:
-            self._cache[name] = build()
-        return self._cache[name]
 
     # raw fields ------------------------------------------------------------
-    @property
+    @cached_property
     def m(self):
-        return self._get("m", lambda: self.rho * self.u)
+        return self.rho * self.u
 
-    @property
+    @cached_property
     def h(self):
-        return self._get("h", lambda: self.law.h(self.rho))
+        return self.law.h(self.rho)
 
-    @property
+    @cached_property
     def hp(self):
-        return self._get("hp", lambda: self.law.h_prime(self.rho))
+        return self.law.h_prime(self.rho)
 
-    @property
+    @cached_property
     def g(self):
-        return self._get("g", lambda: self.law.g(self.rho))
+        return self.law.g(self.rho)
 
-    @property
+    @cached_property
     def phi(self):
-        return self._get("phi", lambda: self.law.phi(self.rho))
+        return self.law.phi(self.rho)
 
-    @property
+    @cached_property
     def phi_p(self):
-        return self._get("phi_p", lambda: self.hp / self.rho)
+        return self.hp / self.rho
 
     # spectral derivatives ----------------------------------------------------
-    @property
+    @cached_property
     def grad_u(self):
         # grad_u[i, j] = d_i u_j
-        def build():
-            return np.stack(
-                [spectral_grad(self.u[j], self.grid) for j in range(self.dim)], axis=1
-            )
+        return np.stack([spectral_grad(self.u[j], self.grid) for j in range(self.dim)], axis=1)
 
-        return self._get("grad_u", build)
-
-    @property
+    @cached_property
     def grad_u_sq(self):
-        return self._get("grad_u_sq", lambda: np.sum(self.grad_u**2, axis=(0, 1)))
+        return np.sum(self.grad_u**2, axis=(0, 1))
 
-    @property
+    @cached_property
     def div_u(self):
-        return self._get("div_u", lambda: sum(self.grad_u[a, a] for a in range(self.dim)))
+        return sum(self.grad_u[a, a] for a in range(self.dim))
 
-    @property
+    @cached_property
     def w(self):
         """grad(phi(rho))"""
-        return self._get("w", lambda: spectral_grad(self.phi, self.grid))
+        return spectral_grad(self.phi, self.grid)
 
-    @property
+    @cached_property
     def lap_phi(self):
-        return self._get("lap_phi", lambda: spectral_lap(self.phi, self.grid))
+        return spectral_lap(self.phi, self.grid)
 
-    @property
+    @cached_property
     def grad_p(self):
-        return self._get("grad_p", lambda: spectral_grad(self.rho**self.gamma, self.grid))
+        return spectral_grad(self.rho**self.gamma, self.grid)
 
-    @property
+    @cached_property
     def div_m(self):
-        return self._get("div_m", lambda: spectral_div(self.m, self.grid))
+        return spectral_div(self.m, self.grid)
 
-    @property
+    @cached_property
     def dt_rho(self):
-        return self._get("dt_rho", lambda: -self.div_m)
+        return -self.div_m
 
-    @property
+    @cached_property
     def visc_h_term(self):
         """div(h grad u), one component per j."""
-        def build():
-            out = np.zeros_like(self.u)
-            for j in range(self.dim):
-                out[j] = spectral_div(self.h * self.grad_u[:, j], self.grid)
-            return out
+        out = np.zeros_like(self.u)
+        for j in range(self.dim):
+            out[j] = spectral_div(self.h * self.grad_u[:, j], self.grid)
+        return out
 
-        return self._get("visc_h", build)
-
-    @property
+    @cached_property
     def visc_g_term(self):
         """grad(g div u)."""
-        return self._get("visc_g", lambda: spectral_grad(self.g * self.div_u, self.grid))
+        return spectral_grad(self.g * self.div_u, self.grid)
 
-    @property
+    @cached_property
     def conv_term(self):
         """div(rho u x u), component j = sum_i d_i(rho u_i u_j)."""
-        def build():
-            out = np.zeros_like(self.u)
-            for j in range(self.dim):
-                out[j] = spectral_div(self.rho * self.u * self.u[j], self.grid)
-            return out
+        out = np.zeros_like(self.u)
+        for j in range(self.dim):
+            out[j] = spectral_div(self.rho * self.u * self.u[j], self.grid)
+        return out
 
-        return self._get("conv", build)
-
-    @property
+    @cached_property
     def dt_m(self):
-        return self._get(
-            "dt_m",
-            lambda: -self.conv_term - self.grad_p + self.visc_h_term + self.visc_g_term,
-        )
+        return -self.conv_term - self.grad_p + self.visc_h_term + self.visc_g_term
 
     # composite rates ---------------------------------------------------------
     def int_(self, f):
         return integrate(f, self.grid)
 
-    @property
+    @cached_property
     def d_dt_kinetic(self):
         """d/dt int rho|u|^2/2 via the chain rule through (rho, m)."""
         udm = np.sum(self.u * self.dt_m, axis=0)
         u2 = np.sum(self.u**2, axis=0)
         return self.int_(udm - 0.5 * u2 * self.dt_rho)
 
-    @property
+    @cached_property
     def d_dt_pressure(self):
         gam = self.gamma
         return gam / (gam - 1.0) * self.int_(self.rho ** (gam - 1.0) * self.dt_rho)
 
-    @property
+    @cached_property
     def grad_phi_rate(self):
         """dt grad(phi) = grad(phi'(rho) dt rho)."""
-        return self._get(
-            "w_rate", lambda: spectral_grad(self.phi_p * self.dt_rho, self.grid)
-        )
+        return spectral_grad(self.phi_p * self.dt_rho, self.grid)
 
-    @property
+    @cached_property
     def d_dt_half_sq(self):
         """d/dt int rho |grad phi|^2 / 2."""
         w2 = np.sum(self.w**2, axis=0)
         return self.int_(0.5 * w2 * self.dt_rho + self.rho * np.sum(self.w * self.grad_phi_rate, axis=0))
 
-    @property
+    @cached_property
     def d_dt_cross(self):
         """d/dt int rho u . grad phi."""
         return self.int_(np.sum(self.dt_m * self.w, axis=0)) + self.int_(
             np.sum(self.m * self.grad_phi_rate, axis=0)
         )
 
-    @property
-    def visc_dissipation(self):
-        return self.int_(self.h * self.grad_u_sq + self.g * self.div_u**2)
+    @cached_property
+    def visc_h(self):
+        """int h |grad u|^2."""
+        return self.int_(self.h * self.grad_u_sq)
 
-    @property
-    def transpose_contraction(self):
-        """int h * d_i u_j d_j u_i."""
-        gu = self.grad_u
-        s = np.zeros(self.grid.sizes)
-        for i in range(self.dim):
-            for j in range(self.dim):
-                s += gu[i, j] * gu[j, i]
-        return self.int_(self.h * s)
+    @cached_property
+    def visc_g(self):
+        """int g (div u)^2."""
+        return self.int_(self.g * self.div_u**2)
 
-    @property
-    def x_bd(self):
-        """int grad(phi) . grad(rho^gamma)."""
-        return self.int_(np.sum(self.w * self.grad_p, axis=0))
 
 
 @dataclass
@@ -356,8 +328,10 @@ class IdentityReport:
     order_min: float = ORDER_MIN
 
     def finalize(self):
-        if any(b <= a for a, b in zip(self.grids, self.grids[1:])):
-            raise ValueError(f"grid sequence must be strictly increasing, got {self.grids}")
+        if not self.grids or any(b <= a for a, b in zip(self.grids, self.grids[1:])):
+            raise ValueError(
+                f"grid sequence must be nonempty and strictly increasing, got {self.grids}"
+            )
         for name, series in self.residuals.items():
             self.orders[name] = fitted_order(self.grids, series)
         return self
@@ -399,89 +373,131 @@ def _norm(value: float, scale: float) -> float:
     return abs(value) / max(scale, 1e-300)
 
 
+def _certify(mf: ManufacturedField, law, gamma: float, grids, checks) -> list[IdentityReport]:
+    """One finalized report per (identity name, body) in checks.  Each grid
+    gets one spectral context, shared by all the bodies; a body returns the
+    (residuals, slacks, terms) of its identity on that grid."""
+    reports = [IdentityReport(name, list(grids)) for name, _ in checks]
+    for n in grids:
+        c = _Ctx(mf, law, gamma, n)
+        for rep, (_, body) in zip(reports, checks):
+            residuals, slacks, terms = body(c)
+            for name, value in residuals.items():
+                rep.residuals.setdefault(name, []).append(value)
+            for name, value in slacks.items():
+                rep.slacks.setdefault(name, []).append(value)
+            rep.terms.append(terms)
+    return [rep.finalize() for rep in reports]
+
+
+def _energy_step(c: _Ctx):
+    lhs = c.d_dt_kinetic + c.d_dt_pressure
+    rhs = -c.visc_h - c.visc_g
+    scale = max(abs(c.d_dt_kinetic), abs(c.d_dt_pressure), abs(c.visc_h), abs(c.visc_g), 1e-30)
+    terms = {
+        "d_dt_kinetic": c.d_dt_kinetic,
+        "d_dt_pressure": c.d_dt_pressure,
+        "visc_h": c.visc_h,
+        "visc_g": c.visc_g,
+    }
+    return {"equality": _norm(lhs - rhs, scale)}, {}, terms
+
+
 def verify_energy_step(mf: ManufacturedField, law, gamma: float, grids) -> IdentityReport:
     """Energy balance: d/dt of kinetic + pressure energy against the viscous
     dissipation, under PDE substitution."""
-    rep = IdentityReport("energy_step", list(grids))
-    rep.residuals["equality"] = []
-    for n in grids:
-        c = _Ctx(mf, law, gamma, n)
-        lhs = c.d_dt_kinetic + c.d_dt_pressure
-        visc_h = c.int_(c.h * c.grad_u_sq)
-        visc_g = c.int_(c.g * c.div_u**2)
-        rhs = -visc_h - visc_g
-        scale = max(abs(c.d_dt_kinetic), abs(c.d_dt_pressure), abs(visc_h), abs(visc_g), 1e-30)
-        rep.residuals["equality"].append(_norm(lhs - rhs, scale))
-        rep.terms.append({
-            "d_dt_kinetic": c.d_dt_kinetic,
-            "d_dt_pressure": c.d_dt_pressure,
-            "visc_h": visc_h,
-            "visc_g": visc_g,
-        })
-    return rep.finalize()
+    return _certify(mf, law, gamma, grids, [("energy_step", _energy_step)])[0]
+
+
+def _grad_phi_transport(c: _Ctx):
+    w, gu = c.w, c.grad_u
+    quad = np.zeros(c.grid.sizes)
+    for i in range(c.dim):
+        for j in range(c.dim):
+            quad += gu[i, j] * w[i] * w[j]
+    t1 = -c.int_(c.rho * quad)
+    t2 = c.int_(c.rho**2 * c.phi_p * c.lap_phi * c.div_u)
+    w2 = np.sum(w**2, axis=0)
+    t3 = c.int_(c.rho * w2 * c.div_u)
+    lhs = c.d_dt_half_sq
+    rhs = t1 + t2 + t3
+    scale = max(abs(t1), abs(t2), abs(t3), abs(lhs), 1e-30)
+    return {"equality": _norm(lhs - rhs, scale)}, {}, {"lhs": lhs, "t1": t1, "t2": t2, "t3": t3}
 
 
 def verify_step2(mf: ManufacturedField, law, grids) -> IdentityReport:
     """Transport identity for the weighted density-gradient energy
     d/dt int rho |grad phi|^2 / 2 (three-term right-hand side)."""
-    rep = IdentityReport("grad_phi_transport", list(grids))
-    rep.residuals["equality"] = []
-    for n in grids:
-        c = _Ctx(mf, law, 2.0, n)
-        w, gu = c.w, c.grad_u
-        quad = np.zeros(c.grid.sizes)
-        for i in range(c.dim):
-            for j in range(c.dim):
-                quad += gu[i, j] * w[i] * w[j]
-        t1 = -c.int_(c.rho * quad)
-        t2 = c.int_(c.rho**2 * c.phi_p * c.lap_phi * c.div_u)
-        w2 = np.sum(w**2, axis=0)
-        t3 = c.int_(c.rho * w2 * c.div_u)
-        lhs = c.d_dt_half_sq
-        rhs = t1 + t2 + t3
-        scale = max(abs(t1), abs(t2), abs(t3), abs(lhs), 1e-30)
-        rep.residuals["equality"].append(_norm(lhs - rhs, scale))
-        rep.terms.append({"lhs": lhs, "t1": t1, "t2": t2, "t3": t3})
-    return rep.finalize()
+    # the identity does not involve the pressure, so any gamma serves
+    return _certify(mf, law, 2.0, grids, [("grad_phi_transport", _grad_phi_transport)])[0]
+
+
+def _cross_term_expansion(c: _Ctx):
+    w = c.w
+    # (a) d/dt int rho u . grad phi = int grad phi . dt m + int (div m)^2 phi'
+    direct = c.d_dt_cross
+    via_ibp = c.int_(np.sum(w * c.dt_m, axis=0)) + c.int_(c.phi_p * c.div_m**2)
+    scale_a = max(abs(direct), abs(via_ibp), 1e-30)
+
+    # (b1) int grad(g div u) . grad phi = - int g lap(phi) div u
+    lhs_g = c.int_(np.sum(c.visc_g_term * w, axis=0))
+    rhs_g = -c.int_(c.g * c.lap_phi * c.div_u)
+    scale_g = max(abs(lhs_g), abs(rhs_g), 1e-30)
+
+    # (b2) int div(h grad u) . grad phi expanded into three terms
+    lhs_h = c.int_(np.sum(c.visc_h_term * w, axis=0))
+    grad_h = spectral_grad(c.h, c.grid)
+    mix = np.zeros(c.grid.sizes)
+    for i in range(c.dim):
+        for j in range(c.dim):
+            # d_i h * d_j u_i * d_j phi
+            mix += grad_h[i] * c.grad_u[j, i] * w[j]
+    rhs_h = (
+        c.int_(mix)
+        - c.int_(np.sum(grad_h * w, axis=0) * c.div_u)
+        - c.int_(c.h * c.lap_phi * c.div_u)
+    )
+    scale_h = max(abs(lhs_h), abs(rhs_h), 1e-30)
+    residuals = {
+        "cross_derivative": _norm(direct - via_ibp, scale_a),
+        "g_pairing": _norm(lhs_g - rhs_g, scale_g),
+        "h_pairing": _norm(lhs_h - rhs_h, scale_h),
+    }
+    return residuals, {}, {"cross_direct": direct, "g_lhs": lhs_g, "h_lhs": lhs_h}
 
 
 def verify_step3_cross(mf: ManufacturedField, law, gamma: float, grids) -> IdentityReport:
     """Cross-term derivative identity plus the two diffusion integration-by-
     parts rewritings used to expand grad(phi) . dt(rho u)."""
-    rep = IdentityReport("cross_term_expansion", list(grids))
-    rep.residuals = {"cross_derivative": [], "g_pairing": [], "h_pairing": []}
-    for n in grids:
-        c = _Ctx(mf, law, gamma, n)
-        w = c.w
-        # (a) d/dt int rho u . grad phi = int grad phi . dt m + int (div m)^2 phi'
-        direct = c.d_dt_cross
-        via_ibp = c.int_(np.sum(w * c.dt_m, axis=0)) + c.int_(c.phi_p * c.div_m**2)
-        scale_a = max(abs(direct), abs(via_ibp), 1e-30)
-        rep.residuals["cross_derivative"].append(_norm(direct - via_ibp, scale_a))
+    return _certify(mf, law, gamma, grids, [("cross_term_expansion", _cross_term_expansion)])[0]
 
-        # (b1) int grad(g div u) . grad phi = - int g lap(phi) div u
-        lhs_g = c.int_(np.sum(c.visc_g_term * w, axis=0))
-        rhs_g = -c.int_(c.g * c.lap_phi * c.div_u)
-        scale_g = max(abs(lhs_g), abs(rhs_g), 1e-30)
-        rep.residuals["g_pairing"].append(_norm(lhs_g - rhs_g, scale_g))
 
-        # (b2) int div(h grad u) . grad phi expanded into three terms
-        lhs_h = c.int_(np.sum(c.visc_h_term * w, axis=0))
-        grad_h = spectral_grad(c.h, c.grid)
-        mix = np.zeros(c.grid.sizes)
-        for i in range(c.dim):
-            for j in range(c.dim):
-                # d_i h * d_j u_i * d_j phi
-                mix += grad_h[i] * c.grad_u[j, i] * w[j]
-        rhs_h = (
-            c.int_(mix)
-            - c.int_(np.sum(grad_h * w, axis=0) * c.div_u)
-            - c.int_(c.h * c.lap_phi * c.div_u)
-        )
-        scale_h = max(abs(lhs_h), abs(rhs_h), 1e-30)
-        rep.residuals["h_pairing"].append(_norm(lhs_h - rhs_h, scale_h))
-        rep.terms.append({"cross_direct": direct, "g_lhs": lhs_g, "h_lhs": lhs_h})
-    return rep.finalize()
+def _bd_combination(c: _Ctx):
+    w, gu = c.w, c.grad_u
+    # int h d_i u_j d_j u_i
+    contraction = np.zeros(c.grid.sizes)
+    for i in range(c.dim):
+        for j in range(c.dim):
+            contraction += gu[i, j] * gu[j, i]
+    transpose = c.int_(c.h * contraction)
+    x_bd = c.int_(np.sum(w * c.grad_p, axis=0))  # int grad(phi) . grad(rho^gamma)
+    dissipation = c.int_(c.h * c.grad_u_sq + c.g * c.div_u**2)
+
+    lhs4 = -c.int_(np.sum(w * c.conv_term, axis=0)) + c.int_(c.phi_p * c.div_m**2)
+    rhs4 = c.visc_g + transpose
+    scale = max(abs(lhs4), abs(rhs4), c.visc_h, 1e-30)
+    sym = c.visc_h - transpose
+    d_ebd = c.d_dt_kinetic + c.d_dt_pressure + c.d_dt_cross + c.d_dt_half_sq
+    balance = dissipation - (d_ebd + x_bd)
+    slacks = {
+        "symmetry_slack": sym / max(c.visc_h, 1e-30),
+        "entropy_balance_slack": balance / max(abs(dissipation), abs(x_bd), 1e-30),
+    }
+    terms = {
+        "lhs4": lhs4, "rhs4": rhs4, "visc_h": c.visc_h, "visc_g": c.visc_g,
+        "d_dt_entropy": d_ebd, "x_bd": x_bd,
+    }
+    return {"step4_chain": _norm(lhs4 - rhs4, scale)}, slacks, terms
 
 
 def verify_bd_combination(mf: ManufacturedField, law, gamma: float, grids) -> IdentityReport:
@@ -495,32 +511,85 @@ def verify_bd_combination(mf: ManufacturedField, law, gamma: float, grids) -> Id
     the nonnegative symmetrization slack int h (|grad u|^2 - d_i u_j d_j u_i),
     and the combined statement bounds d/dt of the weighted entropy plus the
     pressure cross term by the viscous dissipation."""
-    rep = IdentityReport("bd_combination", list(grids))
-    rep.residuals["step4_chain"] = []
-    rep.slacks = {"symmetry_slack": [], "entropy_balance_slack": []}
-    for n in grids:
-        c = _Ctx(mf, law, gamma, n)
-        w = c.w
-        lhs4 = -c.int_(np.sum(w * c.conv_term, axis=0)) + c.int_(c.phi_p * c.div_m**2)
-        visc_g = c.int_(c.g * c.div_u**2)
-        rhs4 = visc_g + c.transpose_contraction
-        visc_h = c.int_(c.h * c.grad_u_sq)
-        scale = max(abs(lhs4), abs(rhs4), visc_h, 1e-30)
-        rep.residuals["step4_chain"].append(_norm(lhs4 - rhs4, scale))
+    return _certify(mf, law, gamma, grids, [("bd_combination", _bd_combination)])[0]
 
-        sym = visc_h - c.transpose_contraction
-        rep.slacks["symmetry_slack"].append(sym / max(visc_h, 1e-30))
 
-        d_ebd = c.d_dt_kinetic + c.d_dt_pressure + c.d_dt_cross + c.d_dt_half_sq
-        balance = c.visc_dissipation - (d_ebd + c.x_bd)
-        rep.slacks["entropy_balance_slack"].append(
-            balance / max(abs(c.visc_dissipation), abs(c.x_bd), 1e-30)
+def _moment_balance(c: _Ctx, delta: float, nu: float):
+    N = c.dim
+    umag = np.sqrt(np.sum(c.u**2, axis=0))
+    ud = umag**delta
+    gu = c.grad_u
+
+    # d/dt int rho |u|^{2+delta}/(2+delta) by the chain rule
+    udm = np.sum(c.u * c.dt_m, axis=0)
+    d_dt_m = c.int_(
+        ud * udm - (1.0 + delta) / (2.0 + delta) * umag ** (2.0 + delta) * c.dt_rho
+    )
+    v_h = c.int_(c.h * ud * c.grad_u_sq)
+    # delta * int h |u|^{delta-2} sum_i (u . d_i u)^2
+    proj = np.zeros(c.grid.sizes)
+    for i in range(c.dim):
+        proj += np.sum(c.u * gu[i], axis=0) ** 2
+    v_h_delta = delta * c.int_(c.h * umag ** (delta - 2.0) * proj)
+    v_g = c.int_(c.g * ud * c.div_u**2)
+    # delta * int g |u|^{delta-2} (div u) sum_{jk} u_j u_k d_j u_k
+    cross = np.zeros(c.grid.sizes)
+    for j in range(c.dim):
+        cross += c.u[j] * np.sum(c.u * gu[j], axis=0)
+    v_g_delta = delta * c.int_(c.g * umag ** (delta - 2.0) * c.div_u * cross)
+    pressure = c.int_(ud * np.sum(c.u * c.grad_p, axis=0))
+
+    resid = d_dt_m + v_h + v_h_delta + v_g + v_g_delta + pressure
+    scale = max(abs(d_dt_m), v_h, abs(pressure), 1e-30)
+
+    # inequality links
+    div_slack = c.int_(c.h * ud * (N * c.grad_u_sq - c.div_u**2))
+
+    gu_mag = np.sqrt(c.grad_u_sq)
+    cs_lhs = c.int_(c.rho**c.gamma * ud * gu_mag)
+    press_bound = (math.sqrt(N) + delta) * cs_lhs
+
+    weighted = c.int_(c.rho ** (2.0 * c.gamma) / c.h * ud)
+    cs_bound = math.sqrt(max(v_h, 0.0)) * math.sqrt(max(weighted, 0.0))
+
+    p_exp = 2.0 / (2.0 - delta)
+    hold_bound = c.int_(
+        (c.rho ** (2.0 * c.gamma - delta / 2.0) / c.h) ** p_exp
+    ) ** ((2.0 - delta) / 2.0) * c.int_(c.rho * umag**2) ** (delta / 2.0)
+
+    end_slack = hold_bound - (d_dt_m + 0.25 * nu * v_h)
+    slacks = {
+        "div_bound_slack": div_slack / max(v_h * N, 1e-30),
+        "pressure_ibp_slack": (press_bound - abs(pressure)) / max(press_bound, 1e-30),
+        "cauchy_schwarz_slack": (cs_bound - cs_lhs) / max(cs_bound, 1e-30),
+        "holder_slack": (hold_bound - weighted) / max(hold_bound, 1e-30),
+        "end_to_end_slack": end_slack / max(hold_bound, abs(d_dt_m), 1e-30),
+    }
+    terms = {
+        "d_dt_moment": d_dt_m, "v_h": v_h, "v_h_delta": v_h_delta,
+        "v_g": v_g, "v_g_delta": v_g_delta, "pressure": pressure,
+        "moment_rhs": hold_bound, "nu": nu,
+    }
+    return {"equality": _norm(resid, scale)}, slacks, terms
+
+
+def _moment_check(mf: ManufacturedField, law, gamma: float, delta: float, nu: float | None):
+    """The moment checker's (identity name, body), after the prechecks that
+    must pass before any grid work."""
+    if not 0.0 < delta < 2.0:
+        raise ValueError(f"delta must lie in (0, 2), got {delta}")
+    if nu is None:
+        nu = find_max_nu(law, gamma=max(gamma, 1.5), N=mf.dim)
+        if nu is None:
+            raise ValueError("law admits no feasible nu; pass one explicitly")
+    if delta >= nu / 4.0:
+        raise ValueError(f"delta must stay below nu/4 = {nu / 4.0:g}, got {delta}")
+    if mf.speed_margin <= 0.0:
+        raise ValueError(
+            "moment check needs |u| bounded away from zero "
+            "(fractional powers of the speed lose smoothness at u = 0)"
         )
-        rep.terms.append({
-            "lhs4": lhs4, "rhs4": rhs4, "visc_h": visc_h, "visc_g": visc_g,
-            "d_dt_entropy": d_ebd, "x_bd": c.x_bd,
-        })
-    return rep.finalize()
+    return f"moment_balance_delta_{delta:g}", partial(_moment_balance, delta=delta, nu=nu)
 
 
 def verify_moment_derivation(mf: ManufacturedField, law, gamma: float, delta: float,
@@ -533,97 +602,18 @@ def verify_moment_derivation(mf: ManufacturedField, law, gamma: float, delta: fl
             <= (int (rho^{2 gamma - delta/2}/h)^{2/(2-delta)})^{(2-delta)/2}
                (int rho |u|^2)^{delta/2}.
     """
-    if not 0.0 < delta < 2.0:
-        raise ValueError(f"delta must lie in (0, 2), got {delta}")
-    if nu is None:
-        nu = find_max_nu(law, gamma=max(gamma, 1.5), N=mf.dim)
-        if nu is None:
-            raise ValueError("law admits no feasible nu; pass one explicitly")
-    if delta >= nu / 4.0:
-        raise ValueError(f"delta must stay below nu/4 = {nu / 4.0:g}, got {delta}")
-    rep = IdentityReport(f"moment_balance_delta_{delta:g}", list(grids))
-    rep.residuals["equality"] = []
-    rep.slacks = {
-        "div_bound_slack": [],
-        "pressure_ibp_slack": [],
-        "cauchy_schwarz_slack": [],
-        "holder_slack": [],
-        "end_to_end_slack": [],
-    }
-    if mf.speed_margin <= 0.0:
-        raise ValueError(
-            "moment check needs |u| bounded away from zero "
-            "(fractional powers of the speed lose smoothness at u = 0)"
-        )
-    N = mf.dim
-    for n in grids:
-        c = _Ctx(mf, law, gamma, n)
-        umag = np.sqrt(np.sum(c.u**2, axis=0))
-        ud = umag**delta
-        gu = c.grad_u
-
-        # d/dt int rho |u|^{2+delta}/(2+delta) by the chain rule
-        udm = np.sum(c.u * c.dt_m, axis=0)
-        d_dt_m = c.int_(
-            ud * udm - (1.0 + delta) / (2.0 + delta) * umag ** (2.0 + delta) * c.dt_rho
-        )
-        v_h = c.int_(c.h * ud * c.grad_u_sq)
-        # delta * int h |u|^{delta-2} sum_i (u . d_i u)^2
-        proj = np.zeros(c.grid.sizes)
-        for i in range(c.dim):
-            proj += np.sum(c.u * gu[i], axis=0) ** 2
-        v_h_delta = delta * c.int_(c.h * umag ** (delta - 2.0) * proj)
-        v_g = c.int_(c.g * ud * c.div_u**2)
-        # delta * int g |u|^{delta-2} (div u) sum_{jk} u_j u_k d_j u_k
-        cross = np.zeros(c.grid.sizes)
-        for j in range(c.dim):
-            cross += c.u[j] * np.sum(c.u * gu[j], axis=0)
-        v_g_delta = delta * c.int_(c.g * umag ** (delta - 2.0) * c.div_u * cross)
-        pressure = c.int_(ud * np.sum(c.u * c.grad_p, axis=0))
-
-        resid = d_dt_m + v_h + v_h_delta + v_g + v_g_delta + pressure
-        scale = max(abs(d_dt_m), v_h, abs(pressure), 1e-30)
-        rep.residuals["equality"].append(_norm(resid, scale))
-
-        # inequality links
-        div_slack = c.int_(c.h * ud * (N * c.grad_u_sq - c.div_u**2))
-        rep.slacks["div_bound_slack"].append(div_slack / max(v_h * N, 1e-30))
-
-        gu_mag = np.sqrt(c.grad_u_sq)
-        press_bound = (math.sqrt(N) + delta) * c.int_(c.rho**gamma * ud * gu_mag)
-        rep.slacks["pressure_ibp_slack"].append(
-            (press_bound - abs(pressure)) / max(press_bound, 1e-30)
-        )
-
-        weighted = c.int_(c.rho ** (2.0 * gamma) / c.h * ud)
-        cs_bound = math.sqrt(max(v_h, 0.0)) * math.sqrt(max(weighted, 0.0))
-        cs_lhs = c.int_(c.rho**gamma * ud * gu_mag)
-        rep.slacks["cauchy_schwarz_slack"].append((cs_bound - cs_lhs) / max(cs_bound, 1e-30))
-
-        p_exp = 2.0 / (2.0 - delta)
-        hold_bound = c.int_(
-            (c.rho ** (2.0 * gamma - delta / 2.0) / c.h) ** p_exp
-        ) ** ((2.0 - delta) / 2.0) * c.int_(c.rho * umag**2) ** (delta / 2.0)
-        rep.slacks["holder_slack"].append((hold_bound - weighted) / max(hold_bound, 1e-30))
-
-        end_slack = hold_bound - (d_dt_m + 0.25 * nu * v_h)
-        rep.slacks["end_to_end_slack"].append(end_slack / max(hold_bound, abs(d_dt_m), 1e-30))
-
-        rep.terms.append({
-            "d_dt_moment": d_dt_m, "v_h": v_h, "v_h_delta": v_h_delta,
-            "v_g": v_g, "v_g_delta": v_g_delta, "pressure": pressure,
-            "moment_rhs": hold_bound, "nu": nu,
-        })
-    return rep.finalize()
+    return _certify(mf, law, gamma, grids, [_moment_check(mf, law, gamma, delta, nu)])[0]
 
 
 def run_all_identities(mf: ManufacturedField, law, gamma: float, grids,
                        delta: float = 0.05, nu: float | None = None) -> list[IdentityReport]:
-    """Every checker on one field; used by the command-line driver."""
-    return [
-        verify_energy_step(mf, law, gamma, grids),
-        verify_step2(mf, law, grids),
-        verify_step3_cross(mf, law, gamma, grids),
-        verify_bd_combination(mf, law, gamma, grids),
-        verify_moment_derivation(mf, law, gamma, delta, grids, nu=nu),
+    """Every checker on one field, sharing one spectral context per grid;
+    used by the command-line driver."""
+    checks = [
+        ("energy_step", _energy_step),
+        ("grad_phi_transport", _grad_phi_transport),
+        ("cross_term_expansion", _cross_term_expansion),
+        ("bd_combination", _bd_combination),
+        _moment_check(mf, law, gamma, delta, nu),
     ]
+    return _certify(mf, law, gamma, grids, checks)

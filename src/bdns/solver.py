@@ -275,53 +275,47 @@ def _check_finite(state: State, where: str):
 
 
 def step(state: State, config: SolverConfig, dt: float):
-    """One explicit step.  Returns (new state, clamped cells, zeroed cells)."""
+    """One explicit step.  Returns (new state, clamped cells, zeroed cells),
+    the counts summed over every stage."""
     eps_vac = config.eps_vac
     if eps_vac is None:
         raise ValueError("step needs a resolved eps_vac on the config")
     clamps = zeros = 0
 
-    def stage(s: State, t_stage: float) -> State:
+    def floored(t: float, rho: np.ndarray, mom: np.ndarray, where: str) -> State:
+        # every stage state passes through here: floors, counts, finiteness
         nonlocal clamps, zeros
-        dr, dm = rhs(s, config)
-        out = State(t_stage, s.rho + dt * dr, s.mom + dt * dm)
+        out = State(t, rho, mom)
         c, z = _apply_floors(out.rho, out.mom, eps_vac)
         clamps += c
         zeros += z
+        _check_finite(out, where)
         return out
 
     if config.integrator == "RK2_SSP":
-        s1 = stage(state, state.t + dt)
-        _check_finite(s1, "after stage 1")
+        dr, dm = rhs(state, config)
+        s1 = floored(state.t + dt, state.rho + dt * dr, state.mom + dt * dm, "after stage 1")
         dr, dm = rhs(s1, config)
-        new = State(
+        new = floored(
             state.t + dt,
             0.5 * state.rho + 0.5 * (s1.rho + dt * dr),
             0.5 * state.mom + 0.5 * (s1.mom + dt * dm),
+            "after step",
         )
-        c, z = _apply_floors(new.rho, new.mom, eps_vac)
-        clamps += c
-        zeros += z
     else:  # RK4
-        k1r, k1m = rhs(state, config)
-        s2 = State(state.t + 0.5 * dt, state.rho + 0.5 * dt * k1r, state.mom + 0.5 * dt * k1m)
-        _apply_floors(s2.rho, s2.mom, eps_vac)
-        k2r, k2m = rhs(s2, config)
-        s3 = State(state.t + 0.5 * dt, state.rho + 0.5 * dt * k2r, state.mom + 0.5 * dt * k2m)
-        _apply_floors(s3.rho, s3.mom, eps_vac)
-        k3r, k3m = rhs(s3, config)
-        s4 = State(state.t + dt, state.rho + dt * k3r, state.mom + dt * k3m)
-        _apply_floors(s4.rho, s4.mom, eps_vac)
-        k4r, k4m = rhs(s4, config)
-        new = State(
+        ks = [rhs(state, config)]
+        for n, c in enumerate((0.5, 0.5, 1.0), start=2):
+            kr, km = ks[-1]
+            s = floored(state.t + c * dt, state.rho + c * dt * kr, state.mom + c * dt * km,
+                        f"after stage {n}")
+            ks.append(rhs(s, config))
+        (k1r, k1m), (k2r, k2m), (k3r, k3m), (k4r, k4m) = ks
+        new = floored(
             state.t + dt,
             state.rho + dt / 6.0 * (k1r + 2.0 * k2r + 2.0 * k3r + k4r),
             state.mom + dt / 6.0 * (k1m + 2.0 * k2m + 2.0 * k3m + k4m),
+            "after step",
         )
-        c, z = _apply_floors(new.rho, new.mom, eps_vac)
-        clamps += c
-        zeros += z
-    _check_finite(new, "after step")
     return new, clamps, zeros
 
 

@@ -346,7 +346,7 @@ def validate(law: ViscosityLaw, params: AdmissibilityParams,
     m10 = np.minimum(combo - nu * h, h / nu - combo)
     i10 = int(np.argmin(m10))
     rec10 = ConditionRecord("(10)", True, m10[i10] >= 0, float(rho_samples[i10]), float(m10[i10]))
-    if law.constant is not None and not rec10.passed:
+    if isinstance(law, ViscosityLaw) and law.constant is not None and not rec10.passed:
         rec10.note = "constant pair degenerates: h + N*g = mu*(1-N) < nu*h"
     report.records.append(rec10)
 

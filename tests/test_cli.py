@@ -105,6 +105,68 @@ def test_verify_identities_bad_law_json():
     assert cli_main(["verify-identities", "--law", "{oops", "--grids", "32"]) == 2
 
 
+def test_verify_identities_tampered_pair_without_nu_is_one_line(capsys):
+    code = cli_main([
+        "verify-identities", "--law", '{"terms": [[1, 1]]}', "--g-override", "1.0",
+        "--grids", "32,64",
+    ])
+    assert code in (1, 2)
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
+def simulate_usage_error(tmp_path, capsys, **overrides):
+    path = write_config(tmp_path, name="bad.json", **overrides)
+    code = cli_main(["simulate", "--config", str(path)])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 2 and len(err) == 1, err
+    return err[0]
+
+
+def test_missing_checkpoint_is_named(tmp_path, capsys):
+    err = simulate_usage_error(tmp_path, capsys,
+                               initial={"checkpoint": str(tmp_path / "gone.bdns")})
+    assert "gone.bdns" in err and "No such file" in err
+
+
+def saved_checkpoint(tmp_path):
+    ck = tmp_path / "final.bdns"
+    assert cli_main(["simulate", "--config", str(write_config(tmp_path)),
+                     "--checkpoint", str(ck)]) == 0
+    return ck
+
+
+def test_truncated_checkpoint_is_usage_error(tmp_path, capsys):
+    ck = saved_checkpoint(tmp_path)
+    ck.write_bytes(ck.read_bytes()[:20])
+    err = simulate_usage_error(tmp_path, capsys, initial={"checkpoint": str(ck)})
+    assert "truncated" in err
+
+
+def test_short_checkpoint_payload_is_usage_error(tmp_path, capsys):
+    ck = saved_checkpoint(tmp_path)
+    ck.write_bytes(ck.read_bytes()[:-8])
+    err = simulate_usage_error(tmp_path, capsys, initial={"checkpoint": str(ck)})
+    assert "payload" in err
+
+
+def test_checkpoint_with_trailing_bytes_is_usage_error(tmp_path, capsys):
+    ck = saved_checkpoint(tmp_path)
+    ck.write_bytes(ck.read_bytes() + b"\0" * 8)
+    err = simulate_usage_error(tmp_path, capsys, initial={"checkpoint": str(ck)})
+    assert "payload" in err
+
+
+def test_unknown_preset_is_usage_error(tmp_path, capsys):
+    err = simulate_usage_error(tmp_path, capsys, initial={"preset": "no_such_preset"})
+    assert "no_such_preset" in err
+
+
+def test_unknown_preset_params_are_usage_error(tmp_path, capsys):
+    err = simulate_usage_error(tmp_path, capsys,
+                               initial={"preset": "smooth_bump", "params": {"bogus": 1}})
+    assert "bogus" in err
+
+
 def test_stability_study_end_to_end(tmp_path):
     path = write_config(
         tmp_path,

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bdns.diagnostics as diagnostics
 from bdns.diagnostics import (
     MomentParams,
     TestField,
@@ -107,6 +108,39 @@ def test_energy_decomposition_identity():
     lhs = row["E_BD_lemma31"]
     rhs = row["E_eq15"] + row["BD_cross_term"] + 2.0 * row["hprime_grad_sqrt_rho_L2_eq20"] ** 2
     assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+def test_public_helpers_equal_ledger_columns_exactly():
+    # compact-support density: dry cells exercise every vacuum cutoff
+    grid = PeriodicGrid((128,))
+    st0 = make_initial("vacuum_bump", grid, {"amp": 1.0, "width": 0.3, "u_amp": 0.2})
+    mp = MomentParams()
+    row = ledger_row(st0, grid, LINEAR, 2.0, mp, EPS)
+    assert np.any(st0.rho <= EPS)
+    assert energy(st0, grid, 2.0, EPS) == row["E_eq15"]
+    assert dissipation(st0, grid, LINEAR, EPS) == row["D_visc_eq15"]
+    assert bd_entropy(st0, grid, LINEAR, 2.0, EPS) == row["E_BD_lemma31"]
+    assert bd_cross(st0, grid, LINEAR, 2.0, EPS) == row["X_BD_lemma31"]
+    assert moment_functional(st0, grid, mp.delta, EPS) == row["M_delta_lemma32"]
+    assert moment_rhs(st0, grid, LINEAR, 2.0, mp.delta, EPS) == row["RHS_delta_lemma32"]
+    for name, v in apriori_bounds(st0, grid, LINEAR, 2.0, EPS).items():
+        assert v == row[name], name
+    for name, v in compactness_quantities(st0, grid, LINEAR, 2.0, mp, EPS).items():
+        assert v == row[name], name
+
+
+def test_ledger_row_derives_fields_once(monkeypatch):
+    calls = []
+    real = diagnostics.derived
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(diagnostics, "derived", counting)
+    grid, st0 = sine_state(64)
+    ledger_row(st0, grid, LINEAR, 2.0, MomentParams(), EPS)
+    assert len(calls) == 1
 
 
 # -- velocity moment -----------------------------------------------------------------

@@ -169,3 +169,16 @@ def test_thread_cap_respected(monkeypatch):
     spec = InitialDataSpec("smooth_bump", {}, sigma0=0.05, n_max=1)
     study = run_study(spec, cfg)
     assert not study.partial
+
+
+def test_hypothesis_table_matches_first_ledger_row():
+    # the table's energy and moment are the ledger's own definitions, with
+    # the moment normalised by 1/(2+delta); dry cells exercise the cutoffs
+    cfg = small_config(n=64, t_end=2e-4)
+    spec = InitialDataSpec("vacuum_bump", {"amp": 1.0, "width": 0.3, "u_amp": 0.05},
+                           sigma0=0.05, n_max=1)
+    study = run_study(spec, cfg)
+    for row, ledger in zip(study.members, study.ledgers):
+        first = ledger.rows[0]
+        assert row["energy"] == first["E_eq15"]
+        assert row["moment"] == first["M_delta_lemma32"]

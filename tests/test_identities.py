@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import bdns.identities as identities
 from bdns.identities import (
     ManufacturedField,
     fitted_order,
@@ -234,3 +235,41 @@ def test_run_all_identities_bundle():
     reports = run_all_identities(mf, LINEAR, 2.0, [32, 64], delta=0.05, nu=0.9)
     assert len(reports) == 5
     assert all(r.verdict for r in reports)
+
+
+def test_run_all_identities_shares_one_context_per_grid(monkeypatch):
+    built = []
+
+    class CountingCtx(identities._Ctx):
+        def __init__(self, *args):
+            built.append(args[-1])
+            super().__init__(*args)
+
+    grids = [32, 64]
+    mf = manufactured_field(2, seed=9)
+    singles = [
+        verify_energy_step(mf, MIXED, 2.0, grids),
+        verify_step2(mf, MIXED, grids),
+        verify_step3_cross(mf, MIXED, 2.0, grids),
+        verify_bd_combination(mf, MIXED, 2.0, grids),
+        verify_moment_derivation(mf, MIXED, 2.0, 0.05, grids, nu=0.3),
+    ]
+    monkeypatch.setattr(identities, "_Ctx", CountingCtx)
+    reports = run_all_identities(mf, MIXED, 2.0, grids, delta=0.05, nu=0.3)
+    assert built == grids
+    assert [r.to_json() for r in reports] == [r.to_json() for r in singles]
+
+
+def test_moment_prechecks_run_before_grid_work(monkeypatch):
+    def no_grid_work(*args):
+        raise AssertionError("grid work before the moment prechecks")
+
+    monkeypatch.setattr(identities, "_Ctx", no_grid_work)
+    mf = manufactured_field(1, seed=2)
+    with pytest.raises(ValueError, match="nu/4"):
+        run_all_identities(mf, LINEAR, 2.0, [32, 64], delta=0.5, nu=0.9)
+
+
+def test_empty_grid_sequence_is_rejected():
+    with pytest.raises(ValueError, match="nonempty"):
+        verify_energy_step(manufactured_field(1, seed=1), LINEAR, 2.0, [])

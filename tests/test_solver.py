@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import bdns.solver as solver
 from bdns.grid import PeriodicGrid, State, integrate, lp_norm
 from bdns.grid import _spectral_ddx
 from bdns.presets import make_initial
@@ -212,6 +213,46 @@ def test_checkpoints_recorded_at_stride():
     assert traj.times[0] == 0.0
     assert traj.times[-1] == pytest.approx(1e-3)
     assert all(t2 > t1 for t1, t2 in zip(traj.times, traj.times[1:]))
+
+
+@pytest.mark.parametrize("integrator", ["RK2_SSP", "RK4"])
+def test_counters_sum_every_stage(monkeypatch, integrator):
+    grid = PeriodicGrid((64,))
+    init = make_initial("vacuum_bump", grid, {"amp": 1.0, "width": 0.25, "u_amp": 0.05})
+    counts = []
+    real = solver._apply_floors
+
+    def counting(rho, mom, eps_vac):
+        counts.append(real(rho, mom, eps_vac))
+        return counts[-1]
+
+    monkeypatch.setattr(solver, "_apply_floors", counting)
+    traj, _ = run(make_config(grid, t_end=2e-4, eps_vac=None, integrator=integrator), init)
+    # the first call floors the initial data; every later one is a stage of a step
+    in_step = counts[1:]
+    assert len(in_step) == traj.step_count * (2 if integrator == "RK2_SSP" else 4)
+    assert traj.vacuum_zero_count == sum(z for _, z in in_step) > 0
+    assert traj.clamp_count == sum(c for c, _ in in_step)
+
+
+def test_nan_in_intermediate_rk4_stage_aborts(monkeypatch):
+    grid = PeriodicGrid((32,))
+    cfg = make_config(grid, integrator="RK4")
+    state = make_initial("smooth_bump", grid)
+    real = solver.rhs
+    calls = []
+
+    def poisoned(s, config):
+        calls.append(1)
+        dr, dm = real(s, config)
+        if len(calls) == 2:
+            dr[0] = np.nan
+        return dr, dm
+
+    monkeypatch.setattr(solver, "rhs", poisoned)
+    with pytest.raises(SolverError, match="after stage 3"):
+        step(state, cfg, 1e-6)
+    assert len(calls) == 2
 
 
 # -- manufactured-solution forcing ------------------------------------------------

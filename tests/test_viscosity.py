@@ -290,3 +290,11 @@ def test_tampered_law_breaks_structural_relation():
     assert bad.g(3.0) == 1.0
     assert bad.h(3.0) == LINEAR.h(3.0)
     assert bad.g(3.0) + bad.h(3.0) != pytest.approx(3.0 * bad.h_prime(3.0))
+
+
+def test_validate_tampered_law_reports_failed_combination():
+    # a tampered pair has no constant: (10) fails without the constant-law note
+    report = validate(TamperedLaw(LINEAR, 1.0), AdmissibilityParams(nu=0.9, gamma=2.0, N=1))
+    rec10 = report.record("(10)")
+    assert not rec10.passed and rec10.note == ""
+    assert not report.overall
