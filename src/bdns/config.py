@@ -43,6 +43,13 @@ def _require(obj: dict, key: str):
     return obj[key]
 
 
+def _require_object(obj: dict, key: str) -> dict:
+    value = _require(obj, key)
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key!r} must be a JSON object, got {value!r}")
+    return value
+
+
 def parse_config(obj: dict) -> RunSetup:
     try:
         law = ViscosityLaw.from_json(_require(obj, "law"))
@@ -78,7 +85,7 @@ def parse_config(obj: dict) -> RunSetup:
             allow_non_admissible=bool(obj.get("allow_non_admissible", False)),
         )
 
-        init_spec = _require(obj, "initial")
+        init_spec = _require_object(obj, "initial")
         if "checkpoint" in init_spec:
             initial, ck_grid = load_checkpoint(init_spec["checkpoint"])
             if ck_grid.sizes != grid.sizes or ck_grid.lengths != grid.lengths:
@@ -92,7 +99,7 @@ def parse_config(obj: dict) -> RunSetup:
 
         study = None
         if "study" in obj:
-            s = obj["study"]
+            s = _require_object(obj, "study")
             if "preset" not in init_spec:
                 raise ConfigError("stability studies need a preset initial profile")
             study = InitialDataSpec(

@@ -6,7 +6,8 @@ axis, shape ``(dim, *sizes)``.  Two derivative families are provided:
 
 * second-order centered differences (:func:`grad`, :func:`div`, :func:`lap`)
   which satisfy discrete integration by parts against the midpoint
-  quadrature exactly, and
+  quadrature exactly, taken as slices of a field padded with a periodic
+  halo (the solver's stencils use the same padding), and
 * Fourier collocation derivatives (:func:`spectral_grad`, :func:`spectral_div`)
   used as a high-order oracle on band-limited fields.
 
@@ -19,6 +20,8 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,7 +59,7 @@ class PeriodicGrid:
     def dim(self) -> int:
         return len(self.sizes)
 
-    @property
+    @cached_property
     def spacing(self) -> tuple[float, ...]:
         return tuple(L / n for L, n in zip(self.lengths, self.sizes))
 
@@ -137,9 +140,43 @@ def _check_vector(v: np.ndarray, grid: PeriodicGrid):
         raise GridError(f"vector field shape {v.shape} != {(grid.dim, *grid.sizes)}")
 
 
+class _Cut(NamedTuple):
+    """Index tuples that slice a scalar field along one axis; ``head[w]`` and
+    ``tail[w]`` take the first and last ``w`` entries along it."""
+
+    axis: int
+    lo: tuple  # [:-1]
+    hi: tuple  # [1:]
+    mid: tuple  # [1:-1]
+    lo2: tuple  # [:-2]
+    hi2: tuple  # [2:]
+    head: tuple
+    tail: tuple
+
+
+def _make_cut(axis: int) -> _Cut:
+    def along(start, stop):
+        return (slice(None),) * axis + (slice(start, stop),)
+
+    return _Cut(axis, along(None, -1), along(1, None), along(1, -1), along(None, -2),
+                along(2, None), (None, along(None, 1), along(None, 2)),
+                (None, along(-1, None), along(-2, None)))
+
+
+# per grid dimension, the cut of every axis
+_CUTS = {dim: tuple(_make_cut(axis) for axis in range(dim)) for dim in (1, 2)}
+
+
+def _halo(q: np.ndarray, cut: _Cut, width: int) -> np.ndarray:
+    """``q`` extended by ``width`` periodic ghost cells at both ends of the
+    cut's axis, so that every stencil along it is a slice view."""
+    return np.concatenate((q[cut.tail[width]], q, q[cut.head[width]]), axis=cut.axis)
+
+
 def _ddx(f: np.ndarray, grid: PeriodicGrid, axis: int) -> np.ndarray:
-    h = grid.spacing[axis]
-    return (np.roll(f, -1, axis=axis) - np.roll(f, 1, axis=axis)) / (2.0 * h)
+    cut = _CUTS[grid.dim][axis]
+    fp = _halo(f, cut, 1)
+    return (fp[cut.hi2] - fp[cut.lo2]) / (2.0 * grid.spacing[axis])
 
 
 def grad(f: np.ndarray, grid: PeriodicGrid) -> np.ndarray:

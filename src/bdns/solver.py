@@ -13,6 +13,16 @@ The state (rho, m) evolves in conservative form on a periodic grid:
   rho <= eps_vac), so convective and viscous contributions vanish on dry
   cells.
 
+Every stencil is a slice view of a field padded once per axis with a
+periodic halo (two ghost cells for the limited slopes, one for faces), and
+fluxes live on the n + 1 faces of an axis, so a flux difference is
+``f[1:] - f[:-1]``.  The fields that depend on the state alone (clamped
+density, cutoff velocity, wave speed, face viscosity, g) are computed once
+per state in a private bundle that ``run`` shares between ``stable_dt`` and
+the first stage of ``step``.  Each cell value takes the same operations,
+in the same order, as the plain per-cell formula, so the layout changes no
+result.
+
 Time stepping is strong-stability-preserving RK2 by default (classical RK4
 optional).  Negative densities are clamped to zero and momentum on
 sub-cutoff cells is zeroed; both events are counted and reported, never
@@ -30,7 +40,7 @@ import numpy as np
 
 from . import diagnostics
 from .diagnostics import EntropyLedger, MomentParams, ledger_row
-from .grid import PeriodicGrid, State, derived, grad
+from .grid import _CUTS, PeriodicGrid, State, _Cut, _halo, div, grad
 from .viscosity import AdmissibilityParams, ViscosityLaw, validate
 
 INTEGRATORS = ("RK2_SSP", "RK4")
@@ -103,9 +113,7 @@ def _resolve_eps_vac(config: SolverConfig, initial: State) -> float:
     return 1e-10 * peak
 
 
-def _limited_slope(q: np.ndarray, axis: int, h: float, limiter: str) -> np.ndarray:
-    dminus = (q - np.roll(q, 1, axis=axis)) / h
-    dplus = (np.roll(q, -1, axis=axis) - q) / h
+def _limited_slope(dminus: np.ndarray, dplus: np.ndarray, limiter: str) -> np.ndarray:
     central = 0.5 * (dminus + dplus)
     if limiter == "none":
         return central
@@ -122,12 +130,14 @@ def _limited_slope(q: np.ndarray, axis: int, h: float, limiter: str) -> np.ndarr
     return np.where(same, np.sign(central) * mag, 0.0)
 
 
-def _face_states(q: np.ndarray, axis: int, h: float, limiter: str):
-    """Left/right reconstructions at face i+1/2 for every i."""
-    sl = _limited_slope(q, axis, h, limiter)
-    q_left = q + 0.5 * h * sl
-    q_right = np.roll(q, -1, axis=axis) - 0.5 * h * np.roll(sl, -1, axis=axis)
-    return q_left, q_right
+def _face_states(q: np.ndarray, cut: _Cut, h: float, limiter: str):
+    """Left/right reconstructions on the n + 1 faces of the cut's axis, face k
+    lying between cells k - 1 and k."""
+    qp = _halo(q, cut, 2)
+    diff = (qp[cut.hi] - qp[cut.lo]) / h  # diff[k] is the backward difference of cell k - 1
+    half_slope = 0.5 * h * _limited_slope(diff[cut.lo], diff[cut.hi], limiter)
+    qc = qp[cut.mid]  # cells -1 .. n
+    return qc[cut.lo] + half_slope[cut.lo], qc[cut.hi] - half_slope[cut.hi]
 
 
 def _face_velocity(rho_face: np.ndarray, m_face: np.ndarray, eps_vac: float) -> np.ndarray:
@@ -135,83 +145,102 @@ def _face_velocity(rho_face: np.ndarray, m_face: np.ndarray, eps_vac: float) -> 
     return np.where(wet, m_face / np.where(wet, rho_face, 1.0), 0.0)
 
 
-def _harmonic_face(h_cell: np.ndarray, axis: int) -> np.ndarray:
-    right = np.roll(h_cell, -1, axis=axis)
-    s = h_cell + right
-    return np.where(s > 0.0, 2.0 * h_cell * right / np.where(s > 0.0, s, 1.0), 0.0)
+def _harmonic_face(h_cell: np.ndarray, cut: _Cut) -> np.ndarray:
+    """Harmonic mean of h on the n + 1 faces of the cut's axis; zero at a face
+    with a dry side."""
+    hp = _halo(h_cell, cut, 1)
+    left, right = hp[cut.lo], hp[cut.hi]
+    s = left + right
+    pos = s > 0.0
+    return np.where(pos, 2.0 * left * right / np.where(pos, s, 1.0), 0.0)
 
 
-def rhs(state: State, config: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
+class _StageFields:
+    """Fields of one state that both ``stable_dt`` and ``rhs`` need: the
+    clamped density, the cutoff velocity (zero where rho <= eps_vac), the
+    largest |u| and sound speed, the wave speed |u| + c per cell, the
+    harmonic face viscosity of every axis and g(rho) (None when it is zero in
+    every cell).  ``run`` builds one per step and hands it to ``stable_dt``
+    and then to ``step``, which releases it after the first stage; it is
+    never stored on the state."""
+
+    def __init__(self, state: State, config: SolverConfig):
+        eps_vac = config.eps_vac
+        if eps_vac <= 0:
+            raise ValueError("eps_vac must be positive")
+        state.check_shapes(config.grid)
+        gamma = config.gamma
+        rho = state.rho
+        self.rho = np.maximum(rho, 0.0)
+        self.wet = rho > eps_vac
+        self.u = np.where(self.wet, state.mom / np.where(self.wet, rho, 1.0), 0.0)
+        umag = np.sqrt((self.u**2).sum(axis=0))
+        cs = np.sqrt(gamma * self.rho ** (gamma - 1.0))
+        self.umax = float(umag.max())
+        self.cmax = float(cs.max())
+        self.speed = umag + cs
+        h_cell = config.law.h(self.rho)
+        self.h_face = tuple(_harmonic_face(h_cell, cut) for cut in _CUTS[config.grid.dim])
+        g_cell = config.law.g(self.rho)
+        self.g = g_cell if (g_cell != 0.0).any() else None
+
+    def release(self):
+        """Drop every array, so that at most one bundle is alive per run."""
+        self.__dict__.clear()
+
+
+def rhs(state: State, config: SolverConfig, *, _fields: _StageFields | None = None
+        ) -> tuple[np.ndarray, np.ndarray]:
     """Semi-discrete right-hand side (d rho/dt, d m/dt)."""
     grid = config.grid
-    state.check_shapes(grid)
     eps_vac = config.eps_vac
     if eps_vac is None:
         raise ValueError("rhs needs a resolved eps_vac on the config")
-    gamma = config.gamma
-    rho = state.rho
-    mom = state.mom
-    d = derived(state, grid, eps_vac)
+    f = _StageFields(state, config) if _fields is None else _fields
 
     drho = grid.zeros()
     dmom = grid.zeros_vector()
-
-    # local wave speed |u| + sound speed, per cell
-    cs = np.sqrt(gamma * np.maximum(rho, 0.0) ** (gamma - 1.0))
-    speed = np.sqrt(np.sum(d.u**2, axis=0)) + cs
-
-    for axis in range(grid.dim):
-        h = grid.spacing[axis]
-        a_face = np.maximum(speed, np.roll(speed, -1, axis=axis))
-        rho_l, rho_r = _face_states(rho, axis, h, config.limiter)
-        rho_l = np.maximum(rho_l, 0.0)
-        rho_r = np.maximum(rho_r, 0.0)
-        m_l = np.empty_like(mom)
-        m_r = np.empty_like(mom)
-        for j in range(grid.dim):
-            m_l[j], m_r[j] = _face_states(mom[j], axis, h, config.limiter)
+    for axis, (cut, h) in enumerate(zip(_CUTS[grid.dim], grid.spacing)):
+        sp = _halo(f.speed, cut, 1)
+        half_a = 0.5 * np.maximum(sp[cut.lo], sp[cut.hi])
+        rho_l, rho_r = _face_states(state.rho, cut, h, config.limiter)
+        np.maximum(rho_l, 0.0, out=rho_l)
+        np.maximum(rho_r, 0.0, out=rho_r)
+        m_l, m_r = zip(*(_face_states(m, cut, h, config.limiter) for m in state.mom))
         u_ax_l = _face_velocity(rho_l, m_l[axis], eps_vac)
         u_ax_r = _face_velocity(rho_r, m_r[axis], eps_vac)
 
         # mass: local Lax-Friedrichs on the reconstructed states
-        flux_rho = 0.5 * (m_l[axis] + m_r[axis]) - 0.5 * a_face * (rho_r - rho_l)
-        drho -= (flux_rho - np.roll(flux_rho, 1, axis=axis)) / h
+        flux_rho = 0.5 * (m_l[axis] + m_r[axis]) - half_a * (rho_r - rho_l)
+        drho -= (flux_rho[cut.hi] - flux_rho[cut.lo]) / h
 
         # momentum convection, upwinded the same way
         for j in range(grid.dim):
-            flux_m = 0.5 * (m_l[j] * u_ax_l + m_r[j] * u_ax_r) - 0.5 * a_face * (m_r[j] - m_l[j])
-            dmom[j] -= (flux_m - np.roll(flux_m, 1, axis=axis)) / h
+            flux_m = 0.5 * (m_l[j] * u_ax_l + m_r[j] * u_ax_r) - half_a * (m_r[j] - m_l[j])
+            dmom[j] -= (flux_m[cut.hi] - flux_m[cut.lo]) / h
 
     # pressure gradient, centered
-    dmom -= grad(np.maximum(rho, 0.0) ** gamma, grid)
+    dmom -= grad(f.rho**config.gamma, grid)
 
     # shear viscosity in compact flux form; harmonic face coefficient so the
     # flux degenerates with the density at dry faces
-    h_cell = config.law.h(np.maximum(rho, 0.0))
-    for axis in range(grid.dim):
-        h_sp = grid.spacing[axis]
-        h_face = _harmonic_face(h_cell, axis)
+    for cut, h, h_face in zip(_CUTS[grid.dim], grid.spacing, f.h_face):
         for j in range(grid.dim):
-            du_face = (np.roll(d.u[j], -1, axis=axis) - d.u[j]) / h_sp
-            visc_flux = h_face * du_face
-            dmom[j] += (visc_flux - np.roll(visc_flux, 1, axis=axis)) / h_sp
+            up = _halo(f.u[j], cut, 1)
+            visc_flux = h_face * ((up[cut.hi] - up[cut.lo]) / h)
+            dmom[j] += (visc_flux[cut.hi] - visc_flux[cut.lo]) / h
 
     # second-coefficient term grad(g * div u), centered
-    g_cell = config.law.g(np.maximum(rho, 0.0))
-    if np.any(g_cell != 0.0):
-        div_u = grid.zeros()
-        for axis in range(grid.dim):
-            div_u += (np.roll(d.u[axis], -1, axis=axis) - np.roll(d.u[axis], 1, axis=axis)) / (
-                2.0 * grid.spacing[axis]
-            )
-        dmom += grad(g_cell * div_u, grid)
+    if f.g is not None:
+        dmom += grad(f.g * div(f.u, grid), grid)
 
     if config.forcing is not None:
         dmom = dmom + config.forcing(state.t, grid)
     return drho, dmom
 
 
-def stable_dt(state: State, config: SolverConfig) -> float:
+def stable_dt(state: State, config: SolverConfig, *, _fields: _StageFields | None = None
+              ) -> float:
     """Explicit stability bound: cfl times the harsher of the advective limit
     dx/(max|u| + max c) and the diffusive limit of the actual viscous stencil,
     min over wet cells of rho_i / sum_faces(h_face/dx^2).  On constant states
@@ -223,25 +252,18 @@ def stable_dt(state: State, config: SolverConfig) -> float:
     eps_vac = config.eps_vac
     if eps_vac is None:
         raise ValueError("stable_dt needs a resolved eps_vac on the config")
-    gamma = config.gamma
+    f = _StageFields(state, config) if _fields is None else _fields
     dx = min(grid.spacing)
-    rho = np.maximum(state.rho, 0.0)
-    d = derived(state, grid, eps_vac)
-    umax = float(np.max(np.sqrt(np.sum(d.u**2, axis=0))))
-    cmax = float(np.max(np.sqrt(gamma * rho ** (gamma - 1.0))))
-    wet = rho > eps_vac
-    if not np.any(wet):
+    if not f.wet.any():
         h_ref = max(float(config.law.h(eps_vac)), 1e-300)
         return config.cfl * dx * dx * eps_vac / (2.0 * grid.dim * h_ref)
-    adv = dx / (umax + cmax) if umax + cmax > 0 else math.inf
-    h_cell = config.law.h(rho)
+    adv = dx / (f.umax + f.cmax) if f.umax + f.cmax > 0 else math.inf
     rate = np.zeros(grid.sizes)
-    for axis in range(grid.dim):
-        h_face = _harmonic_face(h_cell, axis)
-        rate += (h_face + np.roll(h_face, 1, axis=axis)) / grid.spacing[axis] ** 2
+    for cut, h, h_face in zip(_CUTS[grid.dim], grid.spacing, f.h_face):
+        rate += (h_face[cut.hi] + h_face[cut.lo]) / h**2
     with np.errstate(divide="ignore"):
-        diff_all = np.where(rate > 0.0, rho / np.where(rate > 0.0, rate, 1.0), math.inf)
-    diff = float(np.min(diff_all[wet]))
+        diff_all = np.where(rate > 0.0, f.rho / np.where(rate > 0.0, rate, 1.0), math.inf)
+    diff = float(diff_all[f.wet].min())
     dt = config.cfl * min(adv, diff)
     if not math.isfinite(dt) or dt <= 0:
         raise SolverError(f"no finite stable timestep (adv={adv}, diff={diff})")
@@ -256,7 +278,7 @@ def _apply_floors(rho: np.ndarray, mom: np.ndarray, eps_vac: float):
     if n_clamp:
         rho[neg] = 0.0
     dry = rho <= eps_vac
-    carrying = dry & np.any(mom != 0.0, axis=0)
+    carrying = dry & (mom != 0.0).any(axis=0)
     n_zero = int(np.count_nonzero(carrying))
     if n_zero:
         mom[:, carrying] = 0.0
@@ -264,7 +286,7 @@ def _apply_floors(rho: np.ndarray, mom: np.ndarray, eps_vac: float):
 
 
 def _check_finite(state: State, where: str):
-    if not (np.all(np.isfinite(state.rho)) and np.all(np.isfinite(state.mom))):
+    if not (np.isfinite(state.rho).all() and np.isfinite(state.mom).all()):
         bad_rho = int(np.count_nonzero(~np.isfinite(state.rho)))
         bad_mom = int(np.count_nonzero(~np.isfinite(state.mom)))
         raise SolverError(
@@ -274,7 +296,8 @@ def _check_finite(state: State, where: str):
         )
 
 
-def step(state: State, config: SolverConfig, dt: float):
+def step(state: State, config: SolverConfig, dt: float, *,
+         _fields: _StageFields | None = None):
     """One explicit step.  Returns (new state, clamped cells, zeroed cells),
     the counts summed over every stage."""
     eps_vac = config.eps_vac
@@ -292,8 +315,15 @@ def step(state: State, config: SolverConfig, dt: float):
         _check_finite(out, where)
         return out
 
+    if _fields is None:
+        k1 = rhs(state, config)
+    else:
+        # the caller's bundle of this state serves the first stage only: free
+        # its arrays before a later stage builds a bundle of its own
+        k1 = rhs(state, config, _fields=_fields)
+        _fields.release()
     if config.integrator == "RK2_SSP":
-        dr, dm = rhs(state, config)
+        dr, dm = k1
         s1 = floored(state.t + dt, state.rho + dt * dr, state.mom + dt * dm, "after stage 1")
         dr, dm = rhs(s1, config)
         new = floored(
@@ -303,7 +333,7 @@ def step(state: State, config: SolverConfig, dt: float):
             "after step",
         )
     else:  # RK4
-        ks = [rhs(state, config)]
+        ks = [k1]
         for n, c in enumerate((0.5, 0.5, 1.0), start=2):
             kr, km = ks[-1]
             s = floored(state.t + c * dt, state.rho + c * dt * kr, state.mom + c * dt * km,
@@ -376,11 +406,12 @@ def run(config: SolverConfig, initial: State) -> tuple[Trajectory, EntropyLedger
     dt_floor = DT_FLOOR_FACTOR * cfg.t_end
     t_tol = 1e-12 * cfg.t_end
     while state.t < cfg.t_end - t_tol:
-        dt = stable_dt(state, cfg)
+        fields = _StageFields(state, cfg)
+        dt = stable_dt(state, cfg, _fields=fields)
         if dt < dt_floor:
             raise SolverError(f"timestep underflow: required dt {dt:.3g} < floor {dt_floor:.3g}")
         dt = min(dt, cfg.t_end - state.t)
-        state, clamps, zeros = step(state, cfg, dt)
+        state, clamps, zeros = step(state, cfg, dt, _fields=fields)
         traj.step_count += 1
         traj.clamp_count += clamps
         traj.vacuum_zero_count += zeros

@@ -178,10 +178,17 @@ class ViscosityLaw:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ViscosityLaw":
-        if "constant" in obj:
-            return cls(constant=float(obj["constant"]))
-        if "terms" in obj:
-            return cls(terms=tuple((float(a), float(b)) for a, b in obj["terms"]))
+        if not isinstance(obj, dict):
+            raise LawError(f"law spec must be a JSON object, got {obj!r}")
+        try:
+            if "constant" in obj:
+                return cls(constant=float(obj["constant"]))
+            if "terms" in obj:
+                return cls(terms=tuple((float(a), float(b)) for a, b in obj["terms"]))
+        except LawError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise LawError(f"malformed law spec {obj!r}: {exc}") from exc
         raise LawError(f"law spec needs 'terms' or 'constant', got {sorted(obj)}")
 
 

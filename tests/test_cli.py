@@ -105,6 +105,14 @@ def test_verify_identities_bad_law_json():
     assert cli_main(["verify-identities", "--law", "{oops", "--grids", "32"]) == 2
 
 
+@pytest.mark.parametrize("law", ["5", "[1, 1]", '{"terms": 5}', '{"terms": [[1]]}',
+                                 '{"constant": "x"}'])
+def test_verify_identities_malformed_law_is_one_line(capsys, law):
+    assert cli_main(["verify-identities", "--law", law, "--grids", "32"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "bad --law" in err[0], err
+
+
 def test_verify_identities_tampered_pair_without_nu_is_one_line(capsys):
     code = cli_main([
         "verify-identities", "--law", '{"terms": [[1, 1]]}', "--g-override", "1.0",
@@ -189,3 +197,12 @@ def test_stability_study_end_to_end(tmp_path):
 def test_stability_study_requires_study_block(tmp_path):
     path = write_config(tmp_path)
     assert cli_main(["stability-study", "--config", str(path)]) == 2
+
+
+@pytest.mark.parametrize("block", ["study", "initial"])
+def test_stability_study_non_object_block_is_one_line(tmp_path, capsys, block):
+    overrides = {"study": {"sigma0": 0.1, "n_max": 2}, block: 5}
+    path = write_config(tmp_path, **overrides)
+    assert cli_main(["stability-study", "--config", str(path)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and f"'{block}' must be a JSON object" in err[0], err

@@ -83,6 +83,18 @@ def test_div_grad_equals_lap_exactly():
         assert np.array_equal(lap(f, g), div(grad(f, g), g))
 
 
+def test_grad_and_div_equal_the_roll_formula_exactly():
+    def ddx(f, g, a):
+        return (np.roll(f, -1, axis=a) - np.roll(f, 1, axis=a)) / (2.0 * g.spacing[a])
+
+    for sizes in ((40,), (16, 24)):
+        g = PeriodicGrid(sizes, tuple(0.3 + a for a in range(len(sizes))))
+        f = random_scalar(g, seed=9)
+        v = random_vector(g, seed=10)
+        assert np.array_equal(grad(f, g), np.stack([ddx(f, g, a) for a in range(g.dim)]))
+        assert np.array_equal(div(v, g), sum(ddx(v[a], g, a) for a in range(g.dim)))
+
+
 def test_integration_by_parts_is_exact():
     for sizes in ((64,), (16, 16)):
         g = PeriodicGrid(sizes)

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 import bdns.solver as solver
-from bdns.grid import PeriodicGrid, State, integrate, lp_norm
+from bdns.grid import PeriodicGrid, State, derived, integrate, lp_norm
 from bdns.grid import _spectral_ddx
 from bdns.presets import make_initial
 from bdns.solver import (
@@ -14,7 +16,7 @@ from bdns.solver import (
     stable_dt,
     step,
 )
-from bdns.viscosity import AdmissibilityParams, ViscosityLaw
+from bdns.viscosity import AdmissibilityParams, TamperedLaw, ViscosityLaw
 
 LINEAR = ViscosityLaw(terms=((1.0, 1.0),))
 
@@ -305,3 +307,195 @@ def test_manufactured_solution_second_order():
     errs = mms_errors((64, 128))
     assert np.log2(errs[0][0] / errs[1][0]) >= 1.9
     assert np.log2(errs[0][1] / errs[1][1]) >= 1.9
+
+
+# -- reference kernel ---------------------------------------------------------------
+# The np.roll formulation of rhs and stable_dt that the halo-sliced kernel
+# replaced, kept as the oracle: the kernel must reproduce it bit for bit.
+
+
+def _roll_grad(f, grid):
+    return np.stack([(np.roll(f, -1, axis=a) - np.roll(f, 1, axis=a)) / (2.0 * grid.spacing[a])
+                     for a in range(grid.dim)])
+
+
+def _ref_limited_slope(q, axis, h, limiter):
+    dminus = (q - np.roll(q, 1, axis=axis)) / h
+    dplus = (np.roll(q, -1, axis=axis) - q) / h
+    central = 0.5 * (dminus + dplus)
+    if limiter == "none":
+        return central
+    if limiter == "van_albada":
+        # smooth limiter: second order at smooth extrema, damped at fronts
+        denom = dminus * dminus + dplus * dplus
+        slope = dminus * dplus * (dminus + dplus) / np.where(denom > 0.0, denom, 1.0)
+        return np.where((denom > 0.0) & (dminus * dplus > 0.0), slope, 0.0)
+    same = dminus * dplus > 0.0
+    if limiter == "minmod":
+        mag = np.minimum(np.abs(dminus), np.abs(dplus))
+    else:  # monotonized central
+        mag = np.minimum(np.abs(central), 2.0 * np.minimum(np.abs(dminus), np.abs(dplus)))
+    return np.where(same, np.sign(central) * mag, 0.0)
+
+
+def _ref_face_states(q, axis, h, limiter):
+    """Left/right reconstructions at face i+1/2 for every i."""
+    sl = _ref_limited_slope(q, axis, h, limiter)
+    q_left = q + 0.5 * h * sl
+    q_right = np.roll(q, -1, axis=axis) - 0.5 * h * np.roll(sl, -1, axis=axis)
+    return q_left, q_right
+
+
+def _ref_face_velocity(rho_face, m_face, eps_vac):
+    wet = rho_face > eps_vac
+    return np.where(wet, m_face / np.where(wet, rho_face, 1.0), 0.0)
+
+
+def _ref_harmonic_face(h_cell, axis):
+    right = np.roll(h_cell, -1, axis=axis)
+    s = h_cell + right
+    return np.where(s > 0.0, 2.0 * h_cell * right / np.where(s > 0.0, s, 1.0), 0.0)
+
+
+def ref_rhs(state, config):
+    grid = config.grid
+    state.check_shapes(grid)
+    eps_vac = config.eps_vac
+    gamma = config.gamma
+    rho = state.rho
+    mom = state.mom
+    d = derived(state, grid, eps_vac)
+
+    drho = grid.zeros()
+    dmom = grid.zeros_vector()
+
+    # local wave speed |u| + sound speed, per cell
+    cs = np.sqrt(gamma * np.maximum(rho, 0.0) ** (gamma - 1.0))
+    speed = np.sqrt(np.sum(d.u**2, axis=0)) + cs
+
+    for axis in range(grid.dim):
+        h = grid.spacing[axis]
+        a_face = np.maximum(speed, np.roll(speed, -1, axis=axis))
+        rho_l, rho_r = _ref_face_states(rho, axis, h, config.limiter)
+        rho_l = np.maximum(rho_l, 0.0)
+        rho_r = np.maximum(rho_r, 0.0)
+        m_l = np.empty_like(mom)
+        m_r = np.empty_like(mom)
+        for j in range(grid.dim):
+            m_l[j], m_r[j] = _ref_face_states(mom[j], axis, h, config.limiter)
+        u_ax_l = _ref_face_velocity(rho_l, m_l[axis], eps_vac)
+        u_ax_r = _ref_face_velocity(rho_r, m_r[axis], eps_vac)
+
+        # mass: local Lax-Friedrichs on the reconstructed states
+        flux_rho = 0.5 * (m_l[axis] + m_r[axis]) - 0.5 * a_face * (rho_r - rho_l)
+        drho -= (flux_rho - np.roll(flux_rho, 1, axis=axis)) / h
+
+        # momentum convection, upwinded the same way
+        for j in range(grid.dim):
+            flux_m = 0.5 * (m_l[j] * u_ax_l + m_r[j] * u_ax_r) - 0.5 * a_face * (m_r[j] - m_l[j])
+            dmom[j] -= (flux_m - np.roll(flux_m, 1, axis=axis)) / h
+
+    # pressure gradient, centered
+    dmom -= _roll_grad(np.maximum(rho, 0.0) ** gamma, grid)
+
+    # shear viscosity in compact flux form
+    h_cell = config.law.h(np.maximum(rho, 0.0))
+    for axis in range(grid.dim):
+        h_sp = grid.spacing[axis]
+        h_face = _ref_harmonic_face(h_cell, axis)
+        for j in range(grid.dim):
+            du_face = (np.roll(d.u[j], -1, axis=axis) - d.u[j]) / h_sp
+            visc_flux = h_face * du_face
+            dmom[j] += (visc_flux - np.roll(visc_flux, 1, axis=axis)) / h_sp
+
+    # second-coefficient term grad(g * div u), centered
+    g_cell = config.law.g(np.maximum(rho, 0.0))
+    if np.any(g_cell != 0.0):
+        div_u = grid.zeros()
+        for axis in range(grid.dim):
+            div_u += (np.roll(d.u[axis], -1, axis=axis) - np.roll(d.u[axis], 1, axis=axis)) / (
+                2.0 * grid.spacing[axis]
+            )
+        dmom += _roll_grad(g_cell * div_u, grid)
+
+    if config.forcing is not None:
+        dmom = dmom + config.forcing(state.t, grid)
+    return drho, dmom
+
+
+def ref_stable_dt(state, config):
+    grid = config.grid
+    eps_vac = config.eps_vac
+    gamma = config.gamma
+    dx = min(grid.spacing)
+    rho = np.maximum(state.rho, 0.0)
+    d = derived(state, grid, eps_vac)
+    umax = float(np.max(np.sqrt(np.sum(d.u**2, axis=0))))
+    cmax = float(np.max(np.sqrt(gamma * rho ** (gamma - 1.0))))
+    wet = rho > eps_vac
+    if not np.any(wet):
+        h_ref = max(float(config.law.h(eps_vac)), 1e-300)
+        return config.cfl * dx * dx * eps_vac / (2.0 * grid.dim * h_ref)
+    adv = dx / (umax + cmax) if umax + cmax > 0 else math.inf
+    h_cell = config.law.h(rho)
+    rate = np.zeros(grid.sizes)
+    for axis in range(grid.dim):
+        h_face = _ref_harmonic_face(h_cell, axis)
+        rate += (h_face + np.roll(h_face, 1, axis=axis)) / grid.spacing[axis] ** 2
+    with np.errstate(divide="ignore"):
+        diff_all = np.where(rate > 0.0, rho / np.where(rate > 0.0, rate, 1.0), math.inf)
+    diff = float(np.min(diff_all[wet]))
+    return config.cfl * min(adv, diff)
+
+
+def rough_state(grid, seed):
+    """Random density with dry cells and a few negative ones, random momentum."""
+    rng = np.random.default_rng(seed)
+    rho = 1.0 + 0.5 * rng.standard_normal(grid.sizes)
+    rho[rng.random(grid.sizes) < 0.15] = 0.0
+    rho[rng.random(grid.sizes) < 0.05] = -1e-3
+    return State(0.3, rho, 0.4 * rng.standard_normal((grid.dim, *grid.sizes)))
+
+
+def assert_same_kernel(state, cfg):
+    for got, want in zip(rhs(state, cfg), ref_rhs(state, cfg)):
+        assert np.array_equal(got, want)
+    assert stable_dt(state, cfg) == ref_stable_dt(state, cfg)
+
+
+@pytest.mark.parametrize("sizes", [(48,), (16, 16), (12, 20)])
+@pytest.mark.parametrize("limiter", solver.LIMITERS)
+def test_kernel_matches_roll_reference(sizes, limiter):
+    grid = PeriodicGrid(sizes, tuple(0.7 + 0.2 * a for a in range(len(sizes))))
+    cfg = make_config(grid, limiter=limiter)
+    for seed in range(3):
+        assert_same_kernel(rough_state(grid, seed), cfg)
+    assert_same_kernel(make_initial("vacuum_bump", grid), cfg)
+
+
+@pytest.mark.parametrize("sizes", [(48,), (12, 20)])
+def test_kernel_matches_roll_reference_g_term_and_forcing(sizes):
+    grid = PeriodicGrid(sizes)
+    src = np.random.default_rng(5).standard_normal((grid.dim, *grid.sizes))
+    cfg = make_config(grid, law=TamperedLaw(LINEAR, 0.7), forcing=lambda t, g: t * src)
+    for seed in range(3):
+        assert_same_kernel(rough_state(grid, seed), cfg)
+
+
+def test_run_matches_roll_reference(monkeypatch):
+    grid = PeriodicGrid((64,))
+    init = make_initial("vacuum_bump", grid, {"amp": 1.0, "width": 0.25, "u_amp": 0.05})
+    cfg = make_config(grid, t_end=4e-4, eps_vac=None, ledger_stride=7)
+    runs = [run(cfg, init)]
+    monkeypatch.setattr(solver, "rhs", lambda s, c, _fields=None: ref_rhs(s, c))
+    monkeypatch.setattr(solver, "stable_dt", lambda s, c, _fields=None: ref_stable_dt(s, c))
+    runs.append(run(cfg, init))
+    (new, new_ledger), (ref, ref_ledger) = runs
+    assert new.step_count == ref.step_count > 0
+    assert new.clamp_count == ref.clamp_count
+    assert new.vacuum_zero_count == ref.vacuum_zero_count > 0
+    assert new.step_times == ref.step_times
+    assert new.step_energies == ref.step_energies
+    assert np.array_equal(new.final_state.rho, ref.final_state.rho)
+    assert np.array_equal(new.final_state.mom, ref.final_state.mom)
+    assert new_ledger.rows == ref_ledger.rows
