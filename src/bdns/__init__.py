@@ -57,6 +57,7 @@ from .solver import (
     Trajectory,
     rhs,
     run,
+    run_members,
     stable_dt,
     step,
 )

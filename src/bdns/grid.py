@@ -2,7 +2,10 @@
 
 Fields live on a uniform torus in 1 or 2 space dimensions.  Scalar fields
 are arrays of shape ``grid.sizes``; vector fields carry a leading component
-axis, shape ``(dim, *sizes)``.  Two derivative families are provided:
+axis, shape ``(dim, *sizes)``.  A batch of fields, one per ensemble member,
+adds a member axis in front of the grid axes (after the component axis);
+the centered operators and :func:`integrate` act on each member alone.
+Two derivative families are provided:
 
 * second-order centered differences (:func:`grad`, :func:`div`, :func:`lap`)
   which satisfy discrete integration by parts against the midpoint
@@ -71,6 +74,12 @@ class PeriodicGrid:
     def n_cells(self) -> int:
         return int(np.prod(self.sizes))
 
+    @cached_property
+    def axes(self) -> tuple[int, ...]:
+        """The grid axes of a field, counted from the end, so that reductions
+        over them leave any leading component or member axis."""
+        return _grid_axes(self.dim)
+
     def axis_coords(self, axis: int) -> np.ndarray:
         """Cell-center coordinates along one axis."""
         n = self.sizes[axis]
@@ -99,9 +108,13 @@ class PeriodicGrid:
 
 @dataclass
 class State:
-    """Density and momentum on a grid at one instant."""
+    """Density and momentum on a grid at one instant.
 
-    t: float
+    A batch of B states that advance together carries a vector of B times and
+    a member axis in front of the grid axes: ``rho`` has shape (B, *sizes) and
+    ``mom`` (dim, B, *sizes)."""
+
+    t: float | np.ndarray
     rho: np.ndarray
     mom: np.ndarray
 
@@ -109,10 +122,11 @@ class State:
         return State(self.t, self.rho.copy(), self.mom.copy())
 
     def check_shapes(self, grid: PeriodicGrid):
-        if self.rho.shape != grid.sizes:
-            raise GridError(f"rho shape {self.rho.shape} != grid {grid.sizes}")
-        if self.mom.shape != (grid.dim, *grid.sizes):
-            raise GridError(f"mom shape {self.mom.shape} != {(grid.dim, *grid.sizes)}")
+        shape = (*np.shape(self.t), *grid.sizes)
+        if self.rho.shape != shape:
+            raise GridError(f"rho shape {self.rho.shape} != grid {shape}")
+        if self.mom.shape != (grid.dim, *shape):
+            raise GridError(f"mom shape {self.mom.shape} != {(grid.dim, *shape)}")
 
 
 @dataclass
@@ -130,21 +144,28 @@ class DerivedFields:
     cutoff_count: int
 
 
+def _grid_axes(dim: int) -> tuple[int, ...]:
+    return tuple(range(-dim, 0))
+
+
 def _check_scalar(f: np.ndarray, grid: PeriodicGrid):
-    if f.shape != grid.sizes:
+    # one leading member axis is allowed: a batch of scalar fields
+    if f.shape[-grid.dim:] != grid.sizes or f.ndim > grid.dim + 1:
         raise GridError(f"scalar field shape {f.shape} != grid {grid.sizes}")
 
 
 def _check_vector(v: np.ndarray, grid: PeriodicGrid):
-    if v.shape != (grid.dim, *grid.sizes):
+    if v.ndim < 1 or v.shape[0] != grid.dim:
         raise GridError(f"vector field shape {v.shape} != {(grid.dim, *grid.sizes)}")
+    _check_scalar(v[0], grid)
 
 
 class _Cut(NamedTuple):
-    """Index tuples that slice a scalar field along one axis; ``head[w]`` and
-    ``tail[w]`` take the first and last ``w`` entries along it."""
+    """Index tuples that slice a field along one grid axis; ``head[w]`` and
+    ``tail[w]`` take the first and last ``w`` entries along it.  The axis is
+    counted from the end, so leading member axes pass through."""
 
-    axis: int
+    axis: int  # negative
     lo: tuple  # [:-1]
     hi: tuple  # [1:]
     mid: tuple  # [1:-1]
@@ -154,17 +175,17 @@ class _Cut(NamedTuple):
     tail: tuple
 
 
-def _make_cut(axis: int) -> _Cut:
+def _make_cut(axis: int, dim: int) -> _Cut:
     def along(start, stop):
-        return (slice(None),) * axis + (slice(start, stop),)
+        return (Ellipsis, slice(start, stop)) + (slice(None),) * (dim - 1 - axis)
 
-    return _Cut(axis, along(None, -1), along(1, None), along(1, -1), along(None, -2),
+    return _Cut(axis - dim, along(None, -1), along(1, None), along(1, -1), along(None, -2),
                 along(2, None), (None, along(None, 1), along(None, 2)),
                 (None, along(-1, None), along(-2, None)))
 
 
 # per grid dimension, the cut of every axis
-_CUTS = {dim: tuple(_make_cut(axis) for axis in range(dim)) for dim in (1, 2)}
+_CUTS = {dim: tuple(_make_cut(axis, dim) for axis in range(dim)) for dim in (1, 2)}
 
 
 def _halo(q: np.ndarray, cut: _Cut, width: int) -> np.ndarray:
@@ -188,7 +209,7 @@ def grad(f: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
 def div(v: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
     """Centered periodic divergence of a vector field."""
     _check_vector(v, grid)
-    out = grid.zeros()
+    out = np.zeros(v.shape[1:])
     for a in range(grid.dim):
         out += _ddx(v[a], grid, a)
     return out
@@ -230,9 +251,11 @@ def spectral_lap(f: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
     return spectral_div(spectral_grad(f, grid), grid)
 
 
-def integrate(f: np.ndarray, grid: PeriodicGrid) -> float:
-    """Midpoint quadrature over the torus."""
-    return float(np.sum(f) * grid.cell_volume)
+def integrate(f: np.ndarray, grid: PeriodicGrid) -> float | np.ndarray:
+    """Midpoint quadrature over the torus; one value per member for a batch
+    of fields."""
+    total = np.sum(f, axis=grid.axes) * grid.cell_volume
+    return float(total) if total.ndim == 0 else total
 
 
 def _pointwise_magnitude(f: np.ndarray, grid: PeriodicGrid) -> np.ndarray:

@@ -19,16 +19,14 @@ The hypothesis table's energy and moment are the ledger's ``E_eq15`` and
 consecutive-pair distances of the generated sequence (Cauchy behaviour)
 instead of extracting subsequences.  Cross-member norms use the ledger
 times of the coarsest-sampled run, other members linearly interpolated in
-time.  Member runs execute concurrently; the BDNS_THREADS environment
-variable caps the parallelism.
+time.  The members advance together as one batch of the solver
+(:func:`~bdns.solver.run_members`), each exactly as its own run would.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -36,7 +34,7 @@ import numpy as np
 from .diagnostics import EntropyLedger, TIME_AGGREGATION, _Fields
 from .grid import PeriodicGrid, State, integrate, lp_norm
 from .presets import make_initial
-from .solver import SolverConfig, Trajectory, _resolve_eps_vac, run
+from .solver import SolverConfig, Trajectory, _resolve_eps_vac, run_members
 
 METRIC_TOL = 1e-12
 UNIFORMITY_FACTOR = 10.0
@@ -205,18 +203,8 @@ def run_study(spec: InitialDataSpec, config: SolverConfig,
     states, table = generate_sequence(spec, grid, cfg.law, cfg.gamma,
                                       cfg.moment.delta, eps_vac)
 
-    workers = int(os.environ.get("BDNS_THREADS", "0")) or min(len(states), os.cpu_count() or 1)
-    results: list[tuple[Trajectory, EntropyLedger] | Exception] = [None] * len(states)
-
-    def worker(i):
-        try:
-            return run(cfg, states[i])
-        except Exception as exc:  # noqa: BLE001 - member failures mark the study partial
-            return exc
-
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        for i, res in enumerate(pool.map(worker, range(len(states)))):
-            results[i] = res
+    # a member's failure marks the study partial
+    results = run_members(cfg, states)
 
     trajectories: list[Trajectory | None] = []
     ledgers: list[EntropyLedger | None] = []

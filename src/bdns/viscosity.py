@@ -123,6 +123,13 @@ class ViscosityLaw:
         r = _as_array(rho)
         return _scalar_like(rho, r * self.h_second(r))
 
+    @property
+    def g_vanishes(self) -> bool:
+        """Whether :meth:`g` is exactly 0.0 at every finite density: true for
+        one linear term a rho, where rho*a - a*rho cancels exactly.  A sum of
+        linear terms leaves rounding noise in g, so it does not count."""
+        return self.constant is None and len(self.terms) == 1 and self.terms[0][1] == 1.0
+
     def phi(self, rho, rho_ref: float = 1.0):
         """Integral of h'(s)/s from rho_ref to rho (closed form per term)."""
         r = np.asarray(rho, dtype=float)
@@ -198,6 +205,8 @@ class TamperedLaw:
     Exists only as a negative control for the identity verifier: with a
     tampered pair the combined entropy identity must fail to converge.
     """
+
+    g_vanishes = False
 
     def __init__(self, base: ViscosityLaw, g_value: float):
         self.base = base

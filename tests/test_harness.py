@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import bdns.harness as harness
+import bdns.solver as solver
 from bdns.grid import PeriodicGrid, integrate, lp_norm
 from bdns.harness import (
     GenerationError,
@@ -19,7 +25,7 @@ EPS = 1e-10
 def small_config(n=64, t_end=1e-3, **kw):
     grid = PeriodicGrid((n,))
     return SolverConfig(
-        law=LINEAR,
+        law=kw.pop("law", LINEAR),
         params=AdmissibilityParams(nu=0.9, gamma=2.0, N=1),
         grid=grid,
         t_end=t_end,
@@ -121,26 +127,59 @@ def test_study_is_deterministic():
     assert np.array_equal(s1.d_m, s2.d_m)
 
 
+def poison_rows(monkeypatch, rows, at_call=3):
+    """Make the solver's rhs return NaN densities for the given batch rows at
+    its ``at_call``-th call, so that those members fail mid-run."""
+    real = solver.rhs
+    calls = []
+
+    def poisoned(state, config, *, _fields=None):
+        calls.append(1)
+        dr, dm = real(state, config, _fields=_fields)
+        if len(calls) == at_call:
+            dr[rows] = np.nan
+        return dr, dm
+
+    monkeypatch.setattr(solver, "rhs", poisoned)
+
+
 def test_partial_study_reports_surviving_members(monkeypatch):
     cfg = small_config(n=64, t_end=5e-4)
     spec = InitialDataSpec("smooth_bump", {}, sigma0=0.05, n_max=2)
-    real_run = harness.run
-    calls = {"count": 0}
-
-    def flaky_run(config, initial):
-        calls["count"] += 1
-        if calls["count"] == 2:
-            raise RuntimeError("synthetic member failure")
-        return real_run(config, initial)
-
-    monkeypatch.setenv("BDNS_THREADS", "1")
-    monkeypatch.setattr(harness, "run", flaky_run)
+    clean = run_study(spec, cfg)
+    poison_rows(monkeypatch, [1])
     study = run_study(spec, cfg)
     assert study.partial
     assert len(study.failures) == 1
     assert "member 1" in study.failures[0]
+    assert "non-finite fields after stage 1" in study.failures[0]
     assert study.trajectories[1] is None
     assert study.d_rho[0, 2] > 0.0  # surviving pair still measured
+    # the survivors are untouched by the failure
+    for i in (0, 2):
+        got, want = study.trajectories[i], clean.trajectories[i]
+        assert got.step_times == want.step_times
+        assert got.step_energies == want.step_energies
+        for a, b in zip(got.states + [got.final_state], want.states + [want.final_state]):
+            assert np.array_equal(a.rho, b.rho) and np.array_equal(a.mom, b.mom)
+    assert study.d_rho[0, 2] == clean.d_rho[0, 2]
+
+
+def test_study_with_every_member_failing_raises(monkeypatch):
+    cfg = small_config(n=64, t_end=5e-4)
+    spec = InitialDataSpec("smooth_bump", {}, sigma0=0.05, n_max=2)
+    poison_rows(monkeypatch, slice(None))
+    with pytest.raises(RuntimeError, match="every study member failed") as info:
+        run_study(spec, cfg)
+    for i in range(3):
+        assert f"member {i}: non-finite fields" in str(info.value)
+
+
+def test_study_with_non_admissible_law_lists_every_member():
+    cfg = small_config(n=64, t_end=5e-4, law=ViscosityLaw(constant=1.0))
+    spec = InitialDataSpec("smooth_bump", {}, sigma0=0.05, n_max=1)
+    with pytest.raises(RuntimeError, match="member 0: law .*; member 1: law .*fails validation"):
+        run_study(spec, cfg)
 
 
 def test_uniform_bounds_cover_all_tracked_norms():
@@ -163,14 +202,6 @@ def test_study_json_schema():
         assert key in payload
 
 
-def test_thread_cap_respected(monkeypatch):
-    monkeypatch.setenv("BDNS_THREADS", "1")
-    cfg = small_config(n=64, t_end=5e-4)
-    spec = InitialDataSpec("smooth_bump", {}, sigma0=0.05, n_max=1)
-    study = run_study(spec, cfg)
-    assert not study.partial
-
-
 def test_hypothesis_table_matches_first_ledger_row():
     # the table's energy and moment are the ledger's own definitions, with
     # the moment normalised by 1/(2+delta); dry cells exercise the cutoffs
@@ -182,3 +213,14 @@ def test_hypothesis_table_matches_first_ledger_row():
         first = ledger.rows[0]
         assert row["energy"] == first["E_eq15"]
         assert row["moment"] == first["M_delta_lemma32"]
+
+
+def test_stability_demo_runs():
+    # the demo is the public-API user of run_study
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "demos/05_stability_study.py"], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "partial: False" in proc.stdout

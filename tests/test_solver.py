@@ -6,6 +6,7 @@ import pytest
 import bdns.solver as solver
 from bdns.grid import PeriodicGrid, State, derived, integrate, lp_norm
 from bdns.grid import _spectral_ddx
+from bdns.harness import InitialDataSpec, generate_sequence
 from bdns.presets import make_initial
 from bdns.solver import (
     NonAdmissibleLawError,
@@ -499,3 +500,232 @@ def test_run_matches_roll_reference(monkeypatch):
     assert np.array_equal(new.final_state.rho, ref.final_state.rho)
     assert np.array_equal(new.final_state.mom, ref.final_state.mom)
     assert new_ledger.rows == ref_ledger.rows
+
+
+# -- batched stepping ---------------------------------------------------------------
+# A batch stacks members on a leading axis; every kernel call on it must give
+# each member exactly (bit for bit) what the call on that member alone gives.
+
+
+def stack(states):
+    return State(np.array([s.t for s in states]), np.stack([s.rho for s in states]),
+                 np.stack([s.mom for s in states], axis=1))
+
+
+def bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+def batch_members(grid, times=(0.3, 0.3, 0.3, 0.3)):
+    """Rough states with dry and negative cells, a smooth bump with a dry
+    region, and an all-dry member, at the given times."""
+    states = [rough_state(grid, 0), rough_state(grid, 1), make_initial("vacuum_bump", grid),
+              State(0.0, np.zeros(grid.sizes), np.zeros((grid.dim, *grid.sizes)))]
+    return [State(t, s.rho, s.mom) for t, s in zip(times, states)]
+
+
+def assert_batch_kernel_matches_members(states, cfg):
+    batch = stack(states)
+    drho, dmom = rhs(batch, cfg)
+    for k, st in enumerate(states):
+        r, m = rhs(st, cfg)
+        assert bits(drho[k]) == bits(r) and bits(dmom[:, k]) == bits(m)
+    dts = stable_dt(batch, cfg)
+    assert dts.tolist() == [stable_dt(st, cfg) for st in states]
+    dts = 0.5 * dts
+    new, clamps, zeros = step(batch, cfg, dts)
+    for k, st in enumerate(states):
+        one, c, z = step(st, cfg, float(dts[k]))
+        assert float(new.t[k]) == one.t
+        assert bits(new.rho[k]) == bits(one.rho) and bits(new.mom[:, k]) == bits(one.mom)
+        assert (clamps[k], zeros[k]) == (c, z)
+
+
+@pytest.mark.parametrize("integrator", solver.INTEGRATORS)
+@pytest.mark.parametrize("sizes", [(48,), (12, 20)])
+@pytest.mark.parametrize("limiter", solver.LIMITERS)
+def test_batched_kernel_matches_members(sizes, limiter, integrator):
+    grid = PeriodicGrid(sizes, tuple(0.7 + 0.2 * a for a in range(len(sizes))))
+    cfg = make_config(grid, limiter=limiter, integrator=integrator)
+    assert_batch_kernel_matches_members(batch_members(grid), cfg)
+
+
+@pytest.mark.parametrize("sizes", [(48,), (12, 20)])
+def test_batched_kernel_matches_members_g_term_and_forcing(sizes):
+    grid = PeriodicGrid(sizes)
+    src = np.random.default_rng(5).standard_normal((grid.dim, *grid.sizes))
+    cfg = make_config(grid, law=TamperedLaw(LINEAR, 0.7), forcing=lambda t, g: t * src)
+    # the forcing is evaluated at each member's own (stage) time
+    assert_batch_kernel_matches_members(batch_members(grid, (0.1, 0.2, 0.35, 0.5)), cfg)
+
+
+def test_batched_floors_and_finiteness_match_members():
+    grid = PeriodicGrid((12, 20))
+    states = batch_members(grid)
+    states[1].mom[0, 3, 4] = np.nan
+    states[2].rho[5, 5] = np.inf
+    batch = stack([s.copy() for s in states])
+    failures = solver._check_finite(batch, "here")
+    assert sorted(failures) == [1, 2]
+    for k, st in enumerate(states):
+        solo = solver._check_finite(st, "here")
+        assert [str(e) for e in solo.values()] == ([str(failures[k])] if k in failures else [])
+    clamps, zeros = solver._apply_floors(batch.rho, batch.mom, 1e-10)
+    for k, st in enumerate(states):
+        one = st.copy()
+        assert (clamps[k], zeros[k]) == solver._apply_floors(one.rho, one.mom, 1e-10)
+        assert bits(batch.rho[k]) == bits(one.rho) and bits(batch.mom[:, k]) == bits(one.mom)
+    assert clamps.sum() > 0 and zeros.sum() > 0
+
+
+def test_batched_stable_dt_marks_a_member_without_a_bound():
+    grid = PeriodicGrid((32,))
+    cfg = make_config(grid)
+    good = make_initial("smooth_bump", grid)
+    # an overflowing velocity leaves no positive timestep
+    bad = State(0.0, np.full(grid.sizes, 1e-5), np.full((1, 32), 1e305))
+    with pytest.raises(SolverError, match="no finite stable timestep"):
+        stable_dt(bad, cfg)
+    dts = stable_dt(stack([good, bad]), cfg)
+    assert dts[0] == stable_dt(good, cfg) and np.isnan(dts[1])
+
+
+def assert_same_run(got, want):
+    (traj, ledger), (ref, ref_ledger) = got, want
+    assert traj.step_count == ref.step_count > 0
+    assert traj.times == ref.times and traj.step_times == ref.step_times
+    assert all(type(t) is float for t in traj.times + traj.step_times)
+    assert traj.step_energies == ref.step_energies
+    assert (traj.clamp_count, traj.vacuum_zero_count, traj.initial_vacuum_momentum_zeroed,
+            traj.non_admissible) == (ref.clamp_count, ref.vacuum_zero_count,
+                                     ref.initial_vacuum_momentum_zeroed, ref.non_admissible)
+    for a, b in zip(traj.states + [traj.final_state], ref.states + [ref.final_state]):
+        assert a.t == b.t and bits(a.rho) == bits(b.rho) and bits(a.mom) == bits(b.mom)
+    assert ledger.rows == ref_ledger.rows
+    assert ledger.metadata == ref_ledger.metadata
+
+
+def test_run_members_matches_solo_runs_with_member_dts():
+    # with h = rho + rho^2 the viscous bound, so dt, differs between members
+    grid = PeriodicGrid((256,))
+    cfg = make_config(grid, t_end=0.002, nu=0.3, law=ViscosityLaw(terms=((1.0, 1.0), (1.0, 2.0))),
+                      ledger_stride=20)
+    spec = InitialDataSpec("smooth_bump", {"amp": 0.3, "width": 0.3, "u_amp": 0.1},
+                           sigma0=0.04, n_max=2)
+    initials, _ = generate_sequence(spec, grid, cfg.law, 2.0, 0.05, 1e-10)
+    results = solver.run_members(cfg, initials)
+    solos = [run(cfg, st) for st in initials]
+    assert len({traj.step_count for traj, _ in solos}) == len(initials)
+    for got, want in zip(results, solos):
+        assert_same_run(got, want)
+
+
+def test_run_members_matches_solo_runs_rk4_and_own_eps_vac():
+    grid = PeriodicGrid((64,))
+    cfg = make_config(grid, t_end=2e-4, integrator="RK4", eps_vac=None, ledger_stride=3)
+    initials = [make_initial("vacuum_bump", grid, p) for p in
+                ({"amp": 1.0, "width": 0.25, "u_amp": 0.05},
+                 {"amp": 1.0, "width": 0.3, "u_amp": 0.02},
+                 {"amp": 0.5, "width": 0.25, "u_amp": 0.05})]
+    results = solver.run_members(cfg, initials)
+    for got, init in zip(results, initials):
+        assert_same_run(got, run(cfg, init))
+    # the dry regions exercise the cutoffs in every member
+    assert all(traj.vacuum_zero_count > 0 for traj, _ in results)
+
+
+def test_run_members_fails_a_member_as_its_solo_run():
+    grid = PeriodicGrid((32,))
+    cfg = make_config(grid, t_end=1e-4)
+    good = make_initial("smooth_bump", grid)
+    negative = good.copy()
+    negative.rho[3] = -1.0
+    nan = State(0.0, np.ones(grid.sizes), np.full((1, 32), np.nan))
+    results = solver.run_members(cfg, [good, negative, nan])
+    assert_same_run(results[0], run(cfg, good))
+    for res, init in zip(results[1:], (negative, nan)):
+        with pytest.raises(type(res)) as solo:
+            run(cfg, init)
+        assert str(res) == str(solo.value)
+    bad_law = make_config(grid, t_end=1e-4, law=ViscosityLaw(constant=1.0))
+    results = solver.run_members(bad_law, [good, good])
+    with pytest.raises(NonAdmissibleLawError) as solo:
+        run(bad_law, good)
+    assert [str(r) for r in results] == [str(solo.value)] * 2
+
+
+def test_run_members_drops_a_member_that_fails_mid_run(monkeypatch):
+    grid = PeriodicGrid((32,))
+    cfg = make_config(grid, t_end=3e-4)
+    initials = [make_initial("smooth_bump", grid, {"amp": a}) for a in (0.1, 0.2, 0.3)]
+    clean = solver.run_members(cfg, initials)
+    real = solver.rhs
+    calls = []
+
+    def poisoned(state, config, *, _fields=None):
+        calls.append(1)
+        dr, dm = real(state, config, _fields=_fields)
+        if len(calls) == 4:  # the second stage of the second step
+            dr[1] = np.nan
+        return dr, dm
+
+    monkeypatch.setattr(solver, "rhs", poisoned)
+    results = solver.run_members(cfg, initials)
+    assert isinstance(results[1], SolverError)
+    assert str(results[1]).startswith("non-finite fields after step")
+    for k in (0, 2):
+        assert_same_run(results[k], clean[k])
+
+
+# -- viscosity laws whose g vanishes ------------------------------------------------
+
+
+def test_g_vanishes_only_for_one_linear_term():
+    rho = np.abs(np.random.default_rng(2).standard_normal(1000)) * 10.0 ** np.arange(-5, 5).repeat(100)
+    assert ViscosityLaw(terms=((0.7, 1.0),)).g_vanishes
+    assert np.all(ViscosityLaw(terms=((0.7, 1.0),)).g(rho) == 0.0)
+    for law in (ViscosityLaw(terms=((1.0, 1.0), (2.0, 1.0))), ViscosityLaw(terms=((1.0, 2.0),)),
+                ViscosityLaw(constant=1.0), TamperedLaw(LINEAR, 0.0)):
+        assert not law.g_vanishes
+
+
+def test_vanishing_g_is_never_evaluated(monkeypatch):
+    grid = PeriodicGrid((64,))
+    init = make_initial("vacuum_bump", grid, {"amp": 1.0, "width": 0.25, "u_amp": 0.05})
+    cfg = make_config(grid, t_end=2e-4, eps_vac=None, ledger_stride=7)
+    calls = []
+    real_g = ViscosityLaw.g
+
+    def counting_g(self, rho):
+        calls.append(1)
+        return real_g(self, rho)
+
+    monkeypatch.setattr(ViscosityLaw, "g", counting_g)
+    fast = run(cfg, init)
+    fast_calls = len(calls)
+    monkeypatch.setattr(ViscosityLaw, "g_vanishes", property(lambda self: False))
+    full = run(cfg, init)
+    assert_same_run(fast, full)
+    # the solver's per-state bundles (two per RK2 step) no longer evaluate g;
+    # the validator and the ledger rows still do
+    assert len(calls) - fast_calls == fast_calls + fast[0].step_count * 2
+
+
+def test_batched_step_failure_is_the_members_own():
+    grid = PeriodicGrid((32,))
+    cfg = make_config(grid)
+    good = make_initial("smooth_bump", grid)
+    broken = State(0.0, np.ones(grid.sizes), np.ones((1, 32)))
+    broken.mom[0, 5] = np.nan
+    batch = stack([good, broken])
+    with pytest.raises(SolverError) as solo:
+        step(broken, cfg, 1e-6)
+    with pytest.raises(SolverError) as batched:
+        step(batch, cfg, np.array([1e-6, 1e-6]))
+    assert str(batched.value) == str(solo.value)
+    failures = {}
+    new, clamps, zeros = step(batch, cfg, np.array([1e-6, 1e-6]), _failures=failures)
+    assert list(failures) == [1] and str(failures[1]) == str(solo.value)
+    one, c, z = step(good, cfg, 1e-6)
+    assert bits(new.rho[0]) == bits(one.rho) and bits(new.mom[:, 0]) == bits(one.mom)
+    assert (clamps[0], zeros[0]) == (c, z)
