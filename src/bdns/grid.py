@@ -188,16 +188,21 @@ def _make_cut(axis: int, dim: int) -> _Cut:
 _CUTS = {dim: tuple(_make_cut(axis, dim) for axis in range(dim)) for dim in (1, 2)}
 
 
-def _halo(q: np.ndarray, cut: _Cut, width: int) -> np.ndarray:
+def _halo(q: np.ndarray, cut: _Cut, width: int, out: np.ndarray | None = None) -> np.ndarray:
     """``q`` extended by ``width`` periodic ghost cells at both ends of the
-    cut's axis, so that every stencil along it is a slice view."""
-    return np.concatenate((q[cut.tail[width]], q, q[cut.head[width]]), axis=cut.axis)
+    cut's axis, so that every stencil along it is a slice view; written into
+    ``out`` when given."""
+    return np.concatenate((q[cut.tail[width]], q, q[cut.head[width]]), axis=cut.axis, out=out)
 
 
-def _ddx(f: np.ndarray, grid: PeriodicGrid, axis: int) -> np.ndarray:
+def _ddx(f: np.ndarray, grid: PeriodicGrid, axis: int, pad: np.ndarray | None = None,
+         out: np.ndarray | None = None) -> np.ndarray:
+    """Centered difference along ``axis``; the halo goes into ``pad`` and the
+    result into ``out`` when they are given."""
     cut = _CUTS[grid.dim][axis]
-    fp = _halo(f, cut, 1)
-    return (fp[cut.hi2] - fp[cut.lo2]) / (2.0 * grid.spacing[axis])
+    fp = _halo(f, cut, 1, pad)
+    diff = np.subtract(fp[cut.hi2], fp[cut.lo2], out=out)
+    return np.divide(diff, 2.0 * grid.spacing[axis], out=diff)
 
 
 def grad(f: np.ndarray, grid: PeriodicGrid) -> np.ndarray:

@@ -16,12 +16,22 @@ The state (rho, m) evolves in conservative form on a periodic grid:
 Every stencil is a slice view of a field padded once per axis with a
 periodic halo (two ghost cells for the limited slopes, one for faces), and
 fluxes live on the n + 1 faces of an axis, so a flux difference is
-``f[1:] - f[:-1]``.  The fields that depend on the state alone (clamped
-density, cutoff velocity, wave speed, face viscosity, g) are computed once
-per state in a private bundle that ``run_members`` shares between
-``stable_dt`` and the first stage of ``step``.  Each cell value takes the
-same operations, in the same order, as the plain per-cell formula, so the
-layout changes no result.
+``f[1:] - f[:-1]``; the density and the momentum components are
+reconstructed together, stacked on a leading axis.  The fields that depend
+on the state alone (clamped density, wave speed, face viscosity, g) are
+computed once per state in a private bundle that ``run_members`` shares
+between ``stable_dt`` and the first stage of ``step``.
+
+Every field-sized array of a step (the stage states, the new state, the
+stage derivatives, the bundle, the stencil scratch and the per-step energy)
+is written with ``out=`` into one private workspace, allocated when
+``run_members`` starts a batch and rebuilt when a member leaves it, so that
+a step allocates no field beyond what the viscosity law's own evaluation
+allocates; the stencils of every axis share its scratch.  The public ``rhs``,
+``stable_dt`` and ``step`` run the same code on a throwaway workspace,
+whose arrays the caller then owns.  Each cell value takes the same
+operations, in the same order, as the plain per-cell formula, so neither
+the layout nor the workspace changes a result.
 
 Stencils and reductions index the grid axes from the end, so the same
 kernel advances one state or a batch of ensemble members stacked on a
@@ -46,7 +56,8 @@ import numpy as np
 
 from . import diagnostics
 from .diagnostics import EntropyLedger, MomentParams, ledger_row
-from .grid import _CUTS, PeriodicGrid, State, _Cut, _grid_axes, _halo, div, grad
+from ._workspace import _face_states, _face_velocity, _power, _StageFields, _Workspace
+from .grid import PeriodicGrid, State, _ddx, _grid_axes, _halo
 from .viscosity import AdmissibilityParams, ViscosityLaw, validate
 
 INTEGRATORS = ("RK2_SSP", "RK4")
@@ -76,6 +87,9 @@ class SolverConfig:
     limiter: str = "mc"
     forcing: Callable | None = None
     allow_non_admissible: bool = False
+    # the stage loop's buffers, set only on the private copy a run or a public
+    # kernel call binds (see _bind)
+    _work: "_Workspace | None" = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 < self.cfl < 1.0:
@@ -119,85 +133,16 @@ def _resolve_eps_vac(config: SolverConfig, initial: State) -> float:
     return 1e-10 * peak
 
 
-def _limited_slope(dminus: np.ndarray, dplus: np.ndarray, limiter: str) -> np.ndarray:
-    central = 0.5 * (dminus + dplus)
-    if limiter == "none":
-        return central
-    if limiter == "van_albada":
-        # smooth limiter: second order at smooth extrema, damped at fronts
-        denom = dminus * dminus + dplus * dplus
-        slope = dminus * dplus * (dminus + dplus) / np.where(denom > 0.0, denom, 1.0)
-        return np.where((denom > 0.0) & (dminus * dplus > 0.0), slope, 0.0)
-    same = dminus * dplus > 0.0
-    if limiter == "minmod":
-        mag = np.minimum(np.abs(dminus), np.abs(dplus))
-    else:  # monotonized central
-        mag = np.minimum(np.abs(central), 2.0 * np.minimum(np.abs(dminus), np.abs(dplus)))
-    return np.where(same, np.sign(central) * mag, 0.0)
-
-
-def _face_states(q: np.ndarray, cut: _Cut, h: float, limiter: str):
-    """Left/right reconstructions on the n + 1 faces of the cut's axis, face k
-    lying between cells k - 1 and k."""
-    qp = _halo(q, cut, 2)
-    diff = (qp[cut.hi] - qp[cut.lo]) / h  # diff[k] is the backward difference of cell k - 1
-    half_slope = 0.5 * h * _limited_slope(diff[cut.lo], diff[cut.hi], limiter)
-    qc = qp[cut.mid]  # cells -1 .. n
-    return qc[cut.lo] + half_slope[cut.lo], qc[cut.hi] - half_slope[cut.hi]
-
-
-def _face_velocity(rho_face: np.ndarray, m_face: np.ndarray, eps_vac: float) -> np.ndarray:
-    wet = rho_face > eps_vac
-    return np.where(wet, m_face / np.where(wet, rho_face, 1.0), 0.0)
-
-
-def _harmonic_face(h_cell: np.ndarray, cut: _Cut) -> np.ndarray:
-    """Harmonic mean of h on the n + 1 faces of the cut's axis; zero at a face
-    with a dry side."""
-    hp = _halo(h_cell, cut, 1)
-    left, right = hp[cut.lo], hp[cut.hi]
-    s = left + right
-    pos = s > 0.0
-    return np.where(pos, 2.0 * left * right / np.where(pos, s, 1.0), 0.0)
-
-
-class _StageFields:
-    """Fields of one state (or batch) that both ``stable_dt`` and ``rhs``
-    need: the clamped density, the cutoff velocity (zero where rho <= eps_vac),
-    the largest |u| and sound speed of each member, the wave speed |u| + c per
-    cell, the harmonic face viscosity of every axis and g(rho) (None when it
-    is zero in every cell, and never evaluated for a law whose g vanishes
-    identically).  ``run_members`` builds one per step and hands it to
-    ``stable_dt`` and then to ``step``, which releases it after the first
-    stage; it is never stored on the state."""
-
-    def __init__(self, state: State, config: SolverConfig):
-        eps_vac = config.eps_vac
-        if eps_vac <= 0:
-            raise ValueError("eps_vac must be positive")
-        state.check_shapes(config.grid)
-        gamma = config.gamma
-        rho = state.rho
-        self.rho = np.maximum(rho, 0.0)
-        self.wet = rho > eps_vac
-        self.u = np.where(self.wet, state.mom / np.where(self.wet, rho, 1.0), 0.0)
-        umag = np.sqrt((self.u**2).sum(axis=0))
-        cs = np.sqrt(gamma * self.rho ** (gamma - 1.0))
-        self.umax = umag.max(axis=config.grid.axes)
-        self.cmax = cs.max(axis=config.grid.axes)
-        self.speed = umag + cs
-        law = config.law
-        h_cell = law.h(self.rho)
-        self.h_face = tuple(_harmonic_face(h_cell, cut) for cut in _CUTS[config.grid.dim])
-        self.g = None
-        if not law.g_vanishes:
-            g_cell = law.g(self.rho)
-            if (g_cell != 0.0).any():
-                self.g = g_cell
-
-    def release(self):
-        """Drop every array, so that at most one bundle is alive per run."""
-        self.__dict__.clear()
+def _bind(config: SolverConfig, state: State) -> SolverConfig:
+    """``config`` when it carries a workspace for the shape of ``state``; else
+    a copy carrying a new one, the throwaway workspace of a public call, whose
+    arrays the caller then owns."""
+    work = config._work
+    if work is not None and work.shape == state.rho.shape:
+        return config
+    bound = replace(config)
+    bound._work = _Workspace(bound, state.rho.shape)
+    return bound
 
 
 def rhs(state: State, config: SolverConfig, *, _fields: _StageFields | None = None
@@ -207,50 +152,76 @@ def rhs(state: State, config: SolverConfig, *, _fields: _StageFields | None = No
     eps_vac = config.eps_vac
     if eps_vac is None:
         raise ValueError("rhs needs a resolved eps_vac on the config")
-    f = _StageFields(state, config) if _fields is None else _fields
+    config = _bind(config, state)
+    work = config._work
+    f = work.fields.fill(state, config) if _fields is None else _fields
 
-    drho = np.zeros(state.rho.shape)
-    dmom = np.zeros(state.mom.shape)
-    for axis, (cut, h) in enumerate(zip(_CUTS[grid.dim], grid.spacing)):
-        sp = _halo(f.speed, cut, 1)
-        half_a = 0.5 * np.maximum(sp[cut.lo], sp[cut.hi])
-        rho_l, rho_r = _face_states(state.rho, cut, h, config.limiter)
+    drho, dmom = work.drho, work.dmom
+    drho.fill(0.0)
+    dmom.fill(0.0)
+    for axis, (s, h) in enumerate(zip(work.axes, grid.spacing)):
+        cut, half_a = s.cut, s.half_a
+        left, right = _face_states(state.rho, state.mom, h, config.limiter, s)
+        sp = _halo(f.speed, cut, 1, s.speed)
+        np.multiply(0.5, np.maximum(sp[cut.lo], sp[cut.hi], out=half_a), out=half_a)
+        rho_l, rho_r, m_l, m_r = left[0], right[0], left[1:], right[1:]
         np.maximum(rho_l, 0.0, out=rho_l)
         np.maximum(rho_r, 0.0, out=rho_r)
-        m_l, m_r = zip(*(_face_states(m, cut, h, config.limiter) for m in state.mom))
-        u_ax_l = _face_velocity(rho_l, m_l[axis], eps_vac)
-        u_ax_r = _face_velocity(rho_r, m_r[axis], eps_vac)
 
-        # mass: local Lax-Friedrichs on the reconstructed states
-        flux_rho = 0.5 * (m_l[axis] + m_r[axis]) - half_a * (rho_r - rho_l)
-        drho -= (flux_rho[cut.hi] - flux_rho[cut.lo]) / h
+        # mass: local Lax-Friedrichs on the reconstructed states,
+        # 0.5 * (m_l + m_r) - half_a * (rho_r - rho_l)
+        flux, jump, d = s.flux_rho, s.jump, s.d_rho
+        np.multiply(0.5, np.add(m_l[axis], m_r[axis], out=flux), out=flux)
+        np.multiply(half_a, np.subtract(rho_r, rho_l, out=jump), out=jump)
+        np.subtract(flux, jump, out=flux)
+        np.subtract(flux[cut.hi], flux[cut.lo], out=d)
+        np.subtract(drho, np.divide(d, h, out=d), out=drho)
 
-        # momentum convection, upwinded the same way
-        for j in range(grid.dim):
-            flux_m = 0.5 * (m_l[j] * u_ax_l + m_r[j] * u_ax_r) - half_a * (m_r[j] - m_l[j])
-            dmom[j] -= (flux_m[cut.hi] - flux_m[cut.lo]) / h
+        # momentum convection, upwinded the same way, every component at once:
+        # 0.5 * (m_l * u_l + m_r * u_r) - half_a * (m_r - m_l), built in m_l
+        u_ax_l = _face_velocity(rho_l, m_l[axis], eps_vac, s.u_l, s.wet)
+        u_ax_r = _face_velocity(rho_r, m_r[axis], eps_vac, s.u_r, s.wet)
+        jump, d = s.jump_m, s.d_mom
+        np.multiply(half_a, np.subtract(m_r, m_l, out=jump), out=jump)
+        flux = np.multiply(m_l, u_ax_l, out=m_l)
+        np.add(flux, np.multiply(m_r, u_ax_r, out=m_r), out=flux)
+        np.multiply(0.5, flux, out=flux)
+        np.subtract(flux, jump, out=flux)
+        np.subtract(flux[cut.hi], flux[cut.lo], out=d)
+        np.subtract(dmom, np.divide(d, h, out=d), out=dmom)
 
     # pressure gradient, centered
-    dmom -= grad(f.rho**config.gamma, grid)
+    pressure = _power(f.rho, config.gamma, work.pressure)
+    for a, s in enumerate(work.axes):
+        np.subtract(dmom[a], _ddx(pressure, grid, a, s.pad, work.diff_c), out=dmom[a])
 
     # shear viscosity in compact flux form; harmonic face coefficient so the
     # flux degenerates with the density at dry faces
-    for cut, h, h_face in zip(_CUTS[grid.dim], grid.spacing, f.h_face):
-        for j in range(grid.dim):
-            up = _halo(f.u[j], cut, 1)
-            visc_flux = h_face * ((up[cut.hi] - up[cut.lo]) / h)
-            dmom[j] += (visc_flux[cut.hi] - visc_flux[cut.lo]) / h
+    u = f.velocity(state, work.u)
+    for s, h, h_face in zip(work.axes, grid.spacing, f.h_face):
+        cut, flux, d = s.cut, s.face_v, work.shear
+        up = _halo(u, cut, 1, s.pad_v)
+        np.subtract(up[cut.hi], up[cut.lo], out=flux)
+        np.multiply(h_face, np.divide(flux, h, out=flux), out=flux)
+        np.subtract(flux[cut.hi], flux[cut.lo], out=d)
+        np.add(dmom, np.divide(d, h, out=d), out=dmom)
 
     # second-coefficient term grad(g * div u), centered
     if f.g is not None:
-        dmom += grad(f.g * div(f.u, grid), grid)
+        div_u = work.div_u
+        div_u.fill(0.0)
+        for a, s in enumerate(work.axes):
+            np.add(div_u, _ddx(u[a], grid, a, s.pad, work.diff_c), out=div_u)
+        np.multiply(f.g, div_u, out=div_u)
+        for a, s in enumerate(work.axes):
+            np.add(dmom[a], _ddx(div_u, grid, a, s.pad, work.diff_c), out=dmom[a])
 
     if config.forcing is not None:
         if np.ndim(state.t) == 0:
-            force = config.forcing(state.t, grid)
+            np.add(dmom, config.forcing(state.t, grid), out=dmom)
         else:  # each member at its own time
-            force = np.stack([config.forcing(t, grid) for t in state.t.tolist()], axis=1)
-        dmom = dmom + force
+            for k, t in enumerate(state.t.tolist()):
+                np.add(dmom[:, k], config.forcing(t, grid), out=dmom[:, k])
     return drho, dmom
 
 
@@ -270,14 +241,21 @@ def stable_dt(state: State, config: SolverConfig, *, _fields: _StageFields | Non
     eps_vac = config.eps_vac
     if eps_vac is None:
         raise ValueError("stable_dt needs a resolved eps_vac on the config")
-    f = _StageFields(state, config) if _fields is None else _fields
+    config = _bind(config, state)
+    work = config._work
+    f = work.fields.fill(state, config) if _fields is None else _fields
     dx = min(grid.spacing)
-    rate = np.zeros(f.rho.shape)
-    for cut, h, h_face in zip(_CUTS[grid.dim], grid.spacing, f.h_face):
-        rate += (h_face[cut.hi] + h_face[cut.lo]) / h**2
+    rate, term, diff_all = work.rate, work.term, work.diff_all
+    rate.fill(0.0)
+    for s, h, h_face in zip(work.axes, grid.spacing, f.h_face):
+        cut = s.cut
+        np.add(h_face[cut.hi], h_face[cut.lo], out=term)
+        np.add(rate, np.divide(term, h**2, out=term), out=rate)
+    pos = np.greater(rate, 0.0, out=work.cell_mask)
     with np.errstate(divide="ignore"):
         adv = dx / (f.umax + f.cmax)  # inf where nothing moves
-        diff_all = np.where(rate > 0.0, f.rho / np.where(rate > 0.0, rate, 1.0), math.inf)
+        np.divide(f.rho, rate, out=diff_all, where=pos)
+    np.copyto(diff_all, math.inf, where=np.logical_not(pos, out=pos))
     diff = diff_all.min(axis=grid.axes, where=f.wet, initial=math.inf)
     dt = config.cfl * np.minimum(adv, diff)
     wet = f.wet.any(axis=grid.axes)
@@ -334,12 +312,14 @@ def _check_finite(state: State, where: str) -> dict[int, SolverError]:
     failures = {}
     for k in np.flatnonzero(~finite).tolist():
         member = _member(state, k)
-        bad_rho = int(np.count_nonzero(~np.isfinite(member.rho)))
+        finite_rho = np.isfinite(member.rho)
+        bad_rho = int(np.count_nonzero(~finite_rho))
         bad_mom = int(np.count_nonzero(~np.isfinite(member.mom)))
+        peak = (f"max finite |rho|={np.abs(member.rho[finite_rho]).max():.3g}"
+                if finite_rho.any() else "no finite density")
         failures[k] = SolverError(
             f"non-finite fields {where} (t={member.t:.6g}): "
-            f"{bad_rho} density cells, {bad_mom} momentum entries; "
-            f"max|rho|={np.nanmax(np.abs(member.rho)):.3g}"
+            f"{bad_rho} density cells, {bad_mom} momentum entries; {peak}"
         )
     return failures
 
@@ -351,6 +331,11 @@ def step(state: State, config: SolverConfig, dt, *, _fields: _StageFields | None
     every stage, per member for a batch.  A stage that leaves a non-finite
     field raises SolverError (in a batch, that of its first such member).
 
+    Every stage state and the new state are written into the workspace that
+    ``config`` carries, in the state buffer that does not hold ``state``
+    (a throwaway workspace for a public call).  ``_fields`` is the bundle of
+    ``state``, filled by the caller; it serves the first stage.
+
     ``run_members`` passes a dict as ``_failures`` to keep a batch going:
     the row of each member whose fields turn non-finite is mapped to its
     error and set to vacuum for the rest of the step, so that it computes
@@ -358,58 +343,62 @@ def step(state: State, config: SolverConfig, dt, *, _fields: _StageFields | None
     eps_vac = config.eps_vac
     if eps_vac is None:
         raise ValueError("step needs a resolved eps_vac on the config")
+    config = _bind(config, state)
+    work = config._work
     batch = np.ndim(state.t) > 0
     # dt times a field: each member's dt scales every cell of that member
     w = np.reshape(dt, (-1,) + (1,) * config.grid.dim) if batch else dt
+    rho, mom = work.spare(state)
     clamps = zeros = 0
 
-    def floored(t, rho: np.ndarray, mom: np.ndarray, where: str) -> State:
+    def floored(t, where: str) -> State:
         # every stage state passes through here: floors, counts, finiteness
         nonlocal clamps, zeros
         out = State(t, rho, mom)
-        c, z = _apply_floors(out.rho, out.mom, eps_vac)
+        c, z = _apply_floors(rho, mom, eps_vac)
         clamps += c
         zeros += z
         for k, exc in _check_finite(out, where).items():
             if _failures is None or not batch:
                 raise exc
             _failures.setdefault(k, exc)
-            out.rho[k] = 0.0
-            out.mom[:, k] = 0.0
+            rho[k] = 0.0
+            mom[:, k] = 0.0
         return out
 
-    if _fields is None:
-        k1 = rhs(state, config)
-    else:
-        # the caller's bundle of this state serves the first stage only: free
-        # its arrays before a later stage builds a bundle of its own
-        k1 = rhs(state, config, _fields=_fields)
-        _fields.release()
+    def advanced(scale, kr: np.ndarray, km: np.ndarray, t, where: str) -> State:
+        # state + scale * k, as state.rho + scale * kr
+        np.add(state.rho, np.multiply(scale, kr, out=rho), out=rho)
+        np.add(state.mom, np.multiply(scale, km, out=mom), out=mom)
+        return floored(t, where)
+
+    kr, km = rhs(state, config) if _fields is None else rhs(state, config, _fields=_fields)
     if config.integrator == "RK2_SSP":
-        dr, dm = k1
-        s1 = floored(state.t + dt, state.rho + w * dr, state.mom + w * dm, "after stage 1")
-        dr, dm = rhs(s1, config)
-        new = floored(
-            state.t + dt,
-            0.5 * state.rho + 0.5 * (s1.rho + w * dr),
-            0.5 * state.mom + 0.5 * (s1.mom + w * dm),
-            "after step",
-        )
-    else:  # RK4
-        ks = [k1]
-        for n, c in enumerate((0.5, 0.5, 1.0), start=2):
-            kr, km = ks[-1]
-            s = floored(state.t + c * dt, state.rho + c * w * kr, state.mom + c * w * km,
-                        f"after stage {n}")
-            ks.append(rhs(s, config))
-        (k1r, k1m), (k2r, k2m), (k3r, k3m), (k4r, k4m) = ks
-        new = floored(
-            state.t + dt,
-            state.rho + w / 6.0 * (k1r + 2.0 * k2r + 2.0 * k3r + k4r),
-            state.mom + w / 6.0 * (k1m + 2.0 * k2m + 2.0 * k3m + k4m),
-            "after step",
-        )
-    return new, clamps, zeros
+        s1 = advanced(w, kr, km, state.t + dt, "after stage 1")
+        kr, km = rhs(s1, config)
+        # 0.5 * state + 0.5 * (s1 + w * k), the sums in that order
+        for new, old, k in ((rho, state.rho, kr), (mom, state.mom, km)):
+            np.add(new, np.multiply(w, k, out=k), out=k)
+            np.multiply(0.5, k, out=k)
+            np.add(np.multiply(0.5, old, out=new), k, out=new)
+        return floored(state.t + dt, "after step"), clamps, zeros
+    # RK4: acc sums k1 + 2 k2 + 2 k3 + k4 left to right
+    acc = work.acc
+    acc_r, acc_m = acc[0], acc[1:]
+    np.copyto(acc_r, kr)
+    np.copyto(acc_m, km)
+    for n, c in enumerate((0.5, 0.5, 1.0), start=2):
+        s = advanced(c * w, kr, km, state.t + c * dt, f"after stage {n}")
+        if n > 2:  # k2 and k3 enter the sum twice, once they made their stage
+            np.add(acc_r, np.multiply(2.0, kr, out=kr), out=acc_r)
+            np.add(acc_m, np.multiply(2.0, km, out=km), out=acc_m)
+        kr, km = rhs(s, config)
+    np.add(acc_r, kr, out=acc_r)
+    np.add(acc_m, km, out=acc_m)
+    # state + w / 6 * acc
+    np.add(state.rho, np.multiply(w / 6.0, acc_r, out=acc_r), out=rho)
+    np.add(state.mom, np.multiply(w / 6.0, acc_m, out=acc_m), out=mom)
+    return floored(state.t + dt, "after step"), clamps, zeros
 
 
 def run(config: SolverConfig, initial: State) -> tuple[Trajectory, EntropyLedger]:
@@ -518,6 +507,7 @@ def _advance(cfg: SolverConfig, members: list, results: list):
                       np.stack([st.rho for st in starts]),
                       np.stack([st.mom for st in starts], axis=1))
     batch = np.ndim(state.t) > 0
+    cfg = _bind(cfg, state)  # one workspace per batch shape
     rows = [(i, traj, ledger) for i, _, traj, ledger in members]  # one per batch row
     dt_floor = DT_FLOOR_FACTOR * cfg.t_end
     t_tol = 1e-12 * cfg.t_end
@@ -525,18 +515,19 @@ def _advance(cfg: SolverConfig, members: list, results: list):
     def leave(gone, outcome):
         """Settle the members at rows ``gone`` and drop them from the batch;
         returns the rows kept."""
-        nonlocal rows, state
+        nonlocal rows, state, cfg
         for k in gone:
             results[rows[k][0]] = outcome(k)
         keep = [k for k in range(len(rows)) if k not in gone]
         if gone and batch and keep:
             state = State(state.t[keep], state.rho[keep], state.mom[:, keep])
+            cfg = _bind(cfg, state)
         rows = [rows[k] for k in keep]
         return keep
 
     def finished(k):
         _, traj, ledger = rows[k]
-        traj.final_state = _member(state, k).copy() if batch else state
+        traj.final_state = _member(state, k).copy()  # the state lives in the workspace
         return traj, ledger
 
     while rows:
@@ -546,10 +537,9 @@ def _advance(cfg: SolverConfig, members: list, results: list):
             leave(done, finished)
             continue
         try:
-            fields = _StageFields(state, cfg)
+            fields = cfg._work.fields.fill(state, cfg)
             dt = np.atleast_1d(stable_dt(state, cfg, _fields=fields))
             if not (dt >= dt_floor).all():
-                fields.release()
                 failed = _dt_failures(state, cfg, dt, dt_floor)
                 leave(list(failed), failed.get)
                 continue
@@ -564,7 +554,7 @@ def _advance(cfg: SolverConfig, members: list, results: list):
                     return
                 clamps, zeros = clamps[keep], zeros[keep]
             t = np.atleast_1d(state.t)
-            energy = np.atleast_1d(diagnostics.energy(state, grid, cfg.gamma, cfg.eps_vac))
+            energy = np.atleast_1d(cfg._work.energy(state, cfg))
             for k, (_, traj, ledger) in enumerate(rows):
                 traj.step_count += 1
                 traj.clamp_count += int(clamps[k])

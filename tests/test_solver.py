@@ -1,9 +1,12 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 import bdns.solver as solver
+from bdns import diagnostics
 from bdns.grid import PeriodicGrid, State, derived, integrate, lp_norm
 from bdns.grid import _spectral_ddx
 from bdns.harness import InitialDataSpec, generate_sequence
@@ -729,3 +732,171 @@ def test_batched_step_failure_is_the_members_own():
     one, c, z = step(good, cfg, 1e-6)
     assert bits(new.rho[0]) == bits(one.rho) and bits(new.mom[:, 0]) == bits(one.mom)
     assert (clamps[0], zeros[0]) == (c, z)
+
+
+# -- the per-run workspace ------------------------------------------------------------
+# The stage loop writes every field-sized array into buffers allocated once per
+# run.  The step body that allocated every stage array, kept as the oracle:
+# the workspace step must reproduce it bit for bit.
+
+
+def ref_step(state, config, dt):
+    eps_vac = config.eps_vac
+    batch = np.ndim(state.t) > 0
+    w = np.reshape(dt, (-1,) + (1,) * config.grid.dim) if batch else dt
+    clamps = zeros = 0
+
+    def floored(t, rho, mom, where):
+        nonlocal clamps, zeros
+        out = State(t, rho, mom)
+        c, z = solver._apply_floors(out.rho, out.mom, eps_vac)
+        clamps += c
+        zeros += z
+        for exc in solver._check_finite(out, where).values():
+            raise exc
+        return out
+
+    k1 = solver.rhs(state, config)
+    if config.integrator == "RK2_SSP":
+        dr, dm = k1
+        s1 = floored(state.t + dt, state.rho + w * dr, state.mom + w * dm, "after stage 1")
+        dr, dm = solver.rhs(s1, config)
+        new = floored(
+            state.t + dt,
+            0.5 * state.rho + 0.5 * (s1.rho + w * dr),
+            0.5 * state.mom + 0.5 * (s1.mom + w * dm),
+            "after step",
+        )
+    else:  # RK4
+        ks = [k1]
+        for n, c in enumerate((0.5, 0.5, 1.0), start=2):
+            kr, km = ks[-1]
+            s = floored(state.t + c * dt, state.rho + c * w * kr, state.mom + c * w * km,
+                        f"after stage {n}")
+            ks.append(solver.rhs(s, config))
+        (k1r, k1m), (k2r, k2m), (k3r, k3m), (k4r, k4m) = ks
+        new = floored(
+            state.t + dt,
+            state.rho + w / 6.0 * (k1r + 2.0 * k2r + 2.0 * k3r + k4r),
+            state.mom + w / 6.0 * (k1m + 2.0 * k2m + 2.0 * k3m + k4m),
+            "after step",
+        )
+    return new, clamps, zeros
+
+
+@pytest.mark.parametrize("integrator", solver.INTEGRATORS)
+@pytest.mark.parametrize("sizes", [(48,), (12, 20)])
+def test_step_matches_allocating_reference(sizes, integrator):
+    grid = PeriodicGrid(sizes, tuple(0.7 + 0.2 * a for a in range(len(sizes))))
+    src = np.random.default_rng(5).standard_normal((grid.dim, *grid.sizes))
+    cfg = make_config(grid, integrator=integrator, forcing=lambda t, g: t * src)
+    # dry and negative cells in every member but the smooth one
+    states = [rough_state(grid, 0), rough_state(grid, 1), make_initial("vacuum_bump", grid),
+              make_initial("smooth_bump", grid)]
+    states = [State(t, s.rho, s.mom) for t, s in zip((0.1, 0.2, 0.35, 0.5), states)]
+    dts = np.array([2e-6, 5e-6, 1e-6, 3e-6])
+    for st, dt in zip(states, dts.tolist()):
+        got, want = step(st, cfg, dt), ref_step(st, cfg, dt)
+        assert got[0].t == want[0].t and got[1:] == want[1:]
+        assert bits(got[0].rho) == bits(want[0].rho) and bits(got[0].mom) == bits(want[0].mom)
+    batch = stack(states)
+    (new, clamps, zeros), (ref, ref_clamps, ref_zeros) = step(batch, cfg, dts), ref_step(
+        batch, cfg, dts)
+    assert new.t.tolist() == ref.t.tolist()
+    assert bits(new.rho) == bits(ref.rho) and bits(new.mom) == bits(ref.mom)
+    assert clamps.tolist() == ref_clamps.tolist() and zeros.tolist() == ref_zeros.tolist()
+    assert clamps.sum() > 0 and zeros.sum() > 0
+
+
+@pytest.mark.parametrize("sizes", [(48,), (12, 20)])
+def test_workspace_energy_matches_diagnostics(sizes):
+    grid = PeriodicGrid(sizes)
+    cfg = make_config(grid)
+    states = [rough_state(grid, 0), make_initial("vacuum_bump", grid),
+              State(0.0, np.zeros(grid.sizes), np.zeros((grid.dim, *grid.sizes)))]
+    for st in states:
+        work = solver._bind(cfg, st)._work
+        assert work.energy(st, cfg) == diagnostics.energy(st, grid, cfg.gamma, cfg.eps_vac)
+    batch = stack(states)
+    energies = solver._bind(cfg, batch)._work.energy(batch, cfg)
+    assert energies.tolist() == [diagnostics.energy(st, grid, cfg.gamma, cfg.eps_vac)
+                                 for st in states]
+
+
+def test_stage_loop_allocates_no_field(monkeypatch):
+    # after the first (warm-up) step of a run, a step allocates less than four
+    # field sizes: its states, derivatives and bundle live in the workspace.
+    # What remains is the law's evaluation of h (three fields at its peak)
+    # and numpy's iterator buffers for strided operands, a fixed 64 KiB per
+    # operand, which is why the grid is 128^2 (a field is 128 KiB)
+    grid = PeriodicGrid((128, 128))
+    cfg = make_config(grid, t_end=1e-4, ledger_stride=1000)
+    init = make_initial("saint_venant_demo", grid)
+    field_bytes = init.rho.nbytes
+    peaks = []
+    real = solver.step
+
+    def measured(*args, **kwargs):
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        out = real(*args, **kwargs)
+        peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        return out
+
+    monkeypatch.setattr(solver, "step", measured)
+    tracemalloc.start()
+    try:
+        traj, _ = run(cfg, init)
+    finally:
+        tracemalloc.stop()
+    assert traj.step_count == len(peaks) >= 3
+    assert max(peaks[1:]) < 4 * field_bytes
+
+
+def test_results_own_their_arrays():
+    grid = PeriodicGrid((12, 20))
+    cfg = make_config(grid, t_end=2e-3, ledger_stride=2)
+    init = make_initial("smooth_bump", grid)
+    first = [*rhs(init, cfg), *rhs(init, cfg)]
+    new, _, _ = step(init, cfg, 1e-6)
+    again, _, _ = step(init, cfg, 1e-6)
+    first += [new.rho, new.mom, again.rho, again.mom]
+    traj, _ = run(cfg, init)
+    first += [a for st in traj.states + [traj.final_state] for a in (st.rho, st.mom)]
+    kept = [a.copy() for a in first]
+    later, _ = run(cfg, init)
+    second = [a for st in later.states + [later.final_state] for a in (st.rho, st.mom)]
+    arrays = first + second
+    assert traj.step_count >= 4 and len(traj.states) >= 3
+    for i, a in enumerate(arrays):
+        for b in arrays[i + 1:]:
+            assert not np.shares_memory(a, b)
+    # a later run leaves the first one's results as they were
+    assert all(bits(a) == bits(b) for a, b in zip(first, kept))
+
+
+def test_check_finite_reports_an_all_nan_density_without_a_warning():
+    grid = PeriodicGrid((16,))
+    nan = State(0.0, np.full(grid.sizes, np.nan), np.zeros((1, 16)))
+    some = State(0.0, np.linspace(-2.0, 1.0, 16), np.zeros((1, 16)))
+    some.rho[3] = np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (err,) = solver._check_finite(nan, "here").values()
+        (partial,) = solver._check_finite(some, "here").values()
+    assert str(err) == ("non-finite fields here (t=0): 16 density cells, 0 momentum entries; "
+                        "no finite density")
+    assert str(partial).endswith("1 density cells, 0 momentum entries; max finite |rho|=2")
+
+
+def test_overflowing_velocity_warns_nothing():
+    grid = PeriodicGrid((32,))
+    cfg = make_config(grid)
+    good = make_initial("smooth_bump", grid)
+    bad = State(0.0, np.full(grid.sizes, 1e-5), np.full((1, 32), 1e305))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverError, match="no finite stable timestep"):
+            stable_dt(bad, cfg)
+        dts = stable_dt(stack([good, bad]), cfg)
+    assert np.isnan(dts[1])
