@@ -6,11 +6,12 @@ stacked on a leading axis).  It holds two state buffers that consecutive
 steps alternate between, the stage derivatives, the RK4 sum, the per-state
 bundle of :class:`_StageFields` and the stencil scratch.  The scratch is
 four flat lanes (and two boolean ones).  The stencils of each grid axis, the
-bundle, ``stable_dt``, the energy and the terms after the axis loop of
-``rhs`` never run at once, so they all view the same lanes, each at its own
-shapes, and every view is made once, when the workspace is built.  Every
-function here writes with ``out=`` and computes each cell with the same
-operations, in the same order, as the allocating formula it replaces.
+bundle, ``stable_dt``, the terms after the axis loop of ``rhs`` and the
+per-step ``diagnostics.energy`` (given lane views as its scratch) never run
+at once, so they all view the same lanes, each at its own shapes, and every
+view is made once, when the workspace is built.  Every function here writes
+with ``out=`` and computes each cell with the same operations, in the same
+order, as the allocating formula it replaces.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .grid import _CUTS, PeriodicGrid, State, _Cut, _halo, integrate
+from .diagnostics import _EnergyScratch
+from .grid import _CUTS, PeriodicGrid, State, _Cut, _halo, _power
 
 if TYPE_CHECKING:
     from .solver import SolverConfig
@@ -31,14 +33,6 @@ def _extend(shape: tuple[int, ...], cut: _Cut, width: int) -> tuple[int, ...]:
     out = list(shape)
     out[cut.axis] += width
     return tuple(out)
-
-
-def _power(x: np.ndarray, exponent: float, out: np.ndarray) -> np.ndarray:
-    """``x ** exponent`` into ``out``, through the operator itself, which numpy
-    computes with a cheaper routine for some exponents (a square for 2)."""
-    np.copyto(out, x)
-    out **= exponent
-    return out
 
 
 def _zero_where_not(out: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -74,10 +68,12 @@ class _Workspace:
         self.pressure, self.div_u = self.view(3, shape), self.view(2, shape)
         self.rate, self.term, self.diff_all = (self.view(lane, shape) for lane in (0, 1, 2))
         self.cell_mask = self.mask(shape)
-        # the energy: the clamped density in lane 3, sqrt(rho) and then the
-        # pressure in lane 2, m / sqrt(rho) in lane 0, the density in lane 1
-        self._energy = (self.view(3, shape), self.view(2, shape), self.view(0, vector),
-                        self.view(1, shape))
+        # the per-step energy's fields, in lanes 0 to 2
+        field = math.prod(shape)
+        self.energy_scratch = _EnergyScratch(
+            rho=self.view(1, shape), wet=self.cell_mask, sqrt_rho=self.view(1, shape, field),
+            sru=self.view(0, vector), sru2=self.view(0, shape, grid.dim * field),
+            pressure=self.view(2, shape), density=self.view(2, shape, field))
         self.fields = _StageFields(self, grid, shape)
 
     def view(self, lane: int, shape: tuple[int, ...], at: int = 0) -> np.ndarray:
@@ -88,20 +84,6 @@ class _Workspace:
     def mask(self, shape: tuple[int, ...], lane: int = 0) -> np.ndarray:
         start = lane * self._lane
         return self._masks[start:start + math.prod(shape)].reshape(shape)
-
-    def energy(self, state: State, config: SolverConfig) -> float | np.ndarray:
-        """``diagnostics.energy`` of ``state`` with the same arithmetic, the
-        kinetic part through m / sqrt(rho) on wet cells, in the lanes."""
-        gamma = config.gamma
-        rho, lane2, sru, density = self._energy
-        np.maximum(state.rho, 0.0, out=rho)
-        wet = np.greater(state.rho, config.eps_vac, out=self.cell_mask)
-        np.divide(state.mom, np.sqrt(rho, out=lane2), out=sru, where=wet)
-        np.sum(np.square(_zero_where_not(sru, wet), out=sru), axis=0, out=density)
-        np.multiply(0.5, density, out=density)
-        pressure = _power(rho, gamma, lane2)
-        np.divide(pressure, gamma - 1.0, out=pressure)
-        return integrate(np.add(density, pressure, out=density), config.grid)
 
     def spare(self, state: State) -> tuple[np.ndarray, np.ndarray]:
         """(rho, mom) of the state buffer that does not hold ``state``: where a
@@ -217,10 +199,10 @@ class _StageFields:
     harmonic face viscosity of every axis and g(rho) (None when it is zero
     in every cell, and never evaluated for a law whose g vanishes
     identically).  The bundle is not released after the first stage: it
-    lives in a workspace, whose buffers hold its arrays, and ``fill``
-    recomputes it in place for each state.  ``run_members`` fills it once
-    per step for ``stable_dt`` and the first stage of ``step``; every later
-    stage refills it in ``rhs``."""
+    lives in a workspace, whose buffers hold its arrays, and ``of``
+    recomputes it in place for each new state, so that ``stable_dt`` and the
+    first stage of the step that follows share one fill; every later stage
+    refills it in ``rhs``."""
 
     def __init__(self, work: _Workspace, grid: PeriodicGrid, shape: tuple[int, ...]):
         vector = (grid.dim, *shape)
@@ -230,8 +212,15 @@ class _StageFields:
         self.h_face = tuple(np.empty(_extend(shape, s.cut, 1)) for s in work.axes)
         self._axes = work.axes
         self._dry = work.cell_mask
-        self._u2, self._umag, self._cs = work.view(0, vector), work.view(1, shape), work.view(2, shape)
-        self.umax = self.cmax = self.g = None
+        self._u2, self._umag = work.view(0, vector), work.view(1, shape)
+        self._cs = work.view(2, shape)
+        self.umax = self.cmax = self.g = self.source = None
+
+    def of(self, state: State, config: SolverConfig) -> "_StageFields":
+        """The bundle of ``state``: as it is when it was last filled from
+        this very object, else refilled.  The kernels never change a state
+        they read, and the stage loop makes a new one for every stage."""
+        return self if self.source is state else self.fill(state, config)
 
     def fill(self, state: State, config: SolverConfig) -> "_StageFields":
         eps_vac = config.eps_vac
@@ -260,6 +249,7 @@ class _StageFields:
             g_cell = law.g(self.rho)
             if (g_cell != 0.0).any():
                 self.g = g_cell
+        self.source = state
         return self
 
     def velocity(self, state: State, out: np.ndarray) -> np.ndarray:

@@ -35,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import PeriodicGrid, State, derived, grad, integrate, lp_norm
+from .grid import PeriodicGrid, State, _power, derived, grad, integrate, lp_norm
 
 
 @dataclass(frozen=True)
@@ -59,19 +59,40 @@ class MomentParams:
             )
 
 
+@dataclass
+class _EnergyScratch:
+    """Buffers that a bundle writes the energy's fields into instead of
+    allocating them, each of the density's shape (``sru`` of the momentum's,
+    ``wet`` boolean); a buffer left None is allocated.  The solver passes its
+    workspace's, so that the per-step energy allocates no field."""
+
+    rho: np.ndarray | None = None
+    wet: np.ndarray | None = None
+    sqrt_rho: np.ndarray | None = None
+    sru: np.ndarray | None = None
+    sru2: np.ndarray | None = None
+    pressure: np.ndarray | None = None
+    density: np.ndarray | None = None
+
+
 class _Fields:
     """One state's derived fields, each computed at most once, and the single
-    definition of every functional on them."""
+    definition of every functional on them.  With ``scratch`` the fields of
+    the energy are written into its buffers."""
 
     def __init__(self, state: State, grid: PeriodicGrid, law, gamma: float | None,
-                 eps_vac: float):
+                 eps_vac: float, scratch: _EnergyScratch | None = None):
+        if eps_vac <= 0:
+            raise ValueError("eps_vac must be positive")
+        state.check_shapes(grid)
         self.state = state
         self.grid = grid
         self.law = law
         self.gamma = gamma
         self.eps_vac = eps_vac
-        self.rho = np.maximum(state.rho, 0.0)
-        self.wet = state.rho > eps_vac
+        self._out = scratch or _EnergyScratch()
+        self.rho = np.maximum(state.rho, 0.0, out=self._out.rho)
+        self.wet = np.greater(state.rho, eps_vac, out=self._out.wet)
 
     @cached_property
     def d(self):
@@ -79,7 +100,9 @@ class _Fields:
 
     @cached_property
     def sru2(self):
-        return np.sum(self.d.sqrt_rho_u**2, axis=0)
+        # |sqrt(rho) u|^2, through m / sqrt(rho) on wet cells
+        sru = self.over_sqrt_rho(self.state.mom, self._out.sru)
+        return np.sum(np.square(sru, out=sru), axis=0, out=self._out.sru2)
 
     @cached_property
     def grad_u(self):
@@ -109,11 +132,15 @@ class _Fields:
 
     @cached_property
     def pressure(self):
-        return self.rho**self.gamma / (self.gamma - 1.0)
+        p = _power(self.rho, self.gamma, self._out.pressure)
+        return np.divide(p, self.gamma - 1.0, out=p)
 
-    def over_sqrt_rho(self, q):
-        """q / sqrt(rho) on wet cells, zero on vacuum cells."""
-        return np.where(self.wet, q / np.where(self.wet, self.d.sqrt_rho, 1.0), 0.0)
+    def over_sqrt_rho(self, q, out=None):
+        """q / sqrt(rho) on wet cells, zero on vacuum cells; into ``out`` when
+        given."""
+        out = np.divide(q, np.sqrt(self.rho, out=self._out.sqrt_rho), out=out, where=self.wet)
+        np.copyto(out, 0.0, where=~self.wet)
+        return out
 
     @cached_property
     def hp_grad_sqrt_rho_sq(self) -> float:
@@ -128,7 +155,8 @@ class _Fields:
     # -- functionals ---------------------------------------------------------
 
     def energy(self) -> float:
-        return integrate(0.5 * self.sru2 + self.pressure, self.grid)
+        density = np.multiply(0.5, self.sru2, out=self._out.density)
+        return integrate(np.add(density, self.pressure, out=density), self.grid)
 
     def dissipation(self) -> float:
         div_u = sum(self.grad_u[a, a] for a in range(self.grid.dim))
@@ -183,11 +211,12 @@ class _Fields:
         }
 
 
-def energy(state: State, grid: PeriodicGrid, gamma: float, eps_vac: float) -> float:
+def energy(state: State, grid: PeriodicGrid, gamma: float, eps_vac: float, *,
+           _scratch: _EnergyScratch | None = None) -> float:
     """Total energy: kinetic (via the weighted momentum) plus pressure potential."""
     if gamma <= 1.0:
         raise ValueError("gamma must exceed 1")
-    return _Fields(state, grid, None, gamma, eps_vac).energy()
+    return _Fields(state, grid, None, gamma, eps_vac, _scratch).energy()
 
 
 def dissipation(state: State, grid: PeriodicGrid, law, eps_vac: float) -> float:

@@ -195,6 +195,17 @@ def _halo(q: np.ndarray, cut: _Cut, width: int, out: np.ndarray | None = None) -
     return np.concatenate((q[cut.tail[width]], q, q[cut.head[width]]), axis=cut.axis, out=out)
 
 
+def _power(x: np.ndarray, exponent: float, out: np.ndarray | None = None) -> np.ndarray:
+    """``x ** exponent``, written into ``out`` when given, through the operator
+    itself either way, which numpy computes with a cheaper routine for some
+    exponents (a square for 2)."""
+    if out is None:
+        return x**exponent
+    np.copyto(out, x)
+    out **= exponent
+    return out
+
+
 def _ddx(f: np.ndarray, grid: PeriodicGrid, axis: int, pad: np.ndarray | None = None,
          out: np.ndarray | None = None) -> np.ndarray:
     """Centered difference along ``axis``; the halo goes into ``pad`` and the

@@ -23,13 +23,15 @@ computed once per state in a private bundle that ``run_members`` shares
 between ``stable_dt`` and the first stage of ``step``.
 
 Every field-sized array of a step (the stage states, the new state, the
-stage derivatives, the bundle, the stencil scratch and the per-step energy)
-is written with ``out=`` into one private workspace, allocated when
-``run_members`` starts a batch and rebuilt when a member leaves it, so that
-a step allocates no field beyond what the viscosity law's own evaluation
-allocates; the stencils of every axis share its scratch.  The public ``rhs``,
-``stable_dt`` and ``step`` run the same code on a throwaway workspace,
-whose arrays the caller then owns.  Each cell value takes the same
+stage derivatives, the bundle, the stencil scratch and the fields of the
+per-step ``diagnostics.energy``) is written with ``out=`` into one private
+workspace, allocated when ``run_members`` starts a batch and rebuilt when a
+member leaves it, so that a step allocates no field beyond what the
+viscosity law's own evaluation allocates; the stencils of every axis share
+its scratch.  ``run_members`` hands it to the kernels as their private
+``_work`` keyword; without it, the public ``rhs``, ``stable_dt`` and
+``step`` run the same code on a throwaway workspace, whose arrays the
+caller then owns.  Each cell value takes the same
 operations, in the same order, as the plain per-cell formula, so neither
 the layout nor the workspace changes a result.
 
@@ -56,8 +58,8 @@ import numpy as np
 
 from . import diagnostics
 from .diagnostics import EntropyLedger, MomentParams, ledger_row
-from ._workspace import _face_states, _face_velocity, _power, _StageFields, _Workspace
-from .grid import PeriodicGrid, State, _ddx, _grid_axes, _halo
+from ._workspace import _face_states, _face_velocity, _Workspace
+from .grid import PeriodicGrid, State, _ddx, _grid_axes, _halo, _power
 from .viscosity import AdmissibilityParams, ViscosityLaw, validate
 
 INTEGRATORS = ("RK2_SSP", "RK4")
@@ -87,9 +89,6 @@ class SolverConfig:
     limiter: str = "mc"
     forcing: Callable | None = None
     allow_non_admissible: bool = False
-    # the stage loop's buffers, set only on the private copy a run or a public
-    # kernel call binds (see _bind)
-    _work: "_Workspace | None" = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 < self.cfl < 1.0:
@@ -133,28 +132,15 @@ def _resolve_eps_vac(config: SolverConfig, initial: State) -> float:
     return 1e-10 * peak
 
 
-def _bind(config: SolverConfig, state: State) -> SolverConfig:
-    """``config`` when it carries a workspace for the shape of ``state``; else
-    a copy carrying a new one, the throwaway workspace of a public call, whose
-    arrays the caller then owns."""
-    work = config._work
-    if work is not None and work.shape == state.rho.shape:
-        return config
-    bound = replace(config)
-    bound._work = _Workspace(bound, state.rho.shape)
-    return bound
-
-
-def rhs(state: State, config: SolverConfig, *, _fields: _StageFields | None = None
+def rhs(state: State, config: SolverConfig, *, _work: _Workspace | None = None
         ) -> tuple[np.ndarray, np.ndarray]:
     """Semi-discrete right-hand side (d rho/dt, d m/dt)."""
     grid = config.grid
     eps_vac = config.eps_vac
     if eps_vac is None:
         raise ValueError("rhs needs a resolved eps_vac on the config")
-    config = _bind(config, state)
-    work = config._work
-    f = work.fields.fill(state, config) if _fields is None else _fields
+    work = _Workspace(config, state.rho.shape) if _work is None else _work
+    f = work.fields.of(state, config)
 
     drho, dmom = work.drho, work.dmom
     drho.fill(0.0)
@@ -225,7 +211,7 @@ def rhs(state: State, config: SolverConfig, *, _fields: _StageFields | None = No
     return drho, dmom
 
 
-def stable_dt(state: State, config: SolverConfig, *, _fields: _StageFields | None = None
+def stable_dt(state: State, config: SolverConfig, *, _work: _Workspace | None = None
               ) -> float | np.ndarray:
     """Explicit stability bound: cfl times the harsher of the advective limit
     dx/(max|u| + max c) and the diffusive limit of the actual viscous stencil,
@@ -241,9 +227,8 @@ def stable_dt(state: State, config: SolverConfig, *, _fields: _StageFields | Non
     eps_vac = config.eps_vac
     if eps_vac is None:
         raise ValueError("stable_dt needs a resolved eps_vac on the config")
-    config = _bind(config, state)
-    work = config._work
-    f = work.fields.fill(state, config) if _fields is None else _fields
+    work = _Workspace(config, state.rho.shape) if _work is None else _work
+    f = work.fields.of(state, config)
     dx = min(grid.spacing)
     rate, term, diff_all = work.rate, work.term, work.diff_all
     rate.fill(0.0)
@@ -324,17 +309,16 @@ def _check_finite(state: State, where: str) -> dict[int, SolverError]:
     return failures
 
 
-def step(state: State, config: SolverConfig, dt, *, _fields: _StageFields | None = None,
+def step(state: State, config: SolverConfig, dt, *, _work: _Workspace | None = None,
          _failures: dict | None = None):
     """One explicit step of one state, or of a batch with one dt per member.
     Returns (new state, clamped cells, zeroed cells), the counts summed over
     every stage, per member for a batch.  A stage that leaves a non-finite
     field raises SolverError (in a batch, that of its first such member).
 
-    Every stage state and the new state are written into the workspace that
-    ``config`` carries, in the state buffer that does not hold ``state``
-    (a throwaway workspace for a public call).  ``_fields`` is the bundle of
-    ``state``, filled by the caller; it serves the first stage.
+    Every stage state and the new state are written into the workspace
+    ``_work``, in the state buffer that does not hold ``state`` (a throwaway
+    workspace for a public call, whose arrays the caller then owns).
 
     ``run_members`` passes a dict as ``_failures`` to keep a batch going:
     the row of each member whose fields turn non-finite is mapped to its
@@ -343,8 +327,7 @@ def step(state: State, config: SolverConfig, dt, *, _fields: _StageFields | None
     eps_vac = config.eps_vac
     if eps_vac is None:
         raise ValueError("step needs a resolved eps_vac on the config")
-    config = _bind(config, state)
-    work = config._work
+    work = _Workspace(config, state.rho.shape) if _work is None else _work
     batch = np.ndim(state.t) > 0
     # dt times a field: each member's dt scales every cell of that member
     w = np.reshape(dt, (-1,) + (1,) * config.grid.dim) if batch else dt
@@ -372,10 +355,10 @@ def step(state: State, config: SolverConfig, dt, *, _fields: _StageFields | None
         np.add(state.mom, np.multiply(scale, km, out=mom), out=mom)
         return floored(t, where)
 
-    kr, km = rhs(state, config) if _fields is None else rhs(state, config, _fields=_fields)
+    kr, km = rhs(state, config, _work=work)
     if config.integrator == "RK2_SSP":
         s1 = advanced(w, kr, km, state.t + dt, "after stage 1")
-        kr, km = rhs(s1, config)
+        kr, km = rhs(s1, config, _work=work)
         # 0.5 * state + 0.5 * (s1 + w * k), the sums in that order
         for new, old, k in ((rho, state.rho, kr), (mom, state.mom, km)):
             np.add(new, np.multiply(w, k, out=k), out=k)
@@ -392,7 +375,7 @@ def step(state: State, config: SolverConfig, dt, *, _fields: _StageFields | None
         if n > 2:  # k2 and k3 enter the sum twice, once they made their stage
             np.add(acc_r, np.multiply(2.0, kr, out=kr), out=acc_r)
             np.add(acc_m, np.multiply(2.0, km, out=km), out=acc_m)
-        kr, km = rhs(s, config)
+        kr, km = rhs(s, config, _work=work)
     np.add(acc_r, kr, out=acc_r)
     np.add(acc_m, km, out=acc_m)
     # state + w / 6 * acc
@@ -507,7 +490,7 @@ def _advance(cfg: SolverConfig, members: list, results: list):
                       np.stack([st.rho for st in starts]),
                       np.stack([st.mom for st in starts], axis=1))
     batch = np.ndim(state.t) > 0
-    cfg = _bind(cfg, state)  # one workspace per batch shape
+    work = _Workspace(cfg, state.rho.shape)  # one per batch shape
     rows = [(i, traj, ledger) for i, _, traj, ledger in members]  # one per batch row
     dt_floor = DT_FLOOR_FACTOR * cfg.t_end
     t_tol = 1e-12 * cfg.t_end
@@ -515,13 +498,13 @@ def _advance(cfg: SolverConfig, members: list, results: list):
     def leave(gone, outcome):
         """Settle the members at rows ``gone`` and drop them from the batch;
         returns the rows kept."""
-        nonlocal rows, state, cfg
+        nonlocal rows, state, work
         for k in gone:
             results[rows[k][0]] = outcome(k)
         keep = [k for k in range(len(rows)) if k not in gone]
         if gone and batch and keep:
             state = State(state.t[keep], state.rho[keep], state.mom[:, keep])
-            cfg = _bind(cfg, state)
+            work = _Workspace(cfg, state.rho.shape)
         rows = [rows[k] for k in keep]
         return keep
 
@@ -537,8 +520,7 @@ def _advance(cfg: SolverConfig, members: list, results: list):
             leave(done, finished)
             continue
         try:
-            fields = cfg._work.fields.fill(state, cfg)
-            dt = np.atleast_1d(stable_dt(state, cfg, _fields=fields))
+            dt = np.atleast_1d(stable_dt(state, cfg, _work=work))
             if not (dt >= dt_floor).all():
                 failed = _dt_failures(state, cfg, dt, dt_floor)
                 leave(list(failed), failed.get)
@@ -546,7 +528,7 @@ def _advance(cfg: SolverConfig, members: list, results: list):
             failed = {}
             state, clamps, zeros = step(state, cfg, np.minimum(dt, cfg.t_end - t) if batch
                                         else min(float(dt[0]), cfg.t_end - state.t),
-                                        _fields=fields, _failures=failed)
+                                        _work=work, _failures=failed)
             clamps, zeros = np.atleast_1d(clamps), np.atleast_1d(zeros)
             if failed:
                 keep = leave(list(failed), failed.get)
@@ -554,7 +536,8 @@ def _advance(cfg: SolverConfig, members: list, results: list):
                     return
                 clamps, zeros = clamps[keep], zeros[keep]
             t = np.atleast_1d(state.t)
-            energy = np.atleast_1d(cfg._work.energy(state, cfg))
+            energy = np.atleast_1d(diagnostics.energy(state, grid, cfg.gamma, cfg.eps_vac,
+                                                      _scratch=work.energy_scratch))
             for k, (_, traj, ledger) in enumerate(rows):
                 traj.step_count += 1
                 traj.clamp_count += int(clamps[k])

@@ -133,9 +133,9 @@ def poison_rows(monkeypatch, rows, at_call=3):
     real = solver.rhs
     calls = []
 
-    def poisoned(state, config, *, _fields=None):
+    def poisoned(state, config, *, _work=None):
         calls.append(1)
-        dr, dm = real(state, config, _fields=_fields)
+        dr, dm = real(state, config, _work=_work)
         if len(calls) == at_call:
             dr[rows] = np.nan
         return dr, dm

@@ -248,9 +248,9 @@ def test_nan_in_intermediate_rk4_stage_aborts(monkeypatch):
     real = solver.rhs
     calls = []
 
-    def poisoned(s, config):
+    def poisoned(s, config, *, _work=None):
         calls.append(1)
-        dr, dm = real(s, config)
+        dr, dm = real(s, config, _work=_work)
         if len(calls) == 2:
             dr[0] = np.nan
         return dr, dm
@@ -491,8 +491,8 @@ def test_run_matches_roll_reference(monkeypatch):
     init = make_initial("vacuum_bump", grid, {"amp": 1.0, "width": 0.25, "u_amp": 0.05})
     cfg = make_config(grid, t_end=4e-4, eps_vac=None, ledger_stride=7)
     runs = [run(cfg, init)]
-    monkeypatch.setattr(solver, "rhs", lambda s, c, _fields=None: ref_rhs(s, c))
-    monkeypatch.setattr(solver, "stable_dt", lambda s, c, _fields=None: ref_stable_dt(s, c))
+    monkeypatch.setattr(solver, "rhs", lambda s, c, _work=None: ref_rhs(s, c))
+    monkeypatch.setattr(solver, "stable_dt", lambda s, c, _work=None: ref_stable_dt(s, c))
     runs.append(run(cfg, init))
     (new, new_ledger), (ref, ref_ledger) = runs
     assert new.step_count == ref.step_count > 0
@@ -665,9 +665,9 @@ def test_run_members_drops_a_member_that_fails_mid_run(monkeypatch):
     real = solver.rhs
     calls = []
 
-    def poisoned(state, config, *, _fields=None):
+    def poisoned(state, config, *, _work=None):
         calls.append(1)
-        dr, dm = real(state, config, _fields=_fields)
+        dr, dm = real(state, config, _work=_work)
         if len(calls) == 4:  # the second stage of the second step
             dr[1] = np.nan
         return dr, dm
@@ -808,49 +808,83 @@ def test_step_matches_allocating_reference(sizes, integrator):
     assert clamps.sum() > 0 and zeros.sum() > 0
 
 
-@pytest.mark.parametrize("sizes", [(48,), (12, 20)])
-def test_workspace_energy_matches_diagnostics(sizes):
-    grid = PeriodicGrid(sizes)
-    cfg = make_config(grid)
-    states = [rough_state(grid, 0), make_initial("vacuum_bump", grid),
-              State(0.0, np.zeros(grid.sizes), np.zeros((grid.dim, *grid.sizes)))]
-    for st in states:
-        work = solver._bind(cfg, st)._work
-        assert work.energy(st, cfg) == diagnostics.energy(st, grid, cfg.gamma, cfg.eps_vac)
-    batch = stack(states)
-    energies = solver._bind(cfg, batch)._work.energy(batch, cfg)
-    assert energies.tolist() == [diagnostics.energy(st, grid, cfg.gamma, cfg.eps_vac)
-                                 for st in states]
+# numpy's iterator buffer size, in elements, for the allocation test: a ufunc
+# on operands sliced along the last axis of a 2D field copies them through
+# buffers allocated per call (64 KiB each at numpy's default of 8192), which
+# at this size stay well under the test's 32 KiB field
+ITER_BUFFER_ELEMENTS = 256
 
 
 def test_stage_loop_allocates_no_field(monkeypatch):
-    # after the first (warm-up) step of a run, a step allocates less than four
-    # field sizes: its states, derivatives and bundle live in the workspace.
-    # What remains is the law's evaluation of h (three fields at its peak)
-    # and numpy's iterator buffers for strided operands, a fixed 64 KiB per
-    # operand, which is why the grid is 128^2 (a field is 128 KiB)
-    grid = PeriodicGrid((128, 128))
+    # after the first (warm-up) step of a run, a step allocates no array as
+    # large as a field outside the law's evaluation of h: its states,
+    # derivatives, bundle and scratch live in the run's workspace.  The law
+    # allocates three fields at its peak (see ViscosityLaw.h); its values are
+    # copied into an array allocated before the run, and its peak counts only
+    # towards the bound of four fields on the whole step
+    grid = PeriodicGrid((64, 64))
     cfg = make_config(grid, t_end=1e-4, ledger_stride=1000)
     init = make_initial("saint_venant_demo", grid)
     field_bytes = init.rho.nbytes
-    peaks = []
-    real = solver.step
+    h_values = np.empty(grid.sizes)
+    outside, whole = [], []  # per step: its peak outside the law, its whole peak
+    windows, evaluations = [], []  # within a step: the peaks between and of law.h calls
+    real_step, real_h = solver.step, ViscosityLaw.h
+
+    def h_apart(law, rho):
+        if not windows:  # not within a step
+            return real_h(law, rho)
+        windows.append(tracemalloc.get_traced_memory()[1])  # the window before h
+        tracemalloc.reset_peak()
+        np.copyto(h_values, real_h(law, rho))
+        evaluations.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+        return h_values
 
     def measured(*args, **kwargs):
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        out = real(*args, **kwargs)
-        peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        windows[:], evaluations[:] = [before], []
+        out = real_step(*args, **kwargs)
+        windows.append(tracemalloc.get_traced_memory()[1])
+        outside.append(max(windows) - before)
+        whole.append(max(windows + evaluations) - before)
+        windows.clear()
         return out
 
     monkeypatch.setattr(solver, "step", measured)
+    monkeypatch.setattr(ViscosityLaw, "h", h_apart)
+    old_bufsize = np.setbufsize(ITER_BUFFER_ELEMENTS)
     tracemalloc.start()
     try:
         traj, _ = run(cfg, init)
     finally:
         tracemalloc.stop()
-    assert traj.step_count == len(peaks) >= 3
-    assert max(peaks[1:]) < 4 * field_bytes
+        np.setbufsize(old_bufsize)
+    assert traj.step_count == len(outside) >= 3
+    assert max(outside[1:]) < field_bytes
+    assert max(whole[1:]) < 4 * field_bytes
+
+
+@pytest.mark.parametrize("sizes", [(512,), (40, 48)])
+def test_energy_in_workspace_lanes_allocates_no_field(sizes):
+    # the per-step energy writes every field into lanes of the run's
+    # workspace, and gets the value the allocating call gets
+    grid = PeriodicGrid(sizes)
+    cfg = make_config(grid)
+    states = [rough_state(grid, 0), make_initial("vacuum_bump", grid),
+              State(0.0, np.zeros(grid.sizes), np.zeros((grid.dim, *grid.sizes)))]
+    for st in [*states, stack(states)]:
+        scratch = solver._Workspace(cfg, st.rho.shape).energy_scratch
+        want = diagnostics.energy(st, grid, cfg.gamma, cfg.eps_vac)
+        tracemalloc.start()
+        try:
+            got = diagnostics.energy(st, grid, cfg.gamma, cfg.eps_vac, _scratch=scratch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert bits(np.asarray(got)) == bits(np.asarray(want))
+        assert peak < states[0].rho.nbytes
 
 
 def test_results_own_their_arrays():
