@@ -21,10 +21,8 @@ from .diagnostics import (
     weak_form_residual,
 )
 from .grid import (
-    DerivedFields,
     PeriodicGrid,
     State,
-    derived,
     div,
     grad,
     integrate,

@@ -11,7 +11,9 @@ per-step ``diagnostics.energy`` (given lane views as its scratch) never run
 at once, so they all view the same lanes, each at its own shapes, and every
 view is made once, when the workspace is built.  Every function here writes
 with ``out=`` and computes each cell with the same operations, in the same
-order, as the allocating formula it replaces.
+order, as the allocating formula it replaces; each guarded division goes
+through :func:`~bdns.grid._cutoff` with a boolean buffer for its dry cells,
+so that it allocates nothing either.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .diagnostics import _EnergyScratch
-from .grid import _CUTS, PeriodicGrid, State, _Cut, _halo, _power
+from .grid import _CUTS, PeriodicGrid, State, _Cut, _cutoff, _halo, _power
 
 if TYPE_CHECKING:
     from .solver import SolverConfig
@@ -68,12 +70,13 @@ class _Workspace:
         self.pressure, self.div_u = self.view(3, shape), self.view(2, shape)
         self.rate, self.term, self.diff_all = (self.view(lane, shape) for lane in (0, 1, 2))
         self.cell_mask = self.mask(shape)
-        # the per-step energy's fields, in lanes 0 to 2
+        # the per-step energy's fields, in lanes 0 to 3
         field = math.prod(shape)
         self.energy_scratch = _EnergyScratch(
             rho=self.view(1, shape), wet=self.cell_mask, sqrt_rho=self.view(1, shape, field),
-            sru=self.view(0, vector), sru2=self.view(0, shape, grid.dim * field),
-            pressure=self.view(2, shape), density=self.view(2, shape, field))
+            sru=self.view(0, vector), sru_sq=self.view(3, vector),
+            sru2=self.view(0, shape, grid.dim * field), pressure=self.view(2, shape),
+            density=self.view(2, shape, field))
         self.fields = _StageFields(self, grid, shape)
 
     def view(self, lane: int, shape: tuple[int, ...], at: int = 0) -> np.ndarray:
@@ -139,8 +142,7 @@ def _limited_slope(s: _AxisScratch, limiter: str) -> np.ndarray:
         np.square(diff, out=diff)
         denom = np.add(dminus, dplus, out=t)
         keep = np.greater(denom, 0.0, out=s.keep)
-        np.divide(out, denom, out=out, where=keep)
-        return _zero_where_not(_zero_where_not(out, keep), same)
+        return _zero_where_not(_cutoff(out, denom, keep, out, dry=keep), same)
     if limiter != "none":
         np.greater(np.multiply(dminus, dplus, out=out), 0.0, out=same)
     central = np.multiply(0.5, np.add(dminus, dplus, out=out), out=out)
@@ -171,13 +173,6 @@ def _face_states(rho: np.ndarray, mom: np.ndarray, h: float, limiter: str, s: _A
     return s.left, s.right
 
 
-def _face_velocity(rho_face: np.ndarray, m_face: np.ndarray, eps_vac: float, out: np.ndarray,
-                   wet: np.ndarray) -> np.ndarray:
-    np.greater(rho_face, eps_vac, out=wet)
-    np.divide(m_face, rho_face, out=out, where=wet)
-    return _zero_where_not(out, wet)
-
-
 def _harmonic_face(h_cell: np.ndarray, s: _AxisScratch, out: np.ndarray) -> np.ndarray:
     """Harmonic mean of h on the n + 1 faces of the axis, into ``out``; zero
     at a face with a dry side."""
@@ -188,8 +183,7 @@ def _harmonic_face(h_cell: np.ndarray, s: _AxisScratch, out: np.ndarray) -> np.n
     np.greater(total, 0.0, out=pos)
     np.multiply(2.0, left, out=out)
     np.multiply(out, right, out=out)
-    np.divide(out, total, out=out, where=pos)
-    return _zero_where_not(out, pos)
+    return _cutoff(out, total, pos, out, dry=pos)
 
 
 class _StageFields:
@@ -259,6 +253,4 @@ class _StageFields:
         of workspace."""
         # an overflowing velocity is no error here: stable_dt reports it
         with np.errstate(over="ignore"):
-            np.divide(state.mom, state.rho, out=out, where=self.wet)
-        np.copyto(self._dry, self.wet)
-        return _zero_where_not(out, self._dry)
+            return _cutoff(state.mom, state.rho, self.wet, out, dry=self._dry)

@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from pathlib import Path
 
 from .config import ConfigError, load_config
 from .grid import save_checkpoint
@@ -79,13 +81,24 @@ class _Usage(Exception):
     pass
 
 
+def _write(path, write):
+    """``write(path)``, with an unwritable path reported as a usage error."""
+    try:
+        write(path)
+    except OSError as exc:
+        raise _Usage(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _write_text(path, text: str):
+    _write(path, lambda p: Path(p).write_text(text + "\n"))
+
+
 def _cmd_validate_law(args) -> int:
     setup = _load(args.config)
     report = validate(setup.config.law, setup.config.params)
     text = report.dumps()
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        _write_text(args.out, text)
     print(text)
     return 0 if report.overall else 1
 
@@ -98,11 +111,11 @@ def _cmd_simulate(args) -> int:
         print(f"run aborted: {exc}", file=sys.stderr)
         return 1
     if args.checkpoint:
-        save_checkpoint(args.checkpoint, traj.final_state, setup.config.grid)
+        _write(args.checkpoint, lambda p: save_checkpoint(p, traj.final_state, setup.config.grid))
     if args.ledger:
-        ledger.to_csv(args.ledger)
+        _write(args.ledger, ledger.to_csv)
         if args.jsonl:
-            ledger.to_jsonl(args.ledger + ".jsonl")
+            _write(args.ledger + ".jsonl", ledger.to_jsonl)
     print(
         f"steps={traj.step_count} t={traj.final_state.t:.6g} "
         f"clamped_cells={traj.clamp_count} vacuum_zeroed={traj.vacuum_zero_count} "
@@ -136,8 +149,7 @@ def _cmd_verify_identities(args) -> int:
     payload = [r.to_json() for r in reports]
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        _write_text(args.out, text)
     ok = all(r.verdict for r in reports)
     for r in reports:
         worst = max((v[-1] for v in r.residuals.values()), default=0.0)
@@ -156,19 +168,15 @@ def _cmd_stability_study(args) -> int:
         return 1
     ledger_paths = None
     if args.ledger_dir:
-        import os
-
-        os.makedirs(args.ledger_dir, exist_ok=True)
-        ledger_paths = []
-        for i, ledger in enumerate(study.ledgers):
-            path = os.path.join(args.ledger_dir, f"member_{i}.csv")
+        _write(args.ledger_dir, lambda p: os.makedirs(p, exist_ok=True))
+        ledger_paths = [os.path.join(args.ledger_dir, f"member_{i}.csv")
+                        for i in range(len(study.ledgers))]
+        for path, ledger in zip(ledger_paths, study.ledgers):
             if ledger is not None:
-                ledger.to_csv(path)
-            ledger_paths.append(path)
+                _write(path, ledger.to_csv)
     text = json.dumps(study.to_json(ledger_paths), indent=2, sort_keys=True)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        _write_text(args.out, text)
     for name in ("rho", "u", "m"):
         print(f"d_{name} consecutive: "
               + " ".join(f"{v:.3e}" for v in study.consecutive(name)))

@@ -35,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import PeriodicGrid, State, _power, derived, grad, integrate, lp_norm
+from .grid import PeriodicGrid, State, _cutoff, _power, grad, integrate, lp_norm
 
 
 @dataclass(frozen=True)
@@ -62,14 +62,16 @@ class MomentParams:
 @dataclass
 class _EnergyScratch:
     """Buffers that a bundle writes the energy's fields into instead of
-    allocating them, each of the density's shape (``sru`` of the momentum's,
-    ``wet`` boolean); a buffer left None is allocated.  The solver passes its
-    workspace's, so that the per-step energy allocates no field."""
+    allocating them, each of the density's shape (``sru`` and ``sru_sq`` of
+    the momentum's, ``wet`` boolean); a buffer left None is allocated.  The
+    solver passes its workspace's, so that the per-step energy allocates no
+    field."""
 
     rho: np.ndarray | None = None
     wet: np.ndarray | None = None
     sqrt_rho: np.ndarray | None = None
     sru: np.ndarray | None = None
+    sru_sq: np.ndarray | None = None
     sru2: np.ndarray | None = None
     pressure: np.ndarray | None = None
     density: np.ndarray | None = None
@@ -77,8 +79,11 @@ class _EnergyScratch:
 
 class _Fields:
     """One state's derived fields, each computed at most once, and the single
-    definition of every functional on them.  With ``scratch`` the fields of
-    the energy are written into its buffers."""
+    definition of every functional on them.  The clamped density and the wet
+    cells (rho > eps_vac) are computed up front; sqrt(rho), the velocity and
+    the weighted momentum sqrt(rho) u when first asked for, the last two
+    through :func:`~bdns.grid._cutoff`, so that they vanish on dry cells.
+    With ``scratch`` the fields of the energy are written into its buffers."""
 
     def __init__(self, state: State, grid: PeriodicGrid, law, gamma: float | None,
                  eps_vac: float, scratch: _EnergyScratch | None = None):
@@ -95,19 +100,27 @@ class _Fields:
         self.wet = np.greater(state.rho, eps_vac, out=self._out.wet)
 
     @cached_property
-    def d(self):
-        return derived(self.state, self.grid, self.eps_vac)
+    def sqrt_rho(self):
+        return np.sqrt(self.rho, out=self._out.sqrt_rho)
+
+    @cached_property
+    def u(self):
+        return _cutoff(self.state.mom, self.rho, self.wet)
+
+    @cached_property
+    def sqrt_rho_u(self):
+        return _cutoff(self.state.mom, self.sqrt_rho, self.wet, out=self._out.sru)
 
     @cached_property
     def sru2(self):
-        # |sqrt(rho) u|^2, through m / sqrt(rho) on wet cells
-        sru = self.over_sqrt_rho(self.state.mom, self._out.sru)
-        return np.sum(np.square(sru, out=sru), axis=0, out=self._out.sru2)
+        # |sqrt(rho) u|^2
+        sq = np.square(self.sqrt_rho_u, out=self._out.sru_sq)
+        return np.sum(sq, axis=0, out=self._out.sru2)
 
     @cached_property
     def grad_u(self):
         # grad_u[i, j] = d_i u_j
-        u = self.d.u
+        u = self.u
         return np.stack([grad(u[j], self.grid) for j in range(self.grid.dim)], axis=1)
 
     @cached_property
@@ -116,7 +129,7 @@ class _Fields:
 
     @cached_property
     def grad_sqrt_rho(self):
-        return grad(self.d.sqrt_rho, self.grid)
+        return grad(self.sqrt_rho, self.grid)
 
     @cached_property
     def gsr2(self):
@@ -134,13 +147,6 @@ class _Fields:
     def pressure(self):
         p = _power(self.rho, self.gamma, self._out.pressure)
         return np.divide(p, self.gamma - 1.0, out=p)
-
-    def over_sqrt_rho(self, q, out=None):
-        """q / sqrt(rho) on wet cells, zero on vacuum cells; into ``out`` when
-        given."""
-        out = np.divide(q, np.sqrt(self.rho, out=self._out.sqrt_rho), out=out, where=self.wet)
-        np.copyto(out, 0.0, where=~self.wet)
-        return out
 
     @cached_property
     def hp_grad_sqrt_rho_sq(self) -> float:
@@ -164,29 +170,27 @@ class _Fields:
 
     def bd_entropy(self) -> float:
         # sqrt(rho) u + 2 h'(rho) grad(sqrt(rho)), the weighted entropy velocity
-        bdv = self.d.sqrt_rho_u + 2.0 * self.hp * self.grad_sqrt_rho
+        bdv = self.sqrt_rho_u + 2.0 * self.hp * self.grad_sqrt_rho
         return integrate(0.5 * np.sum(bdv**2, axis=0) + self.pressure, self.grid)
 
     def bd_cross(self) -> float:
         return 4.0 * self.gamma * self.pressure_weight
 
     def moment(self, delta: float) -> float:
-        umag = np.sqrt(np.sum(self.d.u**2, axis=0))
+        umag = np.sqrt(np.sum(self.u**2, axis=0))
         return integrate(self.sru2 * umag**delta, self.grid) / (2.0 + delta)
 
     def moment_rhs(self, delta: float) -> float:
-        wet = self.wet
         p = 2.0 / (2.0 - delta)
-        num = np.where(wet, self.rho, 0.0) ** (2.0 * self.gamma - delta / 2.0)
-        den = np.where(wet, self.h, 1.0)
-        factor1 = integrate(np.where(wet, num / den, 0.0) ** p, self.grid)
+        ratio = _cutoff(self.rho ** (2.0 * self.gamma - delta / 2.0), self.h, self.wet)
+        factor1 = integrate(ratio**p, self.grid)
         factor2 = integrate(self.sru2, self.grid)
         return factor1 ** ((2.0 - delta) / 2.0) * factor2 ** (delta / 2.0)
 
     def apriori(self) -> dict[str, float]:
         grid, rho, gamma = self.grid, self.rho, self.gamma
         return {
-            "sqrt_rho_u_L2_eq19": lp_norm(self.d.sqrt_rho_u, grid, 2),
+            "sqrt_rho_u_L2_eq19": lp_norm(self.sqrt_rho_u, grid, 2),
             "rho_L1_eq19": integrate(rho, grid),
             "rho_Lgamma_eq19": lp_norm(rho, grid, gamma),
             "sqrt_h_grad_u_L2_eq19": math.sqrt(
@@ -203,10 +207,11 @@ class _Fields:
 
     def compactness(self, alpha: float) -> dict[str, float]:
         grid, rho = self.grid, self.rho
+        h_over_sqrt_rho = _cutoff(self.h, self.sqrt_rho, self.wet)
         return {
             "rho_gamma_L53_lemma42": integrate(rho ** (5.0 * self.gamma / 3.0), grid),
-            "sqrt_rho_u_L2p2alpha_lemma43": lp_norm(self.d.sqrt_rho_u, grid, 2.0 + 2.0 * alpha),
-            "h_over_sqrt_rho_L6_lemma44": lp_norm(self.over_sqrt_rho(self.h), grid, 6),
+            "sqrt_rho_u_L2p2alpha_lemma43": lp_norm(self.sqrt_rho_u, grid, 2.0 + 2.0 * alpha),
+            "h_over_sqrt_rho_L6_lemma44": lp_norm(h_over_sqrt_rho, grid, 6),
             "psi_L6_lemma44": lp_norm(np.asarray(self.law.psi(rho)), grid, 6),
         }
 
@@ -322,7 +327,7 @@ def ledger_row(state: State, grid: PeriodicGrid, law, gamma: float, mp: MomentPa
                eps_vac: float, clamp_count: int = 0, cutoff_count: int = 0) -> dict[str, float]:
     """One full diagnostics row, every column taken from one field bundle."""
     f = _Fields(state, grid, law, gamma, eps_vac)
-    cross = np.sum(f.d.sqrt_rho_u * 2.0 * f.hp * f.grad_sqrt_rho, axis=0)
+    cross = np.sum(f.sqrt_rho_u * 2.0 * f.hp * f.grad_sqrt_rho, axis=0)
     return {
         "t": state.t,
         "E_eq15": f.energy(),
@@ -491,12 +496,12 @@ def weak_form_residual(trajectory, grid: PeriodicGrid, law, gamma: float,
     instants = []
     for st in states:
         f = _Fields(st, grid, law, gamma, eps_vac)
-        sru = f.d.sqrt_rho_u
+        sru = f.sqrt_rho_u
         rho = f.rho
-        sqrt_rho = f.d.sqrt_rho
+        sqrt_rho = f.sqrt_rho
         gsr = f.grad_sqrt_rho
-        h_ov = f.over_sqrt_rho(f.h)
-        g_ov = f.over_sqrt_rho(law.g(rho))
+        h_ov = _cutoff(f.h, sqrt_rho, f.wet)
+        g_ov = _cutoff(law.g(rho), sqrt_rho, f.wet)
         gp = law.g_prime(rho)
 
         # momentum . dphi/dt, with m written as sqrt(rho) * (sqrt(rho) u)

@@ -14,9 +14,10 @@ Two derivative families are provided:
 * Fourier collocation derivatives (:func:`spectral_grad`, :func:`spectral_div`)
   used as a high-order oracle on band-limited fields.
 
-Velocity is never obtained by a bare division: :func:`derived` reconstructs
-``u`` and ``m/sqrt(rho)`` with a hard vacuum cutoff so that both vanish on
-dry cells.
+Velocity is never obtained by a bare division: every quantity divided by
+the density or a power of it (``u = m/rho``, ``sqrt(rho) u = m/sqrt(rho)``,
+``h/sqrt(rho)``) goes through :func:`_cutoff`, which takes it as zero on dry
+cells, where the velocity is undefined.
 """
 
 from __future__ import annotations
@@ -129,21 +130,6 @@ class State:
             raise GridError(f"mom shape {self.mom.shape} != {(grid.dim, *shape)}")
 
 
-@dataclass
-class DerivedFields:
-    """Vacuum-safe velocity and sqrt-density weighted momentum.
-
-    ``u`` and ``sqrt_rho_u`` are zero wherever ``rho <= eps_vac``;
-    ``cutoff_count`` is the number of cells where that cutoff suppressed a
-    nonzero momentum.
-    """
-
-    u: np.ndarray
-    sqrt_rho: np.ndarray
-    sqrt_rho_u: np.ndarray
-    cutoff_count: int
-
-
 def _grid_axes(dim: int) -> tuple[int, ...]:
     return tuple(range(-dim, 0))
 
@@ -203,6 +189,17 @@ def _power(x: np.ndarray, exponent: float, out: np.ndarray | None = None) -> np.
         return x**exponent
     np.copyto(out, x)
     out **= exponent
+    return out
+
+
+def _cutoff(num: np.ndarray, den: np.ndarray, wet: np.ndarray, out: np.ndarray | None = None,
+            dry: np.ndarray | None = None) -> np.ndarray:
+    """``num / den`` on ``wet`` cells and 0 elsewhere, the vacuum convention
+    of every quantity divided by the density (or a power of it); written into
+    ``out`` when given.  ``dry`` is a boolean buffer for ``~wet``; it may be
+    ``wet`` itself, which is then overwritten."""
+    out = np.divide(num, den, out=out, where=wet)
+    np.copyto(out, 0.0, where=np.logical_not(wet, out=dry))
     return out
 
 
@@ -291,22 +288,6 @@ def lp_norm(f: np.ndarray, grid: PeriodicGrid, p: float) -> float:
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
     return float(integrate(mag**p, grid) ** (1.0 / p))
-
-
-def derived(state: State, grid: PeriodicGrid, eps_vac: float) -> DerivedFields:
-    """Vacuum-safe derived fields with a hard density cutoff."""
-    if eps_vac <= 0:
-        raise ValueError("eps_vac must be positive")
-    state.check_shapes(grid)
-    rho = state.rho
-    wet = rho > eps_vac
-    sqrt_rho = np.sqrt(np.maximum(rho, 0.0))
-    safe_rho = np.where(wet, rho, 1.0)
-    safe_sqrt = np.where(wet, sqrt_rho, 1.0)
-    u = np.where(wet, state.mom / safe_rho, 0.0)
-    sqrt_rho_u = np.where(wet, state.mom / safe_sqrt, 0.0)
-    suppressed = (~wet) & np.any(state.mom != 0.0, axis=0)
-    return DerivedFields(u, sqrt_rho, sqrt_rho_u, int(np.count_nonzero(suppressed)))
 
 
 def save_checkpoint(path, state: State, grid: PeriodicGrid):

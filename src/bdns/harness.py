@@ -88,9 +88,8 @@ def generate_sequence(spec: InitialDataSpec, grid: PeriodicGrid, law, gamma: flo
     the table also carries the L1 distance of each member's density to the
     base profile."""
     base = make_initial(spec.base_preset, grid, spec.base_params)
-    sqrt_rho0 = np.sqrt(np.maximum(base.rho, 0.0))
-    wet = base.rho > eps_vac
-    u0 = np.where(wet, base.mom / np.where(wet, base.rho, 1.0), 0.0)
+    fields = _Fields(base, grid, law, gamma, eps_vac)
+    sqrt_rho0, u0 = fields.sqrt_rho, fields.u
 
     states: list[State] = []
     table: list[dict[str, float]] = []
@@ -232,10 +231,8 @@ def run_study(spec: InitialDataSpec, config: SolverConfig,
     interp = {}
     for i in alive:
         series = [_interp_state(trajectories[i], t) for t in common_times]
-        sru = []
-        for rho, mom in series:
-            wet = rho > eps_vac
-            sru.append(np.where(wet, mom / np.sqrt(np.where(wet, rho, 1.0)), 0.0))
+        sru = [_Fields(State(t, rho, mom), grid, None, None, eps_vac).sqrt_rho_u
+               for t, (rho, mom) in zip(common_times, series)]
         interp[i] = (series, sru)
 
     for ai, i in enumerate(alive):

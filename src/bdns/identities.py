@@ -377,6 +377,8 @@ def _certify(mf: ManufacturedField, law, gamma: float, grids, checks) -> list[Id
     """One finalized report per (identity name, body) in checks.  Each grid
     gets one spectral context, shared by all the bodies; a body returns the
     (residuals, slacks, terms) of its identity on that grid."""
+    if not gamma > 1.0:  # NaN too
+        raise ValueError(f"gamma must be > 1, got {gamma}")
     reports = [IdentityReport(name, list(grids)) for name, _ in checks]
     for n in grids:
         c = _Ctx(mf, law, gamma, n)

@@ -58,8 +58,8 @@ import numpy as np
 
 from . import diagnostics
 from .diagnostics import EntropyLedger, MomentParams, ledger_row
-from ._workspace import _face_states, _face_velocity, _Workspace
-from .grid import PeriodicGrid, State, _ddx, _grid_axes, _halo, _power
+from ._workspace import _face_states, _Workspace
+from .grid import PeriodicGrid, State, _cutoff, _ddx, _grid_axes, _halo, _power
 from .viscosity import AdmissibilityParams, ViscosityLaw, validate
 
 INTEGRATORS = ("RK2_SSP", "RK4")
@@ -165,8 +165,9 @@ def rhs(state: State, config: SolverConfig, *, _work: _Workspace | None = None
 
         # momentum convection, upwinded the same way, every component at once:
         # 0.5 * (m_l * u_l + m_r * u_r) - half_a * (m_r - m_l), built in m_l
-        u_ax_l = _face_velocity(rho_l, m_l[axis], eps_vac, s.u_l, s.wet)
-        u_ax_r = _face_velocity(rho_r, m_r[axis], eps_vac, s.u_r, s.wet)
+        wet = s.wet
+        u_ax_l = _cutoff(m_l[axis], rho_l, np.greater(rho_l, eps_vac, out=wet), s.u_l, dry=wet)
+        u_ax_r = _cutoff(m_r[axis], rho_r, np.greater(rho_r, eps_vac, out=wet), s.u_r, dry=wet)
         jump, d = s.jump_m, s.d_mom
         np.multiply(half_a, np.subtract(m_r, m_l, out=jump), out=jump)
         flux = np.multiply(m_l, u_ax_l, out=m_l)
@@ -243,14 +244,14 @@ def stable_dt(state: State, config: SolverConfig, *, _work: _Workspace | None = 
     np.copyto(diff_all, math.inf, where=np.logical_not(pos, out=pos))
     diff = diff_all.min(axis=grid.axes, where=f.wet, initial=math.inf)
     dt = config.cfl * np.minimum(adv, diff)
-    wet = f.wet.any(axis=grid.axes)
-    if not wet.all():
+    any_wet = f.wet.any(axis=grid.axes)
+    if not any_wet.all():
         # an all-dry member: the viscous bound of a cell at the cutoff density
         h_ref = max(float(config.law.h(eps_vac)), 1e-300)
-        dt = np.where(wet, dt, config.cfl * dx * dx * eps_vac / (2.0 * grid.dim * h_ref))
+        dt = np.where(any_wet, dt, config.cfl * dx * dx * eps_vac / (2.0 * grid.dim * h_ref))
     if np.ndim(dt):
-        return np.where(wet & ~(np.isfinite(dt) & (dt > 0)), math.nan, dt)
-    if wet and not (math.isfinite(dt) and dt > 0):
+        return np.where(any_wet & ~(np.isfinite(dt) & (dt > 0)), math.nan, dt)
+    if any_wet and not (math.isfinite(dt) and dt > 0):
         raise SolverError(f"no finite stable timestep (adv={float(adv)}, diff={float(diff)})")
     return float(dt)
 

@@ -34,6 +34,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .grid import _power
+
 
 class DomainError(ValueError):
     """Evaluation outside the coefficient's density domain."""
@@ -48,6 +50,21 @@ def _as_array(rho):
     if np.any(arr < 0):
         raise DomainError("density must be nonnegative")
     return arr
+
+
+def _power_sum(r: np.ndarray, terms) -> np.ndarray:
+    """The sum of c * r^e over the (c, e) terms, an exponent 0 read as the
+    constant c.  It is accumulated in place from +0.0 (which turns a -0.0
+    term into +0.0), each term computed in one reused buffer, so that it
+    holds two fields at its peak."""
+    out = np.zeros_like(r)
+    term = np.empty_like(r)
+    for c, e in terms:
+        if e == 0.0:
+            np.add(out, c, out=out)
+        else:
+            np.add(out, np.multiply(c, _power(r, e, term), out=term), out=out)
+    return out
 
 
 def _scalar_like(rho, value):
@@ -86,32 +103,20 @@ class ViscosityLaw:
         r = _as_array(rho)
         if self.constant is not None:
             return _scalar_like(rho, np.full_like(r, self.constant, dtype=float) if r.ndim else self.constant)
-        out = np.zeros_like(r)
-        for a, b in self.terms:
-            out = out + a * r**b
-        return _scalar_like(rho, out)
+        return _scalar_like(rho, _power_sum(r, self.terms))
 
     def h_prime(self, rho):
         r = _as_array(rho)
         if self.constant is not None:
             return _scalar_like(rho, np.zeros_like(r) if r.ndim else 0.0)
-        out = np.zeros_like(r)
-        for a, b in self.terms:
-            if b == 1.0:
-                out = out + a
-            else:
-                out = out + a * b * r ** (b - 1.0)
-        return _scalar_like(rho, out)
+        return _scalar_like(rho, _power_sum(r, [(a * b, b - 1.0) for a, b in self.terms]))
 
     def h_second(self, rho):
         r = _as_array(rho)
         if self.constant is not None:
             return _scalar_like(rho, np.zeros_like(r) if r.ndim else 0.0)
-        out = np.zeros_like(r)
-        for a, b in self.terms:
-            if b != 1.0:
-                out = out + a * b * (b - 1.0) * r ** (b - 2.0)
-        return _scalar_like(rho, out)
+        return _scalar_like(rho, _power_sum(r, [(a * b * (b - 1.0), b - 2.0)
+                                                for a, b in self.terms if b != 1.0]))
 
     def g(self, rho):
         """Second coefficient rho*h'(rho) - h(rho); same arithmetic path
@@ -254,7 +259,7 @@ class AdmissibilityParams:
     def __post_init__(self):
         if not 0.0 < self.nu < 1.0:
             raise ValueError(f"nu must lie strictly in (0,1), got {self.nu}")
-        if self.gamma <= 1.0:
+        if not self.gamma > 1.0:  # NaN too
             raise ValueError(f"gamma must be > 1, got {self.gamma}")
         if self.N not in (1, 2, 3):
             raise ValueError(f"N must be 1, 2 or 3, got {self.N}")

@@ -130,6 +130,11 @@ def simulate_usage_error(tmp_path, capsys, **overrides):
     return err[0]
 
 
+@pytest.mark.parametrize("gamma", [1.0, float("nan")])
+def test_simulate_gamma_not_above_one_is_usage_error(tmp_path, capsys, gamma):
+    assert "gamma must be > 1" in simulate_usage_error(tmp_path, capsys, gamma=gamma)
+
+
 def test_missing_checkpoint_is_named(tmp_path, capsys):
     err = simulate_usage_error(tmp_path, capsys,
                                initial={"checkpoint": str(tmp_path / "gone.bdns")})
@@ -206,3 +211,32 @@ def test_stability_study_non_object_block_is_one_line(tmp_path, capsys, block):
     assert cli_main(["stability-study", "--config", str(path)]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and f"'{block}' must be a JSON object" in err[0], err
+
+
+@pytest.mark.parametrize("gamma", ["1.0", "0.5", "nan"])
+def test_verify_identities_gamma_not_above_one_is_one_line(capsys, gamma):
+    code = cli_main(["verify-identities", "--law", '{"terms": [[1, 1]]}', "--gamma", gamma,
+                     "--dims", "1", "--grids", "32"])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 2 and len(err) == 1 and "gamma must be > 1" in err[0], err
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("validate-law", "--out"),
+    ("verify-identities", "--out"),
+    ("simulate", "--checkpoint"),
+    ("simulate", "--ledger"),
+    ("stability-study", "--out"),
+    ("stability-study", "--ledger-dir"),
+])
+def test_unwritable_output_is_one_line(tmp_path, capsys, command, flag):
+    (tmp_path / "file").write_text("")
+    target = tmp_path / "file" / "out"  # a regular file cannot hold it
+    if command == "verify-identities":
+        args = ["--law", '{"terms": [[1, 1]]}', "--dims", "1", "--grids", "32", "--nu", "0.9"]
+    else:
+        path = write_config(tmp_path, study={"sigma0": 0.05, "n_max": 1}, t_end=2e-4)
+        args = ["--config", str(path)]
+    code = cli_main([command, *args, flag, str(target)])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 2 and len(err) == 1 and f"cannot write {target}: " in err[0], err

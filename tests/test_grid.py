@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bdns.diagnostics import _Fields
 from bdns.grid import (
     GridError,
     PeriodicGrid,
     State,
-    derived,
+    _cutoff,
     div,
     grad,
     integrate,
@@ -181,47 +182,67 @@ def test_lp_norm_rejects_small_p():
         lp_norm(np.ones(g.sizes), g, 0.5)
 
 
-# -- derived fields ---------------------------------------------------------------
+# -- vacuum cutoff ----------------------------------------------------------------
 
 
-def test_derived_uniform_flow():
+def fields(rho, mom, g, eps_vac=1e-10):
+    return _Fields(State(0.0, rho, mom), g, None, None, eps_vac)
+
+
+def test_cutoff_uniform_flow():
     g = PeriodicGrid((16, 16))
-    rho = np.ones(g.sizes)
+    rho = 4.0 * np.ones(g.sizes)
     mom = np.stack([2.0 * np.ones(g.sizes), np.zeros(g.sizes)])
-    d = derived(State(0.0, rho, mom), g, 1e-10)
-    assert np.allclose(d.u[0], 2.0) and np.allclose(d.u[1], 0.0)
-    assert np.allclose(d.sqrt_rho_u[0], 2.0)
-    assert d.cutoff_count == 0
+    f = fields(rho, mom, g)
+    assert np.all(f.u[0] == 0.5) and np.all(f.u[1] == 0.0)
+    assert np.all(f.sqrt_rho_u[0] == 1.0) and np.all(f.sqrt_rho_u[1] == 0.0)
 
 
-def test_derived_vacuum_conventions():
+def test_cutoff_vacuum_conventions():
     g = PeriodicGrid((16,))
     rho = np.ones(g.sizes)
     mom = np.ones((1, *g.sizes))
     rho[3] = 0.0
-    mom[0, 3] = 0.0  # clean vacuum: no suppression
+    mom[0, 3] = 0.0  # clean vacuum
     rho[5] = 1e-20
-    mom[0, 5] = 1e-15  # momentum below the cutoff: suppressed and counted
-    d = derived(State(0.0, rho, mom), g, 1e-10)
-    assert d.u[0, 3] == 0.0 and d.sqrt_rho_u[0, 3] == 0.0
-    assert d.u[0, 5] == 0.0 and d.sqrt_rho_u[0, 5] == 0.0
-    assert d.cutoff_count == 1
+    mom[0, 5] = 1e-15  # momentum on a sub-cutoff density
+    f = fields(rho, mom, g)
+    for q in (f.u, f.sqrt_rho_u):
+        assert q[0, 3] == 0.0 and q[0, 5] == 0.0
+        assert np.all(np.delete(q[0], [3, 5]) == 1.0)
+    assert np.array_equal(_cutoff(mom, rho, rho > 1e-10), f.u)
 
 
-def test_derived_scaling_consistency():
+def test_cutoff_scales_linearly():
     g = PeriodicGrid((32,))
     rho = 1.0 + 0.5 * np.sin(2 * np.pi * g.axis_coords(0))
     mom = (0.3 * np.cos(2 * np.pi * g.axis_coords(0)))[np.newaxis]
-    d1 = derived(State(0.0, rho, mom), g, 1e-10)
-    d2 = derived(State(0.0, rho, 4.0 * mom), g, 1e-10)
-    np.testing.assert_allclose(d2.u, 4.0 * d1.u, rtol=1e-14)
-    np.testing.assert_allclose(d2.sqrt_rho_u, 4.0 * d1.sqrt_rho_u, rtol=1e-14)
+    rho[::5] = 0.0
+    f1, f4 = fields(rho, mom, g), fields(rho, 4.0 * mom, g)
+    assert np.array_equal(f4.u, 4.0 * f1.u)
+    assert np.array_equal(f4.sqrt_rho_u, 4.0 * f1.sqrt_rho_u)
 
 
-def test_derived_requires_positive_cutoff():
+def test_cutoff_into_buffers_with_dry_aliasing_wet():
+    rng = np.random.default_rng(3)
+    num, den = rng.standard_normal((2, 40)), rng.random(40)
+    wet = den > 0.5
+    want = _cutoff(num, den, wet)
+    assert np.array_equal(want, np.where(wet, num / np.where(wet, den, 1.0), 0.0))
+    out, mask = np.full((2, 40), np.nan), wet.copy()
+    assert _cutoff(num, den, mask, out, dry=mask) is out
+    assert np.array_equal(out, want)
+    assert np.array_equal(mask, ~wet)  # the aliased mask now holds the dry cells
+    # the numerator may be the output buffer itself
+    np.copyto(out, num)
+    mask = wet.copy()
+    assert np.array_equal(_cutoff(out, den, mask, out, dry=mask), want)
+
+
+def test_fields_require_positive_cutoff():
     g = PeriodicGrid((16,))
     with pytest.raises(ValueError):
-        derived(State(0.0, np.ones(g.sizes), np.zeros((1, 16))), g, 0.0)
+        fields(np.ones(g.sizes), np.zeros((1, 16)), g, eps_vac=0.0)
 
 
 # -- checkpoints -------------------------------------------------------------------
