@@ -3,17 +3,20 @@ the in-place stencils that write into it.
 
 One workspace serves states of one shape (one state, or a batch of members
 stacked on a leading axis).  It holds two state buffers that consecutive
-steps alternate between, the stage derivatives, the RK4 sum, the per-state
-bundle of :class:`_StageFields` and the stencil scratch.  The scratch is
-four flat lanes (and two boolean ones).  The stencils of each grid axis, the
-bundle, ``stable_dt``, the terms after the axis loop of ``rhs`` and the
-per-step ``diagnostics.energy`` (given lane views as its scratch) never run
-at once, so they all view the same lanes, each at its own shapes, and every
-view is made once, when the workspace is built.  Every function here writes
-with ``out=`` and computes each cell with the same operations, in the same
-order, as the allocating formula it replaces; each guarded division goes
-through :func:`~bdns.grid._cutoff` with a boolean buffer for its dry cells,
-so that it allocates nothing either.
+steps alternate between, the stage derivatives, the RK4 sum, the buffers of
+the per-state bundle :class:`~bdns.diagnostics._Fields` and the stencil
+scratch.  The scratch is four flat lanes (and two boolean ones).  The
+stencils of each grid axis, the bundle's kernel fields (made with the
+bundle), ``stable_dt``, the terms after the axis loop of ``rhs`` and the
+bundle's energy fields never run at once, so they all view the same lanes,
+each at its own shapes, and every view is made once, when the workspace is
+built.  The bundle's own fields (the clamped density, the wet cells, the
+cutoff velocity, the wave speed and the harmonic faces) have buffers of
+their own, since the kernels read them while the stencils write the lanes.
+Every function here writes with ``out=`` and computes each cell with the
+same operations, in the same order, as the allocating formula it replaces;
+each guarded division goes through :func:`~bdns.grid._cutoff` with a boolean
+buffer for its dry cells, so that it allocates nothing either.
 """
 
 from __future__ import annotations
@@ -23,8 +26,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .diagnostics import _EnergyScratch
-from .grid import _CUTS, PeriodicGrid, State, _Cut, _cutoff, _halo, _power
+from .grid import _CUTS, State, _Cut, _cutoff, _halo
 
 if TYPE_CHECKING:
     from .solver import SolverConfig
@@ -64,20 +66,28 @@ class _Workspace:
         self.axes = tuple(_AxisScratch(self, cut, shape, dim) for cut in _CUTS[dim])
         vector = (dim, *shape)
         # after the axis loop of rhs: centered differences use lanes 0 (halo)
-        # and 1, the shear flux lanes 0 to 2, the velocity lane 3
-        self.diff_c, self.shear, self.u = self.view(1, shape), self.view(2, vector), self.view(
-            3, vector)
+        # and 1, the shear flux lanes 0 to 2
+        self.diff_c, self.shear = self.view(1, shape), self.view(2, vector)
         self.pressure, self.div_u = self.view(3, shape), self.view(2, shape)
         self.rate, self.term, self.diff_all = (self.view(lane, shape) for lane in (0, 1, 2))
         self.cell_mask = self.mask(shape)
-        # the per-step energy's fields, in lanes 0 to 3
+        # the bundle of the state the kernels last read (see solver._bundle),
+        # and the buffers of every bundle: its own fields, then the scratch
+        # of its kernel fields in lanes 0 to 2 and its energy's fields in
+        # lanes 0 to 3.  A bundle keeps the arrays, not the workspace, so
+        # that a finished run's workspace is freed when its last name goes
+        self.fields = None
         field = math.prod(shape)
-        self.energy_scratch = _EnergyScratch(
-            rho=self.view(1, shape), wet=self.cell_mask, sqrt_rho=self.view(1, shape, field),
-            sru=self.view(0, vector), sru_sq=self.view(3, vector),
-            sru2=self.view(0, shape, grid.dim * field), pressure=self.view(2, shape),
-            density=self.view(2, shape, field))
-        self.fields = _StageFields(self, grid, shape)
+        self.bundle_out = {
+            "rho": np.empty(shape), "wet": np.empty(shape, dtype=bool), "u": np.empty(vector),
+            "speed": np.empty(shape),
+            "h_face": tuple(np.empty(_extend(shape, s.cut, 1)) for s in self.axes),
+            "dry": self.cell_mask, "u_sq": self.view(0, vector), "umag": self.view(1, shape),
+            "cs": self.view(2, shape),
+            "sqrt_rho": self.view(1, shape), "sqrt_rho_u": self.view(0, vector),
+            "sru_sq": self.view(3, vector), "sru2": self.view(0, shape, dim * field),
+            "pressure": self.view(2, shape), "density": self.view(2, shape, field),
+        }
 
     def view(self, lane: int, shape: tuple[int, ...], at: int = 0) -> np.ndarray:
         """A float view of ``shape`` starting ``at`` elements into a lane."""
@@ -184,73 +194,3 @@ def _harmonic_face(h_cell: np.ndarray, s: _AxisScratch, out: np.ndarray) -> np.n
     np.multiply(2.0, left, out=out)
     np.multiply(out, right, out=out)
     return _cutoff(out, total, pos, out, dry=pos)
-
-
-class _StageFields:
-    """Fields of one state (or batch) that both ``stable_dt`` and ``rhs``
-    need: the clamped density, the wet cells (rho > eps_vac), the largest
-    |u| and sound speed of each member, the wave speed |u| + c per cell, the
-    harmonic face viscosity of every axis and g(rho) (None when it is zero
-    in every cell, and never evaluated for a law whose g vanishes
-    identically).  The bundle is not released after the first stage: it
-    lives in a workspace, whose buffers hold its arrays, and ``of``
-    recomputes it in place for each new state, so that ``stable_dt`` and the
-    first stage of the step that follows share one fill; every later stage
-    refills it in ``rhs``."""
-
-    def __init__(self, work: _Workspace, grid: PeriodicGrid, shape: tuple[int, ...]):
-        vector = (grid.dim, *shape)
-        self.rho = np.empty(shape)
-        self.wet = np.empty(shape, dtype=bool)
-        self.speed = np.empty(shape)
-        self.h_face = tuple(np.empty(_extend(shape, s.cut, 1)) for s in work.axes)
-        self._axes = work.axes
-        self._dry = work.cell_mask
-        self._u2, self._umag = work.view(0, vector), work.view(1, shape)
-        self._cs = work.view(2, shape)
-        self.umax = self.cmax = self.g = self.source = None
-
-    def of(self, state: State, config: SolverConfig) -> "_StageFields":
-        """The bundle of ``state``: as it is when it was last filled from
-        this very object, else refilled.  The kernels never change a state
-        they read, and the stage loop makes a new one for every stage."""
-        return self if self.source is state else self.fill(state, config)
-
-    def fill(self, state: State, config: SolverConfig) -> "_StageFields":
-        eps_vac = config.eps_vac
-        if eps_vac <= 0:
-            raise ValueError("eps_vac must be positive")
-        state.check_shapes(config.grid)
-        gamma = config.gamma
-        rho = state.rho
-        np.maximum(rho, 0.0, out=self.rho)
-        np.greater(rho, eps_vac, out=self.wet)
-        u = self.velocity(state, self._u2)
-        umag = np.sum(np.square(u, out=u), axis=0, out=self._umag)
-        np.sqrt(umag, out=umag)
-        cs = _power(self.rho, gamma - 1.0, self._cs)
-        np.multiply(gamma, cs, out=cs)
-        np.sqrt(cs, out=cs)
-        self.umax = umag.max(axis=config.grid.axes)
-        self.cmax = cs.max(axis=config.grid.axes)
-        np.add(umag, cs, out=self.speed)
-        law = config.law
-        h_cell = law.h(self.rho)
-        for s, h_face in zip(self._axes, self.h_face):
-            _harmonic_face(h_cell, s, h_face)
-        self.g = None
-        if not law.g_vanishes:
-            g_cell = law.g(self.rho)
-            if (g_cell != 0.0).any():
-                self.g = g_cell
-        self.source = state
-        return self
-
-    def velocity(self, state: State, out: np.ndarray) -> np.ndarray:
-        """The cutoff velocity of ``state``, the state the bundle was filled
-        from: m / rho on wet cells and zero elsewhere, into ``out``.  It is
-        computed where it is needed rather than kept, which saves dim fields
-        of workspace."""
-        # an overflowing velocity is no error here: stable_dt reports it
-        with np.errstate(over="ignore"):
-            return _cutoff(state.mom, state.rho, self.wet, out, dry=self._dry)

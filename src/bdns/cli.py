@@ -16,9 +16,11 @@ Exit codes: 0 success, 1 verdict failure or aborted run, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 from .config import ConfigError, load_config
@@ -89,6 +91,27 @@ def _write(path, write):
         raise _Usage(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
+def _probe(path, directory: bool = False):
+    """Fail now, as writing ``path`` after the run would, and leave behind
+    nothing that did not exist: open the file for appending, or make the
+    directory and a temporary file in it, then remove what was made."""
+    made = []  # the path and its missing parents, deepest first
+    head = os.path.abspath(path)
+    while not os.path.lexists(head):
+        made.append(head)
+        head = os.path.dirname(head)
+    try:
+        if directory:
+            _write(path, lambda p: os.makedirs(p, exist_ok=True))
+            _write(path, lambda p: tempfile.TemporaryFile(dir=p).close())
+        else:
+            _write(path, lambda p: open(p, "a").close())
+    finally:
+        for p in made:
+            with contextlib.suppress(OSError):
+                (os.rmdir if directory else os.remove)(p)
+
+
 def _write_text(path, text: str):
     _write(path, lambda p: Path(p).write_text(text + "\n"))
 
@@ -105,6 +128,11 @@ def _cmd_validate_law(args) -> int:
 
 def _cmd_simulate(args) -> int:
     setup = _load(args.config)
+    outputs = [args.checkpoint, args.ledger]
+    if args.ledger and args.jsonl:
+        outputs.append(args.ledger + ".jsonl")
+    for path in filter(None, outputs):
+        _probe(path)
     try:
         traj, ledger = run(setup.config, setup.initial)
     except (SolverError, NonAdmissibleLawError, ValueError) as exc:
@@ -161,6 +189,10 @@ def _cmd_stability_study(args) -> int:
     setup = _load(args.config)
     if setup.study is None:
         raise _Usage("config has no 'study' block")
+    if args.out:
+        _probe(args.out)
+    if args.ledger_dir:
+        _probe(args.ledger_dir, directory=True)
     try:
         study = run_study(setup.study, setup.config)
     except (GenerationError, SolverError, NonAdmissibleLawError, ValueError) as exc:

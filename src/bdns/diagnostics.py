@@ -35,6 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
+from ._workspace import _harmonic_face, _Workspace
 from .grid import PeriodicGrid, State, _cutoff, _power, grad, integrate, lp_norm
 
 
@@ -59,34 +60,26 @@ class MomentParams:
             )
 
 
-@dataclass
-class _EnergyScratch:
-    """Buffers that a bundle writes the energy's fields into instead of
-    allocating them, each of the density's shape (``sru`` and ``sru_sq`` of
-    the momentum's, ``wet`` boolean); a buffer left None is allocated.  The
-    solver passes its workspace's, so that the per-step energy allocates no
-    field."""
-
-    rho: np.ndarray | None = None
-    wet: np.ndarray | None = None
-    sqrt_rho: np.ndarray | None = None
-    sru: np.ndarray | None = None
-    sru_sq: np.ndarray | None = None
-    sru2: np.ndarray | None = None
-    pressure: np.ndarray | None = None
-    density: np.ndarray | None = None
-
-
 class _Fields:
     """One state's derived fields, each computed at most once, and the single
-    definition of every functional on them.  The clamped density and the wet
-    cells (rho > eps_vac) are computed up front; sqrt(rho), the velocity and
-    the weighted momentum sqrt(rho) u when first asked for, the last two
-    through :func:`~bdns.grid._cutoff`, so that they vanish on dry cells.
-    With ``scratch`` the fields of the energy are written into its buffers."""
+    definition of every functional on them: the one bundle of a state.  The
+    clamped density and the wet cells (rho > eps_vac) are computed up front;
+    sqrt(rho), the cutoff velocity m / rho and the weighted momentum
+    sqrt(rho) u when first asked for, the last two through
+    :func:`~bdns.grid._cutoff`, so that they vanish on dry cells.
+
+    The solver's bundles take its workspace ``work`` and write their fields
+    into its buffers (see ``_Workspace.bundle_out``); the fields of the
+    energy go to scratch lanes and hold until a kernel next runs.  Such a
+    bundle also gives the stage kernels their fields, computed when it is
+    made, since they pass through lanes that the stencils write: the wave
+    speed |u| + c per cell with the largest |u| and sound speed c of each
+    member (``speed``, ``umax``, ``cmax``) and the harmonic face viscosity
+    of every axis (``h_face``).  The kernels' g(rho) (``g``) is computed
+    when first asked for."""
 
     def __init__(self, state: State, grid: PeriodicGrid, law, gamma: float | None,
-                 eps_vac: float, scratch: _EnergyScratch | None = None):
+                 eps_vac: float, work: _Workspace | None = None):
         if eps_vac <= 0:
             raise ValueError("eps_vac must be positive")
         state.check_shapes(grid)
@@ -94,28 +87,53 @@ class _Fields:
         self.grid = grid
         self.law = law
         self.gamma = gamma
-        self.eps_vac = eps_vac
-        self._out = scratch or _EnergyScratch()
-        self.rho = np.maximum(state.rho, 0.0, out=self._out.rho)
-        self.wet = np.greater(state.rho, eps_vac, out=self._out.wet)
+        out = self._out = {} if work is None else work.bundle_out
+        self.rho = np.maximum(state.rho, 0.0, out=out.get("rho"))
+        self.wet = np.greater(state.rho, eps_vac, out=out.get("wet"))
+        if work is None:
+            return
+        # the stage kernels' fields, before any stencil writes a lane
+        umag = np.sum(np.square(self.u, out=out["u_sq"]), axis=0, out=out["umag"])
+        np.sqrt(umag, out=umag)
+        cs = _power(self.rho, gamma - 1.0, out["cs"])
+        np.multiply(gamma, cs, out=cs)
+        np.sqrt(cs, out=cs)
+        self.umax = umag.max(axis=self.grid.axes)
+        self.cmax = cs.max(axis=self.grid.axes)
+        self.speed = np.add(umag, cs, out=out["speed"])
+        self.h_face = tuple(_harmonic_face(self.h, s, face)
+                            for s, face in zip(work.axes, out["h_face"]))
+
+    @cached_property
+    def g(self):
+        """g(rho) for the stage kernels: None when it is zero in every cell,
+        and never evaluated for a law whose g vanishes identically."""
+        if self.law.g_vanishes:
+            return None
+        g = self.law.g(self.rho)
+        return g if (g != 0.0).any() else None
 
     @cached_property
     def sqrt_rho(self):
-        return np.sqrt(self.rho, out=self._out.sqrt_rho)
+        return np.sqrt(self.rho, out=self._out.get("sqrt_rho"))
 
     @cached_property
     def u(self):
-        return _cutoff(self.state.mom, self.rho, self.wet)
+        # an overflowing velocity is no error here: stable_dt reports it
+        with np.errstate(over="ignore"):
+            return _cutoff(self.state.mom, self.rho, self.wet, self._out.get("u"),
+                           dry=self._out.get("dry"))
 
     @cached_property
     def sqrt_rho_u(self):
-        return _cutoff(self.state.mom, self.sqrt_rho, self.wet, out=self._out.sru)
+        return _cutoff(self.state.mom, self.sqrt_rho, self.wet, self._out.get("sqrt_rho_u"),
+                       dry=self._out.get("dry"))
 
     @cached_property
     def sru2(self):
         # |sqrt(rho) u|^2
-        sq = np.square(self.sqrt_rho_u, out=self._out.sru_sq)
-        return np.sum(sq, axis=0, out=self._out.sru2)
+        sq = np.square(self.sqrt_rho_u, out=self._out.get("sru_sq"))
+        return np.sum(sq, axis=0, out=self._out.get("sru2"))
 
     @cached_property
     def grad_u(self):
@@ -145,7 +163,7 @@ class _Fields:
 
     @cached_property
     def pressure(self):
-        p = _power(self.rho, self.gamma, self._out.pressure)
+        p = _power(self.rho, self.gamma, self._out.get("pressure"))
         return np.divide(p, self.gamma - 1.0, out=p)
 
     @cached_property
@@ -161,7 +179,7 @@ class _Fields:
     # -- functionals ---------------------------------------------------------
 
     def energy(self) -> float:
-        density = np.multiply(0.5, self.sru2, out=self._out.density)
+        density = np.multiply(0.5, self.sru2, out=self._out.get("density"))
         return integrate(np.add(density, self.pressure, out=density), self.grid)
 
     def dissipation(self) -> float:
@@ -216,12 +234,11 @@ class _Fields:
         }
 
 
-def energy(state: State, grid: PeriodicGrid, gamma: float, eps_vac: float, *,
-           _scratch: _EnergyScratch | None = None) -> float:
+def energy(state: State, grid: PeriodicGrid, gamma: float, eps_vac: float) -> float:
     """Total energy: kinetic (via the weighted momentum) plus pressure potential."""
-    if gamma <= 1.0:
+    if not gamma > 1.0:
         raise ValueError("gamma must exceed 1")
-    return _Fields(state, grid, None, gamma, eps_vac, _scratch).energy()
+    return _Fields(state, grid, None, gamma, eps_vac).energy()
 
 
 def dissipation(state: State, grid: PeriodicGrid, law, eps_vac: float) -> float:
@@ -259,18 +276,6 @@ def moment_rhs(state: State, grid: PeriodicGrid, law, gamma: float, delta: float
     return _Fields(state, grid, law, gamma, eps_vac).moment_rhs(delta)
 
 
-APRIORI_COLUMNS = (
-    "sqrt_rho_u_L2_eq19",
-    "rho_L1_eq19",
-    "rho_Lgamma_eq19",
-    "sqrt_h_grad_u_L2_eq19",
-    "hprime_grad_sqrt_rho_L2_eq20",
-    "sqrt_hprime_rho_gm2_grad_rho_L2_eq20",
-    "sqrt_rho_grad_u_L2_eq21",
-    "grad_sqrt_rho_L2_eq21",
-    "grad_rho_gamma_half_L2_eq21",
-)
-
 COMPACTNESS_COLUMNS = (
     "rho_gamma_L53_lemma42",
     "sqrt_rho_u_L2p2alpha_lemma43",
@@ -291,6 +296,8 @@ TIME_AGGREGATION = {
     "grad_sqrt_rho_L2_eq21": "sup",
     "grad_rho_gamma_half_L2_eq21": "l2",
 }
+
+APRIORI_COLUMNS = tuple(TIME_AGGREGATION)
 
 
 def apriori_bounds(state: State, grid: PeriodicGrid, law, gamma: float,

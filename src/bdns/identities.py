@@ -31,7 +31,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from .grid import PeriodicGrid, integrate, spectral_grad, spectral_div, spectral_lap
-from .viscosity import find_max_nu
+from .viscosity import TamperedLaw, find_max_nu
 
 TOL_ABS = 1e-8
 ORDER_MIN = 4.0
@@ -581,7 +581,10 @@ def _moment_check(mf: ManufacturedField, law, gamma: float, delta: float, nu: fl
     if not 0.0 < delta < 2.0:
         raise ValueError(f"delta must lie in (0, 2), got {delta}")
     if nu is None:
-        nu = find_max_nu(law, gamma=max(gamma, 1.5), N=mf.dim)
+        # a tampered pair fails condition (10) for every nu: the negative
+        # control takes the nu of the law it wraps
+        base = law.base if isinstance(law, TamperedLaw) else law
+        nu = find_max_nu(base, gamma=max(gamma, 1.5), N=mf.dim)
         if nu is None:
             raise ValueError("law admits no feasible nu; pass one explicitly")
     if delta >= nu / 4.0:

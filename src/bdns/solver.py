@@ -18,22 +18,23 @@ periodic halo (two ghost cells for the limited slopes, one for faces), and
 fluxes live on the n + 1 faces of an axis, so a flux difference is
 ``f[1:] - f[:-1]``; the density and the momentum components are
 reconstructed together, stacked on a leading axis.  The fields that depend
-on the state alone (clamped density, wave speed, face viscosity, g) are
-computed once per state in a private bundle that ``run_members`` shares
-between ``stable_dt`` and the first stage of ``step``.
+on the state alone (clamped density, wet cells, cutoff velocity, wave speed,
+face viscosity, g) come from the state's one bundle,
+``diagnostics._Fields``, made once per state: the new state of a step gets
+its bundle once, for its per-step energy, the next ``stable_dt`` and the
+first stage of the next step.
 
 Every field-sized array of a step (the stage states, the new state, the
-stage derivatives, the bundle, the stencil scratch and the fields of the
-per-step ``diagnostics.energy``) is written with ``out=`` into one private
-workspace, allocated when ``run_members`` starts a batch and rebuilt when a
-member leaves it, so that a step allocates no field beyond what the
-viscosity law's own evaluation allocates; the stencils of every axis share
-its scratch.  ``run_members`` hands it to the kernels as their private
+stage derivatives, the bundle's fields and the stencil scratch) is written
+with ``out=`` into one private workspace, allocated when ``run_members``
+starts a batch and rebuilt when a member leaves it, so that a step
+allocates no field beyond what the viscosity law's own evaluation
+allocates.  ``run_members`` hands it to the kernels as their private
 ``_work`` keyword; without it, the public ``rhs``, ``stable_dt`` and
 ``step`` run the same code on a throwaway workspace, whose arrays the
-caller then owns.  Each cell value takes the same
-operations, in the same order, as the plain per-cell formula, so neither
-the layout nor the workspace changes a result.
+caller then owns.  Each cell value takes the same operations, in the same
+order, as the plain per-cell formula, so neither the layout nor the
+workspace changes a result.
 
 Stencils and reductions index the grid axes from the end, so the same
 kernel advances one state or a batch of ensemble members stacked on a
@@ -57,7 +58,7 @@ from typing import Callable
 import numpy as np
 
 from . import diagnostics
-from .diagnostics import EntropyLedger, MomentParams, ledger_row
+from .diagnostics import EntropyLedger, MomentParams, _Fields, ledger_row
 from ._workspace import _face_states, _Workspace
 from .grid import PeriodicGrid, State, _cutoff, _ddx, _grid_axes, _halo, _power
 from .viscosity import AdmissibilityParams, ViscosityLaw, validate
@@ -132,6 +133,18 @@ def _resolve_eps_vac(config: SolverConfig, initial: State) -> float:
     return 1e-10 * peak
 
 
+def _bundle(state: State, config: SolverConfig, work: _Workspace) -> _Fields:
+    """The bundle of ``state`` in ``work``: the workspace's own when its
+    kernels last read this very state, else a new one that takes its place.
+    The kernels never change a state they read, and the stage loop makes a
+    new one for every stage."""
+    f = work.fields
+    if f is None or f.state is not state:
+        f = work.fields = _Fields(state, config.grid, config.law, config.gamma,
+                                  config.eps_vac, work)
+    return f
+
+
 def rhs(state: State, config: SolverConfig, *, _work: _Workspace | None = None
         ) -> tuple[np.ndarray, np.ndarray]:
     """Semi-discrete right-hand side (d rho/dt, d m/dt)."""
@@ -140,7 +153,7 @@ def rhs(state: State, config: SolverConfig, *, _work: _Workspace | None = None
     if eps_vac is None:
         raise ValueError("rhs needs a resolved eps_vac on the config")
     work = _Workspace(config, state.rho.shape) if _work is None else _work
-    f = work.fields.of(state, config)
+    f = _bundle(state, config, work)
 
     drho, dmom = work.drho, work.dmom
     drho.fill(0.0)
@@ -184,10 +197,9 @@ def rhs(state: State, config: SolverConfig, *, _work: _Workspace | None = None
 
     # shear viscosity in compact flux form; harmonic face coefficient so the
     # flux degenerates with the density at dry faces
-    u = f.velocity(state, work.u)
     for s, h, h_face in zip(work.axes, grid.spacing, f.h_face):
         cut, flux, d = s.cut, s.face_v, work.shear
-        up = _halo(u, cut, 1, s.pad_v)
+        up = _halo(f.u, cut, 1, s.pad_v)
         np.subtract(up[cut.hi], up[cut.lo], out=flux)
         np.multiply(h_face, np.divide(flux, h, out=flux), out=flux)
         np.subtract(flux[cut.hi], flux[cut.lo], out=d)
@@ -198,7 +210,7 @@ def rhs(state: State, config: SolverConfig, *, _work: _Workspace | None = None
         div_u = work.div_u
         div_u.fill(0.0)
         for a, s in enumerate(work.axes):
-            np.add(div_u, _ddx(u[a], grid, a, s.pad, work.diff_c), out=div_u)
+            np.add(div_u, _ddx(f.u[a], grid, a, s.pad, work.diff_c), out=div_u)
         np.multiply(f.g, div_u, out=div_u)
         for a, s in enumerate(work.axes):
             np.add(dmom[a], _ddx(div_u, grid, a, s.pad, work.diff_c), out=dmom[a])
@@ -229,7 +241,7 @@ def stable_dt(state: State, config: SolverConfig, *, _work: _Workspace | None = 
     if eps_vac is None:
         raise ValueError("stable_dt needs a resolved eps_vac on the config")
     work = _Workspace(config, state.rho.shape) if _work is None else _work
-    f = work.fields.of(state, config)
+    f = _bundle(state, config, work)
     dx = min(grid.spacing)
     rate, term, diff_all = work.rate, work.term, work.diff_all
     rate.fill(0.0)
@@ -482,7 +494,6 @@ def _advance(cfg: SolverConfig, members: list, results: list):
     """Step started members, given as (index, state, trajectory, ledger), to
     t_end, filling ``results``.  One member steps as a single state, more as
     a batch: states stacked on a leading axis, times and dt vectors."""
-    grid = cfg.grid
     if len(members) == 1:
         state = members[0][1]
     else:
@@ -537,8 +548,9 @@ def _advance(cfg: SolverConfig, members: list, results: list):
                     return
                 clamps, zeros = clamps[keep], zeros[keep]
             t = np.atleast_1d(state.t)
-            energy = np.atleast_1d(diagnostics.energy(state, grid, cfg.gamma, cfg.eps_vac,
-                                                      _scratch=work.energy_scratch))
+            # the new state's bundle serves its energy, the next stable_dt
+            # and the next step's first stage
+            energy = np.atleast_1d(_bundle(state, cfg, work).energy())
             for k, (_, traj, ledger) in enumerate(rows):
                 traj.step_count += 1
                 traj.clamp_count += int(clamps[k])

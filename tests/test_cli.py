@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from bdns import cli
 from bdns.cli import cli_main
 from bdns.grid import load_checkpoint
 
@@ -113,13 +114,16 @@ def test_verify_identities_malformed_law_is_one_line(capsys, law):
     assert len(err) == 1 and "bad --law" in err[0], err
 
 
-def test_verify_identities_tampered_pair_without_nu_is_one_line(capsys):
+def test_verify_identities_tampered_pair_without_nu_fails(capsys):
+    # the negative control takes nu from the law it wraps, and fails the
+    # combined identity in 1D and in 2D
     code = cli_main([
         "verify-identities", "--law", '{"terms": [[1, 1]]}', "--g-override", "1.0",
         "--grids", "32,64",
     ])
-    assert code in (1, 2)
-    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+    out, err = capsys.readouterr()
+    failed = [line.split(":")[0] for line in out.splitlines() if line.startswith("FAIL")]
+    assert code == 1 and err == "" and failed == ["FAIL bd_combination"] * 2
 
 
 def simulate_usage_error(tmp_path, capsys, **overrides):
@@ -226,10 +230,15 @@ def test_verify_identities_gamma_not_above_one_is_one_line(capsys, gamma):
     ("verify-identities", "--out"),
     ("simulate", "--checkpoint"),
     ("simulate", "--ledger"),
+    ("simulate", "--jsonl"),
     ("stability-study", "--out"),
     ("stability-study", "--ledger-dir"),
 ])
-def test_unwritable_output_is_one_line(tmp_path, capsys, command, flag):
+def test_unwritable_output_is_one_line(tmp_path, monkeypatch, capsys, command, flag):
+    # simulate and stability-study check their outputs before the solver runs
+    calls = []
+    monkeypatch.setattr(cli, "run", lambda *a: calls.append("run"))
+    monkeypatch.setattr(cli, "run_study", lambda *a: calls.append("run_study"))
     (tmp_path / "file").write_text("")
     target = tmp_path / "file" / "out"  # a regular file cannot hold it
     if command == "verify-identities":
@@ -237,6 +246,15 @@ def test_unwritable_output_is_one_line(tmp_path, capsys, command, flag):
     else:
         path = write_config(tmp_path, study={"sigma0": 0.05, "n_max": 1}, t_end=2e-4)
         args = ["--config", str(path)]
-    code = cli_main([command, *args, flag, str(target)])
+    if flag == "--jsonl":  # the ledger is writable, its JSON-lines mirror is not
+        target = tmp_path / "ledger.csv.jsonl"
+        target.mkdir()
+        args += ["--checkpoint", str(tmp_path / "final.bdns"),
+                 "--ledger", str(tmp_path / "ledger.csv"), "--jsonl"]
+    else:
+        args += [flag, str(target)]
+    before = sorted(tmp_path.rglob("*"))
+    code = cli_main([command, *args])
     err = capsys.readouterr().err.strip().splitlines()
     assert code == 2 and len(err) == 1 and f"cannot write {target}: " in err[0], err
+    assert calls == [] and sorted(tmp_path.rglob("*")) == before

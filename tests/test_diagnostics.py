@@ -175,6 +175,13 @@ def test_moment_delta_range_enforced():
         moment_rhs(st0, grid, LINEAR, 2.0, -0.1, EPS)
 
 
+@pytest.mark.parametrize("gamma", [1.0, 0.5, float("nan")])
+def test_energy_rejects_gamma_not_above_one(gamma):
+    grid = PeriodicGrid((16,))
+    with pytest.raises(ValueError, match="gamma must exceed 1"):
+        energy(make_initial("smooth_bump", grid), grid, gamma, EPS)
+
+
 def test_moment_params_validation():
     MomentParams(0.05, 0.02).validate(nu=0.9)
     with pytest.raises(ValueError):

@@ -215,12 +215,16 @@ def test_hypothesis_table_matches_first_ledger_row():
         assert row["moment"] == first["M_delta_lemma32"]
 
 
-def test_stability_demo_runs():
-    # the demo is the public-API user of run_study
-    root = Path(__file__).resolve().parents[1]
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
+def test_demo_runs(demo):
+    # the demos are the public API's users; demo 05 is the one of run_study
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "demos/05_stability_study.py"], cwd=root, env=env,
+    proc = subprocess.run([sys.executable, str(demo)], cwd=demo.parents[1], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert "partial: False" in proc.stdout
+    if demo.stem == "05_stability_study":
+        assert "partial: False" in proc.stdout

@@ -1,6 +1,8 @@
+import gc
 import math
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -870,23 +872,51 @@ def test_stage_loop_allocates_no_field(monkeypatch):
 
 @pytest.mark.parametrize("sizes", [(512,), (40, 48)])
 def test_energy_in_workspace_lanes_allocates_no_field(sizes):
-    # the per-step energy writes every field into lanes of the run's
-    # workspace, and gets the value the allocating call gets
+    # the solver's bundle of a state writes its energy's fields into lanes
+    # of the run's workspace, and gets the value the allocating call gets
     grid = PeriodicGrid(sizes)
     cfg = make_config(grid)
     states = [rough_state(grid, 0), make_initial("vacuum_bump", grid),
               State(0.0, np.zeros(grid.sizes), np.zeros((grid.dim, *grid.sizes)))]
     for st in [*states, stack(states)]:
-        scratch = solver._Workspace(cfg, st.rho.shape).energy_scratch
+        bundle = solver._bundle(st, cfg, solver._Workspace(cfg, st.rho.shape))
         want = diagnostics.energy(st, grid, cfg.gamma, cfg.eps_vac)
         tracemalloc.start()
         try:
-            got = diagnostics.energy(st, grid, cfg.gamma, cfg.eps_vac, _scratch=scratch)
+            got = bundle.energy()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert bits(np.asarray(got)) == bits(np.asarray(want))
         assert peak < states[0].rho.nbytes
+
+
+def test_finished_run_frees_its_workspace(monkeypatch):
+    # a workspace holds the bundle of the state its kernels last read, and
+    # the bundle holds the workspace's arrays but not the workspace: with no
+    # reference cycle between them, a run's workspaces are freed when the
+    # run returns, without a garbage collection
+    made = []
+    real = solver._Workspace
+
+    def tracked(*args):
+        work = real(*args)
+        made.append(weakref.ref(work))
+        return work
+
+    monkeypatch.setattr(solver, "_Workspace", tracked)
+    grid = PeriodicGrid((32,))
+    cfg = make_config(grid, t_end=2e-4, ledger_stride=3)
+    inits = [make_initial("smooth_bump", grid), make_initial("vacuum_bump", grid)]
+    gc.disable()
+    try:
+        (traj, _), = solver.run_members(cfg, inits[:1])
+        results = solver.run_members(cfg, inits)
+        alive = [ref for ref in made if ref() is not None]
+    finally:
+        gc.enable()
+    assert traj.step_count >= 2 and len(made) == 2 and not alive
+    assert all(not isinstance(res, Exception) for res in results)
 
 
 def test_results_own_their_arrays():
