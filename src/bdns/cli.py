@@ -118,6 +118,8 @@ def _write_text(path, text: str):
 
 def _cmd_validate_law(args) -> int:
     setup = _load(args.config)
+    if args.out:
+        _probe(args.out)
     report = validate(setup.config.law, setup.config.params)
     text = report.dumps()
     if args.out:
@@ -164,6 +166,8 @@ def _cmd_verify_identities(args) -> int:
         grids = [int(n) for n in args.grids.split(",") if n]
     except ValueError as exc:
         raise _Usage(f"bad --dims/--grids: {exc}") from exc
+    if args.out:
+        _probe(args.out)
 
     reports = []
     for dim in dims:
@@ -240,3 +244,7 @@ def cli_main(argv=None) -> int:
 
 def main():
     raise SystemExit(cli_main())
+
+
+if __name__ == "__main__":
+    main()

@@ -34,7 +34,6 @@ class RunSetup:
     config: SolverConfig
     initial: State
     study: InitialDataSpec | None = None
-    initial_spec: dict | None = None
 
 
 def _require(obj: dict, key: str):
@@ -110,7 +109,7 @@ def parse_config(obj: dict) -> RunSetup:
             )
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
-    return RunSetup(config=config, initial=initial, study=study, initial_spec=init_spec)
+    return RunSetup(config=config, initial=initial, study=study)
 
 
 def load_config(path) -> RunSetup:

@@ -36,7 +36,8 @@ from functools import cached_property
 import numpy as np
 
 from ._workspace import _harmonic_face, _Workspace
-from .grid import PeriodicGrid, State, _cutoff, _power, grad, integrate, lp_norm
+from .grid import (PeriodicGrid, State, _cutoff, _power, _wave_vector, grad, integrate,
+                   lp_norm)
 
 
 @dataclass(frozen=True)
@@ -469,10 +470,7 @@ def make_test_fields(dim: int, t_end: float, seed: int = 0, count: int = 3,
         modes = []
         for c in range(dim):
             for _ in range(2):
-                while True:
-                    kvec = tuple(int(k) for k in rng.integers(-kmax, kmax + 1, size=dim))
-                    if any(k != 0 for k in kvec):
-                        break
+                kvec = _wave_vector(rng, dim, kmax)
                 amp = float(rng.uniform(0.3, 1.0))
                 phase = float(rng.uniform(0.0, 2.0 * math.pi))
                 modes.append((c, amp, kvec, phase))

@@ -264,6 +264,15 @@ def spectral_lap(f: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
     return spectral_div(spectral_grad(f, grid), grid)
 
 
+def _wave_vector(rng: np.random.Generator, dim: int, kmax: int) -> tuple[int, ...]:
+    """A nonzero integer wave vector with entries in [-kmax, kmax]: ``rng``
+    draws whole vectors until one is nonzero."""
+    while True:
+        kvec = tuple(int(k) for k in rng.integers(-kmax, kmax + 1, size=dim))
+        if any(kvec):
+            return kvec
+
+
 def integrate(f: np.ndarray, grid: PeriodicGrid) -> float | np.ndarray:
     """Midpoint quadrature over the torus; one value per member for a batch
     of fields."""

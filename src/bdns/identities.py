@@ -30,12 +30,18 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .grid import PeriodicGrid, integrate, spectral_grad, spectral_div, spectral_lap
+from .grid import (PeriodicGrid, _wave_vector, integrate, spectral_grad, spectral_div,
+                   spectral_lap)
 from .viscosity import TamperedLaw, find_max_nu
 
 TOL_ABS = 1e-8
 ORDER_MIN = 4.0
 RESIDUAL_FLOOR = 1e-13
+# A scale below this share of the field's natural magnitude (``_Ctx.natural``)
+# is round-off: the terms of a true identity whose integrands cancel by the
+# orthogonality of the field's modes.  Measured against this floor, their
+# defect, about 1e-15 of the natural magnitude, reads about 1e-9, not O(1).
+SCALE_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -118,14 +124,9 @@ def manufactured_field(dim: int, seed: int = 0, n_modes: int = 2, kmax: int = 2,
     def draw_modes(total_amp):
         amps = rng.uniform(0.4, 1.0, size=n_modes)
         amps *= total_amp / np.sum(amps)
-        modes = []
-        for a in amps:
-            while True:
-                kvec = tuple(int(k) for k in rng.integers(-kmax, kmax + 1, size=dim))
-                if any(k != 0 for k in kvec):
-                    break
-            modes.append((float(a), kvec, float(rng.uniform(0.0, 2.0 * math.pi))))
-        return tuple(modes)
+        # each mode draws its wave vector, then its phase
+        return tuple((float(a), _wave_vector(rng, dim, kmax),
+                      float(rng.uniform(0.0, 2.0 * math.pi))) for a in amps)
 
     if np.isscalar(u_mean):
         u_mean = tuple(float(u_mean) * (1.0 if c == 0 else -0.7) for c in range(dim))
@@ -149,10 +150,7 @@ def gradient_flow_field(dim: int, seed: int = 0, n_modes: int = 2, kmax: int = 2
     rng = np.random.default_rng(seed + 1)
     chi_modes = []
     for _ in range(n_modes):
-        while True:
-            kvec = tuple(int(k) for k in rng.integers(-kmax, kmax + 1, size=dim))
-            if any(k != 0 for k in kvec):
-                break
+        kvec = _wave_vector(rng, dim, kmax)
         chi_modes.append((float(rng.uniform(0.5, 1.0) * amp), kvec,
                           float(rng.uniform(0.0, 2.0 * math.pi))))
     # d_j of a*cos(arg + p) is (a*kw_j)*cos(arg + p + pi/2)
@@ -273,6 +271,17 @@ class _Ctx:
         return integrate(f, self.grid)
 
     @cached_property
+    def natural(self):
+        """int rho (|grad u|^2 + |grad phi|^2): the size of the velocity and
+        density gradients every identity's terms are built from."""
+        return self.int_(self.rho * (self.grad_u_sq + np.sum(self.w**2, axis=0)))
+
+    def norm(self, value: float, scale: float) -> float:
+        """|value| relative to the scale of an identity's terms, floored at
+        the round-off level of the natural magnitude (see SCALE_FLOOR)."""
+        return abs(value) / max(scale, SCALE_FLOOR * self.natural, 1e-30)
+
+    @cached_property
     def d_dt_kinetic(self):
         """d/dt int rho|u|^2/2 via the chain rule through (rho, m)."""
         udm = np.sum(self.u * self.dt_m, axis=0)
@@ -369,10 +378,6 @@ def fitted_order(grids, residuals) -> float:
     return float(np.polyfit(x, y, 1)[0])
 
 
-def _norm(value: float, scale: float) -> float:
-    return abs(value) / max(scale, 1e-300)
-
-
 def _certify(mf: ManufacturedField, law, gamma: float, grids, checks) -> list[IdentityReport]:
     """One finalized report per (identity name, body) in checks.  Each grid
     gets one spectral context, shared by all the bodies; a body returns the
@@ -395,14 +400,14 @@ def _certify(mf: ManufacturedField, law, gamma: float, grids, checks) -> list[Id
 def _energy_step(c: _Ctx):
     lhs = c.d_dt_kinetic + c.d_dt_pressure
     rhs = -c.visc_h - c.visc_g
-    scale = max(abs(c.d_dt_kinetic), abs(c.d_dt_pressure), abs(c.visc_h), abs(c.visc_g), 1e-30)
+    scale = max(abs(c.d_dt_kinetic), abs(c.d_dt_pressure), abs(c.visc_h), abs(c.visc_g))
     terms = {
         "d_dt_kinetic": c.d_dt_kinetic,
         "d_dt_pressure": c.d_dt_pressure,
         "visc_h": c.visc_h,
         "visc_g": c.visc_g,
     }
-    return {"equality": _norm(lhs - rhs, scale)}, {}, terms
+    return {"equality": c.norm(lhs - rhs, scale)}, {}, terms
 
 
 def verify_energy_step(mf: ManufacturedField, law, gamma: float, grids) -> IdentityReport:
@@ -423,8 +428,8 @@ def _grad_phi_transport(c: _Ctx):
     t3 = c.int_(c.rho * w2 * c.div_u)
     lhs = c.d_dt_half_sq
     rhs = t1 + t2 + t3
-    scale = max(abs(t1), abs(t2), abs(t3), abs(lhs), 1e-30)
-    return {"equality": _norm(lhs - rhs, scale)}, {}, {"lhs": lhs, "t1": t1, "t2": t2, "t3": t3}
+    scale = max(abs(t1), abs(t2), abs(t3), abs(lhs))
+    return {"equality": c.norm(lhs - rhs, scale)}, {}, {"lhs": lhs, "t1": t1, "t2": t2, "t3": t3}
 
 
 def verify_step2(mf: ManufacturedField, law, grids) -> IdentityReport:
@@ -439,12 +444,12 @@ def _cross_term_expansion(c: _Ctx):
     # (a) d/dt int rho u . grad phi = int grad phi . dt m + int (div m)^2 phi'
     direct = c.d_dt_cross
     via_ibp = c.int_(np.sum(w * c.dt_m, axis=0)) + c.int_(c.phi_p * c.div_m**2)
-    scale_a = max(abs(direct), abs(via_ibp), 1e-30)
+    scale_a = max(abs(direct), abs(via_ibp))
 
     # (b1) int grad(g div u) . grad phi = - int g lap(phi) div u
     lhs_g = c.int_(np.sum(c.visc_g_term * w, axis=0))
     rhs_g = -c.int_(c.g * c.lap_phi * c.div_u)
-    scale_g = max(abs(lhs_g), abs(rhs_g), 1e-30)
+    scale_g = max(abs(lhs_g), abs(rhs_g))
 
     # (b2) int div(h grad u) . grad phi expanded into three terms
     lhs_h = c.int_(np.sum(c.visc_h_term * w, axis=0))
@@ -459,11 +464,11 @@ def _cross_term_expansion(c: _Ctx):
         - c.int_(np.sum(grad_h * w, axis=0) * c.div_u)
         - c.int_(c.h * c.lap_phi * c.div_u)
     )
-    scale_h = max(abs(lhs_h), abs(rhs_h), 1e-30)
+    scale_h = max(abs(lhs_h), abs(rhs_h))
     residuals = {
-        "cross_derivative": _norm(direct - via_ibp, scale_a),
-        "g_pairing": _norm(lhs_g - rhs_g, scale_g),
-        "h_pairing": _norm(lhs_h - rhs_h, scale_h),
+        "cross_derivative": c.norm(direct - via_ibp, scale_a),
+        "g_pairing": c.norm(lhs_g - rhs_g, scale_g),
+        "h_pairing": c.norm(lhs_h - rhs_h, scale_h),
     }
     return residuals, {}, {"cross_direct": direct, "g_lhs": lhs_g, "h_lhs": lhs_h}
 
@@ -487,7 +492,7 @@ def _bd_combination(c: _Ctx):
 
     lhs4 = -c.int_(np.sum(w * c.conv_term, axis=0)) + c.int_(c.phi_p * c.div_m**2)
     rhs4 = c.visc_g + transpose
-    scale = max(abs(lhs4), abs(rhs4), c.visc_h, 1e-30)
+    scale = max(abs(lhs4), abs(rhs4), c.visc_h)
     sym = c.visc_h - transpose
     d_ebd = c.d_dt_kinetic + c.d_dt_pressure + c.d_dt_cross + c.d_dt_half_sq
     balance = dissipation - (d_ebd + x_bd)
@@ -499,7 +504,7 @@ def _bd_combination(c: _Ctx):
         "lhs4": lhs4, "rhs4": rhs4, "visc_h": c.visc_h, "visc_g": c.visc_g,
         "d_dt_entropy": d_ebd, "x_bd": x_bd,
     }
-    return {"step4_chain": _norm(lhs4 - rhs4, scale)}, slacks, terms
+    return {"step4_chain": c.norm(lhs4 - rhs4, scale)}, slacks, terms
 
 
 def verify_bd_combination(mf: ManufacturedField, law, gamma: float, grids) -> IdentityReport:
@@ -542,7 +547,7 @@ def _moment_balance(c: _Ctx, delta: float, nu: float):
     pressure = c.int_(ud * np.sum(c.u * c.grad_p, axis=0))
 
     resid = d_dt_m + v_h + v_h_delta + v_g + v_g_delta + pressure
-    scale = max(abs(d_dt_m), v_h, abs(pressure), 1e-30)
+    scale = max(abs(d_dt_m), v_h, abs(pressure))
 
     # inequality links
     div_slack = c.int_(c.h * ud * (N * c.grad_u_sq - c.div_u**2))
@@ -572,7 +577,7 @@ def _moment_balance(c: _Ctx, delta: float, nu: float):
         "v_g": v_g, "v_g_delta": v_g_delta, "pressure": pressure,
         "moment_rhs": hold_bound, "nu": nu,
     }
-    return {"equality": _norm(resid, scale)}, slacks, terms
+    return {"equality": c.norm(resid, scale)}, slacks, terms
 
 
 def _moment_check(mf: ManufacturedField, law, gamma: float, delta: float, nu: float | None):

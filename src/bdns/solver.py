@@ -41,11 +41,16 @@ kernel advances one state or a batch of ensemble members stacked on a
 leading axis (see :class:`~bdns.grid.State`), each member with its own dt.
 :func:`run_members` steps a batch in one loop and gives every member exactly
 the trajectory and ledger of its own :func:`run`, which is its batch of one.
+A member's run ends in one way: ``stable_dt`` (no finite positive bound),
+a stage of ``step`` (a non-finite field) or the timestep floor raises a
+SolverError whose ``errors`` map gives each member that ends there (row 0
+for one state) its own error; ``run_members`` settles those members and
+redoes the step for the rest, which a failed step leaves untouched.
 
 Time stepping is strong-stability-preserving RK2 by default (classical RK4
-optional).  Negative densities are clamped to zero and momentum on
-sub-cutoff cells is zeroed; both events are counted and reported, never
-silent.  A forcing hook on the momentum equation exists solely for
+optional), both through one loop over the stage states.  Negative densities
+are clamped to zero and momentum on sub-cutoff cells is zeroed; both events
+are counted and reported, never silent.  A forcing hook on the momentum equation exists solely for
 manufactured-solution testing and is zero in physical runs.
 """
 
@@ -70,6 +75,15 @@ DT_FLOOR_FACTOR = 1e-12
 
 class SolverError(RuntimeError):
     """Aborted run (non-finite fields or timestep underflow)."""
+
+
+class _MemberErrors(SolverError):
+    """The runs of some members end: ``errors`` maps the row of each (0 for
+    one state) to the SolverError its run ends with; the text is the first."""
+
+    def __init__(self, errors: dict[int, SolverError]):
+        super().__init__(str(next(iter(errors.values()))))
+        self.errors = errors
 
 
 class NonAdmissibleLawError(ValueError):
@@ -234,8 +248,9 @@ def stable_dt(state: State, config: SolverConfig, *, _work: _Workspace | None = 
     underflow (the viscous rate at a cell scales with h/rho there, not with
     max h / min rho).
 
-    A batch gets one bound per member, NaN for a member whose own call raises
-    SolverError for want of a finite positive bound."""
+    A batch gets one bound per member.  A wet member without a finite
+    positive bound ends its run: the call raises SolverError, with the error
+    of every such member in its ``errors`` map (see :func:`step`)."""
     grid = config.grid
     eps_vac = config.eps_vac
     if eps_vac is None:
@@ -261,11 +276,13 @@ def stable_dt(state: State, config: SolverConfig, *, _work: _Workspace | None = 
         # an all-dry member: the viscous bound of a cell at the cutoff density
         h_ref = max(float(config.law.h(eps_vac)), 1e-300)
         dt = np.where(any_wet, dt, config.cfl * dx * dx * eps_vac / (2.0 * grid.dim * h_ref))
-    if np.ndim(dt):
-        return np.where(any_wet & ~(np.isfinite(dt) & (dt > 0)), math.nan, dt)
-    if any_wet and not (math.isfinite(dt) and dt > 0):
-        raise SolverError(f"no finite stable timestep (adv={float(adv)}, diff={float(diff)})")
-    return float(dt)
+    bad = any_wet & ~(np.isfinite(dt) & (dt > 0))
+    if bad.any():
+        adv, diff = np.ravel(adv), np.ravel(diff)
+        raise _MemberErrors({k: SolverError(f"no finite stable timestep (adv={float(adv[k])}, "
+                                            f"diff={float(diff[k])})")
+                             for k in np.flatnonzero(bad).tolist()})
+    return dt if np.ndim(dt) else float(dt)
 
 
 def _count(mask: np.ndarray, axes: tuple[int, ...]):
@@ -322,28 +339,26 @@ def _check_finite(state: State, where: str) -> dict[int, SolverError]:
     return failures
 
 
-def step(state: State, config: SolverConfig, dt, *, _work: _Workspace | None = None,
-         _failures: dict | None = None):
+def step(state: State, config: SolverConfig, dt, *, _work: _Workspace | None = None):
     """One explicit step of one state, or of a batch with one dt per member.
     Returns (new state, clamped cells, zeroed cells), the counts summed over
     every stage, per member for a batch.  A stage that leaves a non-finite
-    field raises SolverError (in a batch, that of its first such member).
+    field ends the run of each member it holds: the step raises SolverError,
+    with the error of every such member in its ``errors`` map, row 0 for one
+    state, and its text that of the first.
 
     Every stage state and the new state are written into the workspace
     ``_work``, in the state buffer that does not hold ``state`` (a throwaway
-    workspace for a public call, whose arrays the caller then owns).
-
-    ``run_members`` passes a dict as ``_failures`` to keep a batch going:
-    the row of each member whose fields turn non-finite is mapped to its
-    error and set to vacuum for the rest of the step, so that it computes
-    nothing further; that member's new state and counts are meaningless."""
+    workspace for a public call, whose arrays the caller then owns), so a
+    failed step leaves ``state`` as it was and the other members of a batch
+    can redo the step from it."""
     eps_vac = config.eps_vac
     if eps_vac is None:
         raise ValueError("step needs a resolved eps_vac on the config")
     work = _Workspace(config, state.rho.shape) if _work is None else _work
-    batch = np.ndim(state.t) > 0
+    rk4 = config.integrator == "RK4"
     # dt times a field: each member's dt scales every cell of that member
-    w = np.reshape(dt, (-1,) + (1,) * config.grid.dim) if batch else dt
+    w = np.reshape(dt, (-1,) + (1,) * config.grid.dim) if np.ndim(state.t) else dt
     rho, mom = work.spare(state)
     clamps = zeros = 0
 
@@ -354,46 +369,36 @@ def step(state: State, config: SolverConfig, dt, *, _work: _Workspace | None = N
         c, z = _apply_floors(rho, mom, eps_vac)
         clamps += c
         zeros += z
-        for k, exc in _check_finite(out, where).items():
-            if _failures is None or not batch:
-                raise exc
-            _failures.setdefault(k, exc)
-            rho[k] = 0.0
-            mom[:, k] = 0.0
+        failures = _check_finite(out, where)
+        if failures:
+            raise _MemberErrors(failures)
         return out
 
-    def advanced(scale, kr: np.ndarray, km: np.ndarray, t, where: str) -> State:
-        # state + scale * k, as state.rho + scale * kr
-        np.add(state.rho, np.multiply(scale, kr, out=rho), out=rho)
-        np.add(state.mom, np.multiply(scale, km, out=mom), out=mom)
-        return floored(t, where)
-
     kr, km = rhs(state, config, _work=work)
-    if config.integrator == "RK2_SSP":
-        s1 = advanced(w, kr, km, state.t + dt, "after stage 1")
-        kr, km = rhs(s1, config, _work=work)
-        # 0.5 * state + 0.5 * (s1 + w * k), the sums in that order
+    if rk4:  # acc sums k1 + 2 k2 + 2 k3 + k4 left to right
+        acc_r, acc_m = work.acc[0], work.acc[1:]
+        np.copyto(acc_r, kr)
+        np.copyto(acc_m, km)
+    # each stage state is state + c * w * k, k the derivative of the stage
+    # before, as state.rho + c * w * kr
+    for n, c in enumerate((0.5, 0.5, 1.0) if rk4 else (1.0,), start=1 + rk4):
+        np.add(state.rho, np.multiply(c * w, kr, out=rho), out=rho)
+        np.add(state.mom, np.multiply(c * w, km, out=mom), out=mom)
+        stage = floored(state.t + c * dt, f"after stage {n}")
+        if n > 2:  # k2 and k3 enter RK4's sum twice, once they made their stage
+            np.add(acc_r, np.multiply(2.0, kr, out=kr), out=acc_r)
+            np.add(acc_m, np.multiply(2.0, km, out=km), out=acc_m)
+        kr, km = rhs(stage, config, _work=work)
+    if rk4:  # state + w / 6 * (acc + k4)
+        np.add(acc_r, kr, out=acc_r)
+        np.add(acc_m, km, out=acc_m)
+        np.add(state.rho, np.multiply(w / 6.0, acc_r, out=acc_r), out=rho)
+        np.add(state.mom, np.multiply(w / 6.0, acc_m, out=acc_m), out=mom)
+    else:  # 0.5 * state + 0.5 * (s1 + w * k), the sums in that order
         for new, old, k in ((rho, state.rho, kr), (mom, state.mom, km)):
             np.add(new, np.multiply(w, k, out=k), out=k)
             np.multiply(0.5, k, out=k)
             np.add(np.multiply(0.5, old, out=new), k, out=new)
-        return floored(state.t + dt, "after step"), clamps, zeros
-    # RK4: acc sums k1 + 2 k2 + 2 k3 + k4 left to right
-    acc = work.acc
-    acc_r, acc_m = acc[0], acc[1:]
-    np.copyto(acc_r, kr)
-    np.copyto(acc_m, km)
-    for n, c in enumerate((0.5, 0.5, 1.0), start=2):
-        s = advanced(c * w, kr, km, state.t + c * dt, f"after stage {n}")
-        if n > 2:  # k2 and k3 enter the sum twice, once they made their stage
-            np.add(acc_r, np.multiply(2.0, kr, out=kr), out=acc_r)
-            np.add(acc_m, np.multiply(2.0, km, out=km), out=acc_m)
-        kr, km = rhs(s, config, _work=work)
-    np.add(acc_r, kr, out=acc_r)
-    np.add(acc_m, km, out=acc_m)
-    # state + w / 6 * acc
-    np.add(state.rho, np.multiply(w / 6.0, acc_r, out=acc_r), out=rho)
-    np.add(state.mom, np.multiply(w / 6.0, acc_m, out=acc_m), out=mom)
     return floored(state.t + dt, "after step"), clamps, zeros
 
 
@@ -508,17 +513,15 @@ def _advance(cfg: SolverConfig, members: list, results: list):
     t_tol = 1e-12 * cfg.t_end
 
     def leave(gone, outcome):
-        """Settle the members at rows ``gone`` and drop them from the batch;
-        returns the rows kept."""
+        """Settle the members at rows ``gone`` and drop them from the batch."""
         nonlocal rows, state, work
         for k in gone:
             results[rows[k][0]] = outcome(k)
         keep = [k for k in range(len(rows)) if k not in gone]
-        if gone and batch and keep:
+        if batch and keep:
             state = State(state.t[keep], state.rho[keep], state.mom[:, keep])
             work = _Workspace(cfg, state.rho.shape)
         rows = [rows[k] for k in keep]
-        return keep
 
     def finished(k):
         _, traj, ledger = rows[k]
@@ -533,20 +536,13 @@ def _advance(cfg: SolverConfig, members: list, results: list):
             continue
         try:
             dt = np.atleast_1d(stable_dt(state, cfg, _work=work))
-            if not (dt >= dt_floor).all():
-                failed = _dt_failures(state, cfg, dt, dt_floor)
-                leave(list(failed), failed.get)
-                continue
-            failed = {}
+            low = np.flatnonzero(dt < dt_floor).tolist()
+            if low:
+                raise _MemberErrors({k: SolverError(f"timestep underflow: required dt {dt[k]:.3g} "
+                                                    f"< floor {dt_floor:.3g}") for k in low})
             state, clamps, zeros = step(state, cfg, np.minimum(dt, cfg.t_end - t) if batch
-                                        else min(float(dt[0]), cfg.t_end - state.t),
-                                        _work=work, _failures=failed)
+                                        else min(float(dt[0]), cfg.t_end - state.t), _work=work)
             clamps, zeros = np.atleast_1d(clamps), np.atleast_1d(zeros)
-            if failed:
-                keep = leave(list(failed), failed.get)
-                if not rows:
-                    return
-                clamps, zeros = clamps[keep], zeros[keep]
             t = np.atleast_1d(state.t)
             # the new state's bundle serves its energy, the next stable_dt
             # and the next step's first stage
@@ -559,21 +555,9 @@ def _advance(cfg: SolverConfig, members: list, results: list):
                 traj.step_energies.append(float(energy[k]))
                 if traj.step_count % cfg.ledger_stride == 0 or t[k] >= cfg.t_end - t_tol:
                     _record(cfg, traj, ledger, _member(state, k).copy())
+        except _MemberErrors as exc:
+            # those members end; the rest redo the step from the state they
+            # still hold, which a failed step leaves as it was
+            leave(exc.errors, exc.errors.get)
         except Exception as exc:  # noqa: BLE001 - an error of the whole batch fails every member
-            leave(list(range(len(rows))), lambda k: exc)
-
-
-def _dt_failures(state: State, cfg: SolverConfig, dt: np.ndarray, dt_floor: float
-                 ) -> dict[int, SolverError]:
-    """The rows of ``state`` without a usable timestep, each with its error."""
-    failed = {}
-    for k in np.flatnonzero(np.isnan(dt)).tolist():
-        # only a batch marks a member without a stable dt: its own call says why
-        try:
-            stable_dt(_member(state, k), cfg)
-        except SolverError as exc:
-            failed[k] = exc
-    for k in np.flatnonzero(dt < dt_floor).tolist():
-        failed[k] = SolverError(f"timestep underflow: required dt {dt[k]:.3g} "
-                                f"< floor {dt_floor:.3g}")
-    return failed
+            leave(range(len(rows)), lambda k: exc)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -114,6 +118,17 @@ def test_verify_identities_malformed_law_is_one_line(capsys, law):
     assert len(err) == 1 and "bad --law" in err[0], err
 
 
+def test_module_runs_the_cli():
+    # `python -m bdns.cli` runs the command, so a scripted check sees its exit code
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "bdns.cli", "verify-identities", "--law", "5"],
+                          cwd=root, env=env, capture_output=True, text=True, timeout=120)
+    err = proc.stderr.strip().splitlines()
+    assert proc.returncode == 2 and len(err) == 1 and "bad --law" in err[0], proc.stderr
+
+
 def test_verify_identities_tampered_pair_without_nu_fails(capsys):
     # the negative control takes nu from the law it wraps, and fails the
     # combined identity in 1D and in 2D
@@ -124,6 +139,18 @@ def test_verify_identities_tampered_pair_without_nu_fails(capsys):
     out, err = capsys.readouterr()
     failed = [line.split(":")[0] for line in out.splitlines() if line.startswith("FAIL")]
     assert code == 1 and err == "" and failed == ["FAIL bd_combination"] * 2
+
+
+def test_verify_identities_passes_when_terms_vanish_by_orthogonality(capsys):
+    # in 1D this field's modes make every term of two identities vanish, so
+    # their terms and defects are round-off of an O(1) field
+    args = ["verify-identities", "--law", '{"terms": [[1, 1]]}', "--nu", "0.9", "--seed", "2007"]
+    assert cli_main(args) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    assert cli_main(args + ["--g-override", "1.0"]) == 1
+    failed = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()
+              if line.startswith("FAIL")]
+    assert failed == ["FAIL bd_combination"] * 2
 
 
 def simulate_usage_error(tmp_path, capsys, **overrides):
@@ -235,10 +262,10 @@ def test_verify_identities_gamma_not_above_one_is_one_line(capsys, gamma):
     ("stability-study", "--ledger-dir"),
 ])
 def test_unwritable_output_is_one_line(tmp_path, monkeypatch, capsys, command, flag):
-    # simulate and stability-study check their outputs before the solver runs
+    # every command checks its outputs before the work that fills them
     calls = []
-    monkeypatch.setattr(cli, "run", lambda *a: calls.append("run"))
-    monkeypatch.setattr(cli, "run_study", lambda *a: calls.append("run_study"))
+    for name in ("run", "run_study", "validate", "run_all_identities"):
+        monkeypatch.setattr(cli, name, lambda *a, name=name, **kw: calls.append(name))
     (tmp_path / "file").write_text("")
     target = tmp_path / "file" / "out"  # a regular file cannot hold it
     if command == "verify-identities":

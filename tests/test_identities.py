@@ -112,6 +112,18 @@ def test_identity_residuals_below_floor(dim, grids, law):
         assert rep.verdict, rep.identity
 
 
+@pytest.mark.parametrize("seed", [3, 11, 26])
+def test_identities_hold_when_terms_vanish_by_orthogonality(seed):
+    # the modes of these 2D fields make every term of the transport identity,
+    # or of a pairing, vanish: its terms and its defect are round-off (the
+    # 1D case is the verify-identities test of the command line)
+    mf = manufactured_field(2, seed=seed)
+    reports = run_all_identities(mf, LINEAR, 2.0, [32, 64, 128], nu=0.9)
+    assert [r.identity for r in reports if not r.verdict] == []
+    tampered = run_all_identities(mf, TamperedLaw(LINEAR, 1.0), 2.0, [32, 64, 128], nu=0.9)
+    assert [r.identity for r in tampered if not r.verdict] == ["bd_combination"]
+
+
 def test_one_dimensional_transpose_contraction_degenerates():
     # in 1D the transpose contraction equals |grad u|^2 identically
     mf = manufactured_field(1, seed=3)

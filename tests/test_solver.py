@@ -591,10 +591,18 @@ def test_batched_stable_dt_marks_a_member_without_a_bound():
     good = make_initial("smooth_bump", grid)
     # an overflowing velocity leaves no positive timestep
     bad = State(0.0, np.full(grid.sizes, 1e-5), np.full((1, 32), 1e305))
-    with pytest.raises(SolverError, match="no finite stable timestep"):
-        stable_dt(bad, cfg)
-    dts = stable_dt(stack([good, bad]), cfg)
-    assert dts[0] == stable_dt(good, cfg) and np.isnan(dts[1])
+    dry = State(0.0, np.zeros(grid.sizes), np.zeros((1, 32)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverError, match="no finite stable timestep") as solo:
+            stable_dt(bad, cfg)
+        with pytest.raises(SolverError) as batched:
+            stable_dt(stack([good, bad, dry, bad]), cfg)
+    # the all-dry member keeps its bound; each bad one ends with its own error
+    assert sorted(batched.value.errors) == [1, 3]
+    assert [str(e) for e in batched.value.errors.values()] == [str(solo.value)] * 2
+    assert str(batched.value) == str(solo.value)
+    assert list(solo.value.errors) == [0]
 
 
 def assert_same_run(got, want):
@@ -684,6 +692,49 @@ def test_run_members_drops_a_member_that_fails_mid_run(monkeypatch):
         assert_same_run(results[k], clean[k])
 
 
+def test_run_members_ends_members_below_the_timestep_floor():
+    grid = PeriodicGrid((32,))
+    cfg = make_config(grid, t_end=1e-4)
+    good = make_initial("smooth_bump", grid)
+    # a velocity of 1e15 needs a step below the floor of 1e-12 * t_end
+    fast = [State(0.0, np.ones(grid.sizes), np.full((1, 32), v)) for v in (1e15, 2e15)]
+    results = solver.run_members(cfg, [fast[0], good, fast[1]])
+    assert_same_run(results[1], run(cfg, good))
+    for res, init in zip(results[::2], fast):
+        with pytest.raises(SolverError, match="timestep underflow: required dt ") as solo:
+            run(cfg, init)
+        assert str(res) == str(solo.value)
+    assert str(results[0]) != str(results[2])
+
+
+def test_run_members_ends_two_members_at_different_stages_of_one_step(monkeypatch):
+    grid = PeriodicGrid((32,))
+    cfg = make_config(grid, t_end=3e-4, integrator="RK4")
+    initials = [make_initial("smooth_bump", grid, {"amp": a}) for a in (0.1, 0.2, 0.3)]
+    solo = run(cfg, initials[2])
+    real = solver.rhs
+    calls = []
+
+    def poisoned(state, config, *, _work=None):
+        calls.append(len(state.t))
+        dr, dm = real(state, config, _work=_work)
+        if len(calls) == 5:  # k1 of the second step: member 0 ends after stage 2
+            dr[0] = np.nan
+        if len(calls) == 7:  # k2 of that step, redone without member 0: member 1 after stage 3
+            dr[0] = np.nan
+        return dr, dm
+
+    monkeypatch.setattr(solver, "rhs", poisoned)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        results = solver.run_members(cfg, initials)
+    assert calls[:8] == [3, 3, 3, 3, 3, 2, 2, 1]
+    assert isinstance(results[0], SolverError) and isinstance(results[1], SolverError)
+    assert str(results[0]).startswith("non-finite fields after stage 2 ")
+    assert str(results[1]).startswith("non-finite fields after stage 3 ")
+    assert_same_run(results[2], solo)
+
+
 # -- viscosity laws whose g vanishes ------------------------------------------------
 
 
@@ -724,18 +775,16 @@ def test_batched_step_failure_is_the_members_own():
     good = make_initial("smooth_bump", grid)
     broken = State(0.0, np.ones(grid.sizes), np.ones((1, 32)))
     broken.mom[0, 5] = np.nan
-    batch = stack([good, broken])
-    with pytest.raises(SolverError) as solo:
-        step(broken, cfg, 1e-6)
-    with pytest.raises(SolverError) as batched:
-        step(batch, cfg, np.array([1e-6, 1e-6]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverError, match="non-finite fields after stage 1") as solo:
+            step(broken, cfg, 1e-6)
+        with pytest.raises(SolverError) as batched:
+            step(stack([good, broken, good, broken]), cfg, np.full(4, 1e-6))
+    assert list(solo.value.errors) == [0]
+    assert sorted(batched.value.errors) == [1, 3]
+    assert [str(e) for e in batched.value.errors.values()] == [str(solo.value)] * 2
     assert str(batched.value) == str(solo.value)
-    failures = {}
-    new, clamps, zeros = step(batch, cfg, np.array([1e-6, 1e-6]), _failures=failures)
-    assert list(failures) == [1] and str(failures[1]) == str(solo.value)
-    one, c, z = step(good, cfg, 1e-6)
-    assert bits(new.rho[0]) == bits(one.rho) and bits(new.mom[:, 0]) == bits(one.mom)
-    assert (clamps[0], zeros[0]) == (c, z)
 
 
 # -- the per-run workspace ------------------------------------------------------------
@@ -962,7 +1011,9 @@ def test_overflowing_velocity_warns_nothing():
     bad = State(0.0, np.full(grid.sizes, 1e-5), np.full((1, 32), 1e305))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(SolverError, match="no finite stable timestep"):
+        with pytest.raises(SolverError, match="no finite stable timestep") as solo:
             stable_dt(bad, cfg)
-        dts = stable_dt(stack([good, bad]), cfg)
-    assert np.isnan(dts[1])
+        with pytest.raises(SolverError) as batched:
+            stable_dt(stack([good, bad]), cfg)
+    assert list(batched.value.errors) == [1]
+    assert str(batched.value.errors[1]) == str(solo.value)
