@@ -4,7 +4,8 @@ Fields live on a uniform torus in 1 or 2 space dimensions.  Scalar fields
 are arrays of shape ``grid.sizes``; vector fields carry a leading component
 axis, shape ``(dim, *sizes)``.  A batch of fields, one per ensemble member,
 adds a member axis in front of the grid axes (after the component axis);
-the centered operators and :func:`integrate` act on each member alone.
+the centered and Fourier operators and :func:`integrate` act on each member
+alone.
 Two derivative families are provided:
 
 * second-order centered differences (:func:`grad`, :func:`div`, :func:`lap`)
@@ -12,7 +13,13 @@ Two derivative families are provided:
   quadrature exactly, taken as slices of a field padded with a periodic
   halo (the solver's stencils use the same padding), and
 * Fourier collocation derivatives (:func:`spectral_grad`, :func:`spectral_div`)
-  used as a high-order oracle on band-limited fields.
+  used as a high-order oracle on band-limited fields.  They use real-to-complex
+  transforms over the grid axes (``rfftn``/``irfftn``, half the spectrum), one
+  forward transform per field: the gradient multiplies it by the factors i k
+  of every axis (:attr:`PeriodicGrid.spectral_factors`), and the divergence
+  sums i k_a v_a over the components in Fourier space before its one inverse.
+  The unpaired Nyquist mode of an even axis is zeroed in the factor of that
+  axis, so an odd derivative of a real field stays real.
 
 Velocity is never obtained by a bare division: every quantity divided by
 the density or a power of it (``u = m/rho``, ``sqrt(rho) u = m/sqrt(rho)``,
@@ -22,6 +29,7 @@ cells, where the velocity is undefined.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -67,13 +75,13 @@ class PeriodicGrid:
     def spacing(self) -> tuple[float, ...]:
         return tuple(L / n for L, n in zip(self.lengths, self.sizes))
 
-    @property
+    @cached_property
     def cell_volume(self) -> float:
-        return float(np.prod(self.spacing))
+        return math.prod(self.spacing)
 
-    @property
+    @cached_property
     def n_cells(self) -> int:
-        return int(np.prod(self.sizes))
+        return math.prod(self.sizes)
 
     @cached_property
     def axes(self) -> tuple[int, ...]:
@@ -99,6 +107,21 @@ class PeriodicGrid:
         shape = [1] * self.dim
         shape[axis] = self.sizes[axis]
         return k.reshape(shape)
+
+    @cached_property
+    def spectral_factors(self) -> tuple[np.ndarray, ...]:
+        """Per grid axis, the factor i k of a derivative along it on the half
+        spectrum of ``rfftn`` over the grid axes (``rfftfreq`` on the last
+        axis, ``fftfreq`` on the others), broadcast-ready.  The unpaired
+        Nyquist mode of an even axis gets 0."""
+        factors = []
+        for axis, (n, d) in enumerate(zip(self.sizes, self.spacing)):
+            freq = np.fft.rfftfreq if axis == self.dim - 1 else np.fft.fftfreq
+            k = 2.0 * np.pi * freq(n, d)
+            if n % 2 == 0:
+                k[n // 2] = 0.0
+            factors.append((1j * k).reshape([-1 if a == axis else 1 for a in range(self.dim)]))
+        return tuple(factors)
 
     def zeros(self) -> np.ndarray:
         return np.zeros(self.sizes)
@@ -233,31 +256,31 @@ def lap(f: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
     return div(grad(f, grid), grid)
 
 
+def _rfft(f: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
+    return np.fft.rfftn(f, s=grid.sizes, axes=grid.axes)
+
+
+def _irfft(fh: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
+    return np.fft.irfftn(fh, s=grid.sizes, axes=grid.axes)
+
+
 def _spectral_ddx(f: np.ndarray, grid: PeriodicGrid, axis: int) -> np.ndarray:
-    fh = np.fft.fftn(f)
-    k = grid.wavenumbers(axis)
-    # zero the unpaired Nyquist mode so the derivative of a real field stays real
-    n = grid.sizes[axis]
-    if n % 2 == 0:
-        idx = [slice(None)] * grid.dim
-        idx[axis] = n // 2
-        fh[tuple(idx)] = 0.0
-    return np.real(np.fft.ifftn(1j * k * fh))
+    """Fourier-collocation derivative along one axis."""
+    return _irfft(grid.spectral_factors[axis] * _rfft(f, grid), grid)
 
 
 def spectral_grad(f: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
     """Fourier-collocation gradient; spectrally accurate on smooth fields."""
     _check_scalar(f, grid)
-    return np.stack([_spectral_ddx(f, grid, a) for a in range(grid.dim)])
+    fh = _rfft(f, grid)
+    return np.stack([_irfft(ik * fh, grid) for ik in grid.spectral_factors])
 
 
 def spectral_div(v: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
-    """Fourier-collocation divergence."""
+    """Fourier-collocation divergence, summed in Fourier space."""
     _check_vector(v, grid)
-    out = grid.zeros()
-    for a in range(grid.dim):
-        out += _spectral_ddx(v[a], grid, a)
-    return out
+    vh = _rfft(v, grid)
+    return _irfft(sum(ik * vh[a] for a, ik in enumerate(grid.spectral_factors)), grid)
 
 
 def spectral_lap(f: np.ndarray, grid: PeriodicGrid) -> np.ndarray:

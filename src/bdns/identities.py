@@ -30,8 +30,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .grid import (PeriodicGrid, _wave_vector, integrate, spectral_grad, spectral_div,
-                   spectral_lap)
+from .grid import PeriodicGrid, _wave_vector, integrate, spectral_grad, spectral_div
 from .viscosity import TamperedLaw, find_max_nu
 
 TOL_ABS = 1e-8
@@ -227,7 +226,8 @@ class _Ctx:
 
     @cached_property
     def lap_phi(self):
-        return spectral_lap(self.phi, self.grid)
+        """lap(phi) = div(grad phi), from the cached grad phi."""
+        return spectral_div(self.w, self.grid)
 
     @cached_property
     def grad_p(self):
@@ -251,7 +251,9 @@ class _Ctx:
 
     @cached_property
     def visc_g_term(self):
-        """grad(g div u)."""
+        """grad(g div u); exact zeros when the law's g is identically 0."""
+        if self.law.g_vanishes:
+            return np.zeros_like(self.u)
         return spectral_grad(self.g * self.div_u, self.grid)
 
     @cached_property

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from bdns.grid import (
     PeriodicGrid,
     State,
     _cutoff,
+    _spectral_ddx,
     div,
     grad,
     integrate,
@@ -20,6 +23,8 @@ from bdns.grid import (
     spectral_grad,
     spectral_lap,
 )
+from bdns.identities import _Ctx, manufactured_field
+from bdns.viscosity import ViscosityLaw
 
 
 def random_scalar(grid, seed=0):
@@ -143,6 +148,71 @@ def test_spectral_2d_mixed_mode():
     f = np.sin(2 * np.pi * (2 * xs[0] + 3 * xs[1]))
     exact = 2 * np.pi * 2 * np.cos(2 * np.pi * (2 * xs[0] + 3 * xs[1]))
     assert np.max(np.abs(spectral_grad(f, g)[0] - exact)) < 1e-9
+
+
+def complex_spectral_ddx(f, grid, axis):
+    """Reference: the derivative through the full complex transform of every
+    axis, with the unpaired Nyquist mode zeroed along ``axis``."""
+    fh = np.fft.fftn(f)
+    n = grid.sizes[axis]
+    if n % 2 == 0:
+        idx = [slice(None)] * grid.dim
+        idx[axis] = n // 2
+        fh[tuple(idx)] = 0.0
+    return np.real(np.fft.ifftn(1j * grid.wavenumbers(axis) * fh))
+
+
+SPECTRAL_GRIDS = [((16,), (1.0,)), ((15,), (2.0,)), ((16, 16), (1.0, 1.0)),
+                  ((12, 20), (2.0, 0.5)), ((9, 16), (1.0, 3.0)), ((16, 9), (0.7, 1.0))]
+
+
+@pytest.mark.parametrize("sizes,lengths", SPECTRAL_GRIDS)
+def test_spectral_operators_match_the_complex_transform(sizes, lengths):
+    # white noise carries every mode, the Nyquist mode of even axes included
+    g = PeriodicGrid(sizes, lengths)
+    f, v = random_scalar(g, seed=3), random_vector(g, seed=4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grad_f = spectral_grad(f, g)
+        div_v = spectral_div(v, g)
+        ddx = [_spectral_ddx(f, g, a) for a in range(g.dim)]
+    ref_grad = np.stack([complex_spectral_ddx(f, g, a) for a in range(g.dim)])
+    ref_div = sum(complex_spectral_ddx(v[a], g, a) for a in range(g.dim))
+    for got, ref in [(grad_f, ref_grad), (div_v, ref_div), *zip(ddx, ref_grad)]:
+        assert got.dtype == np.float64 and got.shape == ref.shape
+        np.testing.assert_allclose(got, ref, rtol=0,
+                                   atol=32 * np.finfo(float).eps * np.max(np.abs(ref)))
+    assert grad_f.shape == (g.dim, *sizes) and div_v.shape == sizes
+
+
+def test_spectral_operators_act_on_each_member_of_a_batch():
+    g = PeriodicGrid((16, 12))
+    f = np.stack([random_scalar(g, seed=5), random_scalar(g, seed=6)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = spectral_grad(f, g)
+        div_batch = spectral_div(batch, g)
+    for b in range(2):
+        np.testing.assert_array_equal(batch[:, b], spectral_grad(f[b], g))
+        np.testing.assert_array_equal(div_batch[b], spectral_div(batch[:, b], g))
+
+
+@pytest.mark.parametrize("sizes,lengths", SPECTRAL_GRIDS)
+def test_spectral_lap_is_div_of_grad_bit_for_bit(sizes, lengths):
+    g = PeriodicGrid(sizes, lengths)
+    f = random_scalar(g, seed=5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        np.testing.assert_array_equal(spectral_lap(f, g), spectral_div(spectral_grad(f, g), g))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_identity_context_lap_phi_is_spectral_lap_bit_for_bit(dim):
+    law = ViscosityLaw(terms=((1.0, 1.0), (1.0, 2.0)))
+    ctx = _Ctx(manufactured_field(dim, seed=7 + dim), law, 2.0, 32)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        np.testing.assert_array_equal(ctx.lap_phi, spectral_lap(ctx.phi, ctx.grid))
 
 
 # -- quadrature -----------------------------------------------------------------

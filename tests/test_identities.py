@@ -124,6 +124,20 @@ def test_identities_hold_when_terms_vanish_by_orthogonality(seed):
     assert [r.identity for r in tampered if not r.verdict] == ["bd_combination"]
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_certifier_sweep_with_the_command_line_defaults(dim):
+    # the verify-identities defaults (h = rho, nu 0.9, grids 32/64/128) on the
+    # fields of seeds 0-31 and 2007; seed 2007 in 1D is the field whose terms
+    # vanish by orthogonality
+    tampered_law = TamperedLaw(LINEAR, 1.0)
+    for seed in [*range(32), 2007]:
+        mf = manufactured_field(dim, seed=seed + dim)
+        true = run_all_identities(mf, LINEAR, 2.0, [32, 64, 128], nu=0.9)
+        assert [r.identity for r in true if not r.verdict] == [], seed
+        tampered = run_all_identities(mf, tampered_law, 2.0, [32, 64, 128], nu=0.9)
+        assert [r.identity for r in tampered if not r.verdict] == ["bd_combination"], seed
+
+
 def test_one_dimensional_transpose_contraction_degenerates():
     # in 1D the transpose contraction equals |grad u|^2 identically
     mf = manufactured_field(1, seed=3)
