@@ -1,22 +1,26 @@
 """The stage loop's workspace: every field-sized array of a solver step, and
 the in-place stencils that write into it.
 
-One workspace serves states of one shape (one state, or a batch of members
-stacked on a leading axis).  It holds two state buffers that consecutive
-steps alternate between, the stage derivatives, the RK4 sum, the buffers of
-the per-state bundle :class:`~bdns.diagnostics._Fields` and the stencil
-scratch.  The scratch is four flat lanes (and two boolean ones).  The
-stencils of each grid axis, the bundle's kernel fields (made with the
-bundle), ``stable_dt``, the terms after the axis loop of ``rhs`` and the
-bundle's energy fields never run at once, so they all view the same lanes,
-each at its own shapes, and every view is made once, when the workspace is
-built.  The bundle's own fields (the clamped density, the wet cells, the
-cutoff velocity, the wave speed and the harmonic faces) have buffers of
-their own, since the kernels read them while the stencils write the lanes.
-Every function here writes with ``out=`` and computes each cell with the
-same operations, in the same order, as the allocating formula it replaces;
-each guarded division goes through :func:`~bdns.grid._cutoff` with a boolean
-buffer for its dry cells, so that it allocates nothing either.
+One workspace serves batches of one shape: B members stacked on a leading
+axis, a run being a batch of one.  A state's density and momentum are the
+rows of one stacked (1 + dim, B, *sizes) array, and so are the state's
+derivative, the RK4 sum and the face states of every stencil: each
+elementwise step of the stage loop is one numpy call for all 1 + dim
+equations.  The workspace holds two state buffers that consecutive steps
+alternate between, the stacked derivative, the RK4 sum, the buffers of the
+per-state bundle :class:`~bdns.diagnostics._Fields` and the stencil scratch.
+The scratch is four flat lanes (and two boolean ones).  The stencils of each
+grid axis, the bundle's kernel fields (made with the bundle), ``stable_dt``,
+the terms after the axis loop of ``rhs``, the finiteness test of a stage and
+the bundle's energy fields never run at once, so they all view the same
+lanes, each at its own shapes, and every view is made once, when the
+workspace is built.  The bundle's own fields (the clamped density, the wet
+cells, the cutoff velocity, the wave speed and the harmonic faces) have
+buffers of their own, since the kernels read them while the stencils write
+the lanes.  Every function here writes with ``out=`` and computes each cell
+with the same operations, in the same order, as the allocating formula it
+replaces; each guarded division goes through :func:`~bdns.grid._cutoff` with
+a boolean buffer for its dry cells, so that it allocates nothing either.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .grid import _CUTS, State, _Cut, _cutoff, _halo
+from .grid import _CUTS, _Cut, _cutoff, _halo
 
 if TYPE_CHECKING:
     from .solver import SolverConfig
@@ -55,11 +59,12 @@ class _Workspace:
     def __init__(self, config: SolverConfig, shape: tuple[int, ...]):
         grid = config.grid
         dim = grid.dim
-        self.shape = shape  # of a density: any member axis, then the grid axes
+        self.shape = shape  # of a density: the member axis, then the grid axes
         stacked = (1 + dim, *shape)
         self.states = (np.empty(stacked), np.empty(stacked))
-        self.drho, self.dmom = np.empty(shape), np.empty((dim, *shape))
+        self.d = np.empty(stacked)  # d(rho, m)/dt; rhs returns its rows
         self.acc = np.empty(stacked) if config.integrator == "RK4" else None
+        self.no_counts = np.zeros(shape[0], dtype=np.intp)  # per member; never written
         self._lane = max(math.prod(_extend(stacked, cut, 4)) for cut in _CUTS[dim])
         self._lanes = np.empty(self.LANES * self._lane)
         self._masks = np.empty(2 * self._lane, dtype=bool)
@@ -71,6 +76,7 @@ class _Workspace:
         self.pressure, self.div_u = self.view(3, shape), self.view(2, shape)
         self.rate, self.term, self.diff_all = (self.view(lane, shape) for lane in (0, 1, 2))
         self.cell_mask = self.mask(shape)
+        self.finite = self.mask(stacked)  # a stage state's finite entries
         # the bundle of the state the kernels last read (see solver._bundle),
         # and the buffers of every bundle: its own fields, then the scratch
         # of its kernel fields in lanes 0 to 2 and its energy's fields in
@@ -98,18 +104,19 @@ class _Workspace:
         start = lane * self._lane
         return self._masks[start:start + math.prod(shape)].reshape(shape)
 
-    def spare(self, state: State) -> tuple[np.ndarray, np.ndarray]:
-        """(rho, mom) of the state buffer that does not hold ``state``: where a
-        step writes its stage states and its new state."""
-        q = self.states[1] if np.may_share_memory(state.rho, self.states[0]) else self.states[0]
-        return q[0], q[1:]
+    def spare(self, q: np.ndarray) -> np.ndarray:
+        """The state buffer that is not ``q``, a stacked state: where a step
+        writes its stage states and its new state."""
+        return self.states[1] if q is self.states[0] else self.states[0]
 
 
 class _AxisScratch:
     """Lane views for the stencils along one grid axis.  A view shares storage
-    only with views that are dead when it is written: the faces overwrite
-    the differences and the limiter's scratch, and the fluxes use lanes 0
-    and 3, which the faces leave free, and then the faces themselves."""
+    only with views that are dead when it is written: the face states of
+    both sides, stacked [left; right] from the start of lane 1 into lane 2,
+    overwrite the differences and the limiter's scratch; the flux uses lanes
+    0 and 3, which the face states leave free, and then the left face states
+    themselves."""
 
     def __init__(self, work: _Workspace, cut: _Cut, shape: tuple[int, ...], dim: int):
         def field(width):
@@ -119,18 +126,17 @@ class _AxisScratch:
             return (1 + dim, *field(width))
 
         view = work.view
-        after = math.prod(field(1))  # lane 0 holds half_a first
         self.cut = cut
         self.qp, self.diff = view(0, stacked(4)), view(1, stacked(3))
         self.scratch, self.slope = view(2, stacked(2)), view(3, stacked(2))
         self.same, self.keep = work.mask(stacked(2)), work.mask(stacked(2), 1)
-        self.left, self.right = view(1, stacked(1)), view(2, stacked(1))
-        self.speed, self.half_a = view(3, field(2)), view(0, field(1))
-        self.flux_rho, self.jump, self.d_rho = view(3, field(1)), view(0, field(1), after), view(
-            0, shape, after)
-        self.u_l, self.u_r = view(3, field(1)), view(3, field(1), after)
-        self.wet = work.mask(field(1))
-        self.jump_m, self.d_mom = view(0, (dim, *field(1)), after), view(0, (dim, *shape), after)
+        self.sides = view(1, (2, *stacked(1)))
+        # the flux: half_a and the mass flux of both sides in lane 0, the
+        # speed halo and then the jump and the flux difference in lane 3
+        self.half_a, self.mass = view(0, field(1)), view(0, field(1), math.prod(field(1)))
+        self.speed, self.jump, self.dq = view(3, field(2)), view(3, stacked(1)), view(
+            3, (1 + dim, *shape))
+        self.wet = work.mask((2, *field(1)))
         # halos of one field or of a vector, and its faces: the bundle's
         # harmonic faces, centered differences and the shear flux
         self.pad, self.pad_v = view(0, field(2)), view(0, (dim, *field(2)))
@@ -166,21 +172,20 @@ def _limited_slope(s: _AxisScratch, limiter: str) -> np.ndarray:
     return _zero_where_not(central, same)
 
 
-def _face_states(rho: np.ndarray, mom: np.ndarray, h: float, limiter: str, s: _AxisScratch):
-    """Left/right reconstructions of rho and every momentum component, stacked
-    (rho first), on the n + 1 faces of the axis, face k lying between cells
-    k - 1 and k."""
+def _face_states(q: np.ndarray, h: float, limiter: str, s: _AxisScratch) -> np.ndarray:
+    """Left/right reconstructions of a stacked state ``q`` (rho and every
+    momentum component) on the n + 1 faces of the axis, face k lying between
+    cells k - 1 and k, stacked [left; right]."""
     cut, qp, diff = s.cut, s.qp, s.diff
-    _halo(rho, cut, 2, qp[0])
-    _halo(mom, cut, 2, qp[1:])
+    _halo(q, cut, 2, qp)
     np.subtract(qp[cut.hi], qp[cut.lo], out=diff)
     np.divide(diff, h, out=diff)  # diff[k] is the backward difference of cell k - 1
     half_slope = _limited_slope(s, limiter)
     np.multiply(0.5 * h, half_slope, out=half_slope)
     qc = qp[cut.mid]  # cells -1 .. n
-    np.add(qc[cut.lo], half_slope[cut.lo], out=s.left)
-    np.subtract(qc[cut.hi], half_slope[cut.hi], out=s.right)
-    return s.left, s.right
+    np.add(qc[cut.lo], half_slope[cut.lo], out=s.sides[0])
+    np.subtract(qc[cut.hi], half_slope[cut.hi], out=s.sides[1])
+    return s.sides
 
 
 def _harmonic_face(h_cell: np.ndarray, s: _AxisScratch, out: np.ndarray) -> np.ndarray:

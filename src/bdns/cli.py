@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -160,6 +161,8 @@ def _cmd_verify_identities(args) -> int:
     except (json.JSONDecodeError, LawError) as exc:
         raise _Usage(f"bad --law: {exc}") from exc
     if args.g_override is not None:
+        if not math.isfinite(args.g_override):
+            raise _Usage(f"--g-override must be finite, got {args.g_override}")
         law = TamperedLaw(law, args.g_override)
     try:
         dims = [int(d) for d in args.dims.split(",") if d]

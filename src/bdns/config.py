@@ -7,6 +7,8 @@ A run config is a JSON object with keys
     dim, cells     1 or 2; cells is an int or list of ints per axis
     lengths        optional, defaults to 1.0 per axis
     cfl, t_end, integrator, eps_vac, ledger_stride
+                   (t_end finite and positive; eps_vac null, for 1e-10 of
+                   the initial peak density, or finite and positive)
     delta, alpha   optional moment exponents
     initial        {"preset": name, "params": {...}} or {"checkpoint": path}
     study          optional {"sigma0": ..., "n_max": ...} for stability studies
@@ -49,6 +51,16 @@ def _require_object(obj: dict, key: str) -> dict:
     return value
 
 
+def _optional_float(obj: dict, key: str) -> float | None:
+    value = obj.get(key)
+    if value is None:
+        return None
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key!r} must be a number or null, got {value!r}") from None
+
+
 def parse_config(obj: dict) -> RunSetup:
     try:
         law = ViscosityLaw.from_json(_require(obj, "law"))
@@ -77,7 +89,7 @@ def parse_config(obj: dict) -> RunSetup:
             t_end=float(_require(obj, "t_end")),
             cfl=float(obj.get("cfl", 0.4)),
             integrator=obj.get("integrator", "RK2_SSP"),
-            eps_vac=obj.get("eps_vac"),
+            eps_vac=_optional_float(obj, "eps_vac"),
             ledger_stride=int(obj.get("ledger_stride", 10)),
             moment=moment,
             limiter=obj.get("limiter", "mc"),

@@ -20,7 +20,10 @@ A ledger row collects, at one instant:
 
 Each functional has one definition, a method of the per-state bundle
 ``_Fields``; the public helpers, :func:`ledger_row` and the stability study's
-hypothesis table are views of it.  Densities enter as ``max(rho, 0)``.
+hypothesis table are views of it.  A bundle of a batch gives every column
+for all its members at once, one Python float each, so the solver takes a
+ledger row from the bundle it has already made for the state's energy.
+Densities enter as ``max(rho, 0)``.
 
 Ledger columns carry fixed wire-format tags (e.g. ``E_eq15``,
 ``X_BD_lemma31``); downstream tooling keys on those names.
@@ -36,8 +39,8 @@ from functools import cached_property
 import numpy as np
 
 from ._workspace import _harmonic_face, _Workspace
-from .grid import (PeriodicGrid, State, _cutoff, _power, _wave_vector, grad, integrate,
-                   lp_norm)
+from .grid import (PeriodicGrid, State, _cutoff, _floats, _lp, _magnitude, _power,
+                   _wave_vector, grad, integrate)
 
 
 @dataclass(frozen=True)
@@ -77,7 +80,12 @@ class _Fields:
     speed |u| + c per cell with the largest |u| and sound speed c of each
     member (``speed``, ``umax``, ``cmax``) and the harmonic face viscosity
     of every axis (``h_face``).  The kernels' g(rho) (``g``) is computed
-    when first asked for."""
+    when first asked for.
+
+    The functionals that integrate a field return a float for one state and
+    one value per member for a batch; the ledger columns, whose last steps
+    (a root, a square root, a Hoelder product) are taken in Python floats,
+    return one float per member either way."""
 
     def __init__(self, state: State, grid: PeriodicGrid, law, gamma: float | None,
                  eps_vac: float, work: _Workspace | None = None):
@@ -94,13 +102,13 @@ class _Fields:
         if work is None:
             return
         # the stage kernels' fields, before any stencil writes a lane
-        umag = np.sum(np.square(self.u, out=out["u_sq"]), axis=0, out=out["umag"])
+        umag = np.add.reduce(np.square(self.u, out=out["u_sq"]), axis=0, out=out["umag"])
         np.sqrt(umag, out=umag)
         cs = _power(self.rho, gamma - 1.0, out["cs"])
         np.multiply(gamma, cs, out=cs)
         np.sqrt(cs, out=cs)
-        self.umax = umag.max(axis=self.grid.axes)
-        self.cmax = cs.max(axis=self.grid.axes)
+        self.umax = np.maximum.reduce(umag, axis=self.grid.axes)
+        self.cmax = np.maximum.reduce(cs, axis=self.grid.axes)
         self.speed = np.add(umag, cs, out=out["speed"])
         self.h_face = tuple(_harmonic_face(self.h, s, face)
                             for s, face in zip(work.axes, out["h_face"]))
@@ -112,7 +120,7 @@ class _Fields:
         if self.law.g_vanishes:
             return None
         g = self.law.g(self.rho)
-        return g if (g != 0.0).any() else None
+        return g if np.logical_or.reduce(g != 0.0, axis=None) else None
 
     @cached_property
     def sqrt_rho(self):
@@ -134,7 +142,7 @@ class _Fields:
     def sru2(self):
         # |sqrt(rho) u|^2
         sq = np.square(self.sqrt_rho_u, out=self._out.get("sru_sq"))
-        return np.sum(sq, axis=0, out=self._out.get("sru2"))
+        return np.add.reduce(sq, axis=0, out=self._out.get("sru2"))
 
     @cached_property
     def grad_u(self):
@@ -144,7 +152,7 @@ class _Fields:
 
     @cached_property
     def grad_u_sq(self):
-        return np.sum(self.grad_u**2, axis=(0, 1))
+        return np.add.reduce(self.grad_u**2, axis=(0, 1))
 
     @cached_property
     def grad_sqrt_rho(self):
@@ -152,7 +160,7 @@ class _Fields:
 
     @cached_property
     def gsr2(self):
-        return np.sum(self.grad_sqrt_rho**2, axis=0)
+        return np.add.reduce(self.grad_sqrt_rho**2, axis=0)
 
     @cached_property
     def h(self):
@@ -190,49 +198,80 @@ class _Fields:
     def bd_entropy(self) -> float:
         # sqrt(rho) u + 2 h'(rho) grad(sqrt(rho)), the weighted entropy velocity
         bdv = self.sqrt_rho_u + 2.0 * self.hp * self.grad_sqrt_rho
-        return integrate(0.5 * np.sum(bdv**2, axis=0) + self.pressure, self.grid)
+        return integrate(0.5 * np.add.reduce(bdv**2, axis=0) + self.pressure, self.grid)
 
     def bd_cross(self) -> float:
         return 4.0 * self.gamma * self.pressure_weight
 
     def moment(self, delta: float) -> float:
-        umag = np.sqrt(np.sum(self.u**2, axis=0))
+        umag = np.sqrt(np.add.reduce(self.u**2, axis=0))
         return integrate(self.sru2 * umag**delta, self.grid) / (2.0 + delta)
 
-    def moment_rhs(self, delta: float) -> float:
+    def moment_rhs(self, delta: float) -> list[float]:
         p = 2.0 / (2.0 - delta)
         ratio = _cutoff(self.rho ** (2.0 * self.gamma - delta / 2.0), self.h, self.wet)
-        factor1 = integrate(ratio**p, self.grid)
-        factor2 = integrate(self.sru2, self.grid)
-        return factor1 ** ((2.0 - delta) / 2.0) * factor2 ** (delta / 2.0)
+        factor1 = _floats(integrate(ratio**p, self.grid))
+        factor2 = _floats(integrate(self.sru2, self.grid))
+        return [a ** ((2.0 - delta) / 2.0) * b ** (delta / 2.0) for a, b in zip(factor1, factor2)]
 
-    def apriori(self) -> dict[str, float]:
+    def apriori(self) -> dict[str, list[float]]:
         grid, rho, gamma = self.grid, self.rho, self.gamma
         return {
-            "sqrt_rho_u_L2_eq19": lp_norm(self.sqrt_rho_u, grid, 2),
-            "rho_L1_eq19": integrate(rho, grid),
-            "rho_Lgamma_eq19": lp_norm(rho, grid, gamma),
-            "sqrt_h_grad_u_L2_eq19": math.sqrt(
-                max(integrate(self.h * self.grad_u_sq, grid), 0.0)
-            ),
-            "hprime_grad_sqrt_rho_L2_eq20": math.sqrt(max(self.hp_grad_sqrt_rho_sq, 0.0)),
-            "sqrt_hprime_rho_gm2_grad_rho_L2_eq20": math.sqrt(
-                max(4.0 * self.pressure_weight, 0.0)
-            ),
-            "sqrt_rho_grad_u_L2_eq21": math.sqrt(max(integrate(rho * self.grad_u_sq, grid), 0.0)),
-            "grad_sqrt_rho_L2_eq21": lp_norm(self.grad_sqrt_rho, grid, 2),
-            "grad_rho_gamma_half_L2_eq21": lp_norm(grad(rho ** (gamma / 2.0), grid), grid, 2),
+            "sqrt_rho_u_L2_eq19": _lp(_magnitude(self.sqrt_rho_u), grid, 2),
+            "rho_L1_eq19": _floats(integrate(rho, grid)),
+            "rho_Lgamma_eq19": _lp(np.abs(rho), grid, gamma),
+            "sqrt_h_grad_u_L2_eq19": _root(integrate(self.h * self.grad_u_sq, grid)),
+            "hprime_grad_sqrt_rho_L2_eq20": _root(self.hp_grad_sqrt_rho_sq),
+            "sqrt_hprime_rho_gm2_grad_rho_L2_eq20": _root(4.0 * self.pressure_weight),
+            "sqrt_rho_grad_u_L2_eq21": _root(integrate(rho * self.grad_u_sq, grid)),
+            "grad_sqrt_rho_L2_eq21": _lp(_magnitude(self.grad_sqrt_rho), grid, 2),
+            "grad_rho_gamma_half_L2_eq21": _lp(_magnitude(grad(rho ** (gamma / 2.0), grid)),
+                                               grid, 2),
         }
 
-    def compactness(self, alpha: float) -> dict[str, float]:
+    def compactness(self, alpha: float) -> dict[str, list[float]]:
         grid, rho = self.grid, self.rho
         h_over_sqrt_rho = _cutoff(self.h, self.sqrt_rho, self.wet)
         return {
-            "rho_gamma_L53_lemma42": integrate(rho ** (5.0 * self.gamma / 3.0), grid),
-            "sqrt_rho_u_L2p2alpha_lemma43": lp_norm(self.sqrt_rho_u, grid, 2.0 + 2.0 * alpha),
-            "h_over_sqrt_rho_L6_lemma44": lp_norm(h_over_sqrt_rho, grid, 6),
-            "psi_L6_lemma44": lp_norm(np.asarray(self.law.psi(rho)), grid, 6),
+            "rho_gamma_L53_lemma42": _floats(integrate(rho ** (5.0 * self.gamma / 3.0), grid)),
+            "sqrt_rho_u_L2p2alpha_lemma43": _lp(_magnitude(self.sqrt_rho_u), grid,
+                                                2.0 + 2.0 * alpha),
+            "h_over_sqrt_rho_L6_lemma44": _lp(np.abs(h_over_sqrt_rho), grid, 6),
+            "psi_L6_lemma44": _lp(np.abs(np.asarray(self.law.psi(rho))), grid, 6),
         }
+
+    def ledger_columns(self, mp: MomentParams) -> dict[str, list[float]]:
+        """Every ledger column but the time and the counters, one float per
+        member, in the order of LEDGER_COLUMNS."""
+        cross = np.add.reduce(self.sqrt_rho_u * 2.0 * self.hp * self.grad_sqrt_rho, axis=0)
+        columns = {
+            "E_eq15": _floats(self.energy()),
+            "D_visc_eq15": _floats(self.dissipation()),
+            "E_BD_lemma31": _floats(self.bd_entropy()),
+            "X_BD_lemma31": _floats(self.bd_cross()),
+            "BD_cross_term": _floats(integrate(cross, self.grid)),
+            "M_delta_lemma32": _floats(self.moment(mp.delta)),
+            "RHS_delta_lemma32": self.moment_rhs(mp.delta),
+            **self.apriori(),
+            **self.compactness(mp.alpha),
+        }
+        # the solver's bundle serves the next step too: it drops the fields
+        # that only a ledger row reads
+        for name in ("hp", "grad_u", "grad_u_sq", "grad_sqrt_rho", "gsr2"):
+            vars(self).pop(name, None)
+        return columns
+
+
+def _root(value) -> list[float]:
+    """sqrt(max(x, 0)) of each member's value, in Python floats."""
+    return [math.sqrt(max(x, 0.0)) for x in _floats(value)]
+
+
+def _row(t: float, columns: dict[str, list[float]], k: int, clamp_count: int,
+         cutoff_count: int) -> dict[str, float]:
+    """The ledger row of member ``k`` of ``columns`` at time ``t``."""
+    return {"t": t, **{name: values[k] for name, values in columns.items()},
+            "clamp_count": float(clamp_count), "cutoff_count": float(cutoff_count)}
 
 
 def energy(state: State, grid: PeriodicGrid, gamma: float, eps_vac: float) -> float:
@@ -274,7 +313,8 @@ def moment_rhs(state: State, grid: PeriodicGrid, law, gamma: float, delta: float
     rho^{2 gamma - delta/2} / h(rho) is taken as zero."""
     if not 0.0 < delta < 2.0:
         raise ValueError(f"delta must lie in (0, 2), got {delta}")
-    return _Fields(state, grid, law, gamma, eps_vac).moment_rhs(delta)
+    (value,) = _Fields(state, grid, law, gamma, eps_vac).moment_rhs(delta)
+    return value
 
 
 COMPACTNESS_COLUMNS = (
@@ -304,7 +344,8 @@ APRIORI_COLUMNS = tuple(TIME_AGGREGATION)
 def apriori_bounds(state: State, grid: PeriodicGrid, law, gamma: float,
                    eps_vac: float) -> dict[str, float]:
     """Instantaneous values of the three a priori bound sets."""
-    return _Fields(state, grid, law, gamma, eps_vac).apriori()
+    return {name: value for name, (value,) in
+            _Fields(state, grid, law, gamma, eps_vac).apriori().items()}
 
 
 def compactness_quantities(state: State, grid: PeriodicGrid, law, gamma: float,
@@ -312,7 +353,8 @@ def compactness_quantities(state: State, grid: PeriodicGrid, law, gamma: float,
     """Quantities controlling strong convergence: the space-time pressure
     integrand, the improved momentum integrability norm, and the L6 norms of
     h/sqrt(rho) and psi(rho)."""
-    return _Fields(state, grid, law, gamma, eps_vac).compactness(mp.alpha)
+    return {name: value for name, (value,) in
+            _Fields(state, grid, law, gamma, eps_vac).compactness(mp.alpha).items()}
 
 
 LEDGER_COLUMNS = (
@@ -334,22 +376,8 @@ LEDGER_COLUMNS = (
 def ledger_row(state: State, grid: PeriodicGrid, law, gamma: float, mp: MomentParams,
                eps_vac: float, clamp_count: int = 0, cutoff_count: int = 0) -> dict[str, float]:
     """One full diagnostics row, every column taken from one field bundle."""
-    f = _Fields(state, grid, law, gamma, eps_vac)
-    cross = np.sum(f.sqrt_rho_u * 2.0 * f.hp * f.grad_sqrt_rho, axis=0)
-    return {
-        "t": state.t,
-        "E_eq15": f.energy(),
-        "D_visc_eq15": f.dissipation(),
-        "E_BD_lemma31": f.bd_entropy(),
-        "X_BD_lemma31": f.bd_cross(),
-        "BD_cross_term": integrate(cross, grid),
-        "M_delta_lemma32": f.moment(mp.delta),
-        "RHS_delta_lemma32": f.moment_rhs(mp.delta),
-        **f.apriori(),
-        **f.compactness(mp.alpha),
-        "clamp_count": float(clamp_count),
-        "cutoff_count": float(cutoff_count),
-    }
+    columns = _Fields(state, grid, law, gamma, eps_vac).ledger_columns(mp)
+    return _row(state.t, columns, 0, clamp_count, cutoff_count)
 
 
 @dataclass

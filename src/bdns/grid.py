@@ -63,8 +63,8 @@ class PeriodicGrid:
         lengths = tuple(float(x) for x in lengths)
         if len(lengths) != len(sizes):
             raise GridError("lengths must match sizes")
-        if any(x <= 0 for x in lengths):
-            raise GridError("lengths must be positive")
+        if not all(0.0 < x < math.inf for x in lengths):  # NaN too
+            raise GridError(f"lengths must be finite and positive, got {lengths}")
         object.__setattr__(self, "lengths", lengths)
 
     @property
@@ -299,15 +299,32 @@ def _wave_vector(rng: np.random.Generator, dim: int, kmax: int) -> tuple[int, ..
 def integrate(f: np.ndarray, grid: PeriodicGrid) -> float | np.ndarray:
     """Midpoint quadrature over the torus; one value per member for a batch
     of fields."""
-    total = np.sum(f, axis=grid.axes) * grid.cell_volume
+    total = np.add.reduce(f, axis=grid.axes) * grid.cell_volume
     return float(total) if total.ndim == 0 else total
+
+
+def _floats(value: float | np.ndarray) -> list[float]:
+    """A value of :func:`integrate` as one Python float per member (one for
+    a single field)."""
+    return np.reshape(value, -1).tolist()
+
+
+def _magnitude(v: np.ndarray) -> np.ndarray:
+    """Pointwise Euclidean magnitude of a vector field (or a batch of them)."""
+    return np.sqrt(np.add.reduce(v * v, axis=0))
+
+
+def _lp(mag: np.ndarray, grid: PeriodicGrid, p: float) -> list[float]:
+    """The L^p norm (finite p) of a pointwise magnitude, one per member: the
+    quadrature in numpy, the root in Python floats."""
+    return [x ** (1.0 / p) for x in _floats(integrate(mag**p, grid))]
 
 
 def _pointwise_magnitude(f: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
     if f.shape == grid.sizes:
         return np.abs(f)
     if f.shape == (grid.dim, *grid.sizes):
-        return np.sqrt(np.sum(f * f, axis=0))
+        return _magnitude(f)
     raise GridError(f"field shape {f.shape} fits neither scalar nor vector layout")
 
 
@@ -319,7 +336,8 @@ def lp_norm(f: np.ndarray, grid: PeriodicGrid, p: float) -> float:
         return float(np.max(mag))
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    return float(integrate(mag**p, grid) ** (1.0 / p))
+    (norm,) = _lp(mag, grid, p)
+    return norm
 
 
 def save_checkpoint(path, state: State, grid: PeriodicGrid):

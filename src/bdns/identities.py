@@ -349,11 +349,15 @@ class IdentityReport:
 
     @property
     def verdict(self) -> bool:
+        """Every residual finite, and at the round-off floor or converging at
+        order_min; every slack finite and nonnegative up to tol_abs."""
         for name, series in self.residuals.items():
+            if not all(map(math.isfinite, series)):
+                return False
             if series[-1] >= self.tol_abs and self.orders.get(name, 0.0) < self.order_min:
                 return False
         for series in self.slacks.values():
-            if any(s < -self.tol_abs for s in series):
+            if not all(s >= -self.tol_abs for s in series):  # NaN too
                 return False
         return True
 
@@ -380,12 +384,16 @@ def fitted_order(grids, residuals) -> float:
     return float(np.polyfit(x, y, 1)[0])
 
 
+def _check_gamma(gamma: float):
+    if not 1.0 < gamma < math.inf:  # NaN too
+        raise ValueError(f"gamma must be > 1 and finite, got {gamma}")
+
+
 def _certify(mf: ManufacturedField, law, gamma: float, grids, checks) -> list[IdentityReport]:
     """One finalized report per (identity name, body) in checks.  Each grid
     gets one spectral context, shared by all the bodies; a body returns the
     (residuals, slacks, terms) of its identity on that grid."""
-    if not gamma > 1.0:  # NaN too
-        raise ValueError(f"gamma must be > 1, got {gamma}")
+    _check_gamma(gamma)
     reports = [IdentityReport(name, list(grids)) for name, _ in checks]
     for n in grids:
         c = _Ctx(mf, law, gamma, n)
@@ -585,8 +593,11 @@ def _moment_balance(c: _Ctx, delta: float, nu: float):
 def _moment_check(mf: ManufacturedField, law, gamma: float, delta: float, nu: float | None):
     """The moment checker's (identity name, body), after the prechecks that
     must pass before any grid work."""
+    _check_gamma(gamma)
     if not 0.0 < delta < 2.0:
         raise ValueError(f"delta must lie in (0, 2), got {delta}")
+    if nu is not None and not math.isfinite(nu):
+        raise ValueError(f"nu must be finite, got {nu}")
     if nu is None:
         # a tampered pair fails condition (10) for every nu: the negative
         # control takes the nu of the law it wraps

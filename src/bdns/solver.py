@@ -13,19 +13,30 @@ The state (rho, m) evolves in conservative form on a periodic grid:
   rho <= eps_vac), so convective and viscous contributions vanish on dry
   cells.
 
+One path advances every run: a batch of B >= 1 members stacked on a leading
+axis (see :class:`~bdns.grid.State`), each member with its own time and dt,
+:func:`run` being a batch of one.  A batch's density and momentum are the
+rows of one stacked (1 + dim, B, *sizes) array, and so is its derivative:
+``rhs`` returns the rows (d rho/dt, d m/dt) of one stacked array, and the RK
+combinations and the finiteness test of a stage act on the stacked state
+buffer.  The public ``rhs``, ``stable_dt`` and ``step`` also
+take one state: they wrap it as a batch of one and unwrap the result.
+
 Every stencil is a slice view of a field padded once per axis with a
 periodic halo (two ghost cells for the limited slopes, one for faces), and
 fluxes live on the n + 1 faces of an axis, so a flux difference is
-``f[1:] - f[:-1]``; the density and the momentum components are
-reconstructed together, stacked on a leading axis.  The fields that depend
-on the state alone (clamped density, wet cells, cutoff velocity, wave speed,
-face viscosity, g) come from the state's one bundle,
-``diagnostics._Fields``, made once per state: the new state of a step gets
-its bundle once, for its per-step energy, the next ``stable_dt`` and the
-first stage of the next step.
+``f[1:] - f[:-1]``.  The local Lax-Friedrichs flux of all 1 + dim equations
+is one pass over the stacked [left; right] face states: the clamp, the wet
+test, the cutoff velocity, the flux and the jump are each one numpy call for
+both sides, mass and momentum together.  The fields that depend on the state
+alone (clamped density, wet cells, cutoff velocity, wave speed, face
+viscosity, g) come from the state's one bundle, ``diagnostics._Fields``,
+made once per state: the new state of a step gets its bundle once, for its
+per-step energy, its ledger row when one is due, the next ``stable_dt`` and
+the first stage of the next step.
 
 Every field-sized array of a step (the stage states, the new state, the
-stage derivatives, the bundle's fields and the stencil scratch) is written
+stage derivative, the bundle's fields and the stencil scratch) is written
 with ``out=`` into one private workspace, allocated when ``run_members``
 starts a batch and rebuilt when a member leaves it, so that a step
 allocates no field beyond what the viscosity law's own evaluation
@@ -34,13 +45,9 @@ allocates.  ``run_members`` hands it to the kernels as their private
 ``step`` run the same code on a throwaway workspace, whose arrays the
 caller then owns.  Each cell value takes the same operations, in the same
 order, as the plain per-cell formula, so neither the layout nor the
-workspace changes a result.
+workspace changes a result, and every member of a batch gets exactly the
+trajectory and ledger of its own :func:`run`.
 
-Stencils and reductions index the grid axes from the end, so the same
-kernel advances one state or a batch of ensemble members stacked on a
-leading axis (see :class:`~bdns.grid.State`), each member with its own dt.
-:func:`run_members` steps a batch in one loop and gives every member exactly
-the trajectory and ledger of its own :func:`run`, which is its batch of one.
 A member's run ends in one way: ``stable_dt`` (no finite positive bound),
 a stage of ``step`` (a non-finite field) or the timestep floor raises a
 SolverError whose ``errors`` map gives each member that ends there (row 0
@@ -50,8 +57,9 @@ redoes the step for the rest, which a failed step leaves untouched.
 Time stepping is strong-stability-preserving RK2 by default (classical RK4
 optional), both through one loop over the stage states.  Negative densities
 are clamped to zero and momentum on sub-cutoff cells is zeroed; both events
-are counted and reported, never silent.  A forcing hook on the momentum equation exists solely for
-manufactured-solution testing and is zero in physical runs.
+are counted and reported, never silent.  A forcing hook on the momentum
+equation exists solely for manufactured-solution testing and is zero in
+physical runs.
 """
 
 from __future__ import annotations
@@ -62,8 +70,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import diagnostics
-from .diagnostics import EntropyLedger, MomentParams, _Fields, ledger_row
+from .diagnostics import EntropyLedger, MomentParams, _Fields, _row
 from ._workspace import _face_states, _Workspace
 from .grid import PeriodicGrid, State, _cutoff, _ddx, _grid_axes, _halo, _power
 from .viscosity import AdmissibilityParams, ViscosityLaw, validate
@@ -108,8 +115,10 @@ class SolverConfig:
     def __post_init__(self):
         if not 0.0 < self.cfl < 1.0:
             raise ValueError(f"cfl must lie in (0,1), got {self.cfl}")
-        if self.t_end <= 0.0:
-            raise ValueError("t_end must be positive")
+        if not 0.0 < self.t_end < math.inf:  # NaN too
+            raise ValueError(f"t_end must be finite and positive, got {self.t_end}")
+        if self.eps_vac is not None and not 0.0 < self.eps_vac < math.inf:
+            raise ValueError(f"eps_vac must be finite and positive, got {self.eps_vac}")
         if self.integrator not in INTEGRATORS:
             raise ValueError(f"integrator must be one of {INTEGRATORS}")
         if self.limiter not in LIMITERS:
@@ -142,9 +151,36 @@ def _resolve_eps_vac(config: SolverConfig, initial: State) -> float:
     if config.eps_vac is not None:
         return config.eps_vac
     peak = float(np.max(initial.rho))
-    if peak <= 0.0:
+    if not 0.0 < peak < math.inf:  # all dry, or non-finite data that _start reports
         return 1e-10
     return 1e-10 * peak
+
+
+class _Stacked(State):
+    """A batch whose density and momentum are the rows of one stacked
+    (1 + dim, B, *sizes) array ``q``: every state of the stage loop."""
+
+    def __init__(self, t: np.ndarray, q: np.ndarray):
+        super().__init__(t, q[0], q[1:])
+        self.q = q
+
+
+def _as_batch(state: State) -> tuple[_Stacked, bool]:
+    """``state`` as a stacked batch, and whether it is one state: a stacked
+    batch is itself, one state a batch of one and any other batch a stacked
+    copy."""
+    if isinstance(state, _Stacked):
+        return state, False
+    one = np.ndim(state.t) == 0
+    rho = state.rho[np.newaxis] if one else state.rho
+    mom = state.mom[:, np.newaxis] if one else state.mom
+    return _Stacked(np.array(state.t, dtype=float, ndmin=1),
+                    np.concatenate((rho[np.newaxis], mom))), one
+
+
+def _member(state: State, k: int) -> State:
+    """A copy of member ``k`` of a batch."""
+    return State(float(state.t[k]), state.rho[k].copy(), state.mom[:, k].copy())
 
 
 def _bundle(state: State, config: SolverConfig, work: _Workspace) -> _Fields:
@@ -159,52 +195,56 @@ def _bundle(state: State, config: SolverConfig, work: _Workspace) -> _Fields:
     return f
 
 
+def _derivative(pair: tuple[np.ndarray, np.ndarray], work: _Workspace) -> np.ndarray:
+    """The stacked derivative of the (d rho/dt, d m/dt) pair that ``rhs``
+    returned: the workspace's own when the pair are its rows, else the pair
+    copied into it."""
+    drho, dmom = pair
+    d = work.d
+    if drho.base is not d or dmom.base is not d:
+        np.copyto(d[0], drho)
+        np.copyto(d[1:], dmom)
+    return d
+
+
 def rhs(state: State, config: SolverConfig, *, _work: _Workspace | None = None
         ) -> tuple[np.ndarray, np.ndarray]:
-    """Semi-discrete right-hand side (d rho/dt, d m/dt)."""
+    """Semi-discrete right-hand side (d rho/dt, d m/dt) of one state or of a
+    batch."""
     grid = config.grid
     eps_vac = config.eps_vac
     if eps_vac is None:
         raise ValueError("rhs needs a resolved eps_vac on the config")
+    state, one = _as_batch(state)
     work = _Workspace(config, state.rho.shape) if _work is None else _work
     f = _bundle(state, config, work)
 
-    drho, dmom = work.drho, work.dmom
-    drho.fill(0.0)
-    dmom.fill(0.0)
+    d = work.d
+    d.fill(0.0)
     for axis, (s, h) in enumerate(zip(work.axes, grid.spacing)):
-        cut, half_a = s.cut, s.half_a
-        left, right = _face_states(state.rho, state.mom, h, config.limiter, s)
+        cut, half_a, jump = s.cut, s.half_a, s.jump
+        sides = _face_states(state.q, h, config.limiter, s)
         sp = _halo(f.speed, cut, 1, s.speed)
         np.multiply(0.5, np.maximum(sp[cut.lo], sp[cut.hi], out=half_a), out=half_a)
-        rho_l, rho_r, m_l, m_r = left[0], right[0], left[1:], right[1:]
-        np.maximum(rho_l, 0.0, out=rho_l)
-        np.maximum(rho_r, 0.0, out=rho_r)
-
-        # mass: local Lax-Friedrichs on the reconstructed states,
-        # 0.5 * (m_l + m_r) - half_a * (rho_r - rho_l)
-        flux, jump, d = s.flux_rho, s.jump, s.d_rho
-        np.multiply(0.5, np.add(m_l[axis], m_r[axis], out=flux), out=flux)
-        np.multiply(half_a, np.subtract(rho_r, rho_l, out=jump), out=jump)
-        np.subtract(flux, jump, out=flux)
-        np.subtract(flux[cut.hi], flux[cut.lo], out=d)
-        np.subtract(drho, np.divide(d, h, out=d), out=drho)
-
-        # momentum convection, upwinded the same way, every component at once:
-        # 0.5 * (m_l * u_l + m_r * u_r) - half_a * (m_r - m_l), built in m_l
-        wet = s.wet
-        u_ax_l = _cutoff(m_l[axis], rho_l, np.greater(rho_l, eps_vac, out=wet), s.u_l, dry=wet)
-        u_ax_r = _cutoff(m_r[axis], rho_r, np.greater(rho_r, eps_vac, out=wet), s.u_r, dry=wet)
-        jump, d = s.jump_m, s.d_mom
-        np.multiply(half_a, np.subtract(m_r, m_l, out=jump), out=jump)
-        flux = np.multiply(m_l, u_ax_l, out=m_l)
-        np.add(flux, np.multiply(m_r, u_ax_r, out=m_r), out=flux)
+        rho, m_ax = sides[:, 0], sides[:, 1 + axis]  # of both sides
+        np.maximum(rho, 0.0, out=rho)
+        # local Lax-Friedrichs on the reconstructed states, every equation at
+        # once: 0.5 * (F(q_l) + F(q_r)) - half_a * (q_r - q_l), with the flux
+        # F(q) = (m_axis, m u_axis) built in the left face states
+        np.multiply(half_a, np.subtract(sides[1], sides[0], out=jump), out=jump)
+        np.add(m_ax[0], m_ax[1], out=s.mass)
+        u_ax = _cutoff(m_ax, rho, np.greater(rho, eps_vac, out=s.wet), rho, dry=s.wet)
+        np.multiply(sides[:, 1:], u_ax[:, np.newaxis], out=sides[:, 1:])
+        flux = sides[0]
+        np.add(flux[1:], sides[1, 1:], out=flux[1:])
+        np.copyto(flux[0], s.mass)
         np.multiply(0.5, flux, out=flux)
         np.subtract(flux, jump, out=flux)
-        np.subtract(flux[cut.hi], flux[cut.lo], out=d)
-        np.subtract(dmom, np.divide(d, h, out=d), out=dmom)
+        dq = np.subtract(flux[cut.hi], flux[cut.lo], out=s.dq)
+        np.subtract(d, np.divide(dq, h, out=dq), out=d)
 
     # pressure gradient, centered
+    dmom = d[1:]
     pressure = _power(f.rho, config.gamma, work.pressure)
     for a, s in enumerate(work.axes):
         np.subtract(dmom[a], _ddx(pressure, grid, a, s.pad, work.diff_c), out=dmom[a])
@@ -212,12 +252,12 @@ def rhs(state: State, config: SolverConfig, *, _work: _Workspace | None = None
     # shear viscosity in compact flux form; harmonic face coefficient so the
     # flux degenerates with the density at dry faces
     for s, h, h_face in zip(work.axes, grid.spacing, f.h_face):
-        cut, flux, d = s.cut, s.face_v, work.shear
+        cut, flux, dv = s.cut, s.face_v, work.shear
         up = _halo(f.u, cut, 1, s.pad_v)
         np.subtract(up[cut.hi], up[cut.lo], out=flux)
         np.multiply(h_face, np.divide(flux, h, out=flux), out=flux)
-        np.subtract(flux[cut.hi], flux[cut.lo], out=d)
-        np.add(dmom, np.divide(d, h, out=d), out=dmom)
+        np.subtract(flux[cut.hi], flux[cut.lo], out=dv)
+        np.add(dmom, np.divide(dv, h, out=dv), out=dmom)
 
     # second-coefficient term grad(g * div u), centered
     if f.g is not None:
@@ -229,13 +269,10 @@ def rhs(state: State, config: SolverConfig, *, _work: _Workspace | None = None
         for a, s in enumerate(work.axes):
             np.add(dmom[a], _ddx(div_u, grid, a, s.pad, work.diff_c), out=dmom[a])
 
-    if config.forcing is not None:
-        if np.ndim(state.t) == 0:
-            np.add(dmom, config.forcing(state.t, grid), out=dmom)
-        else:  # each member at its own time
-            for k, t in enumerate(state.t.tolist()):
-                np.add(dmom[:, k], config.forcing(t, grid), out=dmom[:, k])
-    return drho, dmom
+    if config.forcing is not None:  # each member at its own time
+        for k, t in enumerate(state.t.tolist()):
+            np.add(dmom[:, k], config.forcing(t, grid), out=dmom[:, k])
+    return (d[0, 0], dmom[:, 0]) if one else (d[0], dmom)
 
 
 def stable_dt(state: State, config: SolverConfig, *, _work: _Workspace | None = None
@@ -255,6 +292,7 @@ def stable_dt(state: State, config: SolverConfig, *, _work: _Workspace | None = 
     eps_vac = config.eps_vac
     if eps_vac is None:
         raise ValueError("stable_dt needs a resolved eps_vac on the config")
+    state, one = _as_batch(state)
     work = _Workspace(config, state.rho.shape) if _work is None else _work
     f = _bundle(state, config, work)
     dx = min(grid.spacing)
@@ -269,71 +307,57 @@ def stable_dt(state: State, config: SolverConfig, *, _work: _Workspace | None = 
         adv = dx / (f.umax + f.cmax)  # inf where nothing moves
         np.divide(f.rho, rate, out=diff_all, where=pos)
     np.copyto(diff_all, math.inf, where=np.logical_not(pos, out=pos))
-    diff = diff_all.min(axis=grid.axes, where=f.wet, initial=math.inf)
+    diff = np.minimum.reduce(diff_all, axis=grid.axes, where=f.wet, initial=math.inf)
     dt = config.cfl * np.minimum(adv, diff)
-    any_wet = f.wet.any(axis=grid.axes)
-    if not any_wet.all():
+    any_wet = np.logical_or.reduce(f.wet, axis=grid.axes)
+    if not np.logical_and.reduce(any_wet):
         # an all-dry member: the viscous bound of a cell at the cutoff density
         h_ref = max(float(config.law.h(eps_vac)), 1e-300)
         dt = np.where(any_wet, dt, config.cfl * dx * dx * eps_vac / (2.0 * grid.dim * h_ref))
-    bad = any_wet & ~(np.isfinite(dt) & (dt > 0))
-    if bad.any():
-        adv, diff = np.ravel(adv), np.ravel(diff)
-        raise _MemberErrors({k: SolverError(f"no finite stable timestep (adv={float(adv[k])}, "
-                                            f"diff={float(diff[k])})")
-                             for k in np.flatnonzero(bad).tolist()})
-    return dt if np.ndim(dt) else float(dt)
-
-
-def _count(mask: np.ndarray, axes: tuple[int, ...]):
-    """Set cells of ``mask``: an int for one state, one count per member for a
-    batch."""
-    if mask.ndim == len(axes):
-        return int(np.count_nonzero(mask))
-    return np.count_nonzero(mask, axis=axes)
+    # NaN fails both tests
+    if not (0.0 < np.minimum.reduce(dt) and np.maximum.reduce(dt) < math.inf):
+        bad = any_wet & ~(np.isfinite(dt) & (dt > 0))
+        if bad.any():
+            raise _MemberErrors({k: SolverError(f"no finite stable timestep (adv={float(adv[k])}, "
+                                                f"diff={float(diff[k])})")
+                                 for k in np.flatnonzero(bad).tolist()})
+    return float(dt[0]) if one else dt
 
 
 def _apply_floors(rho: np.ndarray, mom: np.ndarray, eps_vac: float):
     """Clamp negative densities and zero momentum on sub-cutoff cells.
-    Returns (clamped cells, zeroed cells), per member for a batch."""
+    Returns (clamped cells, zeroed cells), each counted per member (one
+    count for a single state) when the floor catches a cell, else 0."""
     axes = _grid_axes(len(mom))
+    n_clamp = n_zero = 0
     neg = rho < 0.0
-    n_clamp = _count(neg, axes)
-    if neg.any():
+    if np.logical_or.reduce(neg, axis=None):
+        n_clamp = np.add.reduce(neg, axis=axes, dtype=np.intp)
         rho[neg] = 0.0
-    dry = rho <= eps_vac
-    carrying = dry & (mom != 0.0).any(axis=0)
-    n_zero = _count(carrying, axes)
-    if carrying.any():
+    carrying = (rho <= eps_vac) & np.logical_or.reduce(mom != 0.0, axis=0)
+    if np.logical_or.reduce(carrying, axis=None):
+        n_zero = np.add.reduce(carrying, axis=axes, dtype=np.intp)
         mom[:, carrying] = 0.0
     return n_clamp, n_zero
-
-
-def _member(state: State, k: int) -> State:
-    """Member ``k`` of a batch, as views; one state is its own member 0."""
-    if np.ndim(state.t) == 0:
-        return state
-    return State(float(state.t[k]), state.rho[k], state.mom[:, k])
 
 
 def _check_finite(state: State, where: str) -> dict[int, SolverError]:
     """Map the row of each member with a non-finite field (row 0 for one
     state) to the error that aborts its run; empty when every field is
     finite."""
+    state, _ = _as_batch(state)
     axes = _grid_axes(len(state.mom))
-    finite = np.isfinite(state.rho).all(axis=axes) & np.isfinite(state.mom).all(axis=(0, *axes))
-    if finite.all():
-        return {}
+    finite = np.logical_and.reduce(np.isfinite(state.q), axis=(0, *axes))
     failures = {}
     for k in np.flatnonzero(~finite).tolist():
-        member = _member(state, k)
-        finite_rho = np.isfinite(member.rho)
+        rho, mom = state.rho[k], state.mom[:, k]
+        finite_rho = np.isfinite(rho)
         bad_rho = int(np.count_nonzero(~finite_rho))
-        bad_mom = int(np.count_nonzero(~np.isfinite(member.mom)))
-        peak = (f"max finite |rho|={np.abs(member.rho[finite_rho]).max():.3g}"
+        bad_mom = int(np.count_nonzero(~np.isfinite(mom)))
+        peak = (f"max finite |rho|={np.abs(rho[finite_rho]).max():.3g}"
                 if finite_rho.any() else "no finite density")
         failures[k] = SolverError(
-            f"non-finite fields {where} (t={member.t:.6g}): "
+            f"non-finite fields {where} (t={float(state.t[k]):.6g}): "
             f"{bad_rho} density cells, {bad_mom} momentum entries; {peak}"
         )
     return failures
@@ -351,55 +375,53 @@ def step(state: State, config: SolverConfig, dt, *, _work: _Workspace | None = N
     ``_work``, in the state buffer that does not hold ``state`` (a throwaway
     workspace for a public call, whose arrays the caller then owns), so a
     failed step leaves ``state`` as it was and the other members of a batch
-    can redo the step from it."""
+    can redo the step from it.  Each stage takes the derivative that ``rhs``
+    returns."""
     eps_vac = config.eps_vac
     if eps_vac is None:
         raise ValueError("step needs a resolved eps_vac on the config")
+    state, one = _as_batch(state)
     work = _Workspace(config, state.rho.shape) if _work is None else _work
     rk4 = config.integrator == "RK4"
     # dt times a field: each member's dt scales every cell of that member
-    w = np.reshape(dt, (-1,) + (1,) * config.grid.dim) if np.ndim(state.t) else dt
-    rho, mom = work.spare(state)
-    clamps = zeros = 0
+    w = np.reshape(dt, (-1,) + (1,) * config.grid.dim)
+    q = work.spare(state.q)
+    clamps = zeros = 0  # until a floor catches a cell
 
-    def floored(t, where: str) -> State:
+    def floored(t, where: str) -> _Stacked:
         # every stage state passes through here: floors, counts, finiteness
         nonlocal clamps, zeros
-        out = State(t, rho, mom)
-        c, z = _apply_floors(rho, mom, eps_vac)
-        clamps += c
-        zeros += z
-        failures = _check_finite(out, where)
-        if failures:
-            raise _MemberErrors(failures)
+        c, z = _apply_floors(q[0], q[1:], eps_vac)
+        clamps, zeros = clamps + c, zeros + z
+        out = _Stacked(t, q)
+        if not np.logical_and.reduce(np.isfinite(q, out=work.finite), axis=None):
+            raise _MemberErrors(_check_finite(out, where))
         return out
 
-    kr, km = rhs(state, config, _work=work)
+    k = _derivative(rhs(state, config, _work=work), work)
     if rk4:  # acc sums k1 + 2 k2 + 2 k3 + k4 left to right
-        acc_r, acc_m = work.acc[0], work.acc[1:]
-        np.copyto(acc_r, kr)
-        np.copyto(acc_m, km)
+        acc = work.acc
+        np.copyto(acc, k)
     # each stage state is state + c * w * k, k the derivative of the stage
-    # before, as state.rho + c * w * kr
+    # before, as state.q + c * w * k
     for n, c in enumerate((0.5, 0.5, 1.0) if rk4 else (1.0,), start=1 + rk4):
-        np.add(state.rho, np.multiply(c * w, kr, out=rho), out=rho)
-        np.add(state.mom, np.multiply(c * w, km, out=mom), out=mom)
+        np.add(state.q, np.multiply(c * w, k, out=q), out=q)
         stage = floored(state.t + c * dt, f"after stage {n}")
         if n > 2:  # k2 and k3 enter RK4's sum twice, once they made their stage
-            np.add(acc_r, np.multiply(2.0, kr, out=kr), out=acc_r)
-            np.add(acc_m, np.multiply(2.0, km, out=km), out=acc_m)
-        kr, km = rhs(stage, config, _work=work)
+            np.add(acc, np.multiply(2.0, k, out=k), out=acc)
+        k = _derivative(rhs(stage, config, _work=work), work)
     if rk4:  # state + w / 6 * (acc + k4)
-        np.add(acc_r, kr, out=acc_r)
-        np.add(acc_m, km, out=acc_m)
-        np.add(state.rho, np.multiply(w / 6.0, acc_r, out=acc_r), out=rho)
-        np.add(state.mom, np.multiply(w / 6.0, acc_m, out=acc_m), out=mom)
+        np.add(acc, k, out=acc)
+        np.add(state.q, np.multiply(w / 6.0, acc, out=acc), out=q)
     else:  # 0.5 * state + 0.5 * (s1 + w * k), the sums in that order
-        for new, old, k in ((rho, state.rho, kr), (mom, state.mom, km)):
-            np.add(new, np.multiply(w, k, out=k), out=k)
-            np.multiply(0.5, k, out=k)
-            np.add(np.multiply(0.5, old, out=new), k, out=new)
-    return floored(state.t + dt, "after step"), clamps, zeros
+        np.add(q, np.multiply(w, k, out=k), out=k)
+        np.multiply(0.5, k, out=k)
+        np.add(np.multiply(0.5, state.q, out=q), k, out=q)
+    new = floored(state.t + dt, "after step")
+    clamps, zeros = work.no_counts + clamps, work.no_counts + zeros  # per member
+    if one:
+        return State(float(new.t[0]), new.rho[0], new.mom[:, 0]), int(clamps[0]), int(zeros[0])
+    return new, clamps, zeros
 
 
 def run(config: SolverConfig, initial: State) -> tuple[Trajectory, EntropyLedger]:
@@ -456,7 +478,7 @@ def run_members(config: SolverConfig, initials: list[State]
 
 def _start(cfg: SolverConfig, initial: State, non_admissible: bool):
     """A member's floored copy of its initial state, and its trajectory and
-    ledger holding the initial instant."""
+    empty ledger."""
     grid = cfg.grid
     state = initial.copy()
     if np.any(state.rho < 0.0):
@@ -464,7 +486,7 @@ def _start(cfg: SolverConfig, initial: State, non_admissible: bool):
     _, zeroed = _apply_floors(state.rho, state.mom, cfg.eps_vac)
     for exc in _check_finite(state, "in initial data").values():
         raise exc
-    traj = Trajectory(initial_vacuum_momentum_zeroed=zeroed, non_admissible=non_admissible)
+    traj = Trajectory(initial_vacuum_momentum_zeroed=int(zeroed), non_admissible=non_admissible)
     ledger = EntropyLedger(
         metadata={
             "law": cfg.law.describe(),
@@ -479,34 +501,17 @@ def _start(cfg: SolverConfig, initial: State, non_admissible: bool):
             "ledger_stride": cfg.ledger_stride,
         }
     )
-    _record(cfg, traj, ledger, state.copy())
-    traj.step_times.append(state.t)
-    traj.step_energies.append(diagnostics.energy(state, grid, cfg.gamma, cfg.eps_vac))
     return state, traj, ledger
-
-
-def _record(cfg: SolverConfig, traj: Trajectory, ledger: EntropyLedger, st: State):
-    """Keep ``st`` (a state the trajectory owns) and its ledger row."""
-    traj.times.append(st.t)
-    traj.states.append(st)
-    ledger.append(
-        ledger_row(st, cfg.grid, cfg.law, cfg.gamma, cfg.moment, cfg.eps_vac,
-                   clamp_count=traj.clamp_count, cutoff_count=traj.vacuum_zero_count)
-    )
 
 
 def _advance(cfg: SolverConfig, members: list, results: list):
     """Step started members, given as (index, state, trajectory, ledger), to
-    t_end, filling ``results``.  One member steps as a single state, more as
-    a batch: states stacked on a leading axis, times and dt vectors."""
-    if len(members) == 1:
-        state = members[0][1]
-    else:
-        starts = [st for _, st, _, _ in members]
-        state = State(np.array([st.t for st in starts], dtype=float),
-                      np.stack([st.rho for st in starts]),
-                      np.stack([st.mom for st in starts], axis=1))
-    batch = np.ndim(state.t) > 0
+    t_end as one batch, filling ``results``: their states stacked on a
+    leading axis, with a time and a dt per member.  Each instant's times,
+    energies and ledger rows come from the bundle of its state."""
+    state = _Stacked(np.array([st.t for _, st, _, _ in members], dtype=float),
+                     np.stack([np.concatenate((st.rho[np.newaxis], st.mom))
+                               for _, st, _, _ in members], axis=1))
     work = _Workspace(cfg, state.rho.shape)  # one per batch shape
     rows = [(i, traj, ledger) for i, _, traj, ledger in members]  # one per batch row
     dt_floor = DT_FLOOR_FACTOR * cfg.t_end
@@ -518,43 +523,56 @@ def _advance(cfg: SolverConfig, members: list, results: list):
         for k in gone:
             results[rows[k][0]] = outcome(k)
         keep = [k for k in range(len(rows)) if k not in gone]
-        if batch and keep:
-            state = State(state.t[keep], state.rho[keep], state.mom[:, keep])
+        if keep:
+            state = _Stacked(state.t[keep], state.q[:, keep])
             work = _Workspace(cfg, state.rho.shape)
         rows = [rows[k] for k in keep]
 
     def finished(k):
         _, traj, ledger = rows[k]
-        traj.final_state = _member(state, k).copy()  # the state lives in the workspace
+        traj.final_state = _member(state, k)  # the state lives in the workspace
         return traj, ledger
 
+    def instant(start: bool = False):
+        """Book the instant the batch has reached.  Its bundle serves the
+        energies and the ledger rows of the members due one, as it serves
+        the next stable_dt and the next step's first stage."""
+        f = _bundle(state, cfg, work)
+        t = state.t.tolist()
+        due = [k for k, (_, traj, _) in enumerate(rows)
+               if start or traj.step_count % cfg.ledger_stride == 0 or t[k] >= cfg.t_end - t_tol]
+        columns = f.ledger_columns(cfg.moment) if due else None
+        for (_, traj, _), t_k, energy in zip(rows, t, f.energy().tolist()):
+            traj.step_times.append(t_k)
+            traj.step_energies.append(energy)
+        for k in due:
+            _, traj, ledger = rows[k]
+            traj.times.append(t[k])
+            traj.states.append(_member(state, k))
+            ledger.append(_row(t[k], columns, k, traj.clamp_count, traj.vacuum_zero_count))
+
+    try:
+        instant(start=True)
+    except Exception as exc:  # noqa: BLE001 - an error of the whole batch fails every member
+        leave(range(len(rows)), lambda k: exc)
     while rows:
-        t = np.atleast_1d(state.t)
-        done = np.flatnonzero(t >= cfg.t_end - t_tol).tolist()
+        done = [k for k, t in enumerate(state.t.tolist()) if t >= cfg.t_end - t_tol]
         if done:
             leave(done, finished)
             continue
         try:
-            dt = np.atleast_1d(stable_dt(state, cfg, _work=work))
-            low = np.flatnonzero(dt < dt_floor).tolist()
+            dt = stable_dt(state, cfg, _work=work)
+            low = [k for k, dt_k in enumerate(dt.tolist()) if dt_k < dt_floor]
             if low:
                 raise _MemberErrors({k: SolverError(f"timestep underflow: required dt {dt[k]:.3g} "
                                                     f"< floor {dt_floor:.3g}") for k in low})
-            state, clamps, zeros = step(state, cfg, np.minimum(dt, cfg.t_end - t) if batch
-                                        else min(float(dt[0]), cfg.t_end - state.t), _work=work)
-            clamps, zeros = np.atleast_1d(clamps), np.atleast_1d(zeros)
-            t = np.atleast_1d(state.t)
-            # the new state's bundle serves its energy, the next stable_dt
-            # and the next step's first stage
-            energy = np.atleast_1d(_bundle(state, cfg, work).energy())
-            for k, (_, traj, ledger) in enumerate(rows):
+            state, clamps, zeros = step(state, cfg, np.minimum(dt, cfg.t_end - state.t),
+                                        _work=work)
+            for (_, traj, _), c, z in zip(rows, clamps.tolist(), zeros.tolist()):
                 traj.step_count += 1
-                traj.clamp_count += int(clamps[k])
-                traj.vacuum_zero_count += int(zeros[k])
-                traj.step_times.append(float(t[k]))
-                traj.step_energies.append(float(energy[k]))
-                if traj.step_count % cfg.ledger_stride == 0 or t[k] >= cfg.t_end - t_tol:
-                    _record(cfg, traj, ledger, _member(state, k).copy())
+                traj.clamp_count += c
+                traj.vacuum_zero_count += z
+            instant()
         except _MemberErrors as exc:
             # those members end; the rest redo the step from the state they
             # still hold, which a failed step leaves as it was

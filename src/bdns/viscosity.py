@@ -47,7 +47,7 @@ class LawError(ValueError):
 
 def _as_array(rho):
     arr = np.asarray(rho, dtype=float)
-    if np.any(arr < 0):
+    if np.logical_or.reduce(arr < 0, axis=None):
         raise DomainError("density must be nonnegative")
     return arr
 

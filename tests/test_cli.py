@@ -166,6 +166,34 @@ def test_simulate_gamma_not_above_one_is_usage_error(tmp_path, capsys, gamma):
     assert "gamma must be > 1" in simulate_usage_error(tmp_path, capsys, gamma=gamma)
 
 
+def run_module(*args):
+    """``python -m bdns.cli`` in a process of its own: (exit code, stderr lines)."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "bdns.cli", *args], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=60)
+    return proc.returncode, proc.stderr.strip().splitlines()
+
+
+@pytest.mark.parametrize("t_end", [float("nan"), float("inf")])
+def test_simulate_non_finite_t_end_is_usage_error(tmp_path, t_end):
+    # json reads NaN and Infinity; a run to t_end = NaN would never end, so
+    # the command runs in its own process, under a timeout
+    code, err = run_module("simulate", "--config", str(write_config(tmp_path, t_end=t_end)))
+    assert code == 2 and len(err) == 1 and "t_end must be finite and positive" in err[0], err
+
+
+@pytest.mark.parametrize("overrides, text", [
+    ({"eps_vac": "x"}, "'eps_vac' must be a number or null"),
+    ({"eps_vac": -1}, "eps_vac must be finite and positive"),
+    ({"eps_vac": float("nan")}, "eps_vac must be finite and positive"),
+    ({"lengths": [float("nan")]}, "lengths must be finite and positive"),
+])
+def test_simulate_bad_eps_vac_or_lengths_is_usage_error(tmp_path, capsys, overrides, text):
+    assert text in simulate_usage_error(tmp_path, capsys, **overrides)
+
+
 def test_missing_checkpoint_is_named(tmp_path, capsys):
     err = simulate_usage_error(tmp_path, capsys,
                                initial={"checkpoint": str(tmp_path / "gone.bdns")})
@@ -244,12 +272,21 @@ def test_stability_study_non_object_block_is_one_line(tmp_path, capsys, block):
     assert len(err) == 1 and f"'{block}' must be a JSON object" in err[0], err
 
 
-@pytest.mark.parametrize("gamma", ["1.0", "0.5", "nan"])
+@pytest.mark.parametrize("gamma", ["1.0", "0.5", "nan", "inf"])
 def test_verify_identities_gamma_not_above_one_is_one_line(capsys, gamma):
     code = cli_main(["verify-identities", "--law", '{"terms": [[1, 1]]}', "--gamma", gamma,
                      "--dims", "1", "--grids", "32"])
     err = capsys.readouterr().err.strip().splitlines()
     assert code == 2 and len(err) == 1 and "gamma must be > 1" in err[0], err
+
+
+@pytest.mark.parametrize("flag, value", [("--nu", "nan"), ("--nu", "inf"),
+                                         ("--g-override", "nan"), ("--g-override", "inf")])
+def test_verify_identities_non_finite_nu_or_g_override_is_one_line(capsys, flag, value):
+    code = cli_main(["verify-identities", "--law", '{"terms": [[1, 1]]}', flag, value,
+                     "--dims", "1", "--grids", "32,64"])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 2 and len(err) == 1 and f"must be finite, got {value}" in err[0], err
 
 
 @pytest.mark.parametrize("command, flag", [

@@ -1,10 +1,12 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 import bdns.identities as identities
 from bdns.identities import (
+    IdentityReport,
     ManufacturedField,
     fitted_order,
     gradient_flow_field,
@@ -299,3 +301,18 @@ def test_moment_prechecks_run_before_grid_work(monkeypatch):
 def test_empty_grid_sequence_is_rejected():
     with pytest.raises(ValueError, match="nonempty"):
         verify_energy_step(manufactured_field(1, seed=1), LINEAR, 2.0, [])
+
+
+@pytest.mark.parametrize("residuals, slacks", [
+    ({"r": [1e-3, math.nan]}, {}),
+    ({"r": [math.nan, 1e-14]}, {}),
+    ({"r": [1e-3, math.inf]}, {}),
+    ({"r": [1e-14, 1e-15]}, {"s": [0.1, math.nan]}),
+])
+def test_non_finite_residual_or_slack_fails_the_verdict(residuals, slacks):
+    # a converging order must not save a non-finite residual either
+    rep = IdentityReport("x", [32, 64], residuals=residuals, slacks=slacks,
+                         orders={name: 10.0 for name in residuals})
+    assert not rep.verdict
+    assert IdentityReport("x", [32, 64], residuals={"r": [1e-14, 1e-15]},
+                          slacks={"s": [0.1, 0.0]}).verdict

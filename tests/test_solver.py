@@ -3,6 +3,7 @@ import math
 import tracemalloc
 import warnings
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -495,8 +496,17 @@ def test_run_matches_roll_reference(monkeypatch):
     init = make_initial("vacuum_bump", grid, {"amp": 1.0, "width": 0.25, "u_amp": 0.05})
     cfg = make_config(grid, t_end=4e-4, eps_vac=None, ledger_stride=7)
     runs = [run(cfg, init)]
-    monkeypatch.setattr(solver, "rhs", lambda s, c, _work=None: ref_rhs(s, c))
-    monkeypatch.setattr(solver, "stable_dt", lambda s, c, _work=None: ref_stable_dt(s, c))
+
+    def one(s):  # a run is a batch of one; the references take the one state
+        return State(float(s.t[0]), s.rho[0], s.mom[:, 0])
+
+    def batched_ref_rhs(s, c, _work=None):
+        drho, dmom = ref_rhs(one(s), c)
+        return drho[np.newaxis], dmom[:, np.newaxis]
+
+    monkeypatch.setattr(solver, "rhs", batched_ref_rhs)
+    monkeypatch.setattr(solver, "stable_dt",
+                        lambda s, c, _work=None: np.array([ref_stable_dt(one(s), c)]))
     runs.append(run(cfg, init))
     (new, new_ledger), (ref, ref_ledger) = runs
     assert new.step_count == ref.step_count > 0
@@ -633,6 +643,64 @@ def test_run_members_matches_solo_runs_with_member_dts():
     assert len({traj.step_count for traj, _ in solos}) == len(initials)
     for got, want in zip(results, solos):
         assert_same_run(got, want)
+
+
+def counting_bundles(monkeypatch):
+    """A list that grows by one at every construction of a field bundle."""
+    made = []
+    real = diagnostics._Fields.__init__
+
+    def counting(self, *args, **kwargs):
+        made.append(1)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(diagnostics._Fields, "__init__", counting)
+    return made
+
+
+@pytest.mark.parametrize("integrator, per_step", [("RK2_SSP", 2), ("RK4", 4)])
+def test_a_step_builds_a_bundle_per_stage_and_a_ledger_instant_none(monkeypatch, integrator,
+                                                                    per_step):
+    # one bundle for the initial state, then one per stage state and one for
+    # the new state, whose energy, ledger row, next stable_dt and next first
+    # stage share it: the count does not depend on the ledger stride
+    grid = PeriodicGrid((64,))
+    init = make_initial("vacuum_bump", grid, {"amp": 1.0, "width": 0.25, "u_amp": 0.05})
+    made = counting_bundles(monkeypatch)
+    for stride in (1, 10**6):
+        made.clear()
+        traj, ledger = run(make_config(grid, t_end=2e-4, eps_vac=None, integrator=integrator,
+                                       ledger_stride=stride), init)
+        assert len(made) == 1 + per_step * traj.step_count
+        assert len(ledger.rows) == (traj.step_count + 1 if stride == 1 else 2)
+
+
+def test_batch_ledger_rows_come_from_the_step_bundle(monkeypatch):
+    # with h = rho + rho^2 each member has its own dt, so the members reach
+    # t_end, and fall due for their last row, at different steps.  Taking the
+    # rows builds no bundle, and every row equals the public ledger_row of
+    # the state the trajectory keeps, column for column and bit for bit
+    grid = PeriodicGrid((256,))
+    cfg = make_config(grid, t_end=0.002, nu=0.3, law=ViscosityLaw(terms=((1.0, 1.0), (1.0, 2.0))),
+                      ledger_stride=20)
+    spec = InitialDataSpec("smooth_bump", {"amp": 0.3, "width": 0.3, "u_amp": 0.1},
+                           sigma0=0.04, n_max=2)
+    initials, _ = generate_sequence(spec, grid, cfg.law, 2.0, 0.05, 1e-10)
+    made = counting_bundles(monkeypatch)
+    counts = {}
+    for stride in (10**6, 20):
+        made.clear()
+        results = solver.run_members(replace(cfg, ledger_stride=stride), initials)
+        counts[stride] = len(made)
+    assert counts[20] == counts[10**6]
+    assert len({traj.step_count for traj, _ in results}) == len(initials)
+    for traj, ledger in results:
+        assert len(ledger.rows) == len(traj.states) > 2
+        for row, st in zip(ledger.rows, traj.states):
+            want = diagnostics.ledger_row(st, grid, cfg.law, cfg.gamma, cfg.moment, cfg.eps_vac,
+                                          row["clamp_count"], row["cutoff_count"])
+            assert list(row) == list(want)
+            assert [float(v).hex() for v in row.values()] == [v.hex() for v in want.values()]
 
 
 def test_run_members_matches_solo_runs_rk4_and_own_eps_vac():
@@ -879,7 +947,7 @@ def test_stage_loop_allocates_no_field(monkeypatch):
     cfg = make_config(grid, t_end=1e-4, ledger_stride=1000)
     init = make_initial("saint_venant_demo", grid)
     field_bytes = init.rho.nbytes
-    h_values = np.empty(grid.sizes)
+    h_values = np.empty((1, *grid.sizes))  # a run is a batch of one
     outside, whole = [], []  # per step: its peak outside the law, its whole peak
     windows, evaluations = [], []  # within a step: the peaks between and of law.h calls
     real_step, real_h = solver.step, ViscosityLaw.h
