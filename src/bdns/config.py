@@ -61,14 +61,21 @@ def _optional_float(obj: dict, key: str) -> float | None:
         raise ConfigError(f"{key!r} must be a number or null, got {value!r}") from None
 
 
+def _integer(value, key: str) -> int:
+    """An integral number as an int: 64 or 64.0, never 64.5."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{key!r} must be an integer, got {value!r}")
+    return int(value)
+
+
 def parse_config(obj: dict) -> RunSetup:
     try:
         law = ViscosityLaw.from_json(_require(obj, "law"))
-        dim = int(_require(obj, "dim"))
+        dim = _integer(_require(obj, "dim"), "dim")
         cells = obj.get("cells", 128)
-        sizes = tuple(cells) if isinstance(cells, (list, tuple)) else tuple(
-            [int(cells)] * dim
-        )
+        if not isinstance(cells, (list, tuple)):
+            cells = [cells] * dim
+        sizes = tuple(_integer(n, "cells") for n in cells)
         if len(sizes) != dim:
             raise ConfigError(f"cells {cells} does not match dim {dim}")
         lengths = tuple(obj.get("lengths", [1.0] * dim))
@@ -76,7 +83,7 @@ def parse_config(obj: dict) -> RunSetup:
         params = AdmissibilityParams(
             nu=float(_require(obj, "nu")),
             gamma=float(_require(obj, "gamma")),
-            N=int(obj.get("N", dim)),
+            N=_integer(obj.get("N", dim), "N"),
             eps_growth=float(obj.get("eps_growth", 0.1)),
         )
         moment = MomentParams(
@@ -90,7 +97,7 @@ def parse_config(obj: dict) -> RunSetup:
             cfl=float(obj.get("cfl", 0.4)),
             integrator=obj.get("integrator", "RK2_SSP"),
             eps_vac=_optional_float(obj, "eps_vac"),
-            ledger_stride=int(obj.get("ledger_stride", 10)),
+            ledger_stride=_integer(obj.get("ledger_stride", 10), "ledger_stride"),
             moment=moment,
             limiter=obj.get("limiter", "mc"),
             allow_non_admissible=bool(obj.get("allow_non_admissible", False)),
@@ -117,7 +124,7 @@ def parse_config(obj: dict) -> RunSetup:
                 base_preset=init_spec["preset"],
                 base_params=init_spec.get("params", {}),
                 sigma0=float(s.get("sigma0", 0.1)),
-                n_max=int(s.get("n_max", 4)),
+                n_max=_integer(s.get("n_max", 4), "n_max"),
             )
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc

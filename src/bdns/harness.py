@@ -5,8 +5,10 @@ A study takes one base profile, produces a sequence of initial states by
 mollifying sqrt(rho) (not rho, so the weighted density-gradient hypothesis
 stays uniformly bounded) and the velocity with periodic Gaussians of
 geometrically shrinking width, gates every member on the finiteness of the
-initial-data hypotheses, runs the solver per member, and measures the three
-convergence distances of the stability statement between members:
+initial-data hypotheses, advances all members as one batch of the solver
+(:func:`~bdns.solver.run_members`, each exactly as its own run would), and
+measures the three convergence distances of the stability statement between
+members:
 
 * d_rho: sup over time of the L^{3/2} density distance,
 * d_u:   space-time L^2 distance of the weighted velocities sqrt(rho) u,
@@ -19,8 +21,10 @@ The hypothesis table's energy and moment are the ledger's ``E_eq15`` and
 consecutive-pair distances of the generated sequence (Cauchy behaviour)
 instead of extracting subsequences.  Cross-member norms use the ledger
 times of the coarsest-sampled run, other members linearly interpolated in
-time.  The members advance together as one batch of the solver
-(:func:`~bdns.solver.run_members`), each exactly as its own run would.
+time.  The analysis keeps the solver's batch layout, a leading axis of
+members or of instants: the sequence is mollified and its hypotheses
+evaluated for all members at once, and each member's interpolated states
+and each pair's distances for all common times at once.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .diagnostics import EntropyLedger, TIME_AGGREGATION, _Fields
-from .grid import PeriodicGrid, State, integrate, lp_norm
+from .grid import PeriodicGrid, State, _floats, _lp, _magnitude, integrate
 from .presets import make_initial
 from .solver import SolverConfig, Trajectory, _resolve_eps_vac, run_members
 
@@ -60,20 +64,24 @@ class InitialDataSpec:
             raise ValueError("n_max must be >= 0")
 
 
-def _mollify(f: np.ndarray, grid: PeriodicGrid, sigma: float) -> np.ndarray:
-    """Periodic Gaussian smoothing by Fourier multiplier exp(-|k|^2 sigma^2 / 2)."""
-    fh = np.fft.fftn(f)
+def _mollify(f: np.ndarray, grid: PeriodicGrid, sigmas: list[float]) -> np.ndarray:
+    """Periodic Gaussian smoothing by Fourier multiplier exp(-|k|^2 sigma^2 / 2),
+    one copy of ``f`` per width sigma: a field gives (M, *sizes) for M widths,
+    a vector field (dim, M, *sizes)."""
+    fh = np.expand_dims(np.fft.fftn(f, axes=grid.axes), -grid.dim - 1)
     k2 = np.zeros(grid.sizes)
     for a in range(grid.dim):
         k2 = k2 + grid.wavenumbers(a) ** 2
-    return np.real(np.fft.ifftn(fh * np.exp(-0.5 * k2 * sigma * sigma)))
+    sigma = np.reshape(sigmas, (-1,) + (1,) * grid.dim)
+    return np.real(np.fft.ifftn(fh * np.exp(-0.5 * k2 * sigma * sigma), axes=grid.axes))
 
 
 def hypothesis_functionals(state: State, grid: PeriodicGrid, law, gamma: float,
-                           delta: float, eps_vac: float) -> dict[str, float]:
+                           delta: float, eps_vac: float) -> dict:
     """The initial-data finiteness checks: energy, weighted density-gradient
     integral (vacuum-safe form 4 int h'^2 |grad sqrt(rho)|^2), and the
-    velocity moment int rho |u|^{2+delta} / (2+delta)."""
+    velocity moment int rho |u|^{2+delta} / (2+delta); one value per member
+    for a batch."""
     f = _Fields(state, grid, law, gamma, eps_vac)
     return {
         "energy": f.energy(),
@@ -89,40 +97,35 @@ def generate_sequence(spec: InitialDataSpec, grid: PeriodicGrid, law, gamma: flo
     base profile."""
     base = make_initial(spec.base_preset, grid, spec.base_params)
     fields = _Fields(base, grid, law, gamma, eps_vac)
-    sqrt_rho0, u0 = fields.sqrt_rho, fields.u
-
-    states: list[State] = []
-    table: list[dict[str, float]] = []
-    for n in range(spec.n_max + 1):
-        sigma = spec.sigma0 * 2.0**-n
-        s = _mollify(sqrt_rho0, grid, sigma)
-        rho = s * s
-        u = np.stack([_mollify(u0[a], grid, sigma) for a in range(grid.dim)])
-        mom = rho * u
-        mom[:, rho <= eps_vac] = 0.0
-        st = State(0.0, rho, mom)
-        vals = hypothesis_functionals(st, grid, law, gamma, delta, eps_vac)
-        for name, v in vals.items():
-            if not math.isfinite(v):
+    sigmas = [spec.sigma0 * 2.0**-n for n in range(spec.n_max + 1)]
+    s = _mollify(fields.sqrt_rho, grid, sigmas)
+    rho = s * s
+    mom = rho * _mollify(fields.u, grid, sigmas)
+    mom[:, rho <= eps_vac] = 0.0
+    batch = State(np.zeros(len(sigmas)), rho, mom)
+    values = {name: _floats(v) for name, v in
+              hypothesis_functionals(batch, grid, law, gamma, delta, eps_vac).items()}
+    values["l1_distance_to_base"] = _lp(np.abs(rho - base.rho), grid, 1)
+    values["sigma"] = sigmas
+    table = [{name: v[n] for name, v in values.items()} for n in range(len(sigmas))]
+    for n, vals in enumerate(table):
+        for name in ("energy", "grad_h_over_rho", "moment"):
+            if not math.isfinite(vals[name]):
                 raise GenerationError(
                     f"member {n}: initial-data hypothesis '{name}' is not finite"
                 )
-        vals["l1_distance_to_base"] = lp_norm(rho - base.rho, grid, 1)
-        vals["sigma"] = sigma
-        table.append(vals)
-        states.append(st)
-
-    ref = table[0]
-    for n, vals in enumerate(table):
-        for name in ("energy", "grad_h_over_rho", "moment"):
-            if vals[name] > UNIFORMITY_FACTOR * max(ref[name], 1e-300):
+            if vals[name] > UNIFORMITY_FACTOR * max(table[0][name], 1e-300):
                 vals[f"flag_{name}"] = 1.0
-    return states, table
+    return [State(0.0, rho[n], mom[:, n]) for n in range(len(sigmas))], table
 
 
 @dataclass
 class StabilityStudy:
-    """Per-member runs plus the pairwise compactness distance matrices."""
+    """A study's outcome: every member's hypothesis-table row, trajectory and
+    ledger (None for a member whose run failed), the common times of the
+    cross-member norms, the three pairwise distance matrices, each member's
+    largest vacuum momentum and its time-aggregated a priori bounds with
+    their maximum over members."""
 
     members: list[dict]
     trajectories: list[Trajectory | None]
@@ -163,17 +166,6 @@ class StabilityStudy:
         return json.dumps(self.to_json(), indent=2, sort_keys=True)
 
 
-def _interp_state(traj: Trajectory, t: float) -> tuple[np.ndarray, np.ndarray]:
-    times = np.asarray(traj.times)
-    i = int(np.searchsorted(times, t, side="right")) - 1
-    i = max(0, min(i, len(times) - 2))
-    t0, t1 = times[i], times[i + 1]
-    lam = 0.0 if t1 <= t0 else min(max((t - t0) / (t1 - t0), 0.0), 1.0)
-    rho = (1.0 - lam) * traj.states[i].rho + lam * traj.states[i + 1].rho
-    mom = (1.0 - lam) * traj.states[i].mom + lam * traj.states[i + 1].mom
-    return rho, mom
-
-
 def _check_metric_axioms(mat: np.ndarray) -> bool:
     n = mat.shape[0]
     scale = max(float(np.max(mat)), 1.0)
@@ -205,17 +197,10 @@ def run_study(spec: InitialDataSpec, config: SolverConfig,
     # a member's failure marks the study partial
     results = run_members(cfg, states)
 
-    trajectories: list[Trajectory | None] = []
-    ledgers: list[EntropyLedger | None] = []
-    failures = []
-    for i, res in enumerate(results):
-        if isinstance(res, Exception):
-            trajectories.append(None)
-            ledgers.append(None)
-            failures.append(f"member {i}: {res}")
-        else:
-            trajectories.append(res[0])
-            ledgers.append(res[1])
+    failures = [f"member {i}: {res}" for i, res in enumerate(results)
+                if isinstance(res, Exception)]
+    trajectories = [None if isinstance(res, Exception) else res[0] for res in results]
+    ledgers = [None if isinstance(res, Exception) else res[1] for res in results]
 
     alive = [i for i, t in enumerate(trajectories) if t is not None]
     if not alive:
@@ -227,41 +212,35 @@ def run_study(spec: InitialDataSpec, config: SolverConfig,
     d_rho = np.zeros((n_members, n_members))
     d_u = np.zeros((n_members, n_members))
     d_m = np.zeros((n_members, n_members))
+    vacuum = [float("nan")] * n_members
 
-    interp = {}
+    # each member's (rho, mom, sqrt(rho) u) at the common times, one instant per row
+    series = {}
     for i in alive:
-        series = [_interp_state(trajectories[i], t) for t in common_times]
-        sru = [_Fields(State(t, rho, mom), grid, None, None, eps_vac).sqrt_rho_u
-               for t, (rho, mom) in zip(common_times, series)]
-        interp[i] = (series, sru)
+        traj = trajectories[i]
+        rho = np.stack([st.rho for st in traj.states])
+        mom = np.stack([st.mom for st in traj.states], axis=1)
+        dry_mom = np.add.reduce(np.abs(mom), axis=0) * (rho <= eps_vac)
+        vacuum[i] = max([0.0, *_floats(integrate(dry_mom, grid))])
+        times = np.asarray(traj.times)
+        k = np.clip(np.searchsorted(times, common_times, side="right") - 1, 0, len(times) - 2)
+        t0, t1 = times[k], times[k + 1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lam = np.where(t1 <= t0, 0.0, np.clip((common_times - t0) / (t1 - t0), 0.0, 1.0))
+        lam = np.reshape(lam, (-1,) + (1,) * grid.dim)
+        at = State(common_times, (1.0 - lam) * rho[k] + lam * rho[k + 1],
+                   (1.0 - lam) * mom[:, k] + lam * mom[:, k + 1])
+        series[i] = (at.rho, at.mom, _Fields(at, grid, None, None, eps_vac).sqrt_rho_u)
+        del rho, mom, dry_mom
 
     for ai, i in enumerate(alive):
         for j in alive[ai + 1:]:
-            si, sri = interp[i]
-            sj, srj = interp[j]
-            rr = max(
-                lp_norm(si[k][0] - sj[k][0], grid, 1.5) for k in range(len(common_times))
-            )
-            uu2 = np.array([
-                lp_norm(sri[k] - srj[k], grid, 2) ** 2 for k in range(len(common_times))
-            ])
-            mm = np.array([
-                lp_norm(si[k][1] - sj[k][1], grid, 1) for k in range(len(common_times))
-            ])
-            d_rho[i, j] = d_rho[j, i] = rr
+            (ri, mi, si), (rj, mj, sj) = series[i], series[j]
+            uu2 = np.array([x**2 for x in _lp(_magnitude(si - sj), grid, 2)])
+            mm = np.array(_lp(_magnitude(mi - mj), grid, 1))
+            d_rho[i, j] = d_rho[j, i] = max(_lp(np.abs(ri - rj), grid, 1.5))
             d_u[i, j] = d_u[j, i] = math.sqrt(max(np.trapezoid(uu2, common_times), 0.0))
             d_m[i, j] = d_m[j, i] = float(np.trapezoid(mm, common_times))
-
-    vacuum = []
-    for i in range(n_members):
-        if trajectories[i] is None:
-            vacuum.append(float("nan"))
-            continue
-        v = 0.0
-        for st in trajectories[i].states:
-            dry = st.rho <= eps_vac
-            v = max(v, integrate(np.sum(np.abs(st.mom), axis=0) * dry, grid))
-        vacuum.append(v)
 
     per_member: dict[str, list[float]] = {name: [] for name in TIME_AGGREGATION}
     for i in range(n_members):

@@ -166,6 +166,51 @@ def test_simulate_gamma_not_above_one_is_usage_error(tmp_path, capsys, gamma):
     assert "gamma must be > 1" in simulate_usage_error(tmp_path, capsys, gamma=gamma)
 
 
+def validate_law_usage_error(tmp_path, capsys, **overrides):
+    path = write_config(tmp_path, name="bad.json", **overrides)
+    code = cli_main(["validate-law", "--config", str(path)])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 2 and len(err) == 1, err
+    return err[0]
+
+
+@pytest.mark.parametrize("key, value", [("gamma", float("inf")), ("eps_growth", float("nan")),
+                                        ("eps_growth", float("inf"))])
+def test_validate_law_non_finite_admissibility_constant_is_one_line(tmp_path, capsys, key, value):
+    err = validate_law_usage_error(tmp_path, capsys, **{key: value})
+    assert f"{key} must be > {1 if key == 'gamma' else 0}" in err, err
+
+
+@pytest.mark.parametrize("law, text", [({"terms": [[1.0, float("inf")]]}, "exponent inf"),
+                                       ({"terms": [[1.0, float("nan")]]}, "exponent nan"),
+                                       ({"terms": [[float("nan"), 1.0]]}, "coefficient nan"),
+                                       ({"terms": [[float("inf"), 1.0]]}, "coefficient inf"),
+                                       ({"constant": float("nan")}, "constant coefficient nan"),
+                                       ({"constant": float("inf")}, "constant coefficient inf")])
+def test_validate_law_non_finite_law_is_one_line(tmp_path, capsys, law, text):
+    assert text in validate_law_usage_error(tmp_path, capsys, law=law)
+
+
+@pytest.mark.parametrize("law", [{"terms": [[0.0, 1.0]]}, {"terms": [[0.0, 1.0], [0.0, 3.0]]}])
+def test_validate_law_all_zero_law_fails_validation(tmp_path, capsys, law):
+    path = write_config(tmp_path, law=law, gamma=3.5, N=3)
+    assert cli_main(["validate-law", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    payload = json.loads(captured.out, parse_constant=lambda token: pytest.fail(token))
+    assert payload["overall"] is False
+    assert [rec["pass"] for rec in payload["conditions"]] == [False, True, True, False]
+
+
+@pytest.mark.parametrize("key, value", [("cells", [64.5]), ("cells", 64.5), ("dim", 1.5),
+                                        ("ledger_stride", 2.5), ("N", 1.5),
+                                        ("study", {"n_max": 1.5})])
+def test_non_integral_config_number_is_one_line(tmp_path, capsys, key, value):
+    name = "n_max" if key == "study" else key
+    err = validate_law_usage_error(tmp_path, capsys, **{key: value})
+    assert f"{name!r} must be an integer" in err, err
+
+
 def run_module(*args):
     """``python -m bdns.cli`` in a process of its own: (exit code, stderr lines)."""
     root = Path(__file__).resolve().parents[1]

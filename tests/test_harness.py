@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -8,13 +9,15 @@ import pytest
 
 import bdns.harness as harness
 import bdns.solver as solver
-from bdns.grid import PeriodicGrid, integrate, lp_norm
+from bdns.diagnostics import _Fields
+from bdns.grid import PeriodicGrid, State, integrate, lp_norm
 from bdns.harness import (
     GenerationError,
     InitialDataSpec,
     generate_sequence,
     run_study,
 )
+from bdns.presets import make_initial
 from bdns.solver import SolverConfig
 from bdns.viscosity import AdmissibilityParams, ViscosityLaw
 
@@ -213,6 +216,75 @@ def test_hypothesis_table_matches_first_ledger_row():
         first = ledger.rows[0]
         assert row["energy"] == first["E_eq15"]
         assert row["moment"] == first["M_delta_lemma32"]
+
+
+def _mollify_one(f, grid, sigma):
+    """One member's periodic Gaussian smoothing, transform by transform."""
+    k2 = sum(grid.wavenumbers(a) ** 2 for a in range(grid.dim))
+    return np.real(np.fft.ifftn(np.fft.fftn(f) * np.exp(-0.5 * k2 * sigma * sigma)))
+
+
+def _interp_one(traj, t):
+    """A trajectory's state linearly interpolated to one instant."""
+    times = np.asarray(traj.times)
+    i = max(0, min(int(np.searchsorted(times, t, side="right")) - 1, len(times) - 2))
+    t0, t1 = times[i], times[i + 1]
+    lam = 0.0 if t1 <= t0 else min(max((t - t0) / (t1 - t0), 0.0), 1.0)
+    a, b = traj.states[i], traj.states[i + 1]
+    return (1.0 - lam) * a.rho + lam * b.rho, (1.0 - lam) * a.mom + lam * b.mom
+
+
+@pytest.mark.parametrize("preset", ["smooth_bump", "vacuum_bump"])
+def test_2d_study_matches_per_instant_reference(preset):
+    # the batched sequence and distances equal, bit for bit, the formulas
+    # evaluated member by member, instant by instant and pair by pair
+    grid = PeriodicGrid((32, 24), (1.0, 0.75))
+    law = ViscosityLaw(terms=((1.0, 1.0), (0.5, 2.0)))
+    cfg = SolverConfig(law=law, params=AdmissibilityParams(nu=0.3, gamma=2.0, N=2),
+                       grid=grid, t_end=1e-3, ledger_stride=5)
+    spec = InitialDataSpec(preset, {}, sigma0=0.05, n_max=2)
+    study = run_study(spec, cfg)
+    base = make_initial(preset, grid, {})
+    eps = solver._resolve_eps_vac(cfg, base)
+    f0 = _Fields(base, grid, law, 2.0, eps)
+
+    states, _ = generate_sequence(spec, grid, law, 2.0, cfg.moment.delta, eps)
+    for n, (st, row) in enumerate(zip(states, study.members)):
+        sigma = 0.05 * 2.0**-n
+        s = _mollify_one(f0.sqrt_rho, grid, sigma)
+        rho = s * s
+        mom = rho * np.stack([_mollify_one(f0.u[a], grid, sigma) for a in range(2)])
+        mom[:, rho <= eps] = 0.0
+        assert np.array_equal(st.rho, rho) and np.array_equal(st.mom, mom)
+        want = harness.hypothesis_functionals(State(0.0, rho, mom), grid, law, 2.0,
+                                              cfg.moment.delta, eps)
+        want["l1_distance_to_base"] = lp_norm(rho - base.rho, grid, 1)
+        want["sigma"] = sigma
+        for name in ("energy", "grad_h_over_rho", "moment"):
+            if want[name] > harness.UNIFORMITY_FACTOR * max(study.members[0][name], 1e-300):
+                want[f"flag_{name}"] = 1.0
+        assert row == want
+
+    times = study.common_times
+    series = []
+    for n, traj in enumerate(study.trajectories):
+        at = [_interp_one(traj, t) for t in times]
+        sru = [_Fields(State(t, r, m), grid, None, None, eps).sqrt_rho_u
+               for t, (r, m) in zip(times, at)]
+        series.append((at, sru))
+        vac = max([0.0] + [integrate(np.sum(np.abs(x.mom), axis=0) * (x.rho <= eps), grid)
+                           for x in traj.states])
+        assert study.vacuum[n] == vac
+    for i in range(3):
+        for j in range(i + 1, 3):
+            (ai, si), (aj, sj) = series[i], series[j]
+            d_rho = max(lp_norm(ai[k][0] - aj[k][0], grid, 1.5) for k in range(len(times)))
+            uu2 = np.array([lp_norm(si[k] - sj[k], grid, 2) ** 2 for k in range(len(times))])
+            mm = np.array([lp_norm(ai[k][1] - aj[k][1], grid, 1) for k in range(len(times))])
+            assert study.d_rho[i, j] == study.d_rho[j, i] == d_rho
+            assert study.d_u[i, j] == math.sqrt(max(np.trapezoid(uu2, times), 0.0))
+            assert study.d_m[i, j] == float(np.trapezoid(mm, times))
+    assert len(times) > 2 and not study.partial and study.metric_axioms_ok
 
 
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))

@@ -292,6 +292,25 @@ def test_tampered_law_breaks_structural_relation():
     assert bad.g(3.0) + bad.h(3.0) != pytest.approx(3.0 * bad.h_prime(3.0))
 
 
+def test_validate_tampered_law_reads_its_base_law_exponent():
+    params = AdmissibilityParams(nu=0.5, gamma=3.5, N=3)
+    for base in (LINEAR, MIXED, ViscosityLaw(constant=2.5)):
+        rec = validate(TamperedLaw(base, 1.0), params).record("(12)")
+        assert rec.note == "exact leading exponent"
+        assert rec.margin == validate(base, params).record("(12)").margin
+
+
+def test_constant_law_is_one_term_of_exponent_zero():
+    law = ViscosityLaw(constant=2.5)
+    assert law.terms == ((2.5, 0.0),) and law.max_exponent() == 0.0
+    rho = np.array([0.0, 5e-324, 1.0, np.inf])
+    assert np.array_equal(law.h(rho), np.full(4, 2.5))
+    for f in (law.h_prime, law.h_second, law.psi):
+        assert np.array_equal(f(rho), np.zeros(4)) and f(0.0) == 0.0
+    assert np.array_equal(law.phi(rho[1:]), np.zeros(3))
+    assert law.describe() == "h = 2.5" and law.to_json() == {"constant": 2.5}
+
+
 def test_validate_tampered_law_reports_failed_combination():
     # a tampered pair has no constant: (10) fails without the constant-law note
     report = validate(TamperedLaw(LINEAR, 1.0), AdmissibilityParams(nu=0.9, gamma=2.0, N=1))
