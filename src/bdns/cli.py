@@ -24,6 +24,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+from . import _json
 from .config import ConfigError, load_config
 from .grid import save_checkpoint
 from .harness import GenerationError, run_study
@@ -182,7 +183,7 @@ def _cmd_verify_identities(args) -> int:
         except ValueError as exc:
             raise _Usage(f"cannot certify in {dim}D: {exc}") from exc
     payload = [r.to_json() for r in reports]
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = _json.dumps(payload, indent=2, sort_keys=True)
     if args.out:
         _write_text(args.out, text)
     ok = all(r.verdict for r in reports)
@@ -213,7 +214,7 @@ def _cmd_stability_study(args) -> int:
         for path, ledger in zip(ledger_paths, study.ledgers):
             if ledger is not None:
                 _write(path, ledger.to_csv)
-    text = json.dumps(study.to_json(ledger_paths), indent=2, sort_keys=True)
+    text = _json.dumps(study.to_json(ledger_paths), indent=2, sort_keys=True)
     if args.out:
         _write_text(args.out, text)
     for name in ("rho", "u", "m"):

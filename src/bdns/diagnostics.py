@@ -31,13 +31,13 @@ Ledger columns carry fixed wire-format tags (e.g. ``E_eq15``,
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
+from . import _json
 from ._workspace import _harmonic_face, _Workspace
 from .grid import (PeriodicGrid, State, _cutoff, _floats, _lp, _magnitude, _power,
                    _wave_vector, grad, integrate)
@@ -67,82 +67,83 @@ class MomentParams:
 class _Fields:
     """One state's derived fields, each computed at most once, and the single
     definition of every functional on them: the one bundle of a state.  The
-    clamped density and the wet cells (rho > eps_vac) are computed up front;
-    sqrt(rho), the cutoff velocity m / rho and the weighted momentum
-    sqrt(rho) u when first asked for, the last two through
-    :func:`~bdns.grid._cutoff`, so that they vanish on dry cells.
+    clamped density, the wet cells (rho > eps_vac) and the cutoff velocity
+    m / rho are computed up front; the energy's fields (sqrt(rho), the
+    weighted momentum sqrt(rho) u, its square and the pressure potential)
+    together when one of them is first asked for, and the others one by one
+    when first asked for.  Every quotient by a power of the density goes
+    through :func:`~bdns.grid._cutoff`, so that it vanishes on dry cells.
 
     The solver's bundles take its workspace ``work`` and write their fields
     into its buffers (see ``_Workspace.bundle_out``); the fields of the
     energy go to scratch lanes and hold until a kernel next runs.  Such a
-    bundle also gives the stage kernels their fields, computed when it is
-    made, since they pass through lanes that the stencils write: the wave
-    speed |u| + c per cell with the largest |u| and sound speed c of each
-    member (``speed``, ``umax``, ``cmax``) and the harmonic face viscosity
-    of every axis (``h_face``).  The kernels' g(rho) (``g``) is computed
-    when first asked for.
+    bundle is made once per state of the stage loop, by the first kernel
+    that needs it, and also gives the stage kernels their fields, computed
+    when it is made, since they pass through lanes that the stencils write:
+    |u| and the sound speed c stacked (``waves``), the wave speed |u| + c
+    (``speed``), h and the harmonic face viscosity of every axis
+    (``h_face``).  The kernels' g(rho) (``g``) is computed when first asked
+    for.
 
     The functionals that integrate a field return a float for one state and
     one value per member for a batch; the ledger columns, whose last steps
     (a root, a square root, a Hoelder product) are taken in Python floats,
     return one float per member either way."""
 
+    _ENERGY_FIELDS = frozenset(("sqrt_rho", "sqrt_rho_u", "sru2", "pressure"))
+
     def __init__(self, state: State, grid: PeriodicGrid, law, gamma: float | None,
                  eps_vac: float, work: _Workspace | None = None):
         if eps_vac <= 0:
             raise ValueError("eps_vac must be positive")
-        state.check_shapes(grid)
+        if work is None:  # the solver's states have the workspace's shape
+            state.check_shapes(grid)
         self.state = state
         self.grid = grid
         self.law = law
         self.gamma = gamma
         out = self._out = {} if work is None else work.bundle_out
-        self.rho = np.maximum(state.rho, 0.0, out=out.get("rho"))
-        self.wet = np.greater(state.rho, eps_vac, out=out.get("wet"))
+        rho = self.rho = np.maximum(state.rho, 0.0, out=out.get("rho"))
+        wet = self.wet = np.greater(state.rho, eps_vac, out=out.get("wet"))
+        # an overflowing velocity is no error here: stable_dt reports it
+        with np.errstate(over="ignore"):
+            u = self.u = _cutoff(state.mom, rho, wet, out.get("u"))
         if work is None:
             return
         # the stage kernels' fields, before any stencil writes a lane
-        umag = np.add.reduce(np.square(self.u, out=out["u_sq"]), axis=0, out=out["umag"])
-        np.sqrt(umag, out=umag)
-        cs = _power(self.rho, gamma - 1.0, out["cs"])
+        waves = self.waves = out["waves"]  # |u| and c, one square root for both
+        umag, cs = waves
+        np.add.reduce(np.square(u, out=out["u_sq"]), axis=0, out=umag)
+        _power(rho, gamma - 1.0, cs)
         np.multiply(gamma, cs, out=cs)
-        np.sqrt(cs, out=cs)
-        self.umax = np.maximum.reduce(umag, axis=self.grid.axes)
-        self.cmax = np.maximum.reduce(cs, axis=self.grid.axes)
+        np.sqrt(waves, out=waves)
         self.speed = np.add(umag, cs, out=out["speed"])
-        self.h_face = tuple(_harmonic_face(self.h, s, face)
-                            for s, face in zip(work.axes, out["h_face"]))
+        h = self.h = out["h"]
+        h[...] = law.h(rho)
+        for s in work.axes:
+            _harmonic_face(s)
+        self.h_face = out["h_face"]
+
+    def __getattr__(self, name: str):
+        # called for an attribute not yet set: the energy's fields are made
+        # together on first access, the pressure potential given gamma
+        if name not in self._ENERGY_FIELDS:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        out = self._out
+        sqrt_rho = self.sqrt_rho = np.sqrt(self.rho, out=out.get("sqrt_rho"))
+        sru = self.sqrt_rho_u = _cutoff(self.state.mom, sqrt_rho, self.wet, out.get("sqrt_rho_u"))
+        sq = np.square(sru, out=out.get("sru_sq"))  # |sqrt(rho) u|^2
+        self.sru2 = np.add.reduce(sq, axis=0, out=out.get("sru2"))
+        if self.gamma is not None:
+            p = self.pressure = _power(self.rho, self.gamma, out.get("pressure"))
+            np.divide(p, self.gamma - 1.0, out=p)
+        return object.__getattribute__(self, name)
 
     @cached_property
     def g(self):
-        """g(rho) for the stage kernels: None when it is zero in every cell,
-        and never evaluated for a law whose g vanishes identically."""
-        if self.law.g_vanishes:
-            return None
+        """g(rho) for the stage kernels: None when it is zero in every cell."""
         g = self.law.g(self.rho)
         return g if np.logical_or.reduce(g != 0.0, axis=None) else None
-
-    @cached_property
-    def sqrt_rho(self):
-        return np.sqrt(self.rho, out=self._out.get("sqrt_rho"))
-
-    @cached_property
-    def u(self):
-        # an overflowing velocity is no error here: stable_dt reports it
-        with np.errstate(over="ignore"):
-            return _cutoff(self.state.mom, self.rho, self.wet, self._out.get("u"),
-                           dry=self._out.get("dry"))
-
-    @cached_property
-    def sqrt_rho_u(self):
-        return _cutoff(self.state.mom, self.sqrt_rho, self.wet, self._out.get("sqrt_rho_u"),
-                       dry=self._out.get("dry"))
-
-    @cached_property
-    def sru2(self):
-        # |sqrt(rho) u|^2
-        sq = np.square(self.sqrt_rho_u, out=self._out.get("sru_sq"))
-        return np.add.reduce(sq, axis=0, out=self._out.get("sru2"))
 
     @cached_property
     def grad_u(self):
@@ -169,11 +170,6 @@ class _Fields:
     @cached_property
     def hp(self):
         return self.law.h_prime(self.rho)
-
-    @cached_property
-    def pressure(self):
-        p = _power(self.rho, self.gamma, self._out.get("pressure"))
-        return np.divide(p, self.gamma - 1.0, out=p)
 
     @cached_property
     def hp_grad_sqrt_rho_sq(self) -> float:
@@ -209,7 +205,11 @@ class _Fields:
 
     def moment_rhs(self, delta: float) -> list[float]:
         p = 2.0 / (2.0 - delta)
-        ratio = _cutoff(self.rho ** (2.0 * self.gamma - delta / 2.0), self.h, self.wet)
+        # rho^{2 gamma - delta/2} / h where h > 0, +inf on a wet cell with h = 0
+        h = self.h
+        ratio = _cutoff(self.rho ** (2.0 * self.gamma - delta / 2.0), h,
+                        np.logical_and(self.wet, h > 0.0))
+        ratio[np.logical_and(self.wet, h == 0.0)] = math.inf
         factor1 = _floats(integrate(ratio**p, self.grid))
         factor2 = _floats(integrate(self.sru2, self.grid))
         return [a ** ((2.0 - delta) / 2.0) * b ** (delta / 2.0) for a, b in zip(factor1, factor2)]
@@ -310,7 +310,8 @@ def moment_rhs(state: State, grid: PeriodicGrid, law, gamma: float, delta: float
                eps_vac: float) -> float:
     """Bound on the moment growth rate: the Hoelder product of the weighted
     pressure factor and the kinetic energy.  On vacuum cells
-    rho^{2 gamma - delta/2} / h(rho) is taken as zero."""
+    rho^{2 gamma - delta/2} / h(rho) is taken as zero, and on a wet cell
+    where h = 0 as +inf, with no division taken."""
     if not 0.0 < delta < 2.0:
         raise ValueError(f"delta must lie in (0, 2), got {delta}")
     (value,) = _Fields(state, grid, law, gamma, eps_vac).moment_rhs(delta)
@@ -429,9 +430,9 @@ class EntropyLedger:
 
     def to_jsonl(self, path):
         with open(path, "w") as fh:
-            fh.write(json.dumps({"metadata": self.metadata}, sort_keys=True) + "\n")
+            fh.write(_json.dumps({"metadata": self.metadata}, sort_keys=True) + "\n")
             for row in self.rows:
-                fh.write(json.dumps(row, sort_keys=True) + "\n")
+                fh.write(_json.dumps(row, sort_keys=True) + "\n")
 
 
 class TestField:

@@ -197,11 +197,12 @@ def _make_cut(axis: int, dim: int) -> _Cut:
 _CUTS = {dim: tuple(_make_cut(axis, dim) for axis in range(dim)) for dim in (1, 2)}
 
 
-def _halo(q: np.ndarray, cut: _Cut, width: int, out: np.ndarray | None = None) -> np.ndarray:
-    """``q`` extended by ``width`` periodic ghost cells at both ends of the
-    cut's axis, so that every stencil along it is a slice view; written into
-    ``out`` when given."""
-    return np.concatenate((q[cut.tail[width]], q, q[cut.head[width]]), axis=cut.axis, out=out)
+def _halo_pieces(q: np.ndarray, cut: _Cut, width: int) -> tuple[np.ndarray, ...]:
+    """The pieces whose concatenation along the cut's axis is ``q`` extended
+    by ``width`` periodic ghost cells at both ends, so that every stencil
+    along it is a slice view of the concatenation: views of ``q``, so that a
+    workspace builds them once per buffer."""
+    return q[cut.tail[width]], q, q[cut.head[width]]
 
 
 def _power(x: np.ndarray, exponent: float, out: np.ndarray | None = None) -> np.ndarray:
@@ -210,30 +211,63 @@ def _power(x: np.ndarray, exponent: float, out: np.ndarray | None = None) -> np.
     exponents (a square for 2)."""
     if out is None:
         return x**exponent
-    np.copyto(out, x)
+    out[...] = x
     out **= exponent
     return out
 
 
-def _cutoff(num: np.ndarray, den: np.ndarray, wet: np.ndarray, out: np.ndarray | None = None,
-            dry: np.ndarray | None = None) -> np.ndarray:
+def _cutoff(num: np.ndarray, den: np.ndarray, wet: np.ndarray, out: np.ndarray | None = None
+            ) -> np.ndarray:
     """``num / den`` on ``wet`` cells and 0 elsewhere, the vacuum convention
     of every quantity divided by the density (or a power of it); written into
-    ``out`` when given.  ``dry`` is a boolean buffer for ``~wet``; it may be
-    ``wet`` itself, which is then overwritten."""
-    out = np.divide(num, den, out=out, where=wet)
-    np.copyto(out, 0.0, where=np.logical_not(wet, out=dry))
-    return out
+    ``out`` when given, which must not overlap ``num`` or ``den``: it is
+    zeroed, then the quotient is written on the wet cells alone, so that no
+    division by a dry cell's value is taken."""
+    if out is None:
+        out = np.zeros(np.broadcast_shapes(num.shape, den.shape))
+    else:
+        out.fill(0.0)
+    return np.divide(num, den, out=out, where=wet)
 
 
-def _ddx(f: np.ndarray, grid: PeriodicGrid, axis: int, pad: np.ndarray | None = None,
-         out: np.ndarray | None = None) -> np.ndarray:
-    """Centered difference along ``axis``; the halo goes into ``pad`` and the
-    result into ``out`` when they are given."""
-    cut = _CUTS[grid.dim][axis]
-    fp = _halo(f, cut, 1, pad)
-    diff = np.subtract(fp[cut.hi2], fp[cut.lo2], out=out)
-    return np.divide(diff, 2.0 * grid.spacing[axis], out=diff)
+class _Centered(NamedTuple):
+    """The pieces of a centered difference along one axis: the halo pieces
+    of the field, its halo, the halo's two shifted views, the result and
+    the spacing times two."""
+
+    pieces: tuple
+    axis: int
+    pad: np.ndarray
+    hi2: np.ndarray
+    lo2: np.ndarray
+    out: np.ndarray
+    two_h: float
+
+
+def _centered_pieces(f: np.ndarray, grid: PeriodicGrid, axis: int, pad: np.ndarray | None = None,
+                     out: np.ndarray | None = None) -> _Centered:
+    """The views of a centered difference of ``f`` along ``axis``, into
+    ``pad`` and ``out`` (new arrays when not given): a workspace builds them
+    once per field buffer."""
+    cut = _CUTS[len(grid.sizes)][axis]
+    if pad is None:
+        shape = list(f.shape)
+        shape[cut.axis] += 2
+        pad = np.empty(shape)
+    return _Centered(_halo_pieces(f, cut, 1), cut.axis, pad, pad[cut.hi2], pad[cut.lo2],
+                     np.empty(f.shape) if out is None else out, 2.0 * grid.spacing[axis])
+
+
+def _centered(c: _Centered) -> np.ndarray:
+    """The centered difference of prebuilt pieces, into ``c.out``."""
+    np.concatenate(c.pieces, axis=c.axis, out=c.pad)
+    np.subtract(c.hi2, c.lo2, out=c.out)
+    return np.divide(c.out, c.two_h, out=c.out)
+
+
+def _ddx(f: np.ndarray, grid: PeriodicGrid, axis: int) -> np.ndarray:
+    """Centered difference along ``axis``."""
+    return _centered(_centered_pieces(f, grid, axis))
 
 
 def grad(f: np.ndarray, grid: PeriodicGrid) -> np.ndarray:

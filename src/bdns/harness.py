@@ -29,12 +29,12 @@ and each pair's distances for all common times at once.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import _json
 from .diagnostics import EntropyLedger, TIME_AGGREGATION, _Fields
 from .grid import PeriodicGrid, State, _floats, _lp, _magnitude, integrate
 from .presets import make_initial
@@ -163,7 +163,7 @@ class StabilityStudy:
         }
 
     def dumps(self) -> str:
-        return json.dumps(self.to_json(), indent=2, sort_keys=True)
+        return _json.dumps(self.to_json(), indent=2, sort_keys=True)
 
 
 def _check_metric_axioms(mat: np.ndarray) -> bool:

@@ -23,13 +23,13 @@ solver code is involved anywhere in this module.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 
 import numpy as np
 
+from . import _json
 from .grid import PeriodicGrid, _wave_vector, integrate, spectral_grad, spectral_div
 from .viscosity import TamperedLaw, find_max_nu
 
@@ -372,7 +372,7 @@ class IdentityReport:
         }
 
     def dumps(self) -> str:
-        return json.dumps(self.to_json(), indent=2, sort_keys=True)
+        return _json.dumps(self.to_json(), indent=2, sort_keys=True)
 
 
 def fitted_order(grids, residuals) -> float:

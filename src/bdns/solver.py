@@ -19,8 +19,7 @@ axis (see :class:`~bdns.grid.State`), each member with its own time and dt,
 rows of one stacked (1 + dim, B, *sizes) array, and so is its derivative:
 ``rhs`` returns the rows (d rho/dt, d m/dt) of one stacked array, and the RK
 combinations and the finiteness test of a stage act on the stacked state
-buffer.  The public ``rhs``, ``stable_dt`` and ``step`` also
-take one state: they wrap it as a batch of one and unwrap the result.
+buffer.
 
 Every stencil is a slice view of a field padded once per axis with a
 periodic halo (two ghost cells for the limited slopes, one for faces), and
@@ -29,24 +28,30 @@ fluxes live on the n + 1 faces of an axis, so a flux difference is
 is one pass over the stacked [left; right] face states: the clamp, the wet
 test, the cutoff velocity, the flux and the jump are each one numpy call for
 both sides, mass and momentum together.  The fields that depend on the state
-alone (clamped density, wet cells, cutoff velocity, wave speed, face
-viscosity, g) come from the state's one bundle, ``diagnostics._Fields``,
-made once per state: the new state of a step gets its bundle once, for its
-per-step energy, its ledger row when one is due, the next ``stable_dt`` and
-the first stage of the next step.
+alone (clamped density, wet cells, cutoff velocity, wave speed, h and its
+face values, g) come from the state's one bundle, ``diagnostics._Fields``,
+made once per state, by the first kernel that needs it: the new state of a
+step gets its bundle once, for its per-step energy, its ledger row when one
+is due, the next ``stable_dt`` and the first stage of the next step.
 
 Every field-sized array of a step (the stage states, the new state, the
-stage derivative, the bundle's fields and the stencil scratch) is written
-with ``out=`` into one private workspace, allocated when ``run_members``
-starts a batch and rebuilt when a member leaves it, so that a step
+stage derivative, the bundle's fields and the stencil scratch) lives in one
+private workspace (``_workspace._Workspace``), allocated when
+``run_members`` starts a batch and rebuilt when a member leaves it, and so
+does every slice view that a step reads or writes: the halo pieces of both
+state buffers, the face rows, the flux rows and the cuts of every lane.
+A state of the stage loop is one of the workspace's two state buffers,
+which consecutive steps alternate between.  A step then slices nothing and
 allocates no field beyond what the viscosity law's own evaluation
-allocates.  ``run_members`` hands it to the kernels as their private
+allocates, and its Python-level calls are the kernels themselves.
+``run_members`` hands the workspace to the kernels as their private
 ``_work`` keyword; without it, the public ``rhs``, ``stable_dt`` and
-``step`` run the same code on a throwaway workspace, whose arrays the
-caller then owns.  Each cell value takes the same operations, in the same
-order, as the plain per-cell formula, so neither the layout nor the
-workspace changes a result, and every member of a batch gets exactly the
-trajectory and ledger of its own :func:`run`.
+``step`` copy their state (one state becoming a batch of one) into a
+throwaway workspace of their own and run the same code, and the arrays they
+return are then the caller's.  Each cell value takes the same operations, in
+the same order, as the plain per-cell formula, so neither the layout nor
+the workspace changes a result, and every member of a batch gets exactly
+the trajectory and ledger of its own :func:`run`.
 
 A member's run ends in one way: ``stable_dt`` (no finite positive bound),
 a stage of ``step`` (a non-finite field) or the timestep floor raises a
@@ -71,8 +76,8 @@ from typing import Callable
 import numpy as np
 
 from .diagnostics import EntropyLedger, MomentParams, _Fields, _row
-from ._workspace import _face_states, _Workspace
-from .grid import PeriodicGrid, State, _cutoff, _ddx, _grid_axes, _halo, _power
+from ._workspace import _face_states, _Floors, _Stacked, _Workspace
+from .grid import PeriodicGrid, State, _centered, _cutoff, _grid_axes, _power
 from .viscosity import AdmissibilityParams, ViscosityLaw, validate
 
 INTEGRATORS = ("RK2_SSP", "RK4")
@@ -156,26 +161,39 @@ def _resolve_eps_vac(config: SolverConfig, initial: State) -> float:
     return 1e-10 * peak
 
 
-class _Stacked(State):
-    """A batch whose density and momentum are the rows of one stacked
-    (1 + dim, B, *sizes) array ``q``: every state of the stage loop."""
+def _load(work: _Workspace, config: SolverConfig, t: np.ndarray, q: np.ndarray) -> _Stacked:
+    """Copy a stacked batch (its times ``t`` and stacked fields ``q``) into
+    the first state buffer of ``work``."""
+    state = work.stacked[0]
+    state.q[...] = q
+    state.t = t
+    work.fields = None
+    return state
 
-    def __init__(self, t: np.ndarray, q: np.ndarray):
-        super().__init__(t, q[0], q[1:])
-        self.q = q
+
+def _bundle(state: State, config: SolverConfig, work: _Workspace) -> _Fields:
+    """Make the bundle of ``state`` in ``work``, which keeps it as
+    ``work.fields`` until a state buffer is written again: the kernels and
+    the run loop take the bundle of the state last written from there, and
+    call this when there is none yet."""
+    f = work.fields = _Fields(state, config.grid, config.law, config.params.gamma,
+                              config.eps_vac, work)
+    return f
 
 
-def _as_batch(state: State) -> tuple[_Stacked, bool]:
-    """``state`` as a stacked batch, and whether it is one state: a stacked
-    batch is itself, one state a batch of one and any other batch a stacked
-    copy."""
-    if isinstance(state, _Stacked):
-        return state, False
+def _enter(state: State, config: SolverConfig, caller: str) -> tuple[_Stacked, _Workspace, bool]:
+    """A public call's state copied into a throwaway workspace of its own,
+    that workspace, and whether the call was given one state (which becomes
+    a batch of one): the arrays the call returns are then the caller's."""
+    if config.eps_vac is None:
+        raise ValueError(f"{caller} needs a resolved eps_vac on the config")
+    state.check_shapes(config.grid)
     one = np.ndim(state.t) == 0
     rho = state.rho[np.newaxis] if one else state.rho
     mom = state.mom[:, np.newaxis] if one else state.mom
-    return _Stacked(np.array(state.t, dtype=float, ndmin=1),
-                    np.concatenate((rho[np.newaxis], mom))), one
+    work = _Workspace(config, rho.shape)
+    q = np.concatenate((rho[np.newaxis], mom))
+    return _load(work, config, np.array(state.t, dtype=float, ndmin=1), q), work, one
 
 
 def _member(state: State, k: int) -> State:
@@ -183,96 +201,82 @@ def _member(state: State, k: int) -> State:
     return State(float(state.t[k]), state.rho[k].copy(), state.mom[:, k].copy())
 
 
-def _bundle(state: State, config: SolverConfig, work: _Workspace) -> _Fields:
-    """The bundle of ``state`` in ``work``: the workspace's own when its
-    kernels last read this very state, else a new one that takes its place.
-    The kernels never change a state they read, and the stage loop makes a
-    new one for every stage."""
-    f = work.fields
-    if f is None or f.state is not state:
-        f = work.fields = _Fields(state, config.grid, config.law, config.gamma,
-                                  config.eps_vac, work)
-    return f
-
-
 def _derivative(pair: tuple[np.ndarray, np.ndarray], work: _Workspace) -> np.ndarray:
-    """The stacked derivative of the (d rho/dt, d m/dt) pair that ``rhs``
-    returned: the workspace's own when the pair are its rows, else the pair
-    copied into it."""
-    drho, dmom = pair
+    """The stacked derivative of a (d rho/dt, d m/dt) pair that is not the
+    workspace's own ``rows`` (those of a replaced ``rhs``), copied into it."""
     d = work.d
-    if drho.base is not d or dmom.base is not d:
-        np.copyto(d[0], drho)
-        np.copyto(d[1:], dmom)
+    d[0], d[1:] = pair
     return d
 
 
 def rhs(state: State, config: SolverConfig, *, _work: _Workspace | None = None
         ) -> tuple[np.ndarray, np.ndarray]:
     """Semi-discrete right-hand side (d rho/dt, d m/dt) of one state or of a
-    batch."""
-    grid = config.grid
-    eps_vac = config.eps_vac
-    if eps_vac is None:
-        raise ValueError("rhs needs a resolved eps_vac on the config")
-    state, one = _as_batch(state)
-    work = _Workspace(config, state.rho.shape) if _work is None else _work
-    f = _bundle(state, config, work)
-
+    batch.  With ``_work``, ``state`` is the state buffer of that workspace
+    written last, whose bundle the workspace holds or makes, and the pair
+    returned is the workspace's ``rows``."""
+    one = False
+    if _work is None:
+        state, _work, one = _enter(state, config, "rhs")
+    work = _work
+    f = work.fields
+    eps_vac, limiter = config.eps_vac, config.limiter
+    if f is None:
+        f = _bundle(state, config, work)
     d = work.d
-    d.fill(0.0)
-    for axis, (s, h) in enumerate(zip(work.axes, grid.spacing)):
-        cut, half_a, jump = s.cut, s.half_a, s.jump
-        sides = _face_states(state.q, h, config.limiter, s)
-        sp = _halo(f.speed, cut, 1, s.speed)
-        np.multiply(0.5, np.maximum(sp[cut.lo], sp[cut.hi], out=half_a), out=half_a)
-        rho, m_ax = sides[:, 0], sides[:, 1 + axis]  # of both sides
-        np.maximum(rho, 0.0, out=rho)
+    for s, halo in zip(work.axes, state.halos):
+        _face_states(halo, s, limiter)
+        np.concatenate(s.speed_halo, axis=s.axis, out=s.speed)
+        half_a, jump, rho = s.half_a, s.jump, s.rho_faces
+        np.multiply(0.5, np.maximum(s.speed_lo, s.speed_hi, out=half_a), out=half_a)
+        np.maximum(rho, 0.0, out=rho)  # of both sides
         # local Lax-Friedrichs on the reconstructed states, every equation at
         # once: 0.5 * (F(q_l) + F(q_r)) - half_a * (q_r - q_l), with the flux
         # F(q) = (m_axis, m u_axis) built in the left face states
-        np.multiply(half_a, np.subtract(sides[1], sides[0], out=jump), out=jump)
-        np.add(m_ax[0], m_ax[1], out=s.mass)
-        u_ax = _cutoff(m_ax, rho, np.greater(rho, eps_vac, out=s.wet), rho, dry=s.wet)
-        np.multiply(sides[:, 1:], u_ax[:, np.newaxis], out=sides[:, 1:])
-        flux = sides[0]
-        np.add(flux[1:], sides[1, 1:], out=flux[1:])
-        np.copyto(flux[0], s.mass)
+        np.multiply(half_a, np.subtract(s.right, s.left, out=jump), out=jump)
+        _cutoff(s.m_faces, rho, np.greater(rho, eps_vac, out=s.wet), s.u_faces)
+        np.add(s.m_left, s.m_right, out=s.mass)
+        np.multiply(s.mom_faces, s.u_faces_b, out=s.mom_faces)
+        flux = s.left
+        np.add(s.left_mom, s.right_mom, out=s.left_mom)
         np.multiply(0.5, flux, out=flux)
         np.subtract(flux, jump, out=flux)
-        dq = np.subtract(flux[cut.hi], flux[cut.lo], out=s.dq)
-        np.subtract(d, np.divide(dq, h, out=dq), out=d)
+        dq = np.subtract(s.flux_hi, s.flux_lo, out=s.dq)
+        np.subtract(s.d_in, np.divide(dq, s.h, out=dq), out=d)
 
     # pressure gradient, centered
-    dmom = d[1:]
-    pressure = _power(f.rho, config.gamma, work.pressure)
-    for a, s in enumerate(work.axes):
-        np.subtract(dmom[a], _ddx(pressure, grid, a, s.pad, work.diff_c), out=dmom[a])
+    _, dmom = work.rows
+    _power(f.rho, config.params.gamma, work.pressure)
+    for s, dm in zip(work.axes, work.dmom_components):
+        np.subtract(dm, _centered(s.d_pressure), out=dm)
 
     # shear viscosity in compact flux form; harmonic face coefficient so the
     # flux degenerates with the density at dry faces
-    for s, h, h_face in zip(work.axes, grid.spacing, f.h_face):
-        cut, flux, dv = s.cut, s.face_v, work.shear
-        up = _halo(f.u, cut, 1, s.pad_v)
-        np.subtract(up[cut.hi], up[cut.lo], out=flux)
-        np.multiply(h_face, np.divide(flux, h, out=flux), out=flux)
-        np.subtract(flux[cut.hi], flux[cut.lo], out=dv)
-        np.add(dmom, np.divide(dv, h, out=dv), out=dmom)
+    dv = work.shear
+    for s in work.axes:
+        flux = s.face_v
+        np.concatenate(s.u_halo, axis=s.axis, out=s.pad_v)
+        np.subtract(s.pad_v_hi, s.pad_v_lo, out=flux)
+        np.multiply(s.h_face, np.divide(flux, s.h, out=flux), out=flux)
+        np.subtract(s.face_v_hi, s.face_v_lo, out=dv)
+        np.add(dmom, np.divide(dv, s.h, out=dv), out=dmom)
 
     # second-coefficient term grad(g * div u), centered
-    if f.g is not None:
+    g = None if work.g_vanishes else f.g
+    if g is not None:
         div_u = work.div_u
-        div_u.fill(0.0)
-        for a, s in enumerate(work.axes):
-            np.add(div_u, _ddx(f.u[a], grid, a, s.pad, work.diff_c), out=div_u)
-        np.multiply(f.g, div_u, out=div_u)
-        for a, s in enumerate(work.axes):
-            np.add(dmom[a], _ddx(div_u, grid, a, s.pad, work.diff_c), out=dmom[a])
+        for s in work.axes:
+            np.add(s.div_u_in, _centered(s.d_u), out=div_u)
+        np.multiply(g, div_u, out=div_u)
+        for s, dm in zip(work.axes, work.dmom_components):
+            np.add(dm, _centered(s.d_div_u), out=dm)
 
     if config.forcing is not None:  # each member at its own time
         for k, t in enumerate(state.t.tolist()):
-            np.add(dmom[:, k], config.forcing(t, grid), out=dmom[:, k])
-    return (d[0, 0], dmom[:, 0]) if one else (d[0], dmom)
+            np.add(dmom[:, k], config.forcing(t, config.grid), out=dmom[:, k])
+    if one:
+        return d[0, 0], dmom[:, 0]
+    return work.rows
 
 
 def stable_dt(state: State, config: SolverConfig, *, _work: _Workspace | None = None
@@ -287,57 +291,70 @@ def stable_dt(state: State, config: SolverConfig, *, _work: _Workspace | None = 
 
     A batch gets one bound per member.  A wet member without a finite
     positive bound ends its run: the call raises SolverError, with the error
-    of every such member in its ``errors`` map (see :func:`step`)."""
-    grid = config.grid
-    eps_vac = config.eps_vac
-    if eps_vac is None:
-        raise ValueError("stable_dt needs a resolved eps_vac on the config")
-    state, one = _as_batch(state)
-    work = _Workspace(config, state.rho.shape) if _work is None else _work
-    f = _bundle(state, config, work)
+    of every such member in its ``errors`` map (see :func:`step`).  With
+    ``_work``, ``state`` is the state buffer of that workspace written last,
+    whose bundle the workspace holds or makes."""
+    one = False
+    if _work is None:
+        state, _work, one = _enter(state, config, "stable_dt")
+    work = _work
+    f = work.fields
+    if f is None:
+        f = _bundle(state, config, work)
+    grid, eps_vac, cfl = config.grid, config.eps_vac, config.cfl
     dx = min(grid.spacing)
     rate, term, diff_all = work.rate, work.term, work.diff_all
-    rate.fill(0.0)
-    for s, h, h_face in zip(work.axes, grid.spacing, f.h_face):
-        cut = s.cut
-        np.add(h_face[cut.hi], h_face[cut.lo], out=term)
-        np.add(rate, np.divide(term, h**2, out=term), out=rate)
-    pos = np.greater(rate, 0.0, out=work.cell_mask)
-    with np.errstate(divide="ignore"):
-        adv = dx / (f.umax + f.cmax)  # inf where nothing moves
-        np.divide(f.rho, rate, out=diff_all, where=pos)
-    np.copyto(diff_all, math.inf, where=np.logical_not(pos, out=pos))
-    diff = np.minimum.reduce(diff_all, axis=grid.axes, where=f.wet, initial=math.inf)
-    dt = config.cfl * np.minimum(adv, diff)
-    any_wet = np.logical_or.reduce(f.wet, axis=grid.axes)
-    if not np.logical_and.reduce(any_wet):
-        # an all-dry member: the viscous bound of a cell at the cutoff density
-        h_ref = max(float(config.law.h(eps_vac)), 1e-300)
-        dt = np.where(any_wet, dt, config.cfl * dx * dx * eps_vac / (2.0 * grid.dim * h_ref))
-    # NaN fails both tests
-    if not (0.0 < np.minimum.reduce(dt) and np.maximum.reduce(dt) < math.inf):
-        bad = any_wet & ~(np.isfinite(dt) & (dt > 0))
-        if bad.any():
-            raise _MemberErrors({k: SolverError(f"no finite stable timestep (adv={float(adv[k])}, "
-                                                f"diff={float(diff[k])})")
-                                 for k in np.flatnonzero(bad).tolist()})
-    return float(dt[0]) if one else dt
+    for s in work.axes:
+        np.add(s.h_face_hi, s.h_face_lo, out=term)
+        np.add(s.rate_in, np.divide(term, s.h_sq, out=term), out=rate)
+    diff_all.fill(math.inf)
+    np.divide(f.rho, rate, out=diff_all, where=np.greater(rate, 0.0, out=work.cell_mask))
+    diff = np.minimum.reduce(diff_all, axis=grid.axes, where=f.wet, initial=math.inf).tolist()
+    top = np.maximum.reduce(f.waves, axis=grid.axes).tolist()  # max |u| and max c
+    any_wet = np.logical_or.reduce(f.wet, axis=grid.axes).tolist()
+    # the rest per member, in Python floats: cfl * min(adv, diff), with NaN
+    # winning the min as it does in np.minimum
+    dt, errors, dry_dt = [], {}, None
+    for k, (umax, cmax, diff_k, wet_k) in enumerate(zip(*top, diff, any_wet)):
+        speed = umax + cmax
+        adv = dx / speed if speed != 0.0 else math.inf  # inf where nothing moves
+        if not wet_k:
+            if dry_dt is None:
+                # an all-dry member: the viscous bound of a cell at the cutoff density
+                h_ref = max(float(config.law.h(eps_vac)), 1e-300)
+                dry_dt = cfl * dx * dx * eps_vac / (2.0 * grid.dim * h_ref)
+            dt.append(dry_dt)
+            continue
+        dt_k = cfl * (adv if adv < diff_k or adv != adv else diff_k)
+        if not 0.0 < dt_k < math.inf:  # NaN too
+            errors[k] = SolverError(f"no finite stable timestep (adv={adv}, diff={diff_k})")
+        dt.append(dt_k)
+    if errors:
+        raise _MemberErrors(errors)
+    return dt[0] if one else np.array(dt)
 
 
-def _apply_floors(rho: np.ndarray, mom: np.ndarray, eps_vac: float):
+def _apply_floors(rho: np.ndarray, mom: np.ndarray, eps_vac: float | _Floors):
     """Clamp negative densities and zero momentum on sub-cutoff cells.
     Returns (clamped cells, zeroed cells), each counted per member (one
-    count for a single state) when the floor catches a cell, else 0."""
-    axes = _grid_axes(len(mom))
+    count for a single state) when the floor catches a cell, else 0.
+    ``eps_vac`` is the cutoff density, or a workspace's ``_Floors``: the
+    cutoff with the boolean buffers that the floors then write instead of
+    allocating their own."""
+    floors = eps_vac if isinstance(eps_vac, _Floors) else _Floors.allocate(eps_vac, rho, mom)
     n_clamp = n_zero = 0
-    neg = rho < 0.0
-    if np.logical_or.reduce(neg, axis=None):
-        n_clamp = np.add.reduce(neg, axis=axes, dtype=np.intp)
-        rho[neg] = 0.0
-    carrying = (rho <= eps_vac) & np.logical_or.reduce(mom != 0.0, axis=0)
-    if np.logical_or.reduce(carrying, axis=None):
-        n_zero = np.add.reduce(carrying, axis=axes, dtype=np.intp)
-        mom[:, carrying] = 0.0
+    if np.fmin.reduce(rho, axis=None) < 0.0:  # fmin passes over NaN, as rho < 0 does
+        neg = np.less(rho, 0.0, out=floors.cells)
+        n_clamp = np.add.reduce(neg, axis=floors.axes, dtype=np.intp)
+        np.copyto(rho, 0.0, where=neg)
+    # the cells at or below the cutoff with a nonzero momentum component
+    moving = np.not_equal(mom, 0.0, out=floors.moving)
+    np.logical_and(moving, np.less_equal(rho, floors.eps_vac, out=floors.cells), out=moving)
+    carrying = np.logical_or.reduce(moving, axis=0, out=floors.cells)
+    counts = np.add.reduce(carrying, axis=floors.axes, dtype=np.intp)
+    if any(counts.reshape(-1).tolist()):
+        n_zero = counts
+        np.copyto(mom, 0.0, where=carrying)
     return n_clamp, n_zero
 
 
@@ -345,19 +362,23 @@ def _check_finite(state: State, where: str) -> dict[int, SolverError]:
     """Map the row of each member with a non-finite field (row 0 for one
     state) to the error that aborts its run; empty when every field is
     finite."""
-    state, _ = _as_batch(state)
-    axes = _grid_axes(len(state.mom))
-    finite = np.logical_and.reduce(np.isfinite(state.q), axis=(0, *axes))
+    one = np.ndim(state.t) == 0
+    rho = state.rho[np.newaxis] if one else state.rho
+    mom = state.mom[:, np.newaxis] if one else state.mom
+    t = np.array(state.t, dtype=float, ndmin=1)
+    axes = _grid_axes(len(mom))
+    finite = (np.logical_and.reduce(np.isfinite(rho), axis=axes)
+              & np.logical_and.reduce(np.isfinite(mom), axis=(0, *axes)))
     failures = {}
     for k in np.flatnonzero(~finite).tolist():
-        rho, mom = state.rho[k], state.mom[:, k]
-        finite_rho = np.isfinite(rho)
+        rho_k, mom_k = rho[k], mom[:, k]
+        finite_rho = np.isfinite(rho_k)
         bad_rho = int(np.count_nonzero(~finite_rho))
-        bad_mom = int(np.count_nonzero(~np.isfinite(mom)))
-        peak = (f"max finite |rho|={np.abs(rho[finite_rho]).max():.3g}"
+        bad_mom = int(np.count_nonzero(~np.isfinite(mom_k)))
+        peak = (f"max finite |rho|={np.abs(rho_k[finite_rho]).max():.3g}"
                 if finite_rho.any() else "no finite density")
         failures[k] = SolverError(
-            f"non-finite fields {where} (t={float(state.t[k]):.6g}): "
+            f"non-finite fields {where} (t={float(t[k]):.6g}): "
             f"{bad_rho} density cells, {bad_mom} momentum entries; {peak}"
         )
     return failures
@@ -371,53 +392,51 @@ def step(state: State, config: SolverConfig, dt, *, _work: _Workspace | None = N
     with the error of every such member in its ``errors`` map, row 0 for one
     state, and its text that of the first.
 
-    Every stage state and the new state are written into the workspace
-    ``_work``, in the state buffer that does not hold ``state`` (a throwaway
+    Every stage state and the new state are written into the state buffer
+    of the workspace ``_work`` that does not hold ``state`` (a throwaway
     workspace for a public call, whose arrays the caller then owns), so a
     failed step leaves ``state`` as it was and the other members of a batch
-    can redo the step from it.  Each stage takes the derivative that ``rhs``
-    returns."""
-    eps_vac = config.eps_vac
-    if eps_vac is None:
-        raise ValueError("step needs a resolved eps_vac on the config")
-    state, one = _as_batch(state)
-    work = _Workspace(config, state.rho.shape) if _work is None else _work
-    rk4 = config.integrator == "RK4"
+    can redo the step from it.  With ``_work``, ``state`` is the state
+    buffer of that workspace written last, and ``dt`` an array."""
+    one = False
+    if _work is None:
+        state, _work, one = _enter(state, config, "step")
+        dt = np.array(dt, dtype=float, ndmin=1)
+    work = _work
     # dt times a field: each member's dt scales every cell of that member
-    w = np.reshape(dt, (-1,) + (1,) * config.grid.dim)
-    q = work.spare(state.q)
+    w = dt.reshape(work.dt_shape)
+    new = work.stacked[1 - state.slot]  # every stage state and the new state
+    q, acc, floors = new.q, work.acc, work.floors
+    rk4 = acc is not None
     clamps = zeros = 0  # until a floor catches a cell
-
-    def floored(t, where: str) -> _Stacked:
-        # every stage state passes through here: floors, counts, finiteness
-        nonlocal clamps, zeros
-        c, z = _apply_floors(q[0], q[1:], eps_vac)
-        clamps, zeros = clamps + c, zeros + z
-        out = _Stacked(t, q)
-        if not np.logical_and.reduce(np.isfinite(q, out=work.finite), axis=None):
-            raise _MemberErrors(_check_finite(out, where))
-        return out
-
-    k = _derivative(rhs(state, config, _work=work), work)
+    pair = rhs(state, config, _work=work)
+    k = work.d if pair is work.rows else _derivative(pair, work)
     if rk4:  # acc sums k1 + 2 k2 + 2 k3 + k4 left to right
-        acc = work.acc
-        np.copyto(acc, k)
-    # each stage state is state + c * w * k, k the derivative of the stage
-    # before, as state.q + c * w * k
-    for n, c in enumerate((0.5, 0.5, 1.0) if rk4 else (1.0,), start=1 + rk4):
-        np.add(state.q, np.multiply(c * w, k, out=q), out=q)
-        stage = floored(state.t + c * dt, f"after stage {n}")
+        acc[...] = k
+    for n, c in enumerate(work.stages, start=1 + rk4):
+        if c is not None:  # a stage state: state.q + c * w * k, k of the stage before
+            np.add(state.q, np.multiply(c * w, k, out=q), out=q)
+        elif rk4:  # state + w / 6 * (acc + k4)
+            np.add(acc, k, out=acc)
+            np.add(state.q, np.multiply(w / 6.0, acc, out=acc), out=q)
+        else:  # 0.5 * state + 0.5 * (s1 + w * k), the sums in that order
+            np.add(q, np.multiply(w, k, out=k), out=k)
+            np.multiply(0.5, k, out=k)
+            np.add(np.multiply(0.5, state.q, out=q), k, out=q)
+        new.t = state.t + (dt if c is None else c * dt)
+        work.fields = None  # the bundle of a state no longer held
+        # every stage state and the new state: floors, counts, finiteness
+        c_n, z_n = _apply_floors(new.rho, new.mom, floors)
+        clamps, zeros = clamps + c_n, zeros + z_n
+        if not np.logical_and.reduce(np.isfinite(q, out=work.finite), axis=None):
+            raise _MemberErrors(_check_finite(new, "after step" if c is None
+                                              else f"after stage {n}"))
+        if c is None:
+            break
         if n > 2:  # k2 and k3 enter RK4's sum twice, once they made their stage
             np.add(acc, np.multiply(2.0, k, out=k), out=acc)
-        k = _derivative(rhs(stage, config, _work=work), work)
-    if rk4:  # state + w / 6 * (acc + k4)
-        np.add(acc, k, out=acc)
-        np.add(state.q, np.multiply(w / 6.0, acc, out=acc), out=q)
-    else:  # 0.5 * state + 0.5 * (s1 + w * k), the sums in that order
-        np.add(q, np.multiply(w, k, out=k), out=k)
-        np.multiply(0.5, k, out=k)
-        np.add(np.multiply(0.5, state.q, out=q), k, out=q)
-    new = floored(state.t + dt, "after step")
+        pair = rhs(new, config, _work=work)
+        k = work.d if pair is work.rows else _derivative(pair, work)
     clamps, zeros = work.no_counts + clamps, work.no_counts + zeros  # per member
     if one:
         return State(float(new.t[0]), new.rho[0], new.mom[:, 0]), int(clamps[0]), int(zeros[0])
@@ -507,15 +526,14 @@ def _start(cfg: SolverConfig, initial: State, non_admissible: bool):
 def _advance(cfg: SolverConfig, members: list, results: list):
     """Step started members, given as (index, state, trajectory, ledger), to
     t_end as one batch, filling ``results``: their states stacked on a
-    leading axis, with a time and a dt per member.  Each instant's times,
-    energies and ledger rows come from the bundle of its state."""
-    state = _Stacked(np.array([st.t for _, st, _, _ in members], dtype=float),
-                     np.stack([np.concatenate((st.rho[np.newaxis], st.mom))
-                               for _, st, _, _ in members], axis=1))
-    work = _Workspace(cfg, state.rho.shape)  # one per batch shape
+    leading axis in a state buffer of the batch's workspace, with a time and
+    a dt per member.  Each instant's times, energies and ledger rows come
+    from the bundle of its state, which then serves the next stable_dt and
+    the next step's first stage."""
+    grid, t_end, stride = cfg.grid, cfg.t_end, cfg.ledger_stride
     rows = [(i, traj, ledger) for i, _, traj, ledger in members]  # one per batch row
-    dt_floor = DT_FLOOR_FACTOR * cfg.t_end
-    t_tol = 1e-12 * cfg.t_end
+    dt_floor = DT_FLOOR_FACTOR * t_end
+    t_done = t_end - 1e-12 * t_end
 
     def leave(gone, outcome):
         """Settle the members at rows ``gone`` and drop them from the batch."""
@@ -524,8 +542,8 @@ def _advance(cfg: SolverConfig, members: list, results: list):
             results[rows[k][0]] = outcome(k)
         keep = [k for k in range(len(rows)) if k not in gone]
         if keep:
-            state = _Stacked(state.t[keep], state.q[:, keep])
-            work = _Workspace(cfg, state.rho.shape)
+            work = _Workspace(cfg, (len(keep), *grid.sizes))
+            state = _load(work, cfg, state.t[keep], state.q[:, keep])
         rows = [rows[k] for k in keep]
 
     def finished(k):
@@ -533,46 +551,56 @@ def _advance(cfg: SolverConfig, members: list, results: list):
         traj.final_state = _member(state, k)  # the state lives in the workspace
         return traj, ledger
 
-    def instant(start: bool = False):
-        """Book the instant the batch has reached.  Its bundle serves the
-        energies and the ledger rows of the members due one, as it serves
-        the next stable_dt and the next step's first stage."""
-        f = _bundle(state, cfg, work)
-        t = state.t.tolist()
-        due = [k for k, (_, traj, _) in enumerate(rows)
-               if start or traj.step_count % cfg.ledger_stride == 0 or t[k] >= cfg.t_end - t_tol]
-        columns = f.ledger_columns(cfg.moment) if due else None
-        for (_, traj, _), t_k, energy in zip(rows, t, f.energy().tolist()):
-            traj.step_times.append(t_k)
-            traj.step_energies.append(energy)
-        for k in due:
-            _, traj, ledger = rows[k]
-            traj.times.append(t[k])
-            traj.states.append(_member(state, k))
-            ledger.append(_row(t[k], columns, k, traj.clamp_count, traj.vacuum_zero_count))
-
     try:
-        instant(start=True)
+        work = _Workspace(cfg, (len(rows), *grid.sizes))  # one per batch shape
+        state = _load(work, cfg, np.array([st.t for _, st, _, _ in members], dtype=float),
+                      np.stack([np.concatenate((st.rho[np.newaxis], st.mom))
+                                for _, st, _, _ in members], axis=1))
     except Exception as exc:  # noqa: BLE001 - an error of the whole batch fails every member
-        leave(range(len(rows)), lambda k: exc)
+        for i, _, _ in rows:
+            results[i] = exc
+        return
+    booked = False  # whether the instant of ``state`` is in the trajectories
     while rows:
-        done = [k for k, t in enumerate(state.t.tolist()) if t >= cfg.t_end - t_tol]
-        if done:
-            leave(done, finished)
-            continue
+        if booked:
+            t = state.t.tolist()
+            if max(t) >= t_done:
+                leave([k for k, t_k in enumerate(t) if t_k >= t_done], finished)
+                continue
         try:
-            dt = stable_dt(state, cfg, _work=work)
-            low = [k for k, dt_k in enumerate(dt.tolist()) if dt_k < dt_floor]
-            if low:
-                raise _MemberErrors({k: SolverError(f"timestep underflow: required dt {dt[k]:.3g} "
-                                                    f"< floor {dt_floor:.3g}") for k in low})
-            state, clamps, zeros = step(state, cfg, np.minimum(dt, cfg.t_end - state.t),
-                                        _work=work)
-            for (_, traj, _), c, z in zip(rows, clamps.tolist(), zeros.tolist()):
-                traj.step_count += 1
-                traj.clamp_count += c
-                traj.vacuum_zero_count += z
-            instant()
+            if booked:
+                dt = stable_dt(state, cfg, _work=work)
+                dts = dt.tolist()
+                if min(dts) < dt_floor:
+                    raise _MemberErrors({k: SolverError(f"timestep underflow: required dt "
+                                                        f"{dt_k:.3g} < floor {dt_floor:.3g}")
+                                         for k, dt_k in enumerate(dts) if dt_k < dt_floor})
+                state, clamps, zeros = step(state, cfg, np.minimum(dt, t_end - state.t),
+                                            _work=work)
+                for (_, traj, _), c, z in zip(rows, clamps.tolist(), zeros.tolist()):
+                    traj.step_count += 1
+                    traj.clamp_count += c
+                    traj.vacuum_zero_count += z
+            # book the instant the batch has reached: its bundle serves the
+            # energies and the ledger rows of the members due one, as it
+            # serves the next stable_dt and the next step's first stage
+            f = work.fields
+            if f is None:
+                f = _bundle(state, cfg, work)
+            t = state.t.tolist()
+            energies = f.energy().tolist()
+            columns = None
+            for k, (_, traj, ledger) in enumerate(rows):
+                traj.step_times.append(t[k])
+                traj.step_energies.append(energies[k])
+                if not booked or traj.step_count % stride == 0 or t[k] >= t_done:
+                    if columns is None:
+                        columns = f.ledger_columns(cfg.moment)
+                    traj.times.append(t[k])
+                    traj.states.append(_member(state, k))
+                    ledger.append(_row(t[k], columns, k, traj.clamp_count,
+                                       traj.vacuum_zero_count))
+            booked = True
         except _MemberErrors as exc:
             # those members end; the rest redo the step from the state they
             # still hold, which a failed step leaves as it was

@@ -31,12 +31,12 @@ every exponent >= 1.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _json
 from .grid import _power
 
 
@@ -60,8 +60,8 @@ def _power_sum(r: np.ndarray, terms) -> np.ndarray:
     constant c.  It is accumulated in place from +0.0 (which turns a -0.0
     term into +0.0), each term computed in one reused buffer, so that it
     holds two fields at its peak."""
-    out = np.zeros_like(r)
-    term = np.empty_like(r)
+    out = np.zeros(r.shape)
+    term = np.empty(r.shape)
     for c, e in terms:
         if e == 0.0:
             np.add(out, c, out=out)
@@ -71,9 +71,12 @@ def _power_sum(r: np.ndarray, terms) -> np.ndarray:
 
 
 def _scalar_like(rho, value):
-    if np.isscalar(rho) or getattr(rho, "ndim", 1) == 0:
-        return float(value)
-    return value
+    """``value`` as a float where ``rho`` is a scalar or 0-d, else as it is."""
+    if isinstance(rho, np.ndarray):
+        scalar = rho.ndim == 0
+    else:
+        scalar = np.isscalar(rho) or getattr(rho, "ndim", 1) == 0
+    return float(value) if scalar else value
 
 
 @dataclass(frozen=True)
@@ -308,7 +311,7 @@ class ValidationReport:
         }
 
     def dumps(self) -> str:
-        return json.dumps(self.to_json(), indent=2, sort_keys=True)
+        return _json.dumps(self.to_json(), indent=2, sort_keys=True)
 
 
 def default_sample_grid() -> np.ndarray:

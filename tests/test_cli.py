@@ -367,3 +367,55 @@ def test_unwritable_output_is_one_line(tmp_path, monkeypatch, capsys, command, f
     err = capsys.readouterr().err.strip().splitlines()
     assert code == 2 and len(err) == 1 and f"cannot write {target}: " in err[0], err
     assert calls == [] and sorted(tmp_path.rglob("*")) == before
+
+
+def _strict_json(text):
+    """json.loads that rejects the NaN and Infinity tokens, which JSON lacks."""
+    def reject(token):
+        raise ValueError(f"non-JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_zero_viscosity_run_books_an_infinite_moment_bound_without_a_warning(tmp_path):
+    # h = 0 on wet cells: the moment bound's rho^(2 gamma - delta/2) / h is
+    # booked as +inf, no division by zero is taken, and the JSONL ledger
+    # writes it as null
+    path = write_config(tmp_path, law={"constant": 0}, allow_non_admissible=True,
+                        initial={"preset": "smooth_bump", "params": {"u_amp": 0.1}})
+    ledger = tmp_path / "ledger.csv"
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "bdns.cli",
+                           "simulate", "--config", str(path), "--ledger", str(ledger), "--jsonl"],
+                          cwd=root, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0 and "Warning" not in proc.stderr, proc.stderr
+    lines = ledger.read_text().splitlines()
+    column = lines[1].split(",").index("RHS_delta_lemma32")
+    assert all(row.split(",")[column] == "inf" for row in lines[2:])
+    rows = [_strict_json(line) for line in (tmp_path / "ledger.csv.jsonl").read_text().splitlines()]
+    assert len(rows) == len(lines) - 1
+    assert all(row["RHS_delta_lemma32"] is None for row in rows[1:])
+
+
+def test_partial_study_json_is_strict(tmp_path, monkeypatch):
+    # a failed member's vacuum momentum is NaN in the study; its JSON says null
+    from bdns import solver
+
+    real = solver.rhs
+    calls = []
+
+    def poisoned(state, config, *, _work=None):
+        calls.append(1)
+        dr, dm = real(state, config, _work=_work)
+        if len(calls) == 1:
+            dr[1] = np.nan
+        return dr, dm
+
+    monkeypatch.setattr(solver, "rhs", poisoned)
+    path = write_config(tmp_path, study={"sigma0": 0.05, "n_max": 2}, t_end=2e-4)
+    out = tmp_path / "study.json"
+    assert cli_main(["stability-study", "--config", str(path), "--out", str(out)]) == 1
+    payload = _strict_json(out.read_text())
+    assert payload["partial"] and payload["vacuum"][1] is None

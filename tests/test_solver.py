@@ -1,9 +1,11 @@
 import gc
+import importlib.util
 import math
 import tracemalloc
 import warnings
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1085,3 +1087,21 @@ def test_overflowing_velocity_warns_nothing():
             stable_dt(stack([good, bad]), cfg)
     assert list(batched.value.errors) == [1]
     assert str(batched.value.errors[1]) == str(solo.value)
+
+
+# -- call budget ----------------------------------------------------------------------
+# A 1D step is bound by its call count, not by arithmetic: the counting pass of
+# tools/count_step_calls.py keeps that count from creeping back.
+
+
+def test_1d_step_call_budget():
+    path = Path(__file__).resolve().parents[1] / "tools" / "count_step_calls.py"
+    spec = importlib.util.spec_from_file_location("count_step_calls", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    counts = tool.count(tool.VACUUM1D_256)
+    step = counts["step"]
+    assert step["python"] <= 100, counts
+    assert step["ufunc"] <= 167, counts
+    assert step["fields"] == 2 and counts["ledger_instant_fields"] == 0, counts
+    assert sum(phase["python"] for phase in counts["phases"].values()) == step["python"]
