@@ -12,9 +12,12 @@ the RK4 sum, the buffers of the per-state bundle
 :class:`~bdns.diagnostics._Fields` and the stencil scratch.  The scratch is
 four flat lanes (and two boolean ones).  The stencils of each grid axis, the
 bundle's kernel fields (made with the bundle), ``stable_dt``, the terms after
-the axis loop of ``rhs``, the floors and the finiteness test of a stage and
-the bundle's energy fields never run at once, so they all view the same
-lanes, each at its own shapes.  The bundle's own fields (the clamped
+the axis loop of ``rhs``, the floors and the finiteness test of a stage
+state or of the initial data and the bundle's energy fields never run at
+once, so they all view the same lanes, each at its own shapes.  A batch's
+initial data are loaded into the first state buffer and checked and
+floored there, with the workspace's cutoff and boolean buffers, as every
+stage state is: the floors have no other path.  The bundle's own fields (the clamped
 density, the wet cells, the cutoff velocity, |u|, the sound speed, the wave
 speed, h and the harmonic faces) have buffers of their own, since the
 kernels read them while the stencils write the lanes.
@@ -33,11 +36,11 @@ through :func:`~bdns.grid._cutoff` into a buffer of its own.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .grid import _CUTS, _Cut, State, _centered_pieces, _cutoff, _grid_axes, _halo_pieces
+from .grid import _CUTS, _Cut, State, _centered_pieces, _cutoff, _halo_pieces
 
 if TYPE_CHECKING:
     from .solver import SolverConfig
@@ -62,21 +65,6 @@ class _Stacked(State):
         self.q = q
         self.slot = slot
         self.halos = tuple(_halo_pieces(q, cut, 2) for cut in cuts)
-
-
-class _Floors(NamedTuple):
-    """The cutoff density of the floors and the boolean buffers they write:
-    one per cell and one per momentum entry."""
-
-    eps_vac: float
-    cells: np.ndarray
-    moving: np.ndarray
-    axes: tuple[int, ...]  # the grid axes
-
-    @classmethod
-    def allocate(cls, eps_vac: float, rho: np.ndarray, mom: np.ndarray) -> _Floors:
-        return cls(eps_vac, np.empty(rho.shape, dtype=bool), np.empty(mom.shape, dtype=bool),
-                   _grid_axes(len(mom)))
 
 
 class _Workspace:
@@ -131,8 +119,10 @@ class _Workspace:
         self.rate, self.term, self.diff_all = (self.view(lane, shape) for lane in (0, 1, 2))
         self.cell_mask = self.mask(shape)
         self.finite = self.mask(stacked)  # a stage state's finite entries
-        self.floors = _Floors(config.eps_vac, self.mask(shape), self.mask(vector, at=field),
-                              grid.axes)
+        # the floors: their cutoff, and their boolean buffers, cell_mask and
+        # one per momentum entry after it
+        self.eps_vac, self.grid_axes = config.eps_vac, grid.axes
+        self.moving = self.mask(vector, at=field)
         self.axes = tuple(_AxisScratch(self, config, a, cut, shape, dim)
                           for a, cut in enumerate(cuts))
 

@@ -141,9 +141,10 @@ class _Fields:
 
     @cached_property
     def g(self):
-        """g(rho) for the stage kernels: None when it is zero in every cell."""
-        g = self.law.g(self.rho)
-        return g if np.logical_or.reduce(g != 0.0, axis=None) else None
+        """g(rho), evaluated at most once per bundle: for the stage kernels
+        (whose ``rhs`` skips it when the law's g vanishes), the dissipation
+        and the weak-form residual."""
+        return self.law.g(self.rho)
 
     @cached_property
     def grad_u(self):
@@ -189,7 +190,7 @@ class _Fields:
 
     def dissipation(self) -> float:
         div_u = sum(self.grad_u[a, a] for a in range(self.grid.dim))
-        return integrate(self.h * self.grad_u_sq + self.law.g(self.rho) * div_u**2, self.grid)
+        return integrate(self.h * self.grad_u_sq + self.g * div_u**2, self.grid)
 
     def bd_entropy(self) -> float:
         # sqrt(rho) u + 2 h'(rho) grad(sqrt(rho)), the weighted entropy velocity
@@ -200,7 +201,7 @@ class _Fields:
         return 4.0 * self.gamma * self.pressure_weight
 
     def moment(self, delta: float) -> float:
-        umag = np.sqrt(np.add.reduce(self.u**2, axis=0))
+        umag = _magnitude(self.u)
         return integrate(self.sru2 * umag**delta, self.grid) / (2.0 + delta)
 
     def moment_rhs(self, delta: float) -> list[float]:
@@ -535,7 +536,7 @@ def weak_form_residual(trajectory, grid: PeriodicGrid, law, gamma: float,
         sqrt_rho = f.sqrt_rho
         gsr = f.grad_sqrt_rho
         h_ov = _cutoff(f.h, sqrt_rho, f.wet)
-        g_ov = _cutoff(law.g(rho), sqrt_rho, f.wet)
+        g_ov = _cutoff(f.g, sqrt_rho, f.wet)
         gp = law.g_prime(rho)
 
         # momentum . dphi/dt, with m written as sqrt(rho) * (sqrt(rho) u)

@@ -298,11 +298,6 @@ def _irfft(fh: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
     return np.fft.irfftn(fh, s=grid.sizes, axes=grid.axes)
 
 
-def _spectral_ddx(f: np.ndarray, grid: PeriodicGrid, axis: int) -> np.ndarray:
-    """Fourier-collocation derivative along one axis."""
-    return _irfft(grid.spectral_factors[axis] * _rfft(f, grid), grid)
-
-
 def spectral_grad(f: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
     """Fourier-collocation gradient; spectrally accurate on smooth fields."""
     _check_scalar(f, grid)
@@ -390,7 +385,8 @@ def save_checkpoint(path, state: State, grid: PeriodicGrid):
 
 
 def load_checkpoint(path) -> tuple[State, PeriodicGrid]:
-    """Inverse of :func:`save_checkpoint`; a malformed file raises ValueError."""
+    """Inverse of :func:`save_checkpoint`; a malformed file, or one whose time
+    is not finite, raises ValueError."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -406,6 +402,8 @@ def load_checkpoint(path) -> tuple[State, PeriodicGrid]:
         (t,) = struct.unpack_from("<d", data, 12 + 12 * dim)
     except struct.error as exc:
         raise ValueError(f"checkpoint header truncated: {exc}") from exc
+    if not math.isfinite(t):
+        raise ValueError(f"checkpoint time must be finite, got {t}")
     grid = PeriodicGrid(sizes, lengths)
     head, payload = 20 + 12 * dim, 8 * grid.n_cells * (1 + dim)
     if len(data) != head + payload:

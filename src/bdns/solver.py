@@ -53,16 +53,19 @@ the same order, as the plain per-cell formula, so neither the layout nor
 the workspace changes a result, and every member of a batch gets exactly
 the trajectory and ledger of its own :func:`run`.
 
-A member's run ends in one way: ``stable_dt`` (no finite positive bound),
-a stage of ``step`` (a non-finite field) or the timestep floor raises a
-SolverError whose ``errors`` map gives each member that ends there (row 0
-for one state) its own error; ``run_members`` settles those members and
-redoes the step for the rest, which a failed step leaves untouched.
+A member's run ends in one way: the initial checks, ``stable_dt`` (no
+finite positive bound), a stage of ``step`` (a non-finite field) or the
+timestep floor raises a SolverError whose ``errors`` map gives each member
+that ends there (row 0 for one state) its own error; ``run_members``
+settles those members and redoes the step, or the initial checks, for the
+rest, which a failed step leaves untouched.
 
 Time stepping is strong-stability-preserving RK2 by default (classical RK4
 optional), both through one loop over the stage states.  Negative densities
 are clamped to zero and momentum on sub-cutoff cells is zeroed; both events
-are counted and reported, never silent.  A forcing hook on the momentum
+are counted and reported, never silent.  The initial data go through the
+same floors and finiteness test as a stage state, on the batch loaded into
+its workspace, after a finite time and a nonnegative density are checked.  A forcing hook on the momentum
 equation exists solely for manufactured-solution testing and is zero in
 physical runs.
 """
@@ -76,7 +79,7 @@ from typing import Callable
 import numpy as np
 
 from .diagnostics import EntropyLedger, MomentParams, _Fields, _row
-from ._workspace import _face_states, _Floors, _Stacked, _Workspace
+from ._workspace import _face_states, _Stacked, _Workspace
 from .grid import PeriodicGrid, State, _centered, _cutoff, _grid_axes, _power
 from .viscosity import AdmissibilityParams, ViscosityLaw, validate
 
@@ -91,9 +94,11 @@ class SolverError(RuntimeError):
 
 class _MemberErrors(SolverError):
     """The runs of some members end: ``errors`` maps the row of each (0 for
-    one state) to the SolverError its run ends with; the text is the first."""
+    one state) to the error its run ends with, a SolverError, or a
+    ValueError for initial data that fail their checks; the text is the
+    first."""
 
-    def __init__(self, errors: dict[int, SolverError]):
+    def __init__(self, errors: dict[int, Exception]):
         super().__init__(str(next(iter(errors.values()))))
         self.errors = errors
 
@@ -156,7 +161,7 @@ def _resolve_eps_vac(config: SolverConfig, initial: State) -> float:
     if config.eps_vac is not None:
         return config.eps_vac
     peak = float(np.max(initial.rho))
-    if not 0.0 < peak < math.inf:  # all dry, or non-finite data that _start reports
+    if not 0.0 < peak < math.inf:  # all dry, or non-finite data that _check_initial reports
         return 1e-10
     return 1e-10 * peak
 
@@ -262,12 +267,11 @@ def rhs(state: State, config: SolverConfig, *, _work: _Workspace | None = None
         np.add(dmom, np.divide(dv, s.h, out=dv), out=dmom)
 
     # second-coefficient term grad(g * div u), centered
-    g = None if work.g_vanishes else f.g
-    if g is not None:
+    if not work.g_vanishes:
         div_u = work.div_u
         for s in work.axes:
             np.add(s.div_u_in, _centered(s.d_u), out=div_u)
-        np.multiply(g, div_u, out=div_u)
+        np.multiply(f.g, div_u, out=div_u)
         for s, dm in zip(work.axes, work.dmom_components):
             np.add(dm, _centered(s.d_div_u), out=dm)
 
@@ -334,24 +338,22 @@ def stable_dt(state: State, config: SolverConfig, *, _work: _Workspace | None = 
     return dt[0] if one else np.array(dt)
 
 
-def _apply_floors(rho: np.ndarray, mom: np.ndarray, eps_vac: float | _Floors):
-    """Clamp negative densities and zero momentum on sub-cutoff cells.
-    Returns (clamped cells, zeroed cells), each counted per member (one
-    count for a single state) when the floor catches a cell, else 0.
-    ``eps_vac`` is the cutoff density, or a workspace's ``_Floors``: the
-    cutoff with the boolean buffers that the floors then write instead of
-    allocating their own."""
-    floors = eps_vac if isinstance(eps_vac, _Floors) else _Floors.allocate(eps_vac, rho, mom)
+def _apply_floors(rho: np.ndarray, mom: np.ndarray, work: _Workspace):
+    """Clamp negative densities and zero momentum on sub-cutoff cells of a
+    batch in the workspace ``work``, whose cutoff ``eps_vac`` they use and
+    whose boolean buffers they write.  Returns (clamped cells, zeroed
+    cells), each counted per member when the floor catches a cell, else 0."""
+    cells, axes = work.cell_mask, work.grid_axes
     n_clamp = n_zero = 0
     if np.fmin.reduce(rho, axis=None) < 0.0:  # fmin passes over NaN, as rho < 0 does
-        neg = np.less(rho, 0.0, out=floors.cells)
-        n_clamp = np.add.reduce(neg, axis=floors.axes, dtype=np.intp)
+        neg = np.less(rho, 0.0, out=cells)
+        n_clamp = np.add.reduce(neg, axis=axes, dtype=np.intp)
         np.copyto(rho, 0.0, where=neg)
     # the cells at or below the cutoff with a nonzero momentum component
-    moving = np.not_equal(mom, 0.0, out=floors.moving)
-    np.logical_and(moving, np.less_equal(rho, floors.eps_vac, out=floors.cells), out=moving)
-    carrying = np.logical_or.reduce(moving, axis=0, out=floors.cells)
-    counts = np.add.reduce(carrying, axis=floors.axes, dtype=np.intp)
+    moving = np.not_equal(mom, 0.0, out=work.moving)
+    np.logical_and(moving, np.less_equal(rho, work.eps_vac, out=cells), out=moving)
+    carrying = np.logical_or.reduce(moving, axis=0, out=cells)
+    counts = np.add.reduce(carrying, axis=axes, dtype=np.intp)
     if any(counts.reshape(-1).tolist()):
         n_zero = counts
         np.copyto(mom, 0.0, where=carrying)
@@ -359,13 +361,9 @@ def _apply_floors(rho: np.ndarray, mom: np.ndarray, eps_vac: float | _Floors):
 
 
 def _check_finite(state: State, where: str) -> dict[int, SolverError]:
-    """Map the row of each member with a non-finite field (row 0 for one
-    state) to the error that aborts its run; empty when every field is
-    finite."""
-    one = np.ndim(state.t) == 0
-    rho = state.rho[np.newaxis] if one else state.rho
-    mom = state.mom[:, np.newaxis] if one else state.mom
-    t = np.array(state.t, dtype=float, ndmin=1)
+    """Map the row of each member of a batch with a non-finite field to the
+    error that aborts its run; empty when every field is finite."""
+    rho, mom = state.rho, state.mom
     axes = _grid_axes(len(mom))
     finite = (np.logical_and.reduce(np.isfinite(rho), axis=axes)
               & np.logical_and.reduce(np.isfinite(mom), axis=(0, *axes)))
@@ -378,7 +376,7 @@ def _check_finite(state: State, where: str) -> dict[int, SolverError]:
         peak = (f"max finite |rho|={np.abs(rho_k[finite_rho]).max():.3g}"
                 if finite_rho.any() else "no finite density")
         failures[k] = SolverError(
-            f"non-finite fields {where} (t={float(t[k]):.6g}): "
+            f"non-finite fields {where} (t={float(state.t[k]):.6g}): "
             f"{bad_rho} density cells, {bad_mom} momentum entries; {peak}"
         )
     return failures
@@ -406,7 +404,7 @@ def step(state: State, config: SolverConfig, dt, *, _work: _Workspace | None = N
     # dt times a field: each member's dt scales every cell of that member
     w = dt.reshape(work.dt_shape)
     new = work.stacked[1 - state.slot]  # every stage state and the new state
-    q, acc, floors = new.q, work.acc, work.floors
+    q, acc = new.q, work.acc
     rk4 = acc is not None
     clamps = zeros = 0  # until a floor catches a cell
     pair = rhs(state, config, _work=work)
@@ -426,7 +424,7 @@ def step(state: State, config: SolverConfig, dt, *, _work: _Workspace | None = N
         new.t = state.t + (dt if c is None else c * dt)
         work.fields = None  # the bundle of a state no longer held
         # every stage state and the new state: floors, counts, finiteness
-        c_n, z_n = _apply_floors(new.rho, new.mom, floors)
+        c_n, z_n = _apply_floors(new.rho, new.mom, work)
         clamps, zeros = clamps + c_n, zeros + z_n
         if not np.logical_and.reduce(np.isfinite(q, out=work.finite), axis=None):
             raise _MemberErrors(_check_finite(new, "after step" if c is None
@@ -483,55 +481,51 @@ def run_members(config: SolverConfig, initials: list[State]
 
     batches: dict[float, list] = {}
     for i, eps_vac in eps.items():
-        cfg = replace(config, eps_vac=eps_vac)
-        try:
-            started = _start(cfg, initials[i], not report.overall)
-        except Exception as exc:  # noqa: BLE001 - the member fails as its run would
-            results[i] = exc
-            continue
-        batches.setdefault(eps_vac, []).append((i, *started))
+        batches.setdefault(eps_vac, []).append((i, initials[i]))
     for eps_vac, members in batches.items():
-        _advance(replace(config, eps_vac=eps_vac), members, results)
+        _advance(replace(config, eps_vac=eps_vac), members, results, not report.overall)
     return results
 
 
-def _start(cfg: SolverConfig, initial: State, non_admissible: bool):
-    """A member's floored copy of its initial state, and its trajectory and
-    empty ledger."""
-    grid = cfg.grid
-    state = initial.copy()
-    if np.any(state.rho < 0.0):
-        raise ValueError("initial density must be nonnegative")
-    _, zeroed = _apply_floors(state.rho, state.mom, cfg.eps_vac)
-    for exc in _check_finite(state, "in initial data").values():
-        raise exc
-    traj = Trajectory(initial_vacuum_momentum_zeroed=int(zeroed), non_admissible=non_admissible)
-    ledger = EntropyLedger(
-        metadata={
-            "law": cfg.law.describe(),
-            "nu": cfg.params.nu,
-            "gamma": cfg.gamma,
-            "delta": cfg.moment.delta,
-            "alpha": cfg.moment.alpha,
-            "eps_vac": cfg.eps_vac,
-            "cells": "x".join(str(n) for n in grid.sizes),
-            "integrator": cfg.integrator,
-            "cfl": cfg.cfl,
-            "ledger_stride": cfg.ledger_stride,
-        }
-    )
-    return state, traj, ledger
+def _check_initial(state: _Stacked, work: _Workspace, trajectories: list[Trajectory]):
+    """The checks of a batch's initial data in its workspace, in this order:
+    a finite time, a nonnegative density, the floors of a stage state (the
+    cells they zero added to each member's ``initial_vacuum_momentum_zeroed``)
+    and its finiteness test.  The members that fail a check end there: the
+    call raises SolverError with the error of each in its ``errors`` map."""
+    errors = {k: ValueError(f"initial time must be finite, got {t}")
+              for k, t in enumerate(state.t.tolist()) if not math.isfinite(t)}
+    if not errors:
+        negative = np.logical_or.reduce(np.less(state.rho, 0.0, out=work.cell_mask),
+                                        axis=work.grid_axes)
+        errors = {k: ValueError("initial density must be nonnegative")
+                  for k in np.flatnonzero(negative).tolist()}
+    if errors:
+        raise _MemberErrors(errors)
+    _, zeroed = _apply_floors(state.rho, state.mom, work)
+    for traj, z in zip(trajectories, (work.no_counts + zeroed).tolist()):
+        traj.initial_vacuum_momentum_zeroed += z
+    if not np.logical_and.reduce(np.isfinite(state.q, out=work.finite), axis=None):
+        raise _MemberErrors(_check_finite(state, "in initial data"))
 
 
-def _advance(cfg: SolverConfig, members: list, results: list):
-    """Step started members, given as (index, state, trajectory, ledger), to
-    t_end as one batch, filling ``results``: their states stacked on a
-    leading axis in a state buffer of the batch's workspace, with a time and
-    a dt per member.  Each instant's times, energies and ledger rows come
-    from the bundle of its state, which then serves the next stable_dt and
-    the next step's first stage."""
+def _advance(cfg: SolverConfig, members: list, results: list, non_admissible: bool):
+    """Step members, given as (index, initial state), to t_end as one batch,
+    filling ``results``: their states stacked on a leading axis in a state
+    buffer of the batch's workspace, with a time and a dt per member.  The
+    initial data are checked and floored there (see :func:`_check_initial`);
+    a member that fails leaves the batch as one that fails a step does, and
+    the rest are checked again, which the floors, being idempotent, leave
+    as they were.  Each instant's times, energies and ledger rows come from
+    the bundle of its state, which then serves the next stable_dt and the
+    next step's first stage."""
     grid, t_end, stride = cfg.grid, cfg.t_end, cfg.ledger_stride
-    rows = [(i, traj, ledger) for i, _, traj, ledger in members]  # one per batch row
+    metadata = {"law": cfg.law.describe(), "nu": cfg.params.nu, "gamma": cfg.gamma,
+                "delta": cfg.moment.delta, "alpha": cfg.moment.alpha, "eps_vac": cfg.eps_vac,
+                "cells": "x".join(str(n) for n in grid.sizes), "integrator": cfg.integrator,
+                "cfl": cfg.cfl, "ledger_stride": stride}
+    rows = [(i, Trajectory(non_admissible=non_admissible), EntropyLedger(metadata=dict(metadata)))
+            for i, _ in members]  # one per batch row
     dt_floor = DT_FLOOR_FACTOR * t_end
     t_done = t_end - 1e-12 * t_end
 
@@ -553,9 +547,9 @@ def _advance(cfg: SolverConfig, members: list, results: list):
 
     try:
         work = _Workspace(cfg, (len(rows), *grid.sizes))  # one per batch shape
-        state = _load(work, cfg, np.array([st.t for _, st, _, _ in members], dtype=float),
+        state = _load(work, cfg, np.array([st.t for _, st in members], dtype=float),
                       np.stack([np.concatenate((st.rho[np.newaxis], st.mom))
-                                for _, st, _, _ in members], axis=1))
+                                for _, st in members], axis=1))
     except Exception as exc:  # noqa: BLE001 - an error of the whole batch fails every member
         for i, _, _ in rows:
             results[i] = exc
@@ -581,6 +575,8 @@ def _advance(cfg: SolverConfig, members: list, results: list):
                     traj.step_count += 1
                     traj.clamp_count += c
                     traj.vacuum_zero_count += z
+            else:
+                _check_initial(state, work, [traj for _, traj, _ in rows])
             # book the instant the batch has reached: its bundle serves the
             # energies and the ledger rows of the members due one, as it
             # serves the next stable_dt and the next step's first stage

@@ -160,10 +160,8 @@ class ViscosityLaw:
         for a, b in self._varying:
             if a > 0 and b <= 0.5:
                 raise LawError(f"psi diverges at vacuum for exponent {b} <= 1/2")
-        out = np.zeros_like(r)
-        for a, b in self._varying:
-            out = out + a * b / (b - 0.5) * r ** (b - 0.5)
-        return _scalar_like(rho, out)
+        return _scalar_like(rho, _power_sum(r, [(a * b / (b - 0.5), b - 0.5)
+                                                for a, b in self._varying]))
 
     # -- plumbing -----------------------------------------------------------
 

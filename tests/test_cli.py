@@ -9,7 +9,7 @@ import pytest
 
 from bdns import cli
 from bdns.cli import cli_main
-from bdns.grid import load_checkpoint
+from bdns.grid import State, load_checkpoint, save_checkpoint
 
 
 def write_config(tmp_path, name="run.json", **overrides):
@@ -271,6 +271,15 @@ def test_checkpoint_with_trailing_bytes_is_usage_error(tmp_path, capsys):
     ck.write_bytes(ck.read_bytes() + b"\0" * 8)
     err = simulate_usage_error(tmp_path, capsys, initial={"checkpoint": str(ck)})
     assert "payload" in err
+
+
+@pytest.mark.parametrize("t", [float("nan"), float("inf")])
+def test_checkpoint_with_a_non_finite_time_is_usage_error(tmp_path, capsys, t):
+    ck = saved_checkpoint(tmp_path)
+    state, grid = load_checkpoint(ck)
+    save_checkpoint(ck, State(t, state.rho, state.mom), grid)
+    err = simulate_usage_error(tmp_path, capsys, initial={"checkpoint": str(ck)})
+    assert err == f"usage error: bad config: checkpoint time must be finite, got {t}"
 
 
 def test_unknown_preset_is_usage_error(tmp_path, capsys):

@@ -11,7 +11,6 @@ from bdns.grid import (
     PeriodicGrid,
     State,
     _cutoff,
-    _spectral_ddx,
     div,
     grad,
     integrate,
@@ -175,10 +174,9 @@ def test_spectral_operators_match_the_complex_transform(sizes, lengths):
         warnings.simplefilter("error")
         grad_f = spectral_grad(f, g)
         div_v = spectral_div(v, g)
-        ddx = [_spectral_ddx(f, g, a) for a in range(g.dim)]
     ref_grad = np.stack([complex_spectral_ddx(f, g, a) for a in range(g.dim)])
     ref_div = sum(complex_spectral_ddx(v[a], g, a) for a in range(g.dim))
-    for got, ref in [(grad_f, ref_grad), (div_v, ref_div), *zip(ddx, ref_grad)]:
+    for got, ref in [(grad_f, ref_grad), (div_v, ref_div)]:
         assert got.dtype == np.float64 and got.shape == ref.shape
         np.testing.assert_allclose(got, ref, rtol=0,
                                    atol=32 * np.finfo(float).eps * np.max(np.abs(ref)))

@@ -12,8 +12,7 @@ import pytest
 
 import bdns.solver as solver
 from bdns import diagnostics
-from bdns.grid import PeriodicGrid, State, integrate, lp_norm
-from bdns.grid import _spectral_ddx
+from bdns.grid import PeriodicGrid, State, integrate, lp_norm, spectral_grad
 from bdns.harness import InitialDataSpec, generate_sequence
 from bdns.presets import make_initial
 from bdns.solver import (
@@ -25,7 +24,7 @@ from bdns.solver import (
     stable_dt,
     step,
 )
-from bdns.viscosity import AdmissibilityParams, TamperedLaw, ViscosityLaw
+from bdns.viscosity import AdmissibilityParams, TamperedLaw, ViscosityLaw, validate
 
 LINEAR = ViscosityLaw(terms=((1.0, 1.0),))
 
@@ -281,15 +280,18 @@ def manufactured_forcing(grid, law, gamma, c_wave=1.0, k_shift=0.2, amp=0.3):
     def m_exact(t):
         return c_wave * rho_exact(t) + k_shift
 
+    def ddx(f, g):
+        return spectral_grad(f, g)[0]
+
     def forcing(t, g):
         r = rho_exact(t)
         m = m_exact(t)
         u = m / r
         dm_dt = -(c_wave**2) * 2 * np.pi * amp * np.cos(2 * np.pi * (x - c_wave * t))
-        conv = _spectral_ddx(m * u, g, 0)
-        press = _spectral_ddx(r**gamma, g, 0)
-        visc = _spectral_ddx(law.h(r) * _spectral_ddx(u, g, 0), g, 0)
-        gdiv = _spectral_ddx(law.g(r) * _spectral_ddx(u, g, 0), g, 0)
+        conv = ddx(m * u, g)
+        press = ddx(r**gamma, g)
+        visc = ddx(law.h(r) * ddx(u, g), g)
+        gdiv = ddx(law.g(r) * ddx(u, g), g)
         return (dm_dt + conv + press - visc - gdiv)[np.newaxis]
 
     return rho_exact, m_exact, forcing
@@ -578,8 +580,22 @@ def test_batched_kernel_matches_members_g_term_and_forcing(sizes):
     assert_batch_kernel_matches_members(batch_members(grid, (0.1, 0.2, 0.35, 0.5)), cfg)
 
 
+def one_batch(state):
+    """A single state as a batch of one that views its arrays."""
+    return State(np.array([state.t], dtype=float), state.rho[np.newaxis], state.mom[:, np.newaxis])
+
+
+def floors(batch, config):
+    """The floors of a batch, in place, through a workspace of its shape:
+    its clamped and its zeroed cells, one count per member each."""
+    work = solver._Workspace(config, batch.rho.shape)
+    return tuple((work.no_counts + n).tolist()
+                 for n in solver._apply_floors(batch.rho, batch.mom, work))
+
+
 def test_batched_floors_and_finiteness_match_members():
     grid = PeriodicGrid((12, 20))
+    cfg = make_config(grid)
     states = batch_members(grid)
     states[1].mom[0, 3, 4] = np.nan
     states[2].rho[5, 5] = np.inf
@@ -587,14 +603,14 @@ def test_batched_floors_and_finiteness_match_members():
     failures = solver._check_finite(batch, "here")
     assert sorted(failures) == [1, 2]
     for k, st in enumerate(states):
-        solo = solver._check_finite(st, "here")
+        solo = solver._check_finite(one_batch(st), "here")
         assert [str(e) for e in solo.values()] == ([str(failures[k])] if k in failures else [])
-    clamps, zeros = solver._apply_floors(batch.rho, batch.mom, 1e-10)
+    clamps, zeros = floors(batch, cfg)
     for k, st in enumerate(states):
         one = st.copy()
-        assert (clamps[k], zeros[k]) == solver._apply_floors(one.rho, one.mom, 1e-10)
+        assert ([clamps[k]], [zeros[k]]) == floors(one_batch(one), cfg)
         assert bits(batch.rho[k]) == bits(one.rho) and bits(batch.mom[:, k]) == bits(one.mom)
-    assert clamps.sum() > 0 and zeros.sum() > 0
+    assert sum(clamps) > 0 and sum(zeros) > 0
 
 
 def test_batched_stable_dt_marks_a_member_without_a_bound():
@@ -739,6 +755,58 @@ def test_run_members_fails_a_member_as_its_solo_run():
     assert [str(r) for r in results] == [str(solo.value)] * 2
 
 
+def test_initial_checks_rerun_on_the_survivors_keep_their_counts():
+    # the NaN member fails after the floors have zeroed the dry momentum of
+    # the others, which are then checked and floored again: their counts add
+    grid = PeriodicGrid((64,))
+    cfg = make_config(grid, t_end=2e-4)
+    dry = []
+    for cells in ((2,), (3, 5), (1, 4, 30)):
+        init = make_initial("vacuum_bump", grid)
+        init.mom[0, np.flatnonzero(init.rho == 0.0)[list(cells)]] = 0.1
+        dry.append(init)
+    negative = make_initial("smooth_bump", grid)
+    negative.rho[3] = -1.0
+    nan = make_initial("vacuum_bump", grid)
+    nan.rho[7] = np.nan
+    initials = [dry[0], nan, dry[1], negative, dry[2]]
+    results = solver.run_members(cfg, initials)
+    for k in (0, 2, 4):
+        assert_same_run(results[k], run(cfg, initials[k]))
+    assert [results[k][0].initial_vacuum_momentum_zeroed for k in (0, 2, 4)] == [1, 2, 3]
+    assert type(results[3]) is ValueError and str(results[3]) == "initial density must be nonnegative"
+    assert type(results[1]) is SolverError
+    assert str(results[1]).startswith("non-finite fields in initial data (t=0): 1 density cells")
+    for k in (1, 3):
+        with pytest.raises(type(results[k])) as solo:
+            run(cfg, initials[k])
+        assert str(results[k]) == str(solo.value)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_initial_time_fails_before_any_step(monkeypatch, t):
+    grid = PeriodicGrid((32,))
+    cfg = make_config(grid, t_end=1e-4)
+    good = make_initial("smooth_bump", grid)
+    bad = State(t, good.rho.copy(), good.mom.copy())
+    clean = run(cfg, good)
+    steps = []
+    real = solver.step
+
+    def counting(*args, **kwargs):
+        steps.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "step", counting)
+    with pytest.raises(ValueError, match=r"^initial time must be finite, got ") as solo:
+        run(cfg, bad)
+    assert str(solo.value) == f"initial time must be finite, got {t}" and not steps
+    results = solver.run_members(cfg, [good, bad, good])
+    assert type(results[1]) is ValueError and str(results[1]) == str(solo.value)
+    for k in (0, 2):
+        assert_same_run(results[k], clean)
+
+
 def test_run_members_drops_a_member_that_fails_mid_run(monkeypatch):
     grid = PeriodicGrid((32,))
     cfg = make_config(grid, t_end=3e-4)
@@ -828,15 +896,21 @@ def test_vanishing_g_is_never_evaluated(monkeypatch):
         calls.append(1)
         return real_g(self, rho)
 
+    made = counting_bundles(monkeypatch)
     monkeypatch.setattr(ViscosityLaw, "g", counting_g)
+    validate(cfg.law, cfg.params)
+    validating = len(calls)
+    calls.clear()
     fast = run(cfg, init)
-    fast_calls = len(calls)
+    fast_calls, fast_bundles = len(calls), len(made)
     monkeypatch.setattr(ViscosityLaw, "g_vanishes", property(lambda self: False))
     full = run(cfg, init)
     assert_same_run(fast, full)
-    # the solver's per-state bundles (two per RK2 step) no longer evaluate g;
-    # the validator and the ledger rows still do
-    assert len(calls) - fast_calls == fast_calls + fast[0].step_count * 2
+    # beyond the validator, each bundle evaluates g at most once: with g
+    # vanishing only the bundles of ledger rows do, for the dissipation, and
+    # else every bundle does, for its stage kernels, a ledger row sharing it
+    assert fast_calls - validating == len(fast[1].rows)
+    assert len(calls) - fast_calls - validating == len(made) - fast_bundles == fast_bundles
 
 
 def test_batched_step_failure_is_the_members_own():
@@ -864,18 +938,15 @@ def test_batched_step_failure_is_the_members_own():
 
 
 def ref_step(state, config, dt):
-    eps_vac = config.eps_vac
     batch = np.ndim(state.t) > 0
     w = np.reshape(dt, (-1,) + (1,) * config.grid.dim) if batch else dt
-    clamps = zeros = 0
+    counts = []  # of every stage: the clamped and the zeroed cells per member
 
     def floored(t, rho, mom, where):
-        nonlocal clamps, zeros
         out = State(t, rho, mom)
-        c, z = solver._apply_floors(out.rho, out.mom, eps_vac)
-        clamps += c
-        zeros += z
-        for exc in solver._check_finite(out, where).values():
+        rows = out if batch else one_batch(out)
+        counts.append(floors(rows, config))
+        for exc in solver._check_finite(rows, where).values():
             raise exc
         return out
 
@@ -904,6 +975,9 @@ def ref_step(state, config, dt):
             state.mom + w / 6.0 * (k1m + 2.0 * k2m + 2.0 * k3m + k4m),
             "after step",
         )
+    clamps, zeros = (np.sum([c[i] for c in counts], axis=0) for i in (0, 1))
+    if not batch:
+        return new, int(clamps[0]), int(zeros[0])
     return new, clamps, zeros
 
 
@@ -1067,8 +1141,8 @@ def test_check_finite_reports_an_all_nan_density_without_a_warning():
     some.rho[3] = np.inf
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        (err,) = solver._check_finite(nan, "here").values()
-        (partial,) = solver._check_finite(some, "here").values()
+        (err,) = solver._check_finite(one_batch(nan), "here").values()
+        (partial,) = solver._check_finite(one_batch(some), "here").values()
     assert str(err) == ("non-finite fields here (t=0): 16 density cells, 0 momentum entries; "
                         "no finite density")
     assert str(partial).endswith("1 density cells, 0 momentum entries; max finite |rho|=2")

@@ -311,6 +311,34 @@ def test_constant_law_is_one_term_of_exponent_zero():
     assert law.describe() == "h = 2.5" and law.to_json() == {"constant": 2.5}
 
 
+def test_psi_is_the_closed_form_sum_bit_for_bit():
+    # psi takes the path of h, h' and h'': the terms a b / (b - 1/2) rho^(b - 1/2)
+    # summed left to right from +0.0, the same bits as the plain sum
+    dens = [0.0, -0.0, 5e-324, 1e-310, 1e-10, 0.25, 1.0, 3.7, 1e300, np.inf, np.nan]
+    laws = (LINEAR, MIXED, ViscosityLaw(terms=((0.3, 0.75), (2.0, 1.5), (0.5, 3.0))),
+            ViscosityLaw(terms=((0.7, 0.6),)))
+
+    def bits(x):
+        return np.asarray(x, dtype=float).tobytes()
+
+    def plain(law, r):
+        out = np.zeros_like(r)
+        for a, b in law.terms:
+            out = out + a * b / (b - 0.5) * r ** (b - 0.5)
+        return out
+
+    arr = np.array(dens)
+    with np.errstate(over="ignore"):  # 1e300 ** 2.5
+        for law in laws:
+            assert bits(law.psi(arr)) == bits(plain(law, arr))
+            assert bits(law.psi(arr.reshape(1, -1))) == bits(plain(law, arr.reshape(1, -1)))
+            for d in dens:
+                ref = plain(law, np.array(d))
+                for rho in (d, np.array(d), np.float64(d)):
+                    value = law.psi(rho)
+                    assert type(value) is float and bits(value) == bits(ref)
+
+
 def test_validate_tampered_law_reports_failed_combination():
     # a tampered pair has no constant: (10) fails without the constant-law note
     report = validate(TamperedLaw(LINEAR, 1.0), AdmissibilityParams(nu=0.9, gamma=2.0, N=1))
