@@ -20,7 +20,9 @@ A ledger row collects, at one instant:
 
 Each functional has one definition, a method of the per-state bundle
 ``_Fields``; the public helpers, :func:`ledger_row` and the stability study's
-hypothesis table are views of it.  A bundle of a batch gives every column
+hypothesis table are views of it.  The weak-form residual reads its fields
+from the bundle of each retained state too, the weighted entropy velocity
+and h/sqrt(rho) among them.  A bundle of a batch gives every column
 for all its members at once, one Python float each, so the solver takes a
 ledger row from the bundle it has already made for the state's energy.
 Densities enter as ``max(rho, 0)``.
@@ -88,14 +90,18 @@ class _Fields:
     The functionals that integrate a field return a float for one state and
     one value per member for a batch; the ledger columns, whose last steps
     (a root, a square root, a Hoelder product) are taken in Python floats,
-    return one float per member either way."""
+    return one float per member either way.
+
+    The weighted entropy velocity and h/sqrt(rho) are made on each access
+    and kept by none: each reader takes them once, and a ledger row's peak
+    memory does not hold them."""
 
     _ENERGY_FIELDS = frozenset(("sqrt_rho", "sqrt_rho_u", "sru2", "pressure"))
 
     def __init__(self, state: State, grid: PeriodicGrid, law, gamma: float | None,
                  eps_vac: float, work: _Workspace | None = None):
-        if eps_vac <= 0:
-            raise ValueError("eps_vac must be positive")
+        if not 0.0 < eps_vac < math.inf:  # NaN too: every cell would count as dry
+            raise ValueError(f"eps_vac must be finite and positive, got {eps_vac}")
         if work is None:  # the solver's states have the workspace's shape
             state.check_shapes(grid)
         self.state = state
@@ -172,6 +178,15 @@ class _Fields:
     def hp(self):
         return self.law.h_prime(self.rho)
 
+    @property
+    def entropy_velocity(self):
+        """sqrt(rho) u + 2 h'(rho) grad(sqrt(rho)), the weighted entropy velocity."""
+        return self.sqrt_rho_u + 2.0 * self.hp * self.grad_sqrt_rho
+
+    @property
+    def h_over_sqrt_rho(self):
+        return _cutoff(self.h, self.sqrt_rho, self.wet)
+
     @cached_property
     def hp_grad_sqrt_rho_sq(self) -> float:
         """int h'^2 |grad sqrt(rho)|^2."""
@@ -193,9 +208,8 @@ class _Fields:
         return integrate(self.h * self.grad_u_sq + self.g * div_u**2, self.grid)
 
     def bd_entropy(self) -> float:
-        # sqrt(rho) u + 2 h'(rho) grad(sqrt(rho)), the weighted entropy velocity
-        bdv = self.sqrt_rho_u + 2.0 * self.hp * self.grad_sqrt_rho
-        return integrate(0.5 * np.add.reduce(bdv**2, axis=0) + self.pressure, self.grid)
+        return integrate(0.5 * np.add.reduce(self.entropy_velocity**2, axis=0) + self.pressure,
+                         self.grid)
 
     def bd_cross(self) -> float:
         return 4.0 * self.gamma * self.pressure_weight
@@ -232,12 +246,11 @@ class _Fields:
 
     def compactness(self, alpha: float) -> dict[str, list[float]]:
         grid, rho = self.grid, self.rho
-        h_over_sqrt_rho = _cutoff(self.h, self.sqrt_rho, self.wet)
         return {
             "rho_gamma_L53_lemma42": _floats(integrate(rho ** (5.0 * self.gamma / 3.0), grid)),
             "sqrt_rho_u_L2p2alpha_lemma43": _lp(_magnitude(self.sqrt_rho_u), grid,
                                                 2.0 + 2.0 * alpha),
-            "h_over_sqrt_rho_L6_lemma44": _lp(np.abs(h_over_sqrt_rho), grid, 6),
+            "h_over_sqrt_rho_L6_lemma44": _lp(np.abs(self.h_over_sqrt_rho), grid, 6),
             "psi_L6_lemma44": _lp(np.abs(np.asarray(self.law.psi(rho))), grid, 6),
         }
 
@@ -514,60 +527,43 @@ def weak_form_residual(trajectory, grid: PeriodicGrid, law, gamma: float,
     trajectory, with the diffusion pairings rewritten so that second
     derivatives land on the test field and no term divides by the density.
 
-    Time integration is the trapezoid rule over the stored checkpoints; the
-    test field must vanish at the final checkpoint time.
+    Each retained state gives two integrals, of the time-derivative pairing
+    and of the summed space terms, both from its one field bundle.  Time
+    integration is the trapezoid rule over the stored checkpoints; the test
+    field must vanish at the final checkpoint time.
     """
     times = trajectory.times
     states = trajectory.states
     if len(times) < 2:
         raise ValueError("trajectory needs at least two checkpoints")
-    t_final = times[-1]
-    if abs(test_field.w(t_final)) > 1e-12:
+    if abs(test_field.w(times[-1])) > 1e-12:
         raise ValueError("test field must vanish at the final time")
 
     phi, dphi, lap_phi, grad_div = test_field.spatial(grid)
     div_phi = sum(dphi[a, a] for a in range(grid.dim))
 
-    instants = []
+    dt_terms, space_terms = [], []
     for st in states:
         f = _Fields(st, grid, law, gamma, eps_vac)
         sru = f.sqrt_rho_u
-        rho = f.rho
-        sqrt_rho = f.sqrt_rho
-        gsr = f.grad_sqrt_rho
-        h_ov = _cutoff(f.h, sqrt_rho, f.wet)
-        g_ov = _cutoff(f.g, sqrt_rho, f.wet)
-        gp = law.g_prime(rho)
-
         # momentum . dphi/dt, with m written as sqrt(rho) * (sqrt(rho) u)
-        term_dt = integrate(np.sum(sqrt_rho * sru * phi, axis=0), grid)
-        # convection against grad(test)
-        conv = np.zeros(grid.sizes)
-        for i in range(grid.dim):
-            for j in range(grid.dim):
-                conv += sru[i] * sru[j] * dphi[i, j]
-        term_conv = integrate(conv, grid)
-        term_press = integrate(rho**gamma * div_phi, grid)
-        # shear diffusion pairing (both pieces already carry the minus sign
-        # of the weak form folded in)
-        term_h = integrate(np.sum(h_ov * sru * lap_phi, axis=0), grid)
-        hm = np.zeros(grid.sizes)
-        for i in range(grid.dim):
-            for j in range(grid.dim):
-                hm += sru[j] * 2.0 * f.hp * gsr[i] * dphi[i, j]
-        term_h += integrate(hm, grid)
-        # second-coefficient pairing
-        term_g = integrate(np.sum(g_ov * sru * grad_div, axis=0), grid)
-        term_g += integrate(np.sum(sru * 2.0 * gp * gsr, axis=0) * div_phi, grid)
+        dt_terms.append(integrate(np.add.reduce(f.sqrt_rho * sru * phi, axis=0), grid))
+        # the diffusion pairings carry the minus sign of the weak form folded
+        # in.  Convection and the gradient part of the shear pairing sum to
+        # (sqrt(rho) u + 2 h' grad sqrt(rho)) (x) sqrt(rho) u : grad Phi
+        space = np.einsum("i...,j...,ij...->...", f.entropy_velocity, sru, dphi)
+        # pressure and the g' part of the second-coefficient pairing
+        g_part = 2.0 * law.g_prime(f.rho) * np.add.reduce(sru * f.grad_sqrt_rho, axis=0)
+        space += (f.rho**gamma + g_part) * div_phi
+        # the shear and second-coefficient pairings with second derivatives of Phi
+        g_over_sqrt_rho = _cutoff(f.g, f.sqrt_rho, f.wet)
+        space += np.add.reduce(sru * (f.h_over_sqrt_rho * lap_phi + g_over_sqrt_rho * grad_div),
+                               axis=0)
+        space_terms.append(integrate(space, grid))
 
-        instants.append((term_dt, term_conv + term_press + term_h + term_g))
-
-    dt_terms = np.array([x[0] for x in instants])
-    space_terms = np.array([x[1] for x in instants])
     wp = np.array([test_field.w_prime(t) for t in times])
     w = np.array([test_field.w(t) for t in times])
 
-    time_integral = np.trapezoid(dt_terms * wp + space_terms * w, times)
-    m0 = states[0].mom
-    initial = test_field.w(times[0]) * integrate(np.sum(m0 * phi, axis=0), grid)
+    time_integral = np.trapezoid(np.array(dt_terms) * wp + np.array(space_terms) * w, times)
+    initial = test_field.w(times[0]) * integrate(np.sum(states[0].mom * phi, axis=0), grid)
     return float(abs(initial + time_integral))

@@ -14,6 +14,9 @@ members:
 * d_u:   space-time L^2 distance of the weighted velocities sqrt(rho) u,
 * d_m:   space-time L^1 distance of the momenta.
 
+The report holds these three matrices, the hypothesis table and each
+member's time-aggregated a priori bounds.
+
 The hypothesis table's energy and moment are the ledger's ``E_eq15`` and
 ``M_delta_lemma32``, so the moment is int rho |u|^{2+delta} / (2+delta).
 
@@ -36,7 +39,7 @@ import numpy as np
 
 from . import _json
 from .diagnostics import EntropyLedger, TIME_AGGREGATION, _Fields
-from .grid import PeriodicGrid, State, _floats, _lp, _magnitude, integrate
+from .grid import PeriodicGrid, State, _floats, _lp, _magnitude
 from .presets import make_initial
 from .solver import SolverConfig, Trajectory, _resolve_eps_vac, run_members
 
@@ -123,9 +126,9 @@ def generate_sequence(spec: InitialDataSpec, grid: PeriodicGrid, law, gamma: flo
 class StabilityStudy:
     """A study's outcome: every member's hypothesis-table row, trajectory and
     ledger (None for a member whose run failed), the common times of the
-    cross-member norms, the three pairwise distance matrices, each member's
-    largest vacuum momentum and its time-aggregated a priori bounds with
-    their maximum over members."""
+    cross-member norms, the three pairwise distance matrices, and each
+    member's time-aggregated a priori bounds with their maximum over
+    members."""
 
     members: list[dict]
     trajectories: list[Trajectory | None]
@@ -134,7 +137,6 @@ class StabilityStudy:
     d_rho: np.ndarray
     d_u: np.ndarray
     d_m: np.ndarray
-    vacuum: list[float]
     uniform_bounds: dict[str, float]
     uniform_bounds_per_member: dict[str, list[float]]
     partial: bool = False
@@ -152,7 +154,6 @@ class StabilityStudy:
             "d_rho": self.d_rho.tolist(),
             "d_u": self.d_u.tolist(),
             "d_m": self.d_m.tolist(),
-            "vacuum": list(self.vacuum),
             "uniform_bounds": dict(self.uniform_bounds),
             "uniform_bounds_per_member": {
                 k: list(v) for k, v in self.uniform_bounds_per_member.items()
@@ -212,7 +213,6 @@ def run_study(spec: InitialDataSpec, config: SolverConfig,
     d_rho = np.zeros((n_members, n_members))
     d_u = np.zeros((n_members, n_members))
     d_m = np.zeros((n_members, n_members))
-    vacuum = [float("nan")] * n_members
 
     # each member's (rho, mom, sqrt(rho) u) at the common times, one instant per row
     series = {}
@@ -220,8 +220,6 @@ def run_study(spec: InitialDataSpec, config: SolverConfig,
         traj = trajectories[i]
         rho = np.stack([st.rho for st in traj.states])
         mom = np.stack([st.mom for st in traj.states], axis=1)
-        dry_mom = np.add.reduce(np.abs(mom), axis=0) * (rho <= eps_vac)
-        vacuum[i] = max([0.0, *_floats(integrate(dry_mom, grid))])
         times = np.asarray(traj.times)
         k = np.clip(np.searchsorted(times, common_times, side="right") - 1, 0, len(times) - 2)
         t0, t1 = times[k], times[k + 1]
@@ -231,7 +229,7 @@ def run_study(spec: InitialDataSpec, config: SolverConfig,
         at = State(common_times, (1.0 - lam) * rho[k] + lam * rho[k + 1],
                    (1.0 - lam) * mom[:, k] + lam * mom[:, k + 1])
         series[i] = (at.rho, at.mom, _Fields(at, grid, None, None, eps_vac).sqrt_rho_u)
-        del rho, mom, dry_mom
+        del rho, mom
 
     for ai, i in enumerate(alive):
         for j in alive[ai + 1:]:
@@ -261,7 +259,6 @@ def run_study(spec: InitialDataSpec, config: SolverConfig,
         d_rho=d_rho,
         d_u=d_u,
         d_m=d_m,
-        vacuum=vacuum,
         uniform_bounds=uniform,
         uniform_bounds_per_member=per_member,
         partial=bool(failures),

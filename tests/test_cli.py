@@ -409,7 +409,7 @@ def test_zero_viscosity_run_books_an_infinite_moment_bound_without_a_warning(tmp
 
 
 def test_partial_study_json_is_strict(tmp_path, monkeypatch):
-    # a failed member's vacuum momentum is NaN in the study; its JSON says null
+    # a failed member's aggregated bounds are NaN in the study; its JSON says null
     from bdns import solver
 
     real = solver.rhs
@@ -427,4 +427,5 @@ def test_partial_study_json_is_strict(tmp_path, monkeypatch):
     out = tmp_path / "study.json"
     assert cli_main(["stability-study", "--config", str(path), "--out", str(out)]) == 1
     payload = _strict_json(out.read_text())
-    assert payload["partial"] and payload["vacuum"][1] is None
+    per_member = payload["uniform_bounds_per_member"]
+    assert payload["partial"] and all(values[1] is None for values in per_member.values())

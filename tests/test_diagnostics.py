@@ -182,6 +182,19 @@ def test_energy_rejects_gamma_not_above_one(gamma):
         energy(make_initial("smooth_bump", grid), grid, gamma, EPS)
 
 
+@pytest.mark.parametrize("eps_vac", [0.0, -1e-10, float("nan"), float("inf")])
+def test_helpers_reject_eps_vac_not_finite_and_positive(eps_vac):
+    # with a NaN or infinite threshold every cell would count as dry and the
+    # kinetic parts would silently vanish
+    grid = PeriodicGrid((16,))
+    st0 = make_initial("smooth_bump", grid, {"u_amp": 0.3})
+    for call in (lambda: energy(st0, grid, 2.0, eps_vac),
+                 lambda: dissipation(st0, grid, LINEAR, eps_vac),
+                 lambda: moment_functional(st0, grid, 0.05, eps_vac)):
+        with pytest.raises(ValueError, match="eps_vac"):
+            call()
+
+
 def test_moment_params_validation():
     MomentParams(0.05, 0.02).validate(nu=0.9)
     with pytest.raises(ValueError):
@@ -297,6 +310,90 @@ def test_weak_form_rejects_nonvanishing_test_field():
     tf = Bad(1, [(0, 1.0, (1,), 0.0)], t_end=1e-3)
     with pytest.raises(ValueError):
         weak_form_residual(traj, grid, LINEAR, 2.0, tf, EPS)
+
+
+def test_weak_form_residual_refines_with_g_pairing():
+    # h = rho + rho^2 has g = rho^2, so the second-coefficient pairings of the
+    # weak form enter the residual; dropping either one stalls the order
+    law = ViscosityLaw(terms=((1.0, 1.0), (1.0, 2.0)))
+    fields = make_test_fields(1, 2e-3, seed=5, count=3)
+    residuals = []
+    for n in (64, 128):
+        grid = PeriodicGrid((n,))
+        cfg = SolverConfig(law=law, params=AdmissibilityParams(nu=0.3, gamma=2.0, N=1),
+                           grid=grid, t_end=2e-3, ledger_stride=2, eps_vac=EPS,
+                           limiter="none")
+        init = make_initial("smooth_bump", grid, {"amp": 0.3, "u_amp": 0.3})
+        traj, _ = run(cfg, init)
+        residuals.append([weak_form_residual(traj, grid, law, 2.0, tf, EPS) for tf in fields])
+    for r64, r128 in zip(*residuals):
+        assert np.log2(r64 / r128) >= 1.0
+
+
+def _weak_form_reference(traj, grid, law, gamma, tf):
+    # the weak momentum balance term by term, with loops over the components
+    # and plain quotients on the wet cells
+    phi, dphi, lap_phi, grad_div = tf.spatial(grid)
+    div_phi = sum(dphi[a, a] for a in range(grid.dim))
+    dt_terms, space_terms = [], []
+    for st in traj.states:
+        rho = np.maximum(st.rho, 0.0)
+        wet = st.rho > EPS
+        sqrt_rho = np.sqrt(rho)
+        safe = np.where(wet, sqrt_rho, 1.0)
+        sru = np.where(wet, st.mom / safe, 0.0)
+        h_ov, g_ov = (np.where(wet, c / safe, 0.0) for c in (law.h(rho), law.g(rho)))
+        gsr = grad(sqrt_rho, grid)
+        space = rho**gamma * div_phi
+        for i in range(grid.dim):
+            space = space + (h_ov * lap_phi[i] + g_ov * grad_div[i]) * sru[i]
+            space = space + 2.0 * law.g_prime(rho) * gsr[i] * sru[i] * div_phi
+            for j in range(grid.dim):
+                space = space + (sru[i] + 2.0 * law.h_prime(rho) * gsr[i]) * sru[j] * dphi[i, j]
+        dt_terms.append(integrate(np.sum(sqrt_rho * sru * phi, axis=0), grid))
+        space_terms.append(integrate(space, grid))
+    t = np.asarray(traj.times)
+    w, wp = np.array([tf.w(x) for x in t]), np.array([tf.w_prime(x) for x in t])
+    initial = tf.w(t[0]) * integrate(np.sum(traj.states[0].mom * phi, axis=0), grid)
+    return abs(initial + np.trapezoid(np.array(dt_terms) * wp + np.array(space_terms) * w, t))
+
+
+def test_weak_form_residual_matches_term_by_term_reference():
+    # 2D, with g = rho^2 and a dry corner, so every pairing and the cutoffs enter
+    law = ViscosityLaw(terms=((1.0, 1.0), (1.0, 2.0)))
+    grid = PeriodicGrid((24, 20), (1.0, 0.8))
+    cfg = SolverConfig(law=law, params=AdmissibilityParams(nu=0.3, gamma=2.0, N=2),
+                       grid=grid, t_end=1e-3, ledger_stride=3, eps_vac=EPS)
+    traj, _ = run(cfg, make_initial("vacuum_bump", grid, {"u_amp": 0.2}))
+    for tf in make_test_fields(2, t_end=1e-3, seed=4, count=3):
+        want = _weak_form_reference(traj, grid, law, 2.0, tf)
+        got = weak_form_residual(traj, grid, law, 2.0, tf, EPS)
+        # the sums run in another order: double rounding of O(1) terms,
+        # relative to a residual near 1e-5
+        assert got == pytest.approx(want, rel=1e-9)
+
+
+def test_weak_form_residual_one_bundle_two_integrals_per_state(monkeypatch):
+    grid, cfg, traj, _ = run_small(n=24, t_end=1e-3, dim=1)
+    (tf,) = make_test_fields(1, t_end=1e-3, seed=2, count=1)
+    calls = {"fields": 0, "integrate": 0}
+    real_init, real_integrate = diagnostics._Fields.__init__, diagnostics.integrate
+
+    def counting_init(self, *args, **kwargs):
+        calls["fields"] += 1
+        real_init(self, *args, **kwargs)
+
+    def counting_integrate(*args, **kwargs):
+        calls["integrate"] += 1
+        return real_integrate(*args, **kwargs)
+
+    monkeypatch.setattr(diagnostics._Fields, "__init__", counting_init)
+    monkeypatch.setattr(diagnostics, "integrate", counting_integrate)
+    weak_form_residual(traj, grid, LINEAR, 2.0, tf, EPS)
+    n_states = len(traj.states)
+    assert calls["fields"] == n_states
+    # two per retained state, and one for the initial pairing
+    assert calls["integrate"] <= 2 * n_states + 1
 
 
 def test_test_field_modes_need_zero_mean():

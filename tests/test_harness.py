@@ -116,8 +116,6 @@ def test_study_metrics_and_axioms():
         assert np.array_equal(mat, mat.T)
         assert np.all(np.diag(mat) == 0.0)
         assert np.all(mat[np.triu_indices(3, 1)] > 0.0)
-    assert len(study.vacuum) == 3
-    assert all(v <= 1e-12 for v in study.vacuum)
 
 
 def test_study_is_deterministic():
@@ -201,7 +199,7 @@ def test_study_json_schema():
     study = run_study(spec, cfg)
     payload = study.to_json(["a.csv", "b.csv"])
     assert payload["members"] == ["a.csv", "b.csv"]
-    for key in ("d_rho", "d_u", "d_m", "vacuum", "uniform_bounds"):
+    for key in ("d_rho", "d_u", "d_m", "uniform_bounds"):
         assert key in payload
 
 
@@ -267,14 +265,11 @@ def test_2d_study_matches_per_instant_reference(preset):
 
     times = study.common_times
     series = []
-    for n, traj in enumerate(study.trajectories):
+    for traj in study.trajectories:
         at = [_interp_one(traj, t) for t in times]
         sru = [_Fields(State(t, r, m), grid, None, None, eps).sqrt_rho_u
                for t, (r, m) in zip(times, at)]
         series.append((at, sru))
-        vac = max([0.0] + [integrate(np.sum(np.abs(x.mom), axis=0) * (x.rho <= eps), grid)
-                           for x in traj.states])
-        assert study.vacuum[n] == vac
     for i in range(3):
         for j in range(i + 1, 3):
             (ai, si), (aj, sj) = series[i], series[j]

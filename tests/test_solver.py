@@ -1178,4 +1178,6 @@ def test_1d_step_call_budget():
     assert step["python"] <= 100, counts
     assert step["ufunc"] <= 167, counts
     assert step["fields"] == 2 and counts["ledger_instant_fields"] == 0, counts
+    # a ledger row's reductions: one quadrature per column or factor today
+    assert counts["ledger_instant_integrals"] <= 20, counts
     assert sum(phase["python"] for phase in counts["phases"].values()) == step["python"]

@@ -28,10 +28,10 @@ states are those of the ``vacuum1d_256`` workload (seed 0, 256 cells,
   the RK combinations and the finiteness tests) and ``bookkeeping`` (the
   rest of the run loop).
 
-It also counts the ``_Fields`` constructions of one ledger instant (the
-columns of a ledger row of the step's new state).  The counts are
-deterministic.  The script is never part of a timed job: the wrappers, the
-subclass and the profiler slow every call.
+It also counts the ``_Fields`` constructions and the ``grid.integrate``
+calls of one ledger instant (the columns of a ledger row of the step's new
+state).  The counts are deterministic.  The script is never part of a timed
+job: the wrappers, the subclass and the profiler slow every call.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import sys
 
 import numpy as np
 
-from bdns import config, diagnostics, solver
+from bdns import config, diagnostics, grid, solver
 
 VACUUM1D_256 = {
     "law": {"terms": [[1.0, 1.0]]}, "nu": 0.9, "gamma": 2.0, "dim": 1, "cells": 256,
@@ -208,8 +208,16 @@ def count(run_config: dict) -> dict:
         by_phase = {phase: {kind: c[kind] for kind in KINDS} for phase, c in TALLY.by_phase.items()}
         dispatchers = dict(TALLY.dispatchers)
         # one ledger instant: the columns of the new state's ledger row
+        integrals = [0]
+
+        def count_integrals(frame, event, arg):
+            if event == "call" and frame.f_code is grid.integrate.__code__:
+                integrals[0] += 1
+
         TALLY.by_phase, TALLY.on = {}, True
+        sys.setprofile(count_integrals)
         kept["work"].fields.ledger_columns(setup.config.moment)
+        sys.setprofile(None)
         TALLY.on = False
         instant = sum(c["fields"] for c in TALLY.by_phase.values())
     finally:
@@ -220,7 +228,7 @@ def count(run_config: dict) -> dict:
         solver.stable_dt, solver._Workspace = real["stable_dt"], real["workspace"]
         diagnostics._Fields.__init__ = real["init"]
     return {"step": step, "dispatchers": dispatchers, "phases": by_phase,
-            "ledger_instant_fields": instant}
+            "ledger_instant_fields": instant, "ledger_instant_integrals": integrals[0]}
 
 
 def main() -> dict:
