@@ -124,8 +124,7 @@ class _Fields:
         np.multiply(gamma, cs, out=cs)
         np.sqrt(waves, out=waves)
         self.speed = np.add(umag, cs, out=out["speed"])
-        h = self.h = out["h"]
-        h[...] = law.h(rho)
+        self.h = law._h_into(rho, out["h"], out["h_term"])
         for s in work.axes:
             _harmonic_face(s)
         self.h_face = out["h_face"]

@@ -10,8 +10,8 @@ Two derivative families are provided:
 
 * second-order centered differences (:func:`grad`, :func:`div`, :func:`lap`)
   which satisfy discrete integration by parts against the midpoint
-  quadrature exactly, taken as slices of a field padded with a periodic
-  halo (the solver's stencils use the same padding), and
+  quadrature exactly, taken on windows of a field padded with a periodic
+  halo (see :class:`_Cut`; the solver's stencils use the same layout), and
 * Fourier collocation derivatives (:func:`spectral_grad`, :func:`spectral_div`)
   used as a high-order oracle on band-limited fields.  They use real-to-complex
   transforms over the grid axes (``rfftn``/``irfftn``, half the spectrum), one
@@ -109,6 +109,11 @@ class PeriodicGrid:
         return k.reshape(shape)
 
     @cached_property
+    def _cuts(self) -> tuple[_Cut, ...]:
+        """The padded layout of every grid axis (see :class:`_Cut`)."""
+        return tuple(_make_cut(axis, self.sizes) for axis in range(self.dim))
+
+    @cached_property
     def spectral_factors(self) -> tuple[np.ndarray, ...]:
         """Per grid axis, the factor i k of a derivative along it on the half
         spectrum of ``rfftn`` over the grid axes (``rfftfreq`` on the last
@@ -169,40 +174,73 @@ def _check_vector(v: np.ndarray, grid: PeriodicGrid):
     _check_scalar(v[0], grid)
 
 
+_HALO = 2  # periodic ghost cells at each end of a padded axis
+_SHIFTS = 3  # the farthest shift, in cells, that a stencil reads a padded field at
+
+
 class _Cut(NamedTuple):
-    """Index tuples that slice a field along one grid axis; ``head[w]`` and
-    ``tail[w]`` take the first and last ``w`` entries along it.  The axis is
-    counted from the end, so leading member axes pass through."""
+    """The padded layout of fields along one grid axis, counted from the end
+    so that leading component and member axes pass through.
+
+    A field padded along the axis holds ``_HALO`` periodic ghost cells at
+    each end of it: the concatenation of its :meth:`halo` pieces, padded
+    index j holding cell j - _HALO.  A stencil takes every operand as a
+    *window*: a contiguous run of a flat buffer, reshaped to the padded
+    shape.  Neighbouring cells along the axis lie ``stride`` flat entries
+    apart, so the field shifted by k cells (padded index j holding index
+    j + k) is the window that starts k * stride entries later, one
+    contiguous array as well (:meth:`windows`), and each numpy call of a
+    stencil runs as one loop over whole arrays.
+
+    An entry j of a shifted window whose j + k passes the end of its row
+    along the axis reads the next row, or after the last row the buffer's
+    slack of ``_SHIFTS * stride`` entries (:meth:`buffer`; the solver's
+    lanes end in slack too).  Such entries, the *seams*, lie among the last
+    few of every row, past every entry that a stencil reads: they are
+    computed and never read.  Outside the stencils, a result is read only
+    on its *valid box*, the first n entries along the axis, n its cells
+    (``valid``), index c holding cell c.  (A field of faces holds face k,
+    between cells k - 1 and k, at index k.)"""
 
     axis: int  # negative
-    lo: tuple  # [:-1]
-    hi: tuple  # [1:]
-    mid: tuple  # [1:-1]
-    lo2: tuple  # [:-2]
-    hi2: tuple  # [2:]
-    head: tuple
-    tail: tuple
+    stride: int
+    head: tuple  # the first _HALO cells along the axis
+    tail: tuple  # the last _HALO cells
+    valid: tuple  # the first n entries along the axis
+
+    def padded(self, shape: tuple[int, ...]) -> tuple[int, ...]:
+        """``shape`` with the axis longer by both halos."""
+        out = list(shape)
+        out[self.axis] += 2 * _HALO
+        return tuple(out)
+
+    def halo(self, q: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The pieces whose concatenation along the axis is ``q`` padded:
+        views of ``q``, so that a workspace builds them once per buffer."""
+        return q[self.tail], q, q[self.head]
+
+    def windows(self, flat: np.ndarray, start: int, shape: tuple[int, ...],
+                *cells: int) -> tuple[np.ndarray, ...]:
+        """The window of ``shape`` that starts ``start`` entries into
+        ``flat``, shifted by each of ``cells`` cells along the axis."""
+        size = math.prod(shape)
+        return tuple(flat[at:at + size].reshape(shape)
+                     for at in (start + k * self.stride for k in cells))
+
+    def buffer(self, shape: tuple[int, ...]) -> np.ndarray:
+        """A zeroed flat buffer for a window of ``shape`` (a padded shape)
+        at its start and the window's shifts."""
+        return np.zeros(math.prod(shape) + _SHIFTS * self.stride)
 
 
-def _make_cut(axis: int, dim: int) -> _Cut:
+def _make_cut(axis: int, sizes: tuple[int, ...]) -> _Cut:
+    dim = len(sizes)
+
     def along(start, stop):
         return (Ellipsis, slice(start, stop)) + (slice(None),) * (dim - 1 - axis)
 
-    return _Cut(axis - dim, along(None, -1), along(1, None), along(1, -1), along(None, -2),
-                along(2, None), (None, along(None, 1), along(None, 2)),
-                (None, along(-1, None), along(-2, None)))
-
-
-# per grid dimension, the cut of every axis
-_CUTS = {dim: tuple(_make_cut(axis, dim) for axis in range(dim)) for dim in (1, 2)}
-
-
-def _halo_pieces(q: np.ndarray, cut: _Cut, width: int) -> tuple[np.ndarray, ...]:
-    """The pieces whose concatenation along the cut's axis is ``q`` extended
-    by ``width`` periodic ghost cells at both ends, so that every stencil
-    along it is a slice view of the concatenation: views of ``q``, so that a
-    workspace builds them once per buffer."""
-    return q[cut.tail[width]], q, q[cut.head[width]]
+    return _Cut(axis - dim, math.prod(sizes[axis + 1:]), along(None, _HALO), along(-_HALO, None),
+                along(None, sizes[axis]))
 
 
 def _power(x: np.ndarray, exponent: float, out: np.ndarray | None = None) -> np.ndarray:
@@ -231,42 +269,47 @@ def _cutoff(num: np.ndarray, den: np.ndarray, wet: np.ndarray, out: np.ndarray |
 
 
 class _Centered(NamedTuple):
-    """The pieces of a centered difference along one axis: the halo pieces
-    of the field, its halo, the halo's two shifted views, the result and
-    the spacing times two."""
+    """The views of a centered difference along one axis: the halo pieces
+    of the field, the axis, the padded field and its windows shifted by one
+    and by three cells (at index c, cells c - 1 and c + 1), the result
+    window, its valid box and the spacing times two."""
 
     pieces: tuple
     axis: int
     pad: np.ndarray
-    hi2: np.ndarray
-    lo2: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
     out: np.ndarray
+    valid: np.ndarray
     two_h: float
 
 
-def _centered_pieces(f: np.ndarray, grid: PeriodicGrid, axis: int, pad: np.ndarray | None = None,
-                     out: np.ndarray | None = None) -> _Centered:
-    """The views of a centered difference of ``f`` along ``axis``, into
-    ``pad`` and ``out`` (new arrays when not given): a workspace builds them
-    once per field buffer."""
-    cut = _CUTS[len(grid.sizes)][axis]
-    if pad is None:
-        shape = list(f.shape)
-        shape[cut.axis] += 2
-        pad = np.empty(shape)
-    return _Centered(_halo_pieces(f, cut, 1), cut.axis, pad, pad[cut.hi2], pad[cut.lo2],
-                     np.empty(f.shape) if out is None else out, 2.0 * grid.spacing[axis])
+def _centered_pieces(f: np.ndarray, grid: PeriodicGrid, axis: int,
+                     pads: tuple[np.ndarray, ...] | None = None, out: np.ndarray | None = None
+                     ) -> _Centered:
+    """The views of a centered difference of ``f`` along ``axis``: into
+    ``pads``, the padded field's windows shifted by 0, 1 and 3 cells, and
+    the window ``out`` (new arrays when not given), so that a workspace
+    builds them once per field buffer."""
+    cut = grid._cuts[axis]
+    if pads is None:
+        shape = cut.padded(f.shape)
+        pads = cut.windows(cut.buffer(shape), 0, shape, 0, 1, 3)
+        out = np.empty(shape)
+    return _Centered(cut.halo(f), cut.axis, *pads, out, out[cut.valid], 2.0 * grid.spacing[axis])
 
 
 def _centered(c: _Centered) -> np.ndarray:
-    """The centered difference of prebuilt pieces, into ``c.out``."""
+    """The centered difference of prebuilt pieces, computed on the whole
+    window ``c.out``; returns its valid box."""
     np.concatenate(c.pieces, axis=c.axis, out=c.pad)
-    np.subtract(c.hi2, c.lo2, out=c.out)
-    return np.divide(c.out, c.two_h, out=c.out)
+    np.subtract(c.right, c.left, out=c.out)
+    np.divide(c.out, c.two_h, out=c.out)
+    return c.valid
 
 
 def _ddx(f: np.ndarray, grid: PeriodicGrid, axis: int) -> np.ndarray:
-    """Centered difference along ``axis``."""
+    """Centered difference along ``axis``: a view of a padded array."""
     return _centered(_centered_pieces(f, grid, axis))
 
 

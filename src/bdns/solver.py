@@ -21,29 +21,39 @@ rows of one stacked (1 + dim, B, *sizes) array, and so is its derivative:
 combinations and the finiteness test of a stage act on the stacked state
 buffer.
 
-Every stencil is a slice view of a field padded once per axis with a
-periodic halo (two ghost cells for the limited slopes, one for faces), and
-fluxes live on the n + 1 faces of an axis, so a flux difference is
-``f[1:] - f[:-1]``.  The local Lax-Friedrichs flux of all 1 + dim equations
-is one pass over the stacked [left; right] face states: the clamp, the wet
-test, the cutoff velocity, the flux and the jump are each one numpy call for
-both sides, mass and momentum together.  The fields that depend on the state
-alone (clamped density, wet cells, cutoff velocity, wave speed, h and its
-face values, g) come from the state's one bundle, ``diagnostics._Fields``,
-made once per state, by the first kernel that needs it: the new state of a
-step gets its bundle once, for its per-step energy, its ledger row when one
-is due, the next ``stable_dt`` and the first stage of the next step.
+Every stencil runs on windows (see :class:`~bdns.grid._Cut`): a field
+padded along the stencil's axis with two periodic ghost cells at each end is
+a contiguous run of a workspace lane, and its neighbour k cells on is the
+same run started k strides later, so each operand of a stencil is one
+contiguous array and each numpy call one loop.  Fluxes live on the n + 1
+faces of an axis, face k at index k, so a flux difference is the flux
+window one cell on minus the flux window.  The last entries of every row
+of a window are seams, which read the next row or the lane's slack: they
+are computed and never read, since only the valid box of a window, its
+first n entries along the axis, is read outside the stencils, by the
+accumulation into the derivative (and into div u) here and into the
+viscous rate in ``stable_dt``.  The local Lax-Friedrichs flux of all
+1 + dim equations is one pass over the stacked [left; right] face states:
+the clamp, the wet test, the cutoff velocity, the flux and the jump are
+each one numpy call for both sides, mass and momentum together.  The
+fields that depend on the state alone (clamped density, wet cells, cutoff
+velocity, wave speed, h and its face values, g) come from the state's one
+bundle, ``diagnostics._Fields``, made once per state, by the first kernel
+that needs it: the new state of a step gets its bundle once, for its
+per-step energy, its ledger row when one is due, the next ``stable_dt`` and
+the first stage of the next step.
 
 Every field-sized array of a step (the stage states, the new state, the
 stage derivative, the bundle's fields and the stencil scratch) lives in one
 private workspace (``_workspace._Workspace``), allocated when
 ``run_members`` starts a batch and rebuilt when a member leaves it, and so
-does every slice view that a step reads or writes: the halo pieces of both
-state buffers, the face rows, the flux rows and the cuts of every lane.
-A state of the stage loop is one of the workspace's two state buffers,
-which consecutive steps alternate between.  A step then slices nothing and
-allocates no field beyond what the viscosity law's own evaluation
-allocates, and its Python-level calls are the kernels themselves.
+does every view that a step reads or writes: the halo pieces of both state
+buffers, the face rows, the flux rows, the windows of every lane with their
+shifts and valid boxes.  A state of the stage loop is one of the
+workspace's two state buffers, which consecutive steps alternate between.
+A step then slices nothing and allocates no field, the bundle evaluating
+the law's h into its own buffer, and its Python-level calls are the
+kernels themselves.
 ``run_members`` hands the workspace to the kernels as their private
 ``_work`` keyword; without it, the public ``rhs``, ``stable_dt`` and
 ``step`` copy their state (one state becoming a batch of one) into a
@@ -233,7 +243,7 @@ def rhs(state: State, config: SolverConfig, *, _work: _Workspace | None = None
         _face_states(halo, s, limiter)
         np.concatenate(s.speed_halo, axis=s.axis, out=s.speed)
         half_a, jump, rho = s.half_a, s.jump, s.rho_faces
-        np.multiply(0.5, np.maximum(s.speed_lo, s.speed_hi, out=half_a), out=half_a)
+        np.multiply(0.5, np.maximum(s.speed_1, s.speed_2, out=half_a), out=half_a)
         np.maximum(rho, 0.0, out=rho)  # of both sides
         # local Lax-Friedrichs on the reconstructed states, every equation at
         # once: 0.5 * (F(q_l) + F(q_r)) - half_a * (q_r - q_l), with the flux
@@ -246,8 +256,8 @@ def rhs(state: State, config: SolverConfig, *, _work: _Workspace | None = None
         np.add(s.left_mom, s.right_mom, out=s.left_mom)
         np.multiply(0.5, flux, out=flux)
         np.subtract(flux, jump, out=flux)
-        dq = np.subtract(s.flux_hi, s.flux_lo, out=s.dq)
-        np.subtract(s.d_in, np.divide(dq, s.h, out=dq), out=d)
+        np.divide(np.subtract(s.flux_1, flux, out=s.dq), s.h, out=s.dq)
+        np.subtract(s.d_in, s.dq_valid, out=d)
 
     # pressure gradient, centered
     _, dmom = work.rows
@@ -257,14 +267,13 @@ def rhs(state: State, config: SolverConfig, *, _work: _Workspace | None = None
 
     # shear viscosity in compact flux form; harmonic face coefficient so the
     # flux degenerates with the density at dry faces
-    dv = work.shear
     for s in work.axes:
         flux = s.face_v
         np.concatenate(s.u_halo, axis=s.axis, out=s.pad_v)
-        np.subtract(s.pad_v_hi, s.pad_v_lo, out=flux)
+        np.subtract(s.pad_v_2, s.pad_v_1, out=flux)
         np.multiply(s.h_face, np.divide(flux, s.h, out=flux), out=flux)
-        np.subtract(s.face_v_hi, s.face_v_lo, out=dv)
-        np.add(dmom, np.divide(dv, s.h, out=dv), out=dmom)
+        np.divide(np.subtract(s.face_v_1, flux, out=s.dv), s.h, out=s.dv)
+        np.add(dmom, s.dv_valid, out=dmom)
 
     # second-coefficient term grad(g * div u), centered
     if not work.g_vanishes:
@@ -307,10 +316,10 @@ def stable_dt(state: State, config: SolverConfig, *, _work: _Workspace | None = 
         f = _bundle(state, config, work)
     grid, eps_vac, cfl = config.grid, config.eps_vac, config.cfl
     dx = min(grid.spacing)
-    rate, term, diff_all = work.rate, work.term, work.diff_all
+    rate, diff_all = work.rate, work.diff_all
     for s in work.axes:
-        np.add(s.h_face_hi, s.h_face_lo, out=term)
-        np.add(s.rate_in, np.divide(term, s.h_sq, out=term), out=rate)
+        np.divide(np.add(s.h_face_1, s.h_face, out=s.term), s.h_sq, out=s.term)
+        np.add(s.rate_in, s.term_valid, out=rate)
     diff_all.fill(math.inf)
     np.divide(f.rho, rate, out=diff_all, where=np.greater(rate, 0.0, out=work.cell_mask))
     diff = np.minimum.reduce(diff_all, axis=grid.axes, where=f.wet, initial=math.inf).tolist()

@@ -55,13 +55,17 @@ def _as_array(rho):
     return arr
 
 
-def _power_sum(r: np.ndarray, terms) -> np.ndarray:
+def _power_sum(r: np.ndarray, terms, out: np.ndarray | None = None,
+               term: np.ndarray | None = None) -> np.ndarray:
     """The sum of c * r^e over the (c, e) terms, an exponent 0 read as the
-    constant c.  It is accumulated in place from +0.0 (which turns a -0.0
-    term into +0.0), each term computed in one reused buffer, so that it
-    holds two fields at its peak."""
-    out = np.zeros(r.shape)
-    term = np.empty(r.shape)
+    constant c, into ``out`` with ``term`` as scratch (new arrays when not
+    given).  It is accumulated in place from +0.0 (which turns a -0.0 term
+    into +0.0), each term computed in one reused buffer, so that it holds
+    two fields at its peak."""
+    if out is None:
+        out, term = np.zeros(r.shape), np.empty(r.shape)
+    else:
+        out.fill(0.0)
     for c, e in terms:
         if e == 0.0:
             np.add(out, c, out=out)
@@ -114,6 +118,12 @@ class ViscosityLaw:
 
     def h(self, rho):
         return _scalar_like(rho, _power_sum(_as_array(rho), self.terms))
+
+    def _h_into(self, rho: np.ndarray, out: np.ndarray, term: np.ndarray) -> np.ndarray:
+        """h of a density array that is already nonnegative (the solver's
+        clamped density), without its sign check: written into ``out``, with
+        ``term`` as scratch, bit for bit the values of :meth:`h`."""
+        return _power_sum(rho, self.terms, out, term)
 
     def h_prime(self, rho):
         r = _as_array(rho)
@@ -213,6 +223,9 @@ class TamperedLaw:
 
     def h(self, rho):
         return self.base.h(rho)
+
+    def _h_into(self, rho, out, term):
+        return self.base._h_into(rho, out, term)
 
     def h_prime(self, rho):
         return self.base.h_prime(rho)

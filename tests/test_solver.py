@@ -12,6 +12,7 @@ import pytest
 
 import bdns.solver as solver
 from bdns import diagnostics
+from bdns._workspace import _limited_slope
 from bdns.grid import PeriodicGrid, State, integrate, lp_norm, spectral_grad
 from bdns.harness import InitialDataSpec, generate_sequence
 from bdns.presets import make_initial
@@ -321,7 +322,7 @@ def test_manufactured_solution_second_order():
 
 
 # -- reference kernel ---------------------------------------------------------------
-# The np.roll formulation of rhs and stable_dt that the halo-sliced kernel
+# The np.roll formulation of rhs and stable_dt that the windowed kernel
 # replaced, kept as the oracle: the kernel must reproduce it bit for bit.
 
 
@@ -578,6 +579,97 @@ def test_batched_kernel_matches_members_g_term_and_forcing(sizes):
     cfg = make_config(grid, law=TamperedLaw(LINEAR, 0.7), forcing=lambda t, g: t * src)
     # the forcing is evaluated at each member's own (stage) time
     assert_batch_kernel_matches_members(batch_members(grid, (0.1, 0.2, 0.35, 0.5)), cfg)
+
+
+def kernels_in_workspace(states, cfg, poison):
+    """stable_dt, rhs and one step of a batch in a fresh workspace of its
+    own, each result copied; with ``poison``, every lane and the buffers of
+    the harmonic faces are filled with NaN first, their slack included."""
+    batch = stack(states)
+    work = solver._Workspace(cfg, batch.rho.shape)
+    if poison:
+        work._lanes.fill(np.nan)
+        for faces, _ in work.h_faces:
+            assert faces.base.size > faces.size  # the window and its slack
+            faces.base.fill(np.nan)
+    state = solver._load(work, cfg, batch.t,
+                         np.concatenate((batch.rho[np.newaxis], batch.mom)))
+    dt = stable_dt(state, cfg, _work=work)
+    drho, dmom = (a.copy() for a in rhs(state, cfg, _work=work))
+    new, clamps, zeros = step(state, cfg, 0.5 * dt, _work=work)
+    return [dt, drho, dmom, new.t, new.q.copy(), clamps, zeros]
+
+
+def assert_no_valid_entry_reads_a_seam(states, cfg):
+    clean = kernels_in_workspace(states, cfg, poison=False)
+    poisoned = kernels_in_workspace(states, cfg, poison=True)
+    assert all(np.isfinite(a).all() for a in clean)
+    assert [bits(a) for a in poisoned] == [bits(a) for a in clean]
+
+
+@pytest.mark.parametrize("integrator", solver.INTEGRATORS)
+@pytest.mark.parametrize("sizes", [(48,), (12, 20)])
+@pytest.mark.parametrize("limiter", solver.LIMITERS)
+def test_no_valid_entry_reads_a_seam(sizes, limiter, integrator):
+    # the stencils compute every entry of their windows, the seams (which
+    # read the next row or the slack) among them; NaN in every lane shows
+    # that no entry read outside the stencils depends on one
+    grid = PeriodicGrid(sizes, tuple(0.7 + 0.2 * a for a in range(len(sizes))))
+    cfg = make_config(grid, limiter=limiter, integrator=integrator)
+    assert_no_valid_entry_reads_a_seam(batch_members(grid), cfg)
+
+
+@pytest.mark.parametrize("sizes", [(48,), (12, 20)])
+def test_no_valid_entry_reads_a_seam_g_term_and_forcing(sizes):
+    grid = PeriodicGrid(sizes, tuple(0.7 + 0.2 * a for a in range(len(sizes))))
+    src = np.random.default_rng(5).standard_normal((grid.dim, *grid.sizes))
+    cfg = make_config(grid, law=TamperedLaw(LINEAR, 0.7), forcing=lambda t, g: t * src)
+    assert_no_valid_entry_reads_a_seam(batch_members(grid, (0.1, 0.2, 0.35, 0.5)), cfg)
+
+
+def limited_slopes(q, limiter):
+    """The workspace's limited slope of a stacked 1D batch ``q`` of (2, B, n)
+    with unit spacing, for cells 0 .. n - 1, under warnings as errors."""
+    grid = PeriodicGrid(q.shape[-1:], (float(q.shape[-1]),))
+    work = solver._Workspace(make_config(grid, limiter=limiter), q.shape[1:])
+    s, state = work.axes[0], work.stacked[0]
+    state.q[...] = q
+    np.concatenate(state.halos[0], axis=s.axis, out=s.qp)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        slope = _limited_slope(s, limiter)
+    return slope[..., 1:q.shape[-1] + 1]
+
+
+def field_with_differences(dminus, dplus, n=8):
+    """A field of n cells whose cell 3 has exactly these backward and
+    forward differences; the other cells hold zeros."""
+    q = np.zeros(n)
+    # cell 3 is -0.0 where dminus is: x - y is -0.0 only for x = -0.0, y = +0.0
+    q[3] = -0.0 if dminus == 0.0 and math.copysign(1.0, dminus) < 0 else 0.0
+    q[2], q[4] = q[3] - dminus, dplus
+    assert bits(np.array([q[3] - q[2], q[4] - q[3]])) == bits(np.array([dminus, dplus]))
+    return q
+
+
+@pytest.mark.parametrize("limiter", ["mc", "minmod"])
+def test_clamp_limiters_match_the_oracle(limiter):
+    # every pair of these differences but (-0.0, -0.0), which the differences
+    # of no field give
+    values = (0.0, -0.0, 1.0, -1.0, 1e300, -1e300)
+    pairs = [(a, b) for a in values for b in values
+             if not (a == b == 0.0 and math.copysign(1.0, a) < 0 and math.copysign(1.0, b) < 0)]
+    fields = np.stack([field_with_differences(a, b) for a, b in pairs])
+    q = np.stack([fields, -fields])  # both rows, the signs reversed in the second
+    got = limited_slopes(q, limiter)
+    with np.errstate(over="ignore"):  # the oracle's product dminus * dplus overflows
+        want = _ref_limited_slope(q, -1, 1.0, limiter)
+    assert bits(got) == bits(want)
+    # where dminus * dplus underflows, the oracle reads no common sign and
+    # gives 0; the clamps keep the slope
+    tiny = field_with_differences(1e-300, 1e-300)[np.newaxis, np.newaxis]
+    assert _ref_limited_slope(tiny, -1, 1.0, limiter)[0, 0, 3] == 0.0
+    assert limited_slopes(np.concatenate((tiny, tiny)), limiter)[0, 0, 3] == 1e-300
 
 
 def one_batch(state):
@@ -1006,51 +1098,32 @@ def test_step_matches_allocating_reference(sizes, integrator):
 
 
 # numpy's iterator buffer size, in elements, for the allocation test: a ufunc
-# on operands sliced along the last axis of a 2D field copies them through
-# buffers allocated per call (64 KiB each at numpy's default of 8192), which
-# at this size stay well under the test's 32 KiB field
+# on operands sliced along the last axis of a 2D field (a valid box) copies
+# them through buffers allocated per call (64 KiB each at numpy's default of
+# 8192), which at this size stay well under the test's 32 KiB field
 ITER_BUFFER_ELEMENTS = 256
 
 
 def test_stage_loop_allocates_no_field(monkeypatch):
     # after the first (warm-up) step of a run, a step allocates no array as
-    # large as a field outside the law's evaluation of h: its states,
-    # derivatives, bundle and scratch live in the run's workspace.  The law
-    # allocates two fields at its peak (see ViscosityLaw.h); its values are
-    # copied into an array allocated before the run, and its peak counts only
-    # towards the bound of three fields on the whole step
+    # large as a field: its states, derivatives, bundle and scratch live in
+    # the run's workspace, and the bundle evaluates the law's h into its own
+    # buffer
     grid = PeriodicGrid((64, 64))
     cfg = make_config(grid, t_end=1e-4, ledger_stride=1000)
     init = make_initial("saint_venant_demo", grid)
     field_bytes = init.rho.nbytes
-    h_values = np.empty((1, *grid.sizes))  # a run is a batch of one
-    outside, whole = [], []  # per step: its peak outside the law, its whole peak
-    windows, evaluations = [], []  # within a step: the peaks between and of law.h calls
-    real_step, real_h = solver.step, ViscosityLaw.h
-
-    def h_apart(law, rho):
-        if not windows:  # not within a step
-            return real_h(law, rho)
-        windows.append(tracemalloc.get_traced_memory()[1])  # the window before h
-        tracemalloc.reset_peak()
-        np.copyto(h_values, real_h(law, rho))
-        evaluations.append(tracemalloc.get_traced_memory()[1])
-        tracemalloc.reset_peak()
-        return h_values
+    peaks = []  # per step: its peak above the memory it started with
+    real_step = solver.step
 
     def measured(*args, **kwargs):
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        windows[:], evaluations[:] = [before], []
         out = real_step(*args, **kwargs)
-        windows.append(tracemalloc.get_traced_memory()[1])
-        outside.append(max(windows) - before)
-        whole.append(max(windows + evaluations) - before)
-        windows.clear()
+        peaks.append(tracemalloc.get_traced_memory()[1] - before)
         return out
 
     monkeypatch.setattr(solver, "step", measured)
-    monkeypatch.setattr(ViscosityLaw, "h", h_apart)
     old_bufsize = np.setbufsize(ITER_BUFFER_ELEMENTS)
     tracemalloc.start()
     try:
@@ -1058,9 +1131,8 @@ def test_stage_loop_allocates_no_field(monkeypatch):
     finally:
         tracemalloc.stop()
         np.setbufsize(old_bufsize)
-    assert traj.step_count == len(outside) >= 3
-    assert max(outside[1:]) < field_bytes
-    assert max(whole[1:]) < 3 * field_bytes
+    assert traj.step_count == len(peaks) >= 3
+    assert max(peaks[1:]) < field_bytes
 
 
 @pytest.mark.parametrize("sizes", [(512,), (40, 48)])
@@ -1165,7 +1237,9 @@ def test_overflowing_velocity_warns_nothing():
 
 # -- call budget ----------------------------------------------------------------------
 # A 1D step is bound by its call count, not by arithmetic: the counting pass of
-# tools/count_step_calls.py keeps that count from creeping back.
+# tools/count_step_calls.py keeps that count from creeping back, and keeps a
+# step free of field-sized allocations and of strided operands beyond the
+# valid-box reads and the per-component face rows.
 
 
 def test_1d_step_call_budget():
@@ -1181,3 +1255,8 @@ def test_1d_step_call_budget():
     # a ledger row's reductions: one quadrature per column or factor today
     assert counts["ledger_instant_integrals"] <= 20, counts
     assert sum(phase["python"] for phase in counts["phases"].values()) == step["python"]
+    # the stencils run on contiguous windows, and the law's h is evaluated
+    # into the bundle's buffer
+    assert step["allocations"] == 0 and step["strided"] <= 10, counts
+    step_2d = tool.count(tool.SV2D_128)["step"]
+    assert step_2d["allocations"] == 0 and step_2d["strided"] <= 27, step_2d

@@ -339,6 +339,21 @@ def test_psi_is_the_closed_form_sum_bit_for_bit():
                     assert type(value) is float and bits(value) == bits(ref)
 
 
+def test_h_into_gives_the_bits_of_h_in_place():
+    # the solver's bundle evaluates h of its clamped density into its own
+    # buffer, with a scratch buffer, through the law (or the tampered law
+    # around it); the sum starts from +0.0 as h's does
+    dens = np.array([[0.0, 5e-324, 1e-310, 1e-10, 0.25, 1.0, 3.7, 1e300, np.inf, np.nan]])
+    laws = (LINEAR, MIXED, ViscosityLaw(constant=2.5), ViscosityLaw(constant=0.0),
+            ViscosityLaw(terms=((0.3, 0.75), (2.0, 1.5), (0.5, 3.0))))
+    out, term = np.full_like(dens, np.nan), np.full_like(dens, np.nan)
+    with np.errstate(over="ignore"):  # 1e300 ** 1.5
+        for law in laws:
+            for wrapped in (law, TamperedLaw(law, 0.5)):
+                assert wrapped._h_into(dens, out, term) is out
+                assert out.tobytes() == law.h(dens).tobytes()
+
+
 def test_validate_tampered_law_reports_failed_combination():
     # a tampered pair has no constant: (10) fails without the constant-law note
     report = validate(TamperedLaw(LINEAR, 1.0), AdmissibilityParams(nu=0.9, gamma=2.0, N=1))

@@ -19,8 +19,16 @@ states are those of the ``vacuum1d_256`` workload (seed 0, 256 cells,
 * ``operators``: ufunc calls that reach the workspace's arrays without the
   namespace: ndarray operators (``a < b``, ``a & b``, ``2.0 * a``) and
   methods (``a.max()``).  The workspace is built with its buffers viewed as
-  an ndarray subclass whose ``__array_ufunc__`` sees every such call; the
-  viscosity law evaluates on arrays of its own, which it does not see;
+  an ndarray subclass whose ``__array_ufunc__`` sees every such call; an
+  operator on arrays that the workspace does not hold goes unseen;
+* ``strided``: those ufunc calls, through the namespace or as operators,
+  with an array operand that is not C-contiguous, ``out=`` and ``where=``
+  operands included: the calls that numpy cannot run as one loop over
+  whole arrays;
+* ``allocations``: arrays of at least one field's cells (a member's grid)
+  made in the step, by a numpy constructor (``np.zeros``, ``np.empty``,
+  ``np.concatenate`` without ``out=`` and the like) or by a ufunc call or
+  operator without ``out=``;
 * ``fields``: ``_Fields`` constructions, the per-state bundles;
 * ``phases``: the same counts split by the phase that makes them:
   ``stable_dt``, each ``rhs`` of the step in turn, ``bundle`` (making a
@@ -55,7 +63,10 @@ SV2D_128 = {
 }
 WARM_UP_STEPS = 3
 REDUCTIONS = ("reduce", "accumulate", "reduceat", "outer", "at")
-KINDS = ("python", "dispatchers", "ufunc", "operators", "fields")
+KINDS = ("python", "dispatchers", "ufunc", "operators", "strided", "allocations", "fields")
+# the numpy constructors whose results count as allocations
+CONSTRUCTORS = ("empty", "zeros", "ones", "full", "empty_like", "zeros_like", "ones_like",
+                "full_like", "array", "copy", "concatenate", "stack")
 
 
 class _Tally:
@@ -67,6 +78,8 @@ class _Tally:
         self.by_phase: dict[str, dict[str, int]] = {}
         self.dispatchers: dict[str, int] = {}
         self.in_namespace = 0  # depth of namespace ufunc calls under way
+        self.building = False  # whether a workspace is being built
+        self.field = 0  # the cells of one field: an allocation has at least as many
 
     def add(self, kind: str):
         # plain dicts: a Counter would make Python-level calls of its own
@@ -106,11 +119,45 @@ class _Counted:
 
 def _namespace_call(fn, args, kwargs):
     TALLY.add("ufunc")
+    _operands(args, kwargs.get("out"), kwargs.get("where"))
     TALLY.in_namespace += 1
     try:
-        return fn(*args, **kwargs)
+        result = fn(*args, **kwargs)
     finally:
         TALLY.in_namespace -= 1
+    if kwargs.get("out") is None:
+        _made(result)
+    return result
+
+
+def _operands(inputs, out, where):
+    """Count a ufunc call as strided if an array operand is not C-contiguous."""
+    outs = out if isinstance(out, tuple) else (out,)
+    if any(isinstance(x, np.ndarray) and not x.flags.c_contiguous
+           for x in (*inputs, *outs, where)):
+        TALLY.add("strided")
+
+
+def _made(result):
+    """Count an array made in the step, of at least one field's cells."""
+    if isinstance(result, np.ndarray) and result.size >= TALLY.field:
+        TALLY.add("allocations")
+
+
+class _Constructor:
+    """A numpy constructor: its arrays are the workspace's buffers, viewed as
+    a _Seen, while a workspace is built, and count as allocations else."""
+
+    def __init__(self, make):
+        self._make = make
+
+    def __call__(self, *args, **kwargs):
+        result = self._make(*args, **kwargs)
+        if TALLY.building:
+            return result.view(_Seen)
+        if kwargs.get("out") is None:
+            _made(result)
+        return result
 
 
 def _plain(x):
@@ -122,14 +169,18 @@ class _Seen(np.ndarray):
     not make is an operator or a method."""
 
     def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
-        if not TALLY.in_namespace:
+        operator = not TALLY.in_namespace
+        if operator:
             TALLY.add("operators")
+            _operands(inputs, out, kwargs.get("where"))
         if "where" in kwargs:
             kwargs["where"] = _plain(kwargs["where"])
         kwargs["out"] = None if out is None else tuple(_plain(o) for o in out)
         result = getattr(ufunc, method)(*(_plain(x) for x in inputs), **kwargs)
         if out is not None:
             return out[0] if len(out) == 1 else out
+        if operator:
+            _made(result)
         return result.view(_Seen) if isinstance(result, np.ndarray) else result
 
 
@@ -142,7 +193,7 @@ def count(run_config: dict) -> dict:
     stack: list[str] = []
     rhs_calls = [0]
     real = {"stable_dt": solver.stable_dt, "workspace": solver._Workspace,
-            "init": diagnostics._Fields.__init__, "empty": np.empty, "zeros": np.zeros}
+            "init": diagnostics._Fields.__init__}
     stable_dt_calls = [0]
     kept = {}
 
@@ -182,22 +233,25 @@ def count(run_config: dict) -> dict:
 
     def seen_workspace(*args):
         # every buffer, and so every view, of the workspace is a _Seen
-        np.empty = lambda *a, **k: real["empty"](*a, **k).view(_Seen)
-        np.zeros = lambda *a, **k: real["zeros"](*a, **k).view(_Seen)
+        TALLY.building = True
         try:
             return real["workspace"](*args)
         finally:
-            np.empty, np.zeros = real["empty"], real["zeros"]
+            TALLY.building = False
 
     def counting_init(self, *args, **kwargs):
         TALLY.add("fields")
         real["init"](self, *args, **kwargs)
 
     ufuncs = {name: obj for name, obj in vars(np).items() if isinstance(obj, np.ufunc)}
+    constructors = {name: getattr(np, name) for name in CONSTRUCTORS}
     TALLY.by_phase, TALLY.dispatchers, TALLY.phase = {}, {}, "bookkeeping"
+    TALLY.field = setup.config.grid.n_cells
     try:
         for name, ufunc in ufuncs.items():
             setattr(np, name, _Counted(ufunc))
+        for name, make in constructors.items():
+            setattr(np, name, _Constructor(make))
         solver.stable_dt, solver._Workspace = counting_stable_dt, seen_workspace
         diagnostics._Fields.__init__ = counting_init
         try:
@@ -223,8 +277,8 @@ def count(run_config: dict) -> dict:
     finally:
         sys.setprofile(None)
         TALLY.on = False
-        for name, ufunc in ufuncs.items():
-            setattr(np, name, ufunc)
+        for name, obj in (*ufuncs.items(), *constructors.items()):
+            setattr(np, name, obj)
         solver.stable_dt, solver._Workspace = real["stable_dt"], real["workspace"]
         diagnostics._Fields.__init__ = real["init"]
     return {"step": step, "dispatchers": dispatchers, "phases": by_phase,
