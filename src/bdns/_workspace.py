@@ -136,6 +136,9 @@ class _Workspace:
         # differences in lanes 0 (halo) and 1, div u in lane 2
         self.pressure, self.div_u = self.view(3, shape), self.view(2, shape)
         self.rate, self.diff_all = self.view(0, shape), self.view(2, shape)
+        # stable_dt's g term: |g| in lane 3, and the largest rate over the
+        # axes in diff_all's buffer, before diff_all is written
+        self.g_abs, self.rate_g = self.view(3, shape), self.diff_all
         self.cell_mask = self.mask(shape)
         self.finite = self.mask(stacked)  # a stage state's finite entries
         # the floors: their cutoff, and their boolean buffers, cell_mask and
@@ -224,9 +227,14 @@ class _AxisScratch:
         self.face, self.face_num = window(1, field), window(2, field)
         self.positive = work.mask(field)
         self.h_face, self.h_face_1 = work.h_faces[a]
-        # stable_dt: the rate's term along the axis in lane 1
+        # stable_dt: the rate's term along the axis in lane 1; for the g term,
+        # |g| padded in lane 3 and the coefficient sum_b 1/(4 dx_a dx_b)
         self.term = window(1, field)
         self.term_valid = self.term[cut.valid]
+        self.rate_g_in = 0.0 if a == 0 else work.rate_g
+        self.g_halo = cut.halo(work.g_abs)
+        self.g_pad, self.g_pad_1, self.g_pad_3 = windows(3, field, cut, 0, 1, 3)
+        self.g_coef = sum(1.0 / (4.0 * h * h_b) for h_b in grid.spacing)
         # the shear flux: the velocity's halo in lane 0, its face flux in
         # lane 1, their difference in lane 2
         self.u_halo = cut.halo(out["u"])

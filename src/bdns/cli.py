@@ -170,6 +170,8 @@ def _cmd_verify_identities(args) -> int:
         grids = [int(n) for n in args.grids.split(",") if n]
     except ValueError as exc:
         raise _Usage(f"bad --dims/--grids: {exc}") from exc
+    if not dims:
+        raise _Usage("--dims names no dimension")
     if args.out:
         _probe(args.out)
 

@@ -15,9 +15,11 @@ Two derivative families are provided:
 * Fourier collocation derivatives (:func:`spectral_grad`, :func:`spectral_div`)
   used as a high-order oracle on band-limited fields.  They use real-to-complex
   transforms over the grid axes (``rfftn``/``irfftn``, half the spectrum), one
-  forward transform per field: the gradient multiplies it by the factors i k
-  of every axis (:attr:`PeriodicGrid.spectral_factors`), and the divergence
-  sums i k_a v_a over the components in Fourier space before its one inverse.
+  forward and one inverse transform per derivative, whatever the number of
+  fields stacked in front of the grid axes: the gradient stacks the products
+  of the transform with the factors i k of every axis
+  (:attr:`PeriodicGrid.spectral_factors`) before its inverse, and the
+  divergence sums i k_a v_a over the components in Fourier space before it.
   The unpaired Nyquist mode of an even axis is zeroed in the factor of that
   axis, so an odd derivative of a real field stays real.
 
@@ -342,10 +344,11 @@ def _irfft(fh: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
 
 
 def spectral_grad(f: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
-    """Fourier-collocation gradient; spectrally accurate on smooth fields."""
+    """Fourier-collocation gradient, spectrally accurate on smooth fields; the
+    derivative axis comes first, so a stack of fields gives [i, j] = d_i f_j."""
     _check_scalar(f, grid)
     fh = _rfft(f, grid)
-    return np.stack([_irfft(ik * fh, grid) for ik in grid.spectral_factors])
+    return _irfft(np.stack([ik * fh for ik in grid.spectral_factors]), grid)
 
 
 def spectral_div(v: np.ndarray, grid: PeriodicGrid) -> np.ndarray:

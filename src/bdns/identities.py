@@ -167,7 +167,9 @@ def gradient_flow_field(dim: int, seed: int = 0, n_modes: int = 2, kmax: int = 2
 
 class _Ctx:
     """All spectral quantities for one field on one grid, each computed at
-    most once and shared by every checker run on that grid."""
+    most once and shared by every checker run on that grid.  A tensor term
+    is one whole array and each spectral derivative one forward and one
+    inverse transform of it, whatever the number of its components."""
 
     def __init__(self, mf: ManufacturedField, law, gamma: float, n: int):
         self.grid = PeriodicGrid(tuple(n for _ in range(mf.dim)))
@@ -208,8 +210,8 @@ class _Ctx:
     # spectral derivatives ----------------------------------------------------
     @cached_property
     def grad_u(self):
-        # grad_u[i, j] = d_i u_j
-        return np.stack([spectral_grad(self.u[j], self.grid) for j in range(self.dim)], axis=1)
+        """grad_u[i, j] = d_i u_j: the gradient of u as a stack of scalar fields."""
+        return spectral_grad(self.u, self.grid)
 
     @cached_property
     def grad_u_sq(self):
@@ -217,7 +219,7 @@ class _Ctx:
 
     @cached_property
     def div_u(self):
-        return sum(self.grad_u[a, a] for a in range(self.dim))
+        return np.trace(self.grad_u)
 
     @cached_property
     def w(self):
@@ -243,11 +245,9 @@ class _Ctx:
 
     @cached_property
     def visc_h_term(self):
-        """div(h grad u), one component per j."""
-        out = np.zeros_like(self.u)
-        for j in range(self.dim):
-            out[j] = spectral_div(self.h * self.grad_u[:, j], self.grid)
-        return out
+        """div(h grad u), component j = sum_i d_i(h d_i u_j): the divergence
+        over i of the whole tensor."""
+        return spectral_div(self.h * self.grad_u, self.grid)
 
     @cached_property
     def visc_g_term(self):
@@ -258,11 +258,9 @@ class _Ctx:
 
     @cached_property
     def conv_term(self):
-        """div(rho u x u), component j = sum_i d_i(rho u_i u_j)."""
-        out = np.zeros_like(self.u)
-        for j in range(self.dim):
-            out[j] = spectral_div(self.rho * self.u * self.u[j], self.grid)
-        return out
+        """div(rho u x u), component j = sum_i d_i(rho u_i u_j): the divergence
+        over i of the whole tensor m_i u_j."""
+        return spectral_div(self.m[:, np.newaxis] * self.u, self.grid)
 
     @cached_property
     def dt_m(self):
@@ -427,11 +425,8 @@ def verify_energy_step(mf: ManufacturedField, law, gamma: float, grids) -> Ident
 
 
 def _grad_phi_transport(c: _Ctx):
-    w, gu = c.w, c.grad_u
-    quad = np.zeros(c.grid.sizes)
-    for i in range(c.dim):
-        for j in range(c.dim):
-            quad += gu[i, j] * w[i] * w[j]
+    w = c.w
+    quad = np.einsum("ij...,i...,j...->...", c.grad_u, w, w)  # d_i u_j d_i phi d_j phi
     t1 = -c.int_(c.rho * quad)
     t2 = c.int_(c.rho**2 * c.phi_p * c.lap_phi * c.div_u)
     w2 = np.sum(w**2, axis=0)
@@ -464,11 +459,7 @@ def _cross_term_expansion(c: _Ctx):
     # (b2) int div(h grad u) . grad phi expanded into three terms
     lhs_h = c.int_(np.sum(c.visc_h_term * w, axis=0))
     grad_h = spectral_grad(c.h, c.grid)
-    mix = np.zeros(c.grid.sizes)
-    for i in range(c.dim):
-        for j in range(c.dim):
-            # d_i h * d_j u_i * d_j phi
-            mix += grad_h[i] * c.grad_u[j, i] * w[j]
+    mix = np.einsum("i...,ji...,j...->...", grad_h, c.grad_u, w)  # d_i h d_j u_i d_j phi
     rhs_h = (
         c.int_(mix)
         - c.int_(np.sum(grad_h * w, axis=0) * c.div_u)
@@ -490,13 +481,9 @@ def verify_step3_cross(mf: ManufacturedField, law, gamma: float, grids) -> Ident
 
 
 def _bd_combination(c: _Ctx):
-    w, gu = c.w, c.grad_u
+    w = c.w
     # int h d_i u_j d_j u_i
-    contraction = np.zeros(c.grid.sizes)
-    for i in range(c.dim):
-        for j in range(c.dim):
-            contraction += gu[i, j] * gu[j, i]
-    transpose = c.int_(c.h * contraction)
+    transpose = c.int_(c.h * np.einsum("ij...,ji...->...", c.grad_u, c.grad_u))
     x_bd = c.int_(np.sum(w * c.grad_p, axis=0))  # int grad(phi) . grad(rho^gamma)
     dissipation = c.int_(c.h * c.grad_u_sq + c.g * c.div_u**2)
 
@@ -535,7 +522,7 @@ def _moment_balance(c: _Ctx, delta: float, nu: float):
     N = c.dim
     umag = np.sqrt(np.sum(c.u**2, axis=0))
     ud = umag**delta
-    gu = c.grad_u
+    u_du = np.einsum("j...,ij...->i...", c.u, c.grad_u)  # component i: u . d_i u
 
     # d/dt int rho |u|^{2+delta}/(2+delta) by the chain rule
     udm = np.sum(c.u * c.dt_m, axis=0)
@@ -544,15 +531,11 @@ def _moment_balance(c: _Ctx, delta: float, nu: float):
     )
     v_h = c.int_(c.h * ud * c.grad_u_sq)
     # delta * int h |u|^{delta-2} sum_i (u . d_i u)^2
-    proj = np.zeros(c.grid.sizes)
-    for i in range(c.dim):
-        proj += np.sum(c.u * gu[i], axis=0) ** 2
+    proj = np.sum(u_du**2, axis=0)
     v_h_delta = delta * c.int_(c.h * umag ** (delta - 2.0) * proj)
     v_g = c.int_(c.g * ud * c.div_u**2)
     # delta * int g |u|^{delta-2} (div u) sum_{jk} u_j u_k d_j u_k
-    cross = np.zeros(c.grid.sizes)
-    for j in range(c.dim):
-        cross += c.u[j] * np.sum(c.u * gu[j], axis=0)
+    cross = np.sum(c.u * u_du, axis=0)
     v_g_delta = delta * c.int_(c.g * umag ** (delta - 2.0) * c.div_u * cross)
     pressure = c.int_(ud * np.sum(c.u * c.grad_p, axis=0))
 
@@ -598,6 +581,8 @@ def _moment_check(mf: ManufacturedField, law, gamma: float, delta: float, nu: fl
         raise ValueError(f"delta must lie in (0, 2), got {delta}")
     if nu is not None and not math.isfinite(nu):
         raise ValueError(f"nu must be finite, got {nu}")
+    if nu is not None and not 0.0 < nu < 1.0:
+        raise ValueError(f"nu must lie strictly in (0,1), got {nu}")
     if nu is None:
         # a tampered pair fails condition (10) for every nu: the negative
         # control takes the nu of the law it wraps

@@ -295,12 +295,15 @@ def rhs(state: State, config: SolverConfig, *, _work: _Workspace | None = None
 def stable_dt(state: State, config: SolverConfig, *, _work: _Workspace | None = None
               ) -> float | np.ndarray:
     """Explicit stability bound: cfl times the harsher of the advective limit
-    dx/(max|u| + max c) and the diffusive limit of the actual viscous stencil,
-    min over wet cells of rho_i / sum_faces(h_face/dx^2).  On constant states
-    the diffusive limit reduces to dx^2 min(rho)/(2 dim max h); near vacuum
-    the local form stays bounded where the global min/max pairing would
-    underflow (the viscous rate at a cell scales with h/rho there, not with
-    max h / min rho).
+    dx/(max|u| + max c) and a diffusive limit, min over wet cells of
+    rho_i / rate_i.  The viscous rate of a cell is the diagonal of the shear
+    stencil, sum_faces(h_face/dx^2), plus, unless the law's g vanishes, the
+    largest over the momentum components a of the centered g stencil's
+    Gershgorin row rate (|g_{i+e_a}| + |g_{i-e_a}|) sum_b 1/(4 dx_a dx_b).
+    On constant states with g = 0 the diffusive limit reduces to
+    dx^2 min(rho)/(2 dim max h); near vacuum the local form stays bounded
+    where the global min/max pairing would underflow (the viscous rate at a
+    cell scales with h/rho there, not with max h / min rho).
 
     A batch gets one bound per member.  A wet member without a finite
     positive bound ends its run: the call raises SolverError, with the error
@@ -320,6 +323,15 @@ def stable_dt(state: State, config: SolverConfig, *, _work: _Workspace | None = 
     for s in work.axes:
         np.divide(np.add(s.h_face_1, s.h_face, out=s.term), s.h_sq, out=s.term)
         np.add(s.rate_in, s.term_valid, out=rate)
+    if not work.g_vanishes:
+        # the centered grad(g div u) stencil's row rate for momentum component
+        # a, (|g_{i+e_a}| + |g_{i-e_a}|) sum_b 1/(4 dx_a dx_b); the largest over a
+        np.abs(f.g, out=work.g_abs)
+        for s in work.axes:
+            np.concatenate(s.g_halo, axis=s.axis, out=s.g_pad)
+            np.multiply(np.add(s.g_pad_1, s.g_pad_3, out=s.term), s.g_coef, out=s.term)
+            np.maximum(s.rate_g_in, s.term_valid, out=work.rate_g)
+        np.add(rate, work.rate_g, out=rate)
     diff_all.fill(math.inf)
     np.divide(f.rho, rate, out=diff_all, where=np.greater(rate, 0.0, out=work.cell_mask))
     diff = np.minimum.reduce(diff_all, axis=grid.axes, where=f.wet, initial=math.inf).tolist()

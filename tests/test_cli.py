@@ -343,6 +343,24 @@ def test_verify_identities_non_finite_nu_or_g_override_is_one_line(capsys, flag,
     assert code == 2 and len(err) == 1 and f"must be finite, got {value}" in err[0], err
 
 
+@pytest.mark.parametrize("nu", ["0", "-0.5", "1", "1.5"])
+def test_verify_identities_nu_outside_unit_interval_is_one_line(capsys, nu):
+    code = cli_main(["verify-identities", "--law", '{"terms": [[1, 1]]}', "--nu", nu,
+                     "--dims", "1", "--grids", "32,64"])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 2 and len(err) == 1, err
+    assert f"nu must lie strictly in (0,1), got {float(nu)}" in err[0], err
+
+
+@pytest.mark.parametrize("dims", ["", ","])
+def test_verify_identities_without_dims_is_one_line(capsys, dims):
+    code = cli_main(["verify-identities", "--law", '{"terms": [[1, 1]]}', "--dims", dims])
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert code == 2 and len(err) == 1 and "--dims names no dimension" in err[0], err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("command, flag", [
     ("validate-law", "--out"),
     ("verify-identities", "--out"),

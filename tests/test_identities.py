@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import bdns.identities as identities
+from bdns.grid import PeriodicGrid, spectral_div, spectral_grad
 from bdns.identities import (
     IdentityReport,
     ManufacturedField,
@@ -286,6 +287,67 @@ def test_run_all_identities_shares_one_context_per_grid(monkeypatch):
     reports = run_all_identities(mf, MIXED, 2.0, grids, delta=0.05, nu=0.3)
     assert built == grids
     assert [r.to_json() for r in reports] == [r.to_json() for r in singles]
+
+
+def test_one_forward_and_one_inverse_transform_per_spectral_derivative(monkeypatch):
+    # ten spectral derivatives per grid, whatever the number of stacked
+    # fields: grad u, grad phi, lap phi, grad p, div m, div(h grad u),
+    # grad(g div u), div(rho u x u), dt grad phi and grad h
+    calls = {"rfftn": 0, "irfftn": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fft=getattr(np.fft, name), **kw):
+            calls[_name] += 1
+            return _fft(*args, **kw)
+        monkeypatch.setattr(np.fft, name, counted)
+    run_all_identities(manufactured_field(2, seed=9), MIXED, 2.0, [64], nu=0.3)
+    assert calls["rfftn"] <= 10 and calls["irfftn"] <= 10, calls
+
+
+def test_tensor_terms_and_contractions_match_per_component_loops(monkeypatch):
+    # a non-square grid and a gradient with no symmetry, so that a
+    # transposed index changes every term
+    mf = manufactured_field(2, seed=5)
+    c = identities._Ctx(mf, MIXED, 2.0, 32)
+    c.grid = PeriodicGrid((32, 48))
+    c.rho, c.u = mf.evaluate(c.grid)
+    grid, dim, u, w = c.grid, c.dim, c.u, c.w
+
+    def close(got, want):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    gu = np.stack([spectral_grad(u[j], grid) for j in range(dim)], axis=1)  # [i, j] = d_i u_j
+    close(c.grad_u, gu)
+    close(c.visc_h_term, np.stack([spectral_div(c.h * gu[:, j], grid) for j in range(dim)]))
+    close(c.conv_term, np.stack([spectral_div(c.rho * u * u[j], grid) for j in range(dim)]))
+    grad_h = spectral_grad(c.h, grid)
+    quad, mix, contraction, proj, cross = (np.zeros(grid.sizes) for _ in range(5))
+    for i in range(dim):
+        proj += sum(u[j] * gu[i, j] for j in range(dim)) ** 2
+        for j in range(dim):
+            quad += gu[i, j] * w[i] * w[j]
+            mix += grad_h[i] * gu[j, i] * w[j]
+            contraction += gu[i, j] * gu[j, i]
+            cross += u[i] * u[j] * gu[i, j]
+
+    contracted, real_einsum = [], np.einsum
+
+    def einsum(*args, **kw):
+        contracted.append(real_einsum(*args, **kw))
+        return contracted[-1]
+
+    monkeypatch.setattr(np, "einsum", einsum)
+    identities._grad_phi_transport(c)
+    identities._cross_term_expansion(c)
+    identities._bd_combination(c)
+    assert len(contracted) == 3
+    for got, want in zip(contracted, (quad, mix, contraction)):
+        close(got, want)
+    delta = 0.05
+    _, _, terms = identities._moment_balance(c, delta, 0.3)
+    weight = np.sqrt(np.sum(u**2, axis=0)) ** (delta - 2.0)
+    close(np.array(terms["v_h_delta"]), np.array(delta * c.int_(c.h * weight * proj)))
+    close(np.array(terms["v_g_delta"]), np.array(delta * c.int_(c.g * weight * c.div_u * cross)))
 
 
 def test_moment_prechecks_run_before_grid_work(monkeypatch):
