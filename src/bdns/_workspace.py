@@ -17,10 +17,13 @@ state or of the initial data and the bundle's energy fields never run at
 once, so they all view the same lanes, each at its own shapes.  A batch's
 initial data are loaded into the first state buffer and checked and
 floored there, with the workspace's cutoff and boolean buffers, as every
-stage state is: the floors have no other path.  The bundle's own fields (the clamped
-density, the wet cells, the cutoff velocity, |u|, the sound speed, the wave
-speed, h and the harmonic faces) have buffers of their own, since the
-kernels read them while the stencils write the lanes.
+stage state is: the floors have no other path.  The bundle makes every
+pointwise field of its state, and its own fields (the clamped density, the
+wet cells, the cutoff velocity, |u|, the sound speed, the wave speed, the
+pressure rho^gamma, h, the harmonic faces and, for a law whose g does not
+vanish, g) have buffers of their own, since the kernels read them while
+the stencils write the lanes; h and g are evaluated through the law's one
+path, with those buffers as ``out`` and lanes as scratch.
 
 Every stencil operand is a *window* (see :class:`~bdns.grid._Cut`): a
 contiguous run of a lane, reshaped to the layout of the field padded along
@@ -118,23 +121,27 @@ class _Workspace:
         self.h_faces = tuple(cut.windows(cut.buffer(cut.padded(shape)), 0, cut.padded(shape), 0, 1)
                              for cut in cuts)
         # the bundle of the state in the buffer last written (see _Fields), and
-        # the buffers of every bundle: its own fields, then the scratch of its
-        # kernel fields in lanes 0 and 1 and its energy's fields in lanes 0 to
-        # 3.  A bundle keeps the arrays, not the workspace, so that a finished
-        # run's workspace is freed when its last name goes
+        # the buffers of every bundle: its own fields (g only for a law whose
+        # g does not vanish), then the scratch of its kernel fields in lanes 0
+        # to 2 and its energy's fields in lanes 0 to 3.  A bundle keeps the
+        # arrays, not the workspace, so that a finished run's workspace is
+        # freed when its last name goes
         self.fields = None
         self.bundle_out = {
             "rho": np.empty(shape), "wet": np.empty(shape, dtype=bool), "u": np.empty(vector),
             "waves": np.empty((2, *shape)), "speed": np.empty(shape),
-            "h": np.empty(shape), "h_face": tuple(faces for faces, _ in self.h_faces),
+            "rho_gamma": np.empty(shape), "h": np.empty(shape),
+            "h_face": tuple(faces for faces, _ in self.h_faces),
+            "g": None if self.g_vanishes else np.empty(shape),
             "u_sq": self.view(0, vector), "h_term": self.view(1, shape),
+            "g_spare": self.view(2, shape),
             "sqrt_rho": self.view(1, shape), "sqrt_rho_u": self.view(0, vector),
             "sru_sq": self.view(3, vector), "sru2": self.view(0, shape, dim * field),
-            "pressure": self.view(2, shape), "density": self.view(2, shape, field),
+            "potential": self.view(2, shape), "density": self.view(2, shape, field),
         }
-        # after the axis loop of rhs: the pressure in lane 3, centered
-        # differences in lanes 0 (halo) and 1, div u in lane 2
-        self.pressure, self.div_u = self.view(3, shape), self.view(2, shape)
+        # after the axis loop of rhs: centered differences in lanes 0 (halo)
+        # and 1, div u in lane 2
+        self.div_u = self.view(2, shape)
         self.rate, self.diff_all = self.view(0, shape), self.view(2, shape)
         # stable_dt's g term: |g| in lane 3, and the largest rate over the
         # axes in diff_all's buffer, before diff_all is written
@@ -243,11 +250,12 @@ class _AxisScratch:
         self.dv = window(2, vector)
         self.dv_valid = self.dv[cut.valid]
         # centered differences along the axis, padded in lane 0 into lane 1:
-        # of the pressure, of the velocity component along it and of div u
+        # of the bundle's pressure, of the velocity component along it and of
+        # div u
         pads, diff_c = windows(0, field, cut, 0, 1, 3), window(1, field)
         self.d_pressure, self.d_u, self.d_div_u = (
             _centered_pieces(f, grid, a, pads, diff_c)
-            for f in (work.pressure, out["u"][a], work.div_u))
+            for f in (out["rho_gamma"], out["u"][a], work.div_u))
 
 
 def _limited_slope(s: _AxisScratch, limiter: str) -> np.ndarray:

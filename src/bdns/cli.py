@@ -27,7 +27,7 @@ from pathlib import Path
 from . import _json
 from .config import ConfigError, load_config
 from .grid import save_checkpoint
-from .harness import GenerationError, run_study
+from .harness import StudyError, run_study
 from .identities import manufactured_field, run_all_identities
 from .solver import NonAdmissibleLawError, SolverError, run
 from .viscosity import LawError, TamperedLaw, ViscosityLaw, validate
@@ -205,7 +205,7 @@ def _cmd_stability_study(args) -> int:
         _probe(args.ledger_dir, directory=True)
     try:
         study = run_study(setup.study, setup.config)
-    except (GenerationError, SolverError, NonAdmissibleLawError, ValueError) as exc:
+    except (StudyError, ValueError) as exc:  # a GenerationError is a ValueError
         print(f"study aborted: {exc}", file=sys.stderr)
         return 1
     ledger_paths = None

@@ -1,17 +1,32 @@
 """Run-configuration files.
 
-A run config is a JSON object with keys
+A run config is a JSON object.  Every key that :func:`parse_config` reads,
+with its default (none: required):
 
-    law            {"terms": [[a, b], ...]} or {"constant": mu}
-    nu, gamma      admissibility constants (N defaults to the grid dimension)
-    dim, cells     1 or 2; cells is an int or list of ints per axis
-    lengths        optional, defaults to 1.0 per axis
-    cfl, t_end, integrator, eps_vac, ledger_stride
-                   (t_end finite and positive; eps_vac null, for 1e-10 of
-                   the initial peak density, or finite and positive)
-    delta, alpha   optional moment exponents
-    initial        {"preset": name, "params": {...}} or {"checkpoint": path}
-    study          optional {"sigma0": ..., "n_max": ...} for stability studies
+    law                   {"terms": [[a, b], ...]} or {"constant": mu}
+    nu, gamma             admissibility constants, 0 < nu < 1, 1 < gamma < inf
+    N                     dim; the dimension of the admissibility conditions
+    eps_growth            0.1; the growth margin of condition (12)
+    dim                   1 or 2
+    cells                 128; an int, or a list of ints per axis
+    lengths               1.0 per axis
+    t_end                 finite and positive
+    cfl                   0.4
+    integrator            "RK2_SSP", or "RK4"
+    limiter               "mc", or "minmod", "van_albada", "none"
+    eps_vac               null, for 1e-10 of the initial peak density, or
+                          finite and positive
+    ledger_stride         10
+    delta, alpha          0.05, 0.02; the moment exponents
+    allow_non_admissible  false
+    initial               {"preset": name, "params": {...}} or
+                          {"checkpoint": path}
+    study                 none; {"sigma0": 0.1, "n_max": 4} by default, for
+                          stability studies of a preset
+
+A value that its class rejects (:class:`~bdns.viscosity.AdmissibilityParams`,
+:class:`~bdns.solver.SolverConfig`, :class:`~bdns.harness.InitialDataSpec`,
+the grid or the law) raises :class:`ConfigError` with one line.
 """
 
 from __future__ import annotations

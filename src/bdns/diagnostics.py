@@ -43,6 +43,7 @@ from . import _json
 from ._workspace import _harmonic_face, _Workspace
 from .grid import (PeriodicGrid, State, _cutoff, _floats, _lp, _magnitude, _power,
                    _wave_vector, grad, integrate)
+from .viscosity import _check_gamma
 
 
 @dataclass(frozen=True)
@@ -68,24 +69,27 @@ class MomentParams:
 
 class _Fields:
     """One state's derived fields, each computed at most once, and the single
-    definition of every functional on them: the one bundle of a state.  The
-    clamped density, the wet cells (rho > eps_vac) and the cutoff velocity
-    m / rho are computed up front; the energy's fields (sqrt(rho), the
-    weighted momentum sqrt(rho) u, its square and the pressure potential)
-    together when one of them is first asked for, and the others one by one
-    when first asked for.  Every quotient by a power of the density goes
-    through :func:`~bdns.grid._cutoff`, so that it vanishes on dry cells.
+    definition of every functional on them: the one bundle of a state, where
+    all its pointwise fields are made, h and g through the law's one path.
+    The clamped density, the wet cells (rho > eps_vac) and the cutoff
+    velocity m / rho are computed up front; the energy's fields (sqrt(rho),
+    the weighted momentum sqrt(rho) u, its square and the pressure potential
+    rho^gamma / (gamma - 1)) together when one of them is first asked for,
+    and the others one by one when first asked for.  Every quotient by a
+    power of the density goes through :func:`~bdns.grid._cutoff`, so that
+    it vanishes on dry cells.
 
     The solver's bundles take its workspace ``work`` and write their fields
     into its buffers (see ``_Workspace.bundle_out``); the fields of the
     energy go to scratch lanes and hold until a kernel next runs.  Such a
     bundle is made once per state of the stage loop, by the first kernel
-    that needs it, and also gives the stage kernels their fields, computed
-    when it is made, since they pass through lanes that the stencils write:
-    |u| and the sound speed c stacked (``waves``), the wave speed |u| + c
-    (``speed``), h and the harmonic face viscosity of every axis
-    (``h_face``).  The kernels' g(rho) (``g``) is computed when first asked
-    for.
+    that needs it, and makes the stage kernels' fields when it is made,
+    each into a buffer of its own, since the stencils write the lanes: |u|
+    and the sound speed c stacked (``waves``), the wave speed |u| + c
+    (``speed``), the pressure rho^gamma (``rho_gamma``), h, the harmonic
+    face viscosity of every axis (``h_face``) and, unless the law's g
+    vanishes, g.  Its gamma is the config's, which ``AdmissibilityParams``
+    has checked; any other bundle given a gamma checks it.
 
     The functionals that integrate a field return a float for one state and
     one value per member for a batch; the ledger columns, whose last steps
@@ -96,7 +100,7 @@ class _Fields:
     and kept by none: each reader takes them once, and a ledger row's peak
     memory does not hold them."""
 
-    _ENERGY_FIELDS = frozenset(("sqrt_rho", "sqrt_rho_u", "sru2", "pressure"))
+    _ENERGY_FIELDS = frozenset(("sqrt_rho", "sqrt_rho_u", "sru2", "potential"))
 
     def __init__(self, state: State, grid: PeriodicGrid, law, gamma: float | None,
                  eps_vac: float, work: _Workspace | None = None):
@@ -104,6 +108,8 @@ class _Fields:
             raise ValueError(f"eps_vac must be finite and positive, got {eps_vac}")
         if work is None:  # the solver's states have the workspace's shape
             state.check_shapes(grid)
+            if gamma is not None:
+                _check_gamma(gamma)
         self.state = state
         self.grid = grid
         self.law = law
@@ -124,10 +130,13 @@ class _Fields:
         np.multiply(gamma, cs, out=cs)
         np.sqrt(waves, out=waves)
         self.speed = np.add(umag, cs, out=out["speed"])
-        self.h = law._h_into(rho, out["h"], out["h_term"])
+        self.rho_gamma = _power(rho, gamma, out["rho_gamma"])
+        self.h = law.h(rho, out["h"], out["h_term"])
         for s in work.axes:
             _harmonic_face(s)
         self.h_face = out["h_face"]
+        if not work.g_vanishes:  # in the faces' scratch lanes, now free
+            self.g = law.g(rho, out["g"], out["h_term"], out["g_spare"])
 
     def __getattr__(self, name: str):
         # called for an attribute not yet set: the energy's fields are made
@@ -140,15 +149,20 @@ class _Fields:
         sq = np.square(sru, out=out.get("sru_sq"))  # |sqrt(rho) u|^2
         self.sru2 = np.add.reduce(sq, axis=0, out=out.get("sru2"))
         if self.gamma is not None:
-            p = self.pressure = _power(self.rho, self.gamma, out.get("pressure"))
-            np.divide(p, self.gamma - 1.0, out=p)
+            self.potential = np.divide(self.rho_gamma, self.gamma - 1.0,
+                                       out=out.get("potential"))
         return object.__getattribute__(self, name)
 
     @cached_property
+    def rho_gamma(self):
+        """The pressure rho^gamma, for the energy and the weak form."""
+        return _power(self.rho, self.gamma)
+
+    @cached_property
     def g(self):
-        """g(rho), evaluated at most once per bundle: for the stage kernels
-        (whose ``rhs`` skips it when the law's g vanishes), the dissipation
-        and the weak-form residual."""
+        """g(rho), evaluated at most once per bundle, for the dissipation and
+        the weak-form residual; a solver bundle makes it up front unless the
+        law's g vanishes (its kernels then skip the g term)."""
         return self.law.g(self.rho)
 
     @cached_property
@@ -200,14 +214,14 @@ class _Fields:
 
     def energy(self) -> float:
         density = np.multiply(0.5, self.sru2, out=self._out.get("density"))
-        return integrate(np.add(density, self.pressure, out=density), self.grid)
+        return integrate(np.add(density, self.potential, out=density), self.grid)
 
     def dissipation(self) -> float:
         div_u = sum(self.grad_u[a, a] for a in range(self.grid.dim))
         return integrate(self.h * self.grad_u_sq + self.g * div_u**2, self.grid)
 
     def bd_entropy(self) -> float:
-        return integrate(0.5 * np.add.reduce(self.entropy_velocity**2, axis=0) + self.pressure,
+        return integrate(0.5 * np.add.reduce(self.entropy_velocity**2, axis=0) + self.potential,
                          self.grid)
 
     def bd_cross(self) -> float:
@@ -289,8 +303,6 @@ def _row(t: float, columns: dict[str, list[float]], k: int, clamp_count: int,
 
 def energy(state: State, grid: PeriodicGrid, gamma: float, eps_vac: float) -> float:
     """Total energy: kinetic (via the weighted momentum) plus pressure potential."""
-    if not gamma > 1.0:
-        raise ValueError("gamma must exceed 1")
     return _Fields(state, grid, None, gamma, eps_vac).energy()
 
 
@@ -553,7 +565,7 @@ def weak_form_residual(trajectory, grid: PeriodicGrid, law, gamma: float,
         space = np.einsum("i...,j...,ij...->...", f.entropy_velocity, sru, dphi)
         # pressure and the g' part of the second-coefficient pairing
         g_part = 2.0 * law.g_prime(f.rho) * np.add.reduce(sru * f.grad_sqrt_rho, axis=0)
-        space += (f.rho**gamma + g_part) * div_phi
+        space += (f.rho_gamma + g_part) * div_phi
         # the shear and second-coefficient pairings with second derivatives of Phi
         g_over_sqrt_rho = _cutoff(f.g, f.sqrt_rho, f.wet)
         space += np.add.reduce(sru * (f.h_over_sqrt_rho * lap_phi + g_over_sqrt_rho * grad_div),

@@ -51,6 +51,10 @@ class GenerationError(ValueError):
     """Initial-data hypothesis failed for a generated member."""
 
 
+class StudyError(RuntimeError):
+    """Every member of a study failed; the text lists each failure."""
+
+
 @dataclass(frozen=True)
 class InitialDataSpec:
     """Base profile plus mollification schedule sigma_n = sigma0 * 2^-n."""
@@ -61,8 +65,8 @@ class InitialDataSpec:
     n_max: int = 4
 
     def __post_init__(self):
-        if self.sigma0 <= 0:
-            raise ValueError("sigma0 must be positive")
+        if not 0.0 < self.sigma0 < math.inf:  # NaN too
+            raise ValueError(f"sigma0 must be finite and positive, got {self.sigma0}")
         if self.n_max < 0:
             raise ValueError("n_max must be >= 0")
 
@@ -182,14 +186,11 @@ def _check_metric_axioms(mat: np.ndarray) -> bool:
     return True
 
 
-def run_study(spec: InitialDataSpec, config: SolverConfig,
-              n_max: int | None = None) -> StabilityStudy:
+def run_study(spec: InitialDataSpec, config: SolverConfig) -> StabilityStudy:
     """Generate the mollified sequence, run every member, and assemble the
-    distance matrices and uniform-bound report."""
+    distance matrices and uniform-bound report.  Raises StudyError when
+    every member fails."""
     grid = config.grid
-    if n_max is None:
-        n_max = spec.n_max
-    spec = InitialDataSpec(spec.base_preset, spec.base_params, spec.sigma0, n_max)
     eps_vac = _resolve_eps_vac(config, make_initial(spec.base_preset, grid, spec.base_params))
     cfg = replace(config, eps_vac=eps_vac)
     states, table = generate_sequence(spec, grid, cfg.law, cfg.gamma,
@@ -205,7 +206,7 @@ def run_study(spec: InitialDataSpec, config: SolverConfig,
 
     alive = [i for i, t in enumerate(trajectories) if t is not None]
     if not alive:
-        raise RuntimeError("every study member failed: " + "; ".join(failures))
+        raise StudyError("every study member failed: " + "; ".join(failures))
     coarsest = min(alive, key=lambda i: len(trajectories[i].times))
     common_times = np.asarray(trajectories[coarsest].times)
 

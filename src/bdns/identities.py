@@ -31,7 +31,7 @@ import numpy as np
 
 from . import _json
 from .grid import PeriodicGrid, _wave_vector, integrate, spectral_grad, spectral_div
-from .viscosity import TamperedLaw, find_max_nu
+from .viscosity import TamperedLaw, _check_gamma, find_max_nu
 
 TOL_ABS = 1e-8
 ORDER_MIN = 4.0
@@ -380,11 +380,6 @@ def fitted_order(grids, residuals) -> float:
     x = np.log(np.asarray(grids, dtype=float))
     y = -np.log(np.maximum(np.asarray(residuals, dtype=float), RESIDUAL_FLOOR * 1e-3))
     return float(np.polyfit(x, y, 1)[0])
-
-
-def _check_gamma(gamma: float):
-    if not 1.0 < gamma < math.inf:  # NaN too
-        raise ValueError(f"gamma must be > 1 and finite, got {gamma}")
 
 
 def _certify(mf: ManufacturedField, law, gamma: float, grids, checks) -> list[IdentityReport]:

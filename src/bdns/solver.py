@@ -35,13 +35,15 @@ accumulation into the derivative (and into div u) here and into the
 viscous rate in ``stable_dt``.  The local Lax-Friedrichs flux of all
 1 + dim equations is one pass over the stacked [left; right] face states:
 the clamp, the wet test, the cutoff velocity, the flux and the jump are
-each one numpy call for both sides, mass and momentum together.  The
-fields that depend on the state alone (clamped density, wet cells, cutoff
-velocity, wave speed, h and its face values, g) come from the state's one
-bundle, ``diagnostics._Fields``, made once per state, by the first kernel
-that needs it: the new state of a step gets its bundle once, for its
-per-step energy, its ledger row when one is due, the next ``stable_dt`` and
-the first stage of the next step.
+each one numpy call for both sides, mass and momentum together.  Every
+pointwise field of a state (clamped density, wet cells, cutoff velocity,
+wave speed, the pressure rho^gamma, h and its face values, g) comes from
+the state's one bundle, ``diagnostics._Fields``, which :func:`_bundle`
+makes once per state, for the first kernel that asks for it, h and g
+through the law's one path written into the bundle's buffers; no kernel
+derives one itself.  The new state of a step gets its bundle once, for
+its per-step energy, its ledger row when one is due, the next
+``stable_dt`` and the first stage of the next step.
 
 Every field-sized array of a step (the stage states, the new state, the
 stage derivative, the bundle's fields and the stencil scratch) lives in one
@@ -51,9 +53,8 @@ does every view that a step reads or writes: the halo pieces of both state
 buffers, the face rows, the flux rows, the windows of every lane with their
 shifts and valid boxes.  A state of the stage loop is one of the
 workspace's two state buffers, which consecutive steps alternate between.
-A step then slices nothing and allocates no field, the bundle evaluating
-the law's h into its own buffer, and its Python-level calls are the
-kernels themselves.
+A step then slices nothing and allocates no field, and its Python-level
+calls are the kernels themselves.
 ``run_members`` hands the workspace to the kernels as their private
 ``_work`` keyword; without it, the public ``rhs``, ``stable_dt`` and
 ``step`` copy their state (one state becoming a batch of one) into a
@@ -90,7 +91,7 @@ import numpy as np
 
 from .diagnostics import EntropyLedger, MomentParams, _Fields, _row
 from ._workspace import _face_states, _Stacked, _Workspace
-from .grid import PeriodicGrid, State, _centered, _cutoff, _grid_axes, _power
+from .grid import PeriodicGrid, State, _centered, _cutoff, _grid_axes
 from .viscosity import AdmissibilityParams, ViscosityLaw, validate
 
 INTEGRATORS = ("RK2_SSP", "RK4")
@@ -145,6 +146,7 @@ class SolverConfig:
             raise ValueError(f"limiter must be one of {LIMITERS}")
         if self.ledger_stride < 1:
             raise ValueError("ledger_stride must be >= 1")
+        self.moment.validate(self.params.nu)
 
     @property
     def gamma(self) -> float:
@@ -187,12 +189,13 @@ def _load(work: _Workspace, config: SolverConfig, t: np.ndarray, q: np.ndarray) 
 
 
 def _bundle(state: State, config: SolverConfig, work: _Workspace) -> _Fields:
-    """Make the bundle of ``state`` in ``work``, which keeps it as
-    ``work.fields`` until a state buffer is written again: the kernels and
-    the run loop take the bundle of the state last written from there, and
-    call this when there is none yet."""
-    f = work.fields = _Fields(state, config.grid, config.law, config.params.gamma,
-                              config.eps_vac, work)
+    """The bundle of ``state``, the state buffer of ``work`` written last:
+    the one ``work.fields`` keeps until a state buffer is written again,
+    made there by the first kernel, or the run loop, that asks for it."""
+    f = work.fields
+    if f is None:
+        f = work.fields = _Fields(state, config.grid, config.law, config.params.gamma,
+                                  config.eps_vac, work)
     return f
 
 
@@ -234,10 +237,8 @@ def rhs(state: State, config: SolverConfig, *, _work: _Workspace | None = None
     if _work is None:
         state, _work, one = _enter(state, config, "rhs")
     work = _work
-    f = work.fields
+    f = _bundle(state, config, work)
     eps_vac, limiter = config.eps_vac, config.limiter
-    if f is None:
-        f = _bundle(state, config, work)
     d = work.d
     for s, halo in zip(work.axes, state.halos):
         _face_states(halo, s, limiter)
@@ -259,9 +260,8 @@ def rhs(state: State, config: SolverConfig, *, _work: _Workspace | None = None
         np.divide(np.subtract(s.flux_1, flux, out=s.dq), s.h, out=s.dq)
         np.subtract(s.d_in, s.dq_valid, out=d)
 
-    # pressure gradient, centered
+    # pressure gradient, centered, of the bundle's rho^gamma
     _, dmom = work.rows
-    _power(f.rho, config.params.gamma, work.pressure)
     for s, dm in zip(work.axes, work.dmom_components):
         np.subtract(dm, _centered(s.d_pressure), out=dm)
 
@@ -314,9 +314,7 @@ def stable_dt(state: State, config: SolverConfig, *, _work: _Workspace | None = 
     if _work is None:
         state, _work, one = _enter(state, config, "stable_dt")
     work = _work
-    f = work.fields
-    if f is None:
-        f = _bundle(state, config, work)
+    f = _bundle(state, config, work)
     grid, eps_vac, cfl = config.grid, config.eps_vac, config.cfl
     dx = min(grid.spacing)
     rate, diff_all = work.rate, work.diff_all
@@ -489,7 +487,6 @@ def run_members(config: SolverConfig, initials: list[State]
         except Exception as exc:  # noqa: BLE001 - the member fails as its run would
             results[i] = exc
     try:
-        config.moment.validate(config.params.nu)
         report = validate(config.law, config.params)
         if not (report.overall or config.allow_non_admissible):
             raise NonAdmissibleLawError(
@@ -601,9 +598,7 @@ def _advance(cfg: SolverConfig, members: list, results: list, non_admissible: bo
             # book the instant the batch has reached: its bundle serves the
             # energies and the ledger rows of the members due one, as it
             # serves the next stable_dt and the next step's first stage
-            f = work.fields
-            if f is None:
-                f = _bundle(state, cfg, work)
+            f = _bundle(state, cfg, work)
             t = state.t.tolist()
             energies = f.energy().tolist()
             columns = None

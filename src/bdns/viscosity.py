@@ -50,7 +50,8 @@ class LawError(ValueError):
 
 def _as_array(rho):
     arr = np.asarray(rho, dtype=float)
-    if np.logical_or.reduce(arr < 0, axis=None):
+    # one reduction, no boolean field; fmin passes over NaN, as rho < 0 does
+    if np.fmin.reduce(arr, axis=None, initial=np.inf) < 0.0:
         raise DomainError("density must be nonnegative")
     return arr
 
@@ -116,29 +117,30 @@ class ViscosityLaw:
         """The terms of nonzero exponent: those that h', h'', phi and psi see."""
         return tuple((a, b) for a, b in self.terms if b != 0.0)
 
-    def h(self, rho):
-        return _scalar_like(rho, _power_sum(_as_array(rho), self.terms))
+    # h, h' and g write into ``out`` when it is given (the solver's bundle),
+    # with ``term`` and ``spare`` as scratch, the values of a new array
 
-    def _h_into(self, rho: np.ndarray, out: np.ndarray, term: np.ndarray) -> np.ndarray:
-        """h of a density array that is already nonnegative (the solver's
-        clamped density), without its sign check: written into ``out``, with
-        ``term`` as scratch, bit for bit the values of :meth:`h`."""
-        return _power_sum(rho, self.terms, out, term)
+    def h(self, rho, out: np.ndarray | None = None, term: np.ndarray | None = None):
+        return _scalar_like(rho, _power_sum(_as_array(rho), self.terms, out, term))
 
-    def h_prime(self, rho):
+    def h_prime(self, rho, out: np.ndarray | None = None, term: np.ndarray | None = None):
         r = _as_array(rho)
-        return _scalar_like(rho, _power_sum(r, [(a * b, b - 1.0) for a, b in self._varying]))
+        return _scalar_like(rho, _power_sum(r, [(a * b, b - 1.0) for a, b in self._varying],
+                                            out, term))
 
     def h_second(self, rho):
         r = _as_array(rho)
         return _scalar_like(rho, _power_sum(r, [(a * b * (b - 1.0), b - 2.0)
                                                 for a, b in self._varying if b != 1.0]))
 
-    def g(self, rho):
+    def g(self, rho, out: np.ndarray | None = None, term: np.ndarray | None = None,
+          spare: np.ndarray | None = None):
         """Second coefficient rho*h'(rho) - h(rho); same arithmetic path
-        whether called on scalars or arrays."""
+        whether called on scalars or arrays.  rho h' is made in ``out`` and h
+        in ``spare``."""
         r = _as_array(rho)
-        return _scalar_like(rho, r * self.h_prime(r) - self.h(r))
+        r_hp = np.multiply(r, self.h_prime(r, out, term), out=out)
+        return _scalar_like(rho, np.subtract(r_hp, self.h(r, spare, term), out=out))
 
     def g_prime(self, rho):
         r = _as_array(rho)
@@ -221,14 +223,11 @@ class TamperedLaw:
         self.base = base
         self.g_value = float(g_value)
 
-    def h(self, rho):
-        return self.base.h(rho)
+    def h(self, rho, out=None, term=None):
+        return self.base.h(rho, out, term)
 
-    def _h_into(self, rho, out, term):
-        return self.base._h_into(rho, out, term)
-
-    def h_prime(self, rho):
-        return self.base.h_prime(rho)
+    def h_prime(self, rho, out=None, term=None):
+        return self.base.h_prime(rho, out, term)
 
     def h_second(self, rho):
         return self.base.h_second(rho)
@@ -239,7 +238,10 @@ class TamperedLaw:
     def psi(self, rho):
         return self.base.psi(rho)
 
-    def g(self, rho):
+    def g(self, rho, out=None, term=None, spare=None):
+        if out is not None:
+            out.fill(self.g_value)
+            return out
         r = np.asarray(rho, dtype=float)
         return _scalar_like(rho, np.full_like(r, self.g_value) if r.ndim else self.g_value)
 
@@ -254,6 +256,13 @@ class TamperedLaw:
         return f"{self.base.describe()} [tampered: g = {self.g_value:g}]"
 
 
+def _check_gamma(gamma: float):
+    """The adiabatic exponent of every functional and check: the paper's
+    result holds for gamma > 1."""
+    if not 1.0 < gamma < math.inf:  # NaN too
+        raise ValueError(f"gamma must be > 1 and finite, got {gamma}")
+
+
 @dataclass(frozen=True)
 class AdmissibilityParams:
     """Constants the admissibility conditions are checked against."""
@@ -266,8 +275,7 @@ class AdmissibilityParams:
     def __post_init__(self):
         if not 0.0 < self.nu < 1.0:
             raise ValueError(f"nu must lie strictly in (0,1), got {self.nu}")
-        if not 1.0 < self.gamma < math.inf:  # NaN too
-            raise ValueError(f"gamma must be > 1 and finite, got {self.gamma}")
+        _check_gamma(self.gamma)
         if self.N not in (1, 2, 3):
             raise ValueError(f"N must be 1, 2 or 3, got {self.N}")
         if not 0.0 < self.eps_growth < math.inf:

@@ -312,6 +312,40 @@ def test_stability_study_end_to_end(tmp_path):
     assert (ldir / "member_0.csv").exists()
 
 
+def stderr_lines(capsys):
+    return capsys.readouterr().err.strip().splitlines()
+
+
+def test_stability_study_with_every_member_failing_is_one_line(tmp_path, capsys):
+    # a non-admissible law fails every member: the study aborts, exit 1
+    path = write_config(tmp_path, law={"constant": 1.0}, study={"sigma0": 0.05, "n_max": 1},
+                        t_end=2e-4)
+    assert cli_main(["stability-study", "--config", str(path)]) == 1
+    err = stderr_lines(capsys)
+    assert len(err) == 1 and err[0].startswith("study aborted: every study member failed"), err
+    assert "member 0" in err[0] and "member 1" in err[0], err
+
+
+@pytest.mark.parametrize("command", ["simulate", "validate-law", "stability-study"])
+@pytest.mark.parametrize("key, value", [("delta", 5.0), ("delta", float("nan")),
+                                        ("alpha", float("nan")), ("alpha", 0.5)])
+def test_bad_moment_exponent_is_usage_error(tmp_path, capsys, command, key, value):
+    path = write_config(tmp_path, study={"sigma0": 0.05, "n_max": 1}, t_end=2e-4,
+                        **{key: value})
+    assert cli_main([command, "--config", str(path)]) == 2
+    err = stderr_lines(capsys)
+    assert len(err) == 1 and f"{key} must lie in" in err[0], err
+
+
+@pytest.mark.parametrize("sigma0", [float("nan"), float("inf"), 0.0])
+def test_stability_study_sigma0_not_finite_and_positive_is_usage_error(tmp_path, capsys,
+                                                                        sigma0):
+    path = write_config(tmp_path, study={"sigma0": sigma0, "n_max": 1}, t_end=2e-4)
+    assert cli_main(["stability-study", "--config", str(path)]) == 2
+    err = stderr_lines(capsys)
+    assert len(err) == 1 and "sigma0 must be finite and positive" in err[0], err
+
+
 def test_stability_study_requires_study_block(tmp_path):
     path = write_config(tmp_path)
     assert cli_main(["stability-study", "--config", str(path)]) == 2

@@ -178,8 +178,25 @@ def test_moment_delta_range_enforced():
 @pytest.mark.parametrize("gamma", [1.0, 0.5, float("nan")])
 def test_energy_rejects_gamma_not_above_one(gamma):
     grid = PeriodicGrid((16,))
-    with pytest.raises(ValueError, match="gamma must exceed 1"):
+    with pytest.raises(ValueError, match="gamma must be > 1 and finite"):
         energy(make_initial("smooth_bump", grid), grid, gamma, EPS)
+
+
+@pytest.mark.parametrize("gamma", [1.0, 0.5, float("nan"), float("inf")])
+def test_every_helper_given_gamma_rejects_it_not_above_one(gamma):
+    # one check, worded as AdmissibilityParams' and the certifier's, for
+    # every functional given gamma: none returns a value for gamma <= 1
+    grid = PeriodicGrid((16,))
+    st0 = make_initial("smooth_bump", grid, {"u_amp": 0.3})
+    calls = (lambda: ledger_row(st0, grid, LINEAR, gamma, MomentParams(), EPS),
+             lambda: bd_entropy(st0, grid, LINEAR, gamma, EPS),
+             lambda: bd_cross(st0, grid, LINEAR, gamma, EPS),
+             lambda: moment_rhs(st0, grid, LINEAR, gamma, 0.05, EPS),
+             lambda: apriori_bounds(st0, grid, LINEAR, gamma, EPS),
+             lambda: compactness_quantities(st0, grid, LINEAR, gamma, MomentParams(), EPS))
+    for call in calls:
+        with pytest.raises(ValueError, match="gamma must be > 1 and finite"):
+            call()
 
 
 @pytest.mark.parametrize("eps_vac", [0.0, -1e-10, float("nan"), float("inf")])

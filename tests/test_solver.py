@@ -791,6 +791,30 @@ def counting_bundles(monkeypatch):
     return made
 
 
+def test_a_state_evaluates_rho_gamma_once(monkeypatch):
+    # the pressure rho^gamma of a state is made by its bundle alone: the
+    # pressure gradient of rhs and the per-step energy's potential read it,
+    # so an RK2 step evaluates it twice, for its stage state and its new
+    # state, and a run once more for its initial state
+    grid = PeriodicGrid((64,))
+    init = make_initial("vacuum_bump", grid, {"amp": 1.0, "width": 0.25, "u_amp": 0.05})
+    cfg = make_config(grid, t_end=2e-4, eps_vac=None, ledger_stride=10**6)
+    evaluations = []
+    real = diagnostics._power
+
+    def counting(x, exponent, out=None):
+        if exponent == cfg.gamma:
+            evaluations.append(1)
+        return real(x, exponent, out)
+
+    for module in (solver, diagnostics):
+        if "_power" in vars(module):
+            monkeypatch.setattr(module, "_power", counting)
+    traj, _ = run(cfg, init)
+    assert traj.step_count >= 3
+    assert len(evaluations) == 1 + 2 * traj.step_count
+
+
 @pytest.mark.parametrize("integrator, per_step", [("RK2_SSP", 2), ("RK4", 4)])
 def test_a_step_builds_a_bundle_per_stage_and_a_ledger_instant_none(monkeypatch, integrator,
                                                                     per_step):
@@ -1007,9 +1031,9 @@ def test_vanishing_g_is_never_evaluated(monkeypatch):
     calls = []
     real_g = ViscosityLaw.g
 
-    def counting_g(self, rho):
+    def counting_g(self, rho, *scratch):
         calls.append(1)
-        return real_g(self, rho)
+        return real_g(self, rho, *scratch)
 
     made = counting_bundles(monkeypatch)
     monkeypatch.setattr(ViscosityLaw, "g", counting_g)
@@ -1130,10 +1154,9 @@ ITER_BUFFER_ELEMENTS = 256
 def test_stage_loop_allocates_no_field(monkeypatch):
     # after the first (warm-up) step of a run, a step allocates no array as
     # large as a field: its states, derivatives, bundle and scratch live in
-    # the run's workspace, and the bundle evaluates the law's h into its own
-    # buffer
+    # the run's workspace, and the bundle evaluates the law's h, and for
+    # h = rho + rho^2 its g, into buffers of its own
     grid = PeriodicGrid((64, 64))
-    cfg = make_config(grid, t_end=1e-4, ledger_stride=1000)
     init = make_initial("saint_venant_demo", grid)
     field_bytes = init.rho.nbytes
     peaks = []  # per step: its peak above the memory it started with
@@ -1147,15 +1170,18 @@ def test_stage_loop_allocates_no_field(monkeypatch):
         return out
 
     monkeypatch.setattr(solver, "step", measured)
-    old_bufsize = np.setbufsize(ITER_BUFFER_ELEMENTS)
-    tracemalloc.start()
-    try:
-        traj, _ = run(cfg, init)
-    finally:
-        tracemalloc.stop()
-        np.setbufsize(old_bufsize)
-    assert traj.step_count == len(peaks) >= 3
-    assert max(peaks[1:]) < field_bytes
+    for law, nu in ((LINEAR, 0.9), (ViscosityLaw(terms=((1.0, 1.0), (1.0, 2.0))), 0.3)):
+        cfg = make_config(grid, t_end=1e-4, nu=nu, law=law, ledger_stride=1000)
+        peaks.clear()
+        old_bufsize = np.setbufsize(ITER_BUFFER_ELEMENTS)
+        tracemalloc.start()
+        try:
+            traj, _ = run(cfg, init)
+        finally:
+            tracemalloc.stop()
+            np.setbufsize(old_bufsize)
+        assert traj.step_count == len(peaks) >= 3
+        assert max(peaks[1:]) < field_bytes, law.describe()
 
 
 @pytest.mark.parametrize("sizes", [(512,), (40, 48)])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -339,19 +340,45 @@ def test_psi_is_the_closed_form_sum_bit_for_bit():
                     assert type(value) is float and bits(value) == bits(ref)
 
 
-def test_h_into_gives_the_bits_of_h_in_place():
-    # the solver's bundle evaluates h of its clamped density into its own
-    # buffer, with a scratch buffer, through the law (or the tampered law
-    # around it); the sum starts from +0.0 as h's does
+def test_h_with_out_gives_the_bits_of_h_in_place():
+    # the solver's bundle evaluates h, and g, of its clamped density into its
+    # own buffers, with scratch buffers, through the law (or the tampered
+    # law around it); the sums start from +0.0 as those of a new array do,
+    # and a NaN density passes the sign check
     dens = np.array([[0.0, 5e-324, 1e-310, 1e-10, 0.25, 1.0, 3.7, 1e300, np.inf, np.nan]])
     laws = (LINEAR, MIXED, ViscosityLaw(constant=2.5), ViscosityLaw(constant=0.0),
             ViscosityLaw(terms=((0.3, 0.75), (2.0, 1.5), (0.5, 3.0))))
-    out, term = np.full_like(dens, np.nan), np.full_like(dens, np.nan)
-    with np.errstate(over="ignore"):  # 1e300 ** 1.5
+    out, term, spare = (np.full_like(dens, np.nan) for _ in range(3))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # 1e300 ** 1.5, 0 ** -0.25
         for law in laws:
             for wrapped in (law, TamperedLaw(law, 0.5)):
-                assert wrapped._h_into(dens, out, term) is out
+                assert wrapped.h(dens, out, term) is out
                 assert out.tobytes() == law.h(dens).tobytes()
+                assert wrapped.h_prime(dens, out, term) is out
+                assert out.tobytes() == law.h_prime(dens).tobytes()
+                assert wrapped.g(dens, out, term, spare) is out
+                assert out.tobytes() == wrapped.g(dens).tobytes()
+
+
+def test_sign_check_makes_no_field_sized_array():
+    # the sign check of h, h' and g is one reduction: a negative density
+    # anywhere is refused, NaN is not, and nothing of the field's size is made
+    law = MIXED
+    dens = np.linspace(0.0, 2.0, 4096)
+    out, term, spare = (np.empty_like(dens) for _ in range(3))
+    tracemalloc.start()
+    try:
+        law.h(dens, out, term)
+        law.h_prime(dens, out, term)
+        law.g(dens, out, term, spare)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < dens.nbytes // 8
+    for bad in (-1e-300, -np.inf):
+        with pytest.raises(DomainError):
+            law.h(np.array([1.0, np.nan, bad, 2.0]), out[:4], term[:4])
+    assert np.isnan(law.h(np.array([np.nan, 1.0]))[0])
 
 
 def test_validate_tampered_law_reports_failed_combination():
