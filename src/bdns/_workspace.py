@@ -4,17 +4,17 @@ view the step reads or writes, and the in-place stencils that use them.
 One workspace serves batches of one shape: B members stacked on a leading
 axis, a run being a batch of one.  A state's density and momentum are the
 rows of one stacked (1 + dim, B, *sizes) array, and so are the state's
-derivative, the RK4 sum and the face states of every stencil: each
-elementwise step of the stage loop is one numpy call for all 1 + dim
-equations.  The workspace holds two state buffers that consecutive steps
-alternate between (each a :class:`_Stacked` state), the stacked derivative,
-the RK4 sum, the buffers of the per-state bundle
-:class:`~bdns.diagnostics._Fields` and the stencil scratch.  The scratch is
-four flat lanes (and two boolean ones).  The stencils of each grid axis, the
-bundle's kernel fields (made with the bundle), ``stable_dt``, the terms after
-the axis loop of ``rhs``, the floors and the finiteness test of a stage
-state or of the initial data and the bundle's energy fields never run at
-once, so they all view the same lanes, each at its own shapes.  A batch's
+derivative and the face states of every stencil: each elementwise step of
+the stage loop is one numpy call for all 1 + dim equations.  The workspace
+holds two state buffers that consecutive steps alternate between (each a
+:class:`_Stacked` state), the stacked derivative, the buffers of the
+per-state bundle :class:`~bdns.diagnostics._Fields` and the stencil
+scratch.  The scratch is four flat lanes (and two boolean ones).  The
+stencils of each grid axis, the bundle's kernel fields (made with the
+bundle), ``stable_dt``, the terms after the axis loop of ``rhs``, the floors
+and the finiteness test of a stage state or of the initial data and the
+bundle's energy fields never run at once, so they all view the same lanes,
+each at its own shapes.  A batch's
 initial data are loaded into the first state buffer and checked and
 floored there, with the workspace's cutoff and boolean buffers, as every
 stage state is: the floors have no other path.  The bundle makes every
@@ -102,11 +102,6 @@ class _Workspace:
         self.d = d = np.empty(stacked)  # d(rho, m)/dt
         self.rows = (d[0], d[1:])  # what rhs returns
         self.dmom_components = tuple(d[1 + a] for a in range(dim))
-        rk4 = config.integrator == "RK4"
-        self.acc = np.empty(stacked) if rk4 else None
-        # the stage coefficients c of the stage states state + c * dt * k, then
-        # None for the new state
-        self.stages = (0.5, 0.5, 1.0, None) if rk4 else (1.0, None)
         self.dt_shape = (-1,) + (1,) * dim  # a dt per member, against a field
         self.g_vanishes = config.law.g_vanishes
         self.no_counts = np.zeros(members, dtype=np.intp)  # per member; never written
@@ -301,18 +296,6 @@ def _limited_slope(s: _AxisScratch, limiter: str) -> np.ndarray:
     keep = np.logical_and(np.greater(denom, 0.0, out=s.keep), same, out=s.keep)
     dminus[...] = out  # the numerator, so that the quotient goes to the slope
     return _cutoff(dminus, denom, keep, out)
-
-
-def _face_states(halo: tuple, s: _AxisScratch, limiter: str):
-    """Left/right reconstructions of a stacked state (rho and every
-    momentum component), given as its halo pieces along the axis, on the
-    n + 1 faces of the axis, face k lying between cells k - 1 and k, into
-    ``s.left`` and ``s.right`` (face k at index k)."""
-    np.concatenate(halo, axis=s.axis, out=s.qp)
-    half_slope = _limited_slope(s, limiter)
-    np.multiply(s.half_h, half_slope, out=half_slope)
-    np.add(s.qp_1, half_slope, out=s.left)
-    np.subtract(s.qp_2, s.slope_1, out=s.right)
 
 
 def _harmonic_face(s: _AxisScratch) -> np.ndarray:

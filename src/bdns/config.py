@@ -1,32 +1,36 @@
 """Run-configuration files.
 
 A run config is a JSON object.  Every key that :func:`parse_config` reads,
-with its default (none: required):
+with its default (or "required") before the semicolon:
 
-    law                   {"terms": [[a, b], ...]} or {"constant": mu}
-    nu, gamma             admissibility constants, 0 < nu < 1, 1 < gamma < inf
+    law                   required; {"terms": [[a, b], ...]} or
+                          {"constant": mu}
+    nu, gamma             required; admissibility constants, 0 < nu < 1,
+                          1 < gamma < inf
     N                     dim; the dimension of the admissibility conditions
     eps_growth            0.1; the growth margin of condition (12)
-    dim                   1 or 2
+    dim                   required; 1 or 2
     cells                 128; an int, or a list of ints per axis
     lengths               1.0 per axis
-    t_end                 finite and positive
+    t_end                 required; finite and positive
     cfl                   0.4
-    integrator            "RK2_SSP", or "RK4"
-    limiter               "mc", or "minmod", "van_albada", "none"
-    eps_vac               null, for 1e-10 of the initial peak density, or
+    integrator            "RK2_SSP"; the one time integrator, SSP-RK2
+    limiter               "mc"; or "minmod", "van_albada", "none"
+    eps_vac               null; for 1e-10 of the initial peak density, or
                           finite and positive
     ledger_stride         10
     delta, alpha          0.05, 0.02; the moment exponents
     allow_non_admissible  false
-    initial               {"preset": name, "params": {...}} or
+    initial               required; {"preset": name, "params": {...}} or
                           {"checkpoint": path}
     study                 none; {"sigma0": 0.1, "n_max": 4} by default, for
                           stability studies of a preset
 
-A value that its class rejects (:class:`~bdns.viscosity.AdmissibilityParams`,
+A number must be a JSON number, not a bool or a string, and
+``allow_non_admissible`` a JSON bool.  A value of the wrong type, or one
+that its class rejects (:class:`~bdns.viscosity.AdmissibilityParams`,
 :class:`~bdns.solver.SolverConfig`, :class:`~bdns.harness.InitialDataSpec`,
-the grid or the law) raises :class:`ConfigError` with one line.
+the grid or the law), raises :class:`ConfigError` with one line.
 """
 
 from __future__ import annotations
@@ -66,19 +70,21 @@ def _require_object(obj: dict, key: str) -> dict:
     return value
 
 
-def _optional_float(obj: dict, key: str) -> float | None:
-    value = obj.get(key)
-    if value is None:
+def _number(value, key: str, *, nullable: bool = False) -> float | None:
+    """A JSON number as a float, and null as None where ``nullable``: a bool
+    or a string is no number."""
+    if value is None and nullable:
         return None
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key!r} must be a number or null, got {value!r}") from None
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        kind = "a number or null" if nullable else "a number"
+        raise ConfigError(f"{key!r} must be {kind}, got {value!r}")
+    return float(value)
 
 
 def _integer(value, key: str) -> int:
-    """An integral number as an int: 64 or 64.0, never 64.5."""
-    if isinstance(value, float) and not value.is_integer():
+    """An integral number as an int: 64 or 64.0, never 64.5, true or "64"."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or isinstance(value, float) and not value.is_integer()):
         raise ConfigError(f"{key!r} must be an integer, got {value!r}")
     return int(value)
 
@@ -93,29 +99,31 @@ def parse_config(obj: dict) -> RunSetup:
         sizes = tuple(_integer(n, "cells") for n in cells)
         if len(sizes) != dim:
             raise ConfigError(f"cells {cells} does not match dim {dim}")
-        lengths = tuple(obj.get("lengths", [1.0] * dim))
+        lengths = tuple(_number(x, "lengths") for x in obj.get("lengths", [1.0] * dim))
         grid = PeriodicGrid(sizes, lengths)
         params = AdmissibilityParams(
-            nu=float(_require(obj, "nu")),
-            gamma=float(_require(obj, "gamma")),
+            nu=_number(_require(obj, "nu"), "nu"),
+            gamma=_number(_require(obj, "gamma"), "gamma"),
             N=_integer(obj.get("N", dim), "N"),
-            eps_growth=float(obj.get("eps_growth", 0.1)),
+            eps_growth=_number(obj.get("eps_growth", 0.1), "eps_growth"),
         )
-        moment = MomentParams(
-            delta=float(obj.get("delta", 0.05)), alpha=float(obj.get("alpha", 0.02))
-        )
+        moment = MomentParams(delta=_number(obj.get("delta", 0.05), "delta"),
+                              alpha=_number(obj.get("alpha", 0.02), "alpha"))
+        allow = obj.get("allow_non_admissible", False)
+        if not isinstance(allow, bool):
+            raise ConfigError(f"'allow_non_admissible' must be true or false, got {allow!r}")
         config = SolverConfig(
             law=law,
             params=params,
             grid=grid,
-            t_end=float(_require(obj, "t_end")),
-            cfl=float(obj.get("cfl", 0.4)),
+            t_end=_number(_require(obj, "t_end"), "t_end"),
+            cfl=_number(obj.get("cfl", 0.4), "cfl"),
             integrator=obj.get("integrator", "RK2_SSP"),
-            eps_vac=_optional_float(obj, "eps_vac"),
+            eps_vac=_number(obj.get("eps_vac"), "eps_vac", nullable=True),
             ledger_stride=_integer(obj.get("ledger_stride", 10), "ledger_stride"),
             moment=moment,
             limiter=obj.get("limiter", "mc"),
-            allow_non_admissible=bool(obj.get("allow_non_admissible", False)),
+            allow_non_admissible=allow,
         )
 
         init_spec = _require_object(obj, "initial")
@@ -138,7 +146,7 @@ def parse_config(obj: dict) -> RunSetup:
             study = InitialDataSpec(
                 base_preset=init_spec["preset"],
                 base_params=init_spec.get("params", {}),
-                sigma0=float(s.get("sigma0", 0.1)),
+                sigma0=_number(s.get("sigma0", 0.1), "sigma0"),
                 n_max=_integer(s.get("n_max", 4), "n_max"),
             )
     except (ValueError, TypeError) as exc:

@@ -68,17 +68,19 @@ A member's run ends in one way: the initial checks, ``stable_dt`` (no
 finite positive bound), a stage of ``step`` (a non-finite field) or the
 timestep floor raises a SolverError whose ``errors`` map gives each member
 that ends there (row 0 for one state) its own error; ``run_members``
-settles those members and redoes the step, or the initial checks, for the
-rest, which a failed step leaves untouched.
+records those members' errors and redoes the step for the rest, which a
+failed step leaves untouched, or the initial checks, from their data as
+given.
 
-Time stepping is strong-stability-preserving RK2 by default (classical RK4
-optional), both through one loop over the stage states.  Negative densities
-are clamped to zero and momentum on sub-cutoff cells is zeroed; both events
-are counted and reported, never silent.  The initial data go through the
-same floors and finiteness test as a stage state, on the batch loaded into
-its workspace, after a finite time and a nonnegative density are checked.  A forcing hook on the momentum
-equation exists solely for manufactured-solution testing and is zero in
-physical runs.
+Time stepping is SSP-RK2, a convex combination of forward-Euler stages
+(Gottlieb, Shu & Tadmor, SIAM Rev. 43 (2001)), so the floors and the
+positivity of a stage carry over to the step.  Negative densities are
+clamped to zero and momentum on sub-cutoff cells is zeroed; both events are
+counted and reported, never silent.  Both stages and the initial data (once
+a finite time and a nonnegative density are checked) go through one path,
+:func:`_settle`: the floors, then the finiteness test.  A forcing hook on
+the momentum equation exists solely for manufactured-solution testing and
+is zero in physical runs.
 """
 
 from __future__ import annotations
@@ -90,11 +92,11 @@ from typing import Callable
 import numpy as np
 
 from .diagnostics import EntropyLedger, MomentParams, _Fields, _row
-from ._workspace import _face_states, _Stacked, _Workspace
+from ._workspace import _limited_slope, _Stacked, _Workspace
 from .grid import PeriodicGrid, State, _centered, _cutoff, _grid_axes
 from .viscosity import AdmissibilityParams, ViscosityLaw, validate
 
-INTEGRATORS = ("RK2_SSP", "RK4")
+INTEGRATORS = ("RK2_SSP",)
 LIMITERS = ("mc", "minmod", "van_albada", "none")
 DT_FLOOR_FACTOR = 1e-12
 
@@ -141,7 +143,7 @@ class SolverConfig:
         if self.eps_vac is not None and not 0.0 < self.eps_vac < math.inf:
             raise ValueError(f"eps_vac must be finite and positive, got {self.eps_vac}")
         if self.integrator not in INTEGRATORS:
-            raise ValueError(f"integrator must be one of {INTEGRATORS}")
+            raise ValueError(f"integrator must be one of {INTEGRATORS}, got {self.integrator!r}")
         if self.limiter not in LIMITERS:
             raise ValueError(f"limiter must be one of {LIMITERS}")
         if self.ledger_stride < 1:
@@ -241,7 +243,13 @@ def rhs(state: State, config: SolverConfig, *, _work: _Workspace | None = None
     eps_vac, limiter = config.eps_vac, config.limiter
     d = work.d
     for s, halo in zip(work.axes, state.halos):
-        _face_states(halo, s, limiter)
+        # the face states on the n + 1 faces, face k (between cells k - 1 and k)
+        # at index k: left = q_{k-1} + h/2 slope_{k-1}, right = q_k - h/2 slope_k
+        np.concatenate(halo, axis=s.axis, out=s.qp)
+        half_slope = _limited_slope(s, limiter)
+        np.multiply(s.half_h, half_slope, out=half_slope)
+        np.add(s.qp_1, half_slope, out=s.left)
+        np.subtract(s.qp_2, s.slope_1, out=s.right)
         np.concatenate(s.speed_halo, axis=s.axis, out=s.speed)
         half_a, jump, rho = s.half_a, s.jump, s.rho_faces
         np.multiply(0.5, np.maximum(s.speed_1, s.speed_2, out=half_a), out=half_a)
@@ -401,16 +409,29 @@ def _check_finite(state: State, where: str) -> dict[int, SolverError]:
     return failures
 
 
+def _settle(state: _Stacked, work: _Workspace, where: str):
+    """Drop the held bundle, floor ``state`` (a stage state, a new state or
+    initial data just written into a state buffer) and return the floors'
+    (clamped, zeroed) counts; a member with a non-finite field ends its run
+    (SolverError, its error with ``where`` in its ``errors`` map)."""
+    work.fields = None
+    counts = _apply_floors(state.rho, state.mom, work)
+    if not np.logical_and.reduce(np.isfinite(state.q, out=work.finite), axis=None):
+        raise _MemberErrors(_check_finite(state, where))
+    return counts
+
+
 def step(state: State, config: SolverConfig, dt, *, _work: _Workspace | None = None):
-    """One explicit step of one state, or of a batch with one dt per member.
-    Returns (new state, clamped cells, zeroed cells), the counts summed over
-    every stage, per member for a batch.  A stage that leaves a non-finite
-    field ends the run of each member it holds: the step raises SolverError,
-    with the error of every such member in its ``errors`` map, row 0 for one
+    """One SSP-RK2 step of one state, or of a batch with one dt per member:
+    s1 = state + dt k(state), then 0.5 state + 0.5 (s1 + dt k(s1)).  Returns
+    (new state, clamped cells, zeroed cells), the counts summed over both
+    stages, per member for a batch.  A stage that leaves a non-finite field
+    ends the run of each member it holds: the step raises SolverError, with
+    the error of every such member in its ``errors`` map, row 0 for one
     state, and its text that of the first.
 
-    Every stage state and the new state are written into the state buffer
-    of the workspace ``_work`` that does not hold ``state`` (a throwaway
+    The stage state and the new state are written into the state buffer of
+    the workspace ``_work`` that does not hold ``state`` (a throwaway
     workspace for a public call, whose arrays the caller then owns), so a
     failed step leaves ``state`` as it was and the other members of a batch
     can redo the step from it.  With ``_work``, ``state`` is the state
@@ -422,39 +443,21 @@ def step(state: State, config: SolverConfig, dt, *, _work: _Workspace | None = N
     work = _work
     # dt times a field: each member's dt scales every cell of that member
     w = dt.reshape(work.dt_shape)
-    new = work.stacked[1 - state.slot]  # every stage state and the new state
-    q, acc = new.q, work.acc
-    rk4 = acc is not None
-    clamps = zeros = 0  # until a floor catches a cell
+    new = work.stacked[1 - state.slot]  # the stage state, then the new state
+    q = new.q
+    new.t = state.t + dt
     pair = rhs(state, config, _work=work)
     k = work.d if pair is work.rows else _derivative(pair, work)
-    if rk4:  # acc sums k1 + 2 k2 + 2 k3 + k4 left to right
-        acc[...] = k
-    for n, c in enumerate(work.stages, start=1 + rk4):
-        if c is not None:  # a stage state: state.q + c * w * k, k of the stage before
-            np.add(state.q, np.multiply(c * w, k, out=q), out=q)
-        elif rk4:  # state + w / 6 * (acc + k4)
-            np.add(acc, k, out=acc)
-            np.add(state.q, np.multiply(w / 6.0, acc, out=acc), out=q)
-        else:  # 0.5 * state + 0.5 * (s1 + w * k), the sums in that order
-            np.add(q, np.multiply(w, k, out=k), out=k)
-            np.multiply(0.5, k, out=k)
-            np.add(np.multiply(0.5, state.q, out=q), k, out=q)
-        new.t = state.t + (dt if c is None else c * dt)
-        work.fields = None  # the bundle of a state no longer held
-        # every stage state and the new state: floors, counts, finiteness
-        c_n, z_n = _apply_floors(new.rho, new.mom, work)
-        clamps, zeros = clamps + c_n, zeros + z_n
-        if not np.logical_and.reduce(np.isfinite(q, out=work.finite), axis=None):
-            raise _MemberErrors(_check_finite(new, "after step" if c is None
-                                              else f"after stage {n}"))
-        if c is None:
-            break
-        if n > 2:  # k2 and k3 enter RK4's sum twice, once they made their stage
-            np.add(acc, np.multiply(2.0, k, out=k), out=acc)
-        pair = rhs(new, config, _work=work)
-        k = work.d if pair is work.rows else _derivative(pair, work)
-    clamps, zeros = work.no_counts + clamps, work.no_counts + zeros  # per member
+    np.add(state.q, np.multiply(w, k, out=q), out=q)
+    clamps, zeros = _settle(new, work, "after stage 1")
+    pair = rhs(new, config, _work=work)
+    k = work.d if pair is work.rows else _derivative(pair, work)
+    # 0.5 * state + 0.5 * (s1 + w * k), the sums in that order
+    np.add(q, np.multiply(w, k, out=k), out=k)
+    np.multiply(0.5, k, out=k)
+    np.add(np.multiply(0.5, state.q, out=q), k, out=q)
+    c, z = _settle(new, work, "after step")
+    clamps, zeros = work.no_counts + (clamps + c), work.no_counts + (zeros + z)  # per member
     if one:
         return State(float(new.t[0]), new.rho[0], new.mom[:, 0]), int(clamps[0]), int(zeros[0])
     return new, clamps, zeros
@@ -507,10 +510,10 @@ def run_members(config: SolverConfig, initials: list[State]
 
 def _check_initial(state: _Stacked, work: _Workspace, trajectories: list[Trajectory]):
     """The checks of a batch's initial data in its workspace, in this order:
-    a finite time, a nonnegative density, the floors of a stage state (the
-    cells they zero added to each member's ``initial_vacuum_momentum_zeroed``)
-    and its finiteness test.  The members that fail a check end there: the
-    call raises SolverError with the error of each in its ``errors`` map."""
+    a finite time, a nonnegative density, then :func:`_settle` (the cells the
+    floors zero set each member's ``initial_vacuum_momentum_zeroed``).  The
+    members that fail a check end there: the call raises SolverError with
+    the error of each in its ``errors`` map."""
     errors = {k: ValueError(f"initial time must be finite, got {t}")
               for k, t in enumerate(state.t.tolist()) if not math.isfinite(t)}
     if not errors:
@@ -520,11 +523,9 @@ def _check_initial(state: _Stacked, work: _Workspace, trajectories: list[Traject
                   for k in np.flatnonzero(negative).tolist()}
     if errors:
         raise _MemberErrors(errors)
-    _, zeroed = _apply_floors(state.rho, state.mom, work)
+    _, zeroed = _settle(state, work, "in initial data")
     for traj, z in zip(trajectories, (work.no_counts + zeroed).tolist()):
-        traj.initial_vacuum_momentum_zeroed += z
-    if not np.logical_and.reduce(np.isfinite(state.q, out=work.finite), axis=None):
-        raise _MemberErrors(_check_finite(state, "in initial data"))
+        traj.initial_vacuum_momentum_zeroed = z
 
 
 def _advance(cfg: SolverConfig, members: list, results: list, non_admissible: bool):
@@ -533,10 +534,9 @@ def _advance(cfg: SolverConfig, members: list, results: list, non_admissible: bo
     buffer of the batch's workspace, with a time and a dt per member.  The
     initial data are checked and floored there (see :func:`_check_initial`);
     a member that fails leaves the batch as one that fails a step does, and
-    the rest are checked again, which the floors, being idempotent, leave
-    as they were.  Each instant's times, energies and ledger rows come from
-    the bundle of its state, which then serves the next stable_dt and the
-    next step's first stage."""
+    the rest are checked again from their data as given.  Each instant's
+    times, energies and ledger rows come from the bundle of its state, which
+    then serves the next stable_dt and the next step's first stage."""
     grid, t_end, stride = cfg.grid, cfg.t_end, cfg.ledger_stride
     metadata = {"law": cfg.law.describe(), "nu": cfg.params.nu, "gamma": cfg.gamma,
                 "delta": cfg.moment.delta, "alpha": cfg.moment.alpha, "eps_vac": cfg.eps_vac,
@@ -547,16 +547,26 @@ def _advance(cfg: SolverConfig, members: list, results: list, non_admissible: bo
     dt_floor = DT_FLOOR_FACTOR * t_end
     t_done = t_end - 1e-12 * t_end
 
+    initials = dict(members)
+
+    def given(indices):  # the times and stacked fields of members' initial data
+        states = [initials[i] for i in indices]
+        return (np.array([st.t for st in states], dtype=float),
+                np.stack([np.concatenate((st.rho[np.newaxis], st.mom)) for st in states], axis=1))
+
     def leave(gone, outcome):
-        """Settle the members at rows ``gone`` and drop them from the batch."""
+        """Record the outcome of the members at rows ``gone`` and drop them
+        from the batch.  The rest go on from the state they hold, or, before
+        it is booked, from their data as given: a failed check floored it."""
         nonlocal rows, state, work
         for k in gone:
             results[rows[k][0]] = outcome(k)
         keep = [k for k in range(len(rows)) if k not in gone]
-        if keep:
-            work = _Workspace(cfg, (len(keep), *grid.sizes))
-            state = _load(work, cfg, state.t[keep], state.q[:, keep])
         rows = [rows[k] for k in keep]
+        if rows:
+            work = _Workspace(cfg, (len(rows), *grid.sizes))
+            state = _load(work, cfg, *((state.t[keep], state.q[:, keep]) if booked
+                                       else given([i for i, _, _ in rows])))
 
     def finished(k):
         _, traj, ledger = rows[k]
@@ -565,9 +575,7 @@ def _advance(cfg: SolverConfig, members: list, results: list, non_admissible: bo
 
     try:
         work = _Workspace(cfg, (len(rows), *grid.sizes))  # one per batch shape
-        state = _load(work, cfg, np.array([st.t for _, st in members], dtype=float),
-                      np.stack([np.concatenate((st.rho[np.newaxis], st.mom))
-                                for _, st in members], axis=1))
+        state = _load(work, cfg, *given(initials))
     except Exception as exc:  # noqa: BLE001 - an error of the whole batch fails every member
         for i, _, _ in rows:
             results[i] = exc

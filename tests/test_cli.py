@@ -1,5 +1,8 @@
+import inspect
+import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bdns import cli
+from bdns import cli, config
 from bdns.cli import cli_main
 from bdns.grid import State, load_checkpoint, save_checkpoint
 
@@ -209,6 +212,37 @@ def test_non_integral_config_number_is_one_line(tmp_path, capsys, key, value):
     name = "n_max" if key == "study" else key
     err = validate_law_usage_error(tmp_path, capsys, **{key: value})
     assert f"{name!r} must be an integer" in err, err
+
+
+@pytest.mark.parametrize("key, value", [("allow_non_admissible", "false"), ("dim", True),
+                                        ("ledger_stride", True), ("cfl", "0.4"),
+                                        ("t_end", "0.001")])
+def test_config_value_of_the_wrong_json_type_is_one_line(tmp_path, capsys, key, value):
+    # no bool counts as a number and no string as a number or a bool: the
+    # string "false" does not turn the validation override on
+    assert repr(key) in simulate_usage_error(tmp_path, capsys, **{key: value})
+
+
+def test_simulate_refuses_an_integrator_other_than_ssp_rk2(tmp_path, capsys):
+    # RK4 was removed: a config that asks for it exits 2, rather than run
+    # another scheme without a word
+    err = simulate_usage_error(tmp_path, capsys, integrator="RK4")
+    assert "'RK2_SSP'" in err and "'RK4'" in err, err
+
+
+def test_readme_and_config_docstring_list_the_same_keys_and_defaults():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme[readme.index("| Key | Default | Meaning |"):].splitlines()[2:]
+    rows = [line.split(" | ") for line in itertools.takewhile(lambda l: l.startswith("|"), table)]
+    in_readme = {key.strip("| ").replace("`", ""): default.replace("`", "")
+                 for key, default, *_ in rows}
+    # the docstring's key lines: "    key  default; meaning"
+    listed = (re.fullmatch(r"    (\S.*?)  +(.*)", line) for line in config.__doc__.splitlines())
+    assert in_readme == {m[1]: m[2].split(";")[0] for m in listed if m}
+    # and they are the keys parse_config reads
+    source = inspect.getsource(config.parse_config)
+    read = set(re.findall(r'(?:obj\.get|_require|_require_object)\((?:obj, )?"(\w+)"', source))
+    assert {k for keys in in_readme for k in keys.split(", ")} == read
 
 
 def run_module(*args):
