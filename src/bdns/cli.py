@@ -25,12 +25,12 @@ import tempfile
 from pathlib import Path
 
 from . import _json
-from .config import ConfigError, load_config
+from .config import load_config
 from .grid import save_checkpoint
 from .harness import StudyError, run_study
 from .identities import manufactured_field, run_all_identities
 from .solver import NonAdmissibleLawError, SolverError, run
-from .viscosity import LawError, TamperedLaw, ViscosityLaw, validate
+from .viscosity import TamperedLaw, ViscosityLaw, validate
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -77,7 +77,7 @@ def _load(path):
         return load_config(path)
     except OSError as exc:  # the config file or the checkpoint it names
         raise _Usage(f"cannot read {exc.filename}: {exc.strerror}") from exc
-    except (ConfigError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # ConfigError, or JSON that json cannot read
         raise _Usage(f"bad config: {exc}") from exc
 
 
@@ -159,7 +159,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_verify_identities(args) -> int:
     try:
         law = ViscosityLaw.from_json(json.loads(args.law))
-    except (json.JSONDecodeError, LawError) as exc:
+    except ValueError as exc:  # not JSON, or no law
         raise _Usage(f"bad --law: {exc}") from exc
     if args.g_override is not None:
         if not math.isfinite(args.g_override):

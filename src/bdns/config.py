@@ -1,53 +1,25 @@
-"""Run-configuration files.
-
-A run config is a JSON object.  Every key that :func:`parse_config` reads,
-with its default (or "required") before the semicolon:
-
-    law                   required; {"terms": [[a, b], ...]} or
-                          {"constant": mu}
-    nu, gamma             required; admissibility constants, 0 < nu < 1,
-                          1 < gamma < inf
-    N                     dim; the dimension of the admissibility conditions
-    eps_growth            0.1; the growth margin of condition (12)
-    dim                   required; 1 or 2
-    cells                 128; an int, or a list of ints per axis
-    lengths               1.0 per axis
-    t_end                 required; finite and positive
-    cfl                   0.4
-    integrator            "RK2_SSP"; the one time integrator, SSP-RK2
-    limiter               "mc"; or "minmod", "van_albada", "none"
-    eps_vac               null; for 1e-10 of the initial peak density, or
-                          finite and positive
-    ledger_stride         10
-    delta, alpha          0.05, 0.02; the moment exponents
-    allow_non_admissible  false
-    initial               required; {"preset": name, "params": {...}} or
-                          {"checkpoint": path}
-    study                 none; {"sigma0": 0.1, "n_max": 4} by default, for
-                          stability studies of a preset
-
-A number must be a JSON number, not a bool or a string, and
-``allow_non_admissible`` a JSON bool.  A value of the wrong type, or one
-that its class rejects (:class:`~bdns.viscosity.AdmissibilityParams`,
-:class:`~bdns.solver.SolverConfig`, :class:`~bdns.harness.InitialDataSpec`,
-the grid or the law), raises :class:`ConfigError` with one line.
-"""
+"""Run-configuration files: a run config is a JSON object, which
+:func:`parse_config` reads through the one declaration of each block
+(:data:`TOP`, :data:`INITIAL`, :data:`STUDY`, :data:`bdns.viscosity.LAW`,
+and the preset builder's signature for ``initial.params``), tabled in
+README.md.  A key's default is the field default of the class it feeds,
+which checks its value; what either rejects raises :class:`ConfigError`."""
 
 from __future__ import annotations
 
+import inspect
 import json
 from dataclasses import dataclass
 
+from ._json import (BOOL, INTEGER, INTEGER_OR_INTEGERS, NUMBER, NUMBER_OR_NULL,
+                    NUMBER_OR_NUMBERS, NUMBERS, OBJECT, REQUIRED, STRING, SameAs,
+                    SchemaError as ConfigError, fed, read_block)
 from .diagnostics import MomentParams
 from .grid import PeriodicGrid, State, load_checkpoint
 from .harness import InitialDataSpec
-from .presets import make_initial
+from .presets import make_initial, preset
 from .solver import SolverConfig
 from .viscosity import AdmissibilityParams, ViscosityLaw
-
-
-class ConfigError(ValueError):
-    """Malformed run configuration."""
 
 
 @dataclass
@@ -57,99 +29,57 @@ class RunSetup:
     study: InitialDataSpec | None = None
 
 
-def _require(obj: dict, key: str):
-    if key not in obj:
-        raise ConfigError(f"config is missing required key {key!r}")
-    return obj[key]
+_ADMISSIBILITY = fed(AdmissibilityParams, nu=NUMBER, gamma=NUMBER, eps_growth=NUMBER)
+_SOLVER = fed(SolverConfig, t_end=NUMBER, cfl=NUMBER, integrator=STRING, limiter=STRING,
+              eps_vac=NUMBER_OR_NULL, ledger_stride=INTEGER, allow_non_admissible=BOOL)
+_MOMENT = fed(MomentParams, delta=NUMBER, alpha=NUMBER)
+TOP = {"law": (OBJECT, REQUIRED), "dim": (INTEGER, REQUIRED), "N": (INTEGER, SameAs("dim")),
+       "cells": (INTEGER_OR_INTEGERS, 128), **fed(PeriodicGrid, lengths=NUMBERS),
+       **_ADMISSIBILITY, **_SOLVER, **_MOMENT,
+       "initial": (OBJECT, REQUIRED), "study": (OBJECT, None)}
+# exactly one of preset and checkpoint; absent params read as an empty block
+INITIAL = {"preset": (STRING, None), "params": (OBJECT, {}), "checkpoint": (STRING, None)}
+STUDY = fed(InitialDataSpec, sigma0=NUMBER, n_max=INTEGER)
+# the JSON kind of a preset parameter, by its annotation
+_PARAMETER_KINDS = {"float": NUMBER, "float | list[float]": NUMBER_OR_NUMBERS}
 
 
-def _require_object(obj: dict, key: str) -> dict:
-    value = _require(obj, key)
-    if not isinstance(value, dict):
-        raise ConfigError(f"{key!r} must be a JSON object, got {value!r}")
-    return value
-
-
-def _number(value, key: str, *, nullable: bool = False) -> float | None:
-    """A JSON number as a float, and null as None where ``nullable``: a bool
-    or a string is no number."""
-    if value is None and nullable:
-        return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        kind = "a number or null" if nullable else "a number"
-        raise ConfigError(f"{key!r} must be {kind}, got {value!r}")
-    return float(value)
-
-
-def _integer(value, key: str) -> int:
-    """An integral number as an int: 64 or 64.0, never 64.5, true or "64"."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or isinstance(value, float) and not value.is_integer()):
-        raise ConfigError(f"{key!r} must be an integer, got {value!r}")
-    return int(value)
+def _preset_params(name: str) -> dict:
+    """The declaration of ``initial.params``: the preset builder's keywords."""
+    parameters = list(inspect.signature(preset(name)).parameters.values())[1:]
+    return {p.name: (_PARAMETER_KINDS[p.annotation], p.default) for p in parameters}
 
 
 def parse_config(obj: dict) -> RunSetup:
     try:
-        law = ViscosityLaw.from_json(_require(obj, "law"))
-        dim = _integer(_require(obj, "dim"), "dim")
-        cells = obj.get("cells", 128)
-        if not isinstance(cells, (list, tuple)):
-            cells = [cells] * dim
-        sizes = tuple(_integer(n, "cells") for n in cells)
+        top = read_block(obj, TOP)
+        init = read_block(top["initial"], INITIAL, "initial", one_of=("preset", "checkpoint"))
+        dim, cells = top["dim"], top["cells"]
+        sizes = cells if isinstance(cells, tuple) else (cells,) * dim
         if len(sizes) != dim:
-            raise ConfigError(f"cells {cells} does not match dim {dim}")
-        lengths = tuple(_number(x, "lengths") for x in obj.get("lengths", [1.0] * dim))
-        grid = PeriodicGrid(sizes, lengths)
-        params = AdmissibilityParams(
-            nu=_number(_require(obj, "nu"), "nu"),
-            gamma=_number(_require(obj, "gamma"), "gamma"),
-            N=_integer(obj.get("N", dim), "N"),
-            eps_growth=_number(obj.get("eps_growth", 0.1), "eps_growth"),
-        )
-        moment = MomentParams(delta=_number(obj.get("delta", 0.05), "delta"),
-                              alpha=_number(obj.get("alpha", 0.02), "alpha"))
-        allow = obj.get("allow_non_admissible", False)
-        if not isinstance(allow, bool):
-            raise ConfigError(f"'allow_non_admissible' must be true or false, got {allow!r}")
+            raise ConfigError(f"cells {list(sizes)} does not match dim {dim}")
+        grid = PeriodicGrid(sizes, top["lengths"])
         config = SolverConfig(
-            law=law,
-            params=params,
+            law=ViscosityLaw.from_json(top["law"]),
+            params=AdmissibilityParams(N=top["N"], **{k: top[k] for k in _ADMISSIBILITY}),
             grid=grid,
-            t_end=_number(_require(obj, "t_end"), "t_end"),
-            cfl=_number(obj.get("cfl", 0.4), "cfl"),
-            integrator=obj.get("integrator", "RK2_SSP"),
-            eps_vac=_number(obj.get("eps_vac"), "eps_vac", nullable=True),
-            ledger_stride=_integer(obj.get("ledger_stride", 10), "ledger_stride"),
-            moment=moment,
-            limiter=obj.get("limiter", "mc"),
-            allow_non_admissible=allow,
+            moment=MomentParams(**{k: top[k] for k in _MOMENT}),
+            **{k: top[k] for k in _SOLVER},
         )
 
-        init_spec = _require_object(obj, "initial")
-        if "checkpoint" in init_spec:
-            initial, ck_grid = load_checkpoint(init_spec["checkpoint"])
-            if ck_grid.sizes != grid.sizes or ck_grid.lengths != grid.lengths:
-                raise ConfigError(
-                    f"checkpoint grid {ck_grid.sizes} does not match config grid {grid.sizes}"
-                )
-        elif "preset" in init_spec:
-            initial = make_initial(init_spec["preset"], grid, init_spec.get("params"))
+        if init["checkpoint"] is None:
+            params = read_block(init["params"], _preset_params(init["preset"]), "initial.params")
+            initial = make_initial(init["preset"], grid, params)
+        elif "params" in top["initial"] or top["study"] is not None:
+            raise ConfigError("'initial.params' and 'study' need a preset, not a checkpoint")
         else:
-            raise ConfigError("initial needs either 'preset' or 'checkpoint'")
-
-        study = None
-        if "study" in obj:
-            s = _require_object(obj, "study")
-            if "preset" not in init_spec:
-                raise ConfigError("stability studies need a preset initial profile")
-            study = InitialDataSpec(
-                base_preset=init_spec["preset"],
-                base_params=init_spec.get("params", {}),
-                sigma0=_number(s.get("sigma0", 0.1), "sigma0"),
-                n_max=_integer(s.get("n_max", 4), "n_max"),
-            )
-    except (ValueError, TypeError) as exc:
+            initial, ck_grid = load_checkpoint(init["checkpoint"])
+            if ck_grid.sizes != grid.sizes or ck_grid.lengths != grid.lengths:
+                raise ConfigError(f"checkpoint grid {ck_grid.sizes} does not match config "
+                                  f"grid {grid.sizes}")
+        study = None if top["study"] is None else InitialDataSpec(
+            init["preset"], params, **read_block(top["study"], STUDY, "study"))
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return RunSetup(config=config, initial=initial, study=study)
 

@@ -103,13 +103,6 @@ class PeriodicGrid:
             return (axes[0],)
         return tuple(np.meshgrid(*axes, indexing="ij"))
 
-    def wavenumbers(self, axis: int) -> np.ndarray:
-        """Angular wavenumbers for FFT along ``axis``, broadcast-ready."""
-        k = 2.0 * np.pi * np.fft.fftfreq(self.sizes[axis], d=self.spacing[axis])
-        shape = [1] * self.dim
-        shape[axis] = self.sizes[axis]
-        return k.reshape(shape)
-
     @cached_property
     def _cuts(self) -> tuple[_Cut, ...]:
         """The padded layout of every grid axis (see :class:`_Cut`)."""

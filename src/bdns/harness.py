@@ -39,7 +39,7 @@ import numpy as np
 
 from . import _json
 from .diagnostics import EntropyLedger, TIME_AGGREGATION, _Fields
-from .grid import PeriodicGrid, State, _floats, _lp, _magnitude
+from .grid import PeriodicGrid, State, _floats, _irfft, _lp, _magnitude, _rfft
 from .presets import make_initial
 from .solver import SolverConfig, Trajectory, _resolve_eps_vac, run_members
 
@@ -74,13 +74,12 @@ class InitialDataSpec:
 def _mollify(f: np.ndarray, grid: PeriodicGrid, sigmas: list[float]) -> np.ndarray:
     """Periodic Gaussian smoothing by Fourier multiplier exp(-|k|^2 sigma^2 / 2),
     one copy of ``f`` per width sigma: a field gives (M, *sizes) for M widths,
-    a vector field (dim, M, *sizes)."""
-    fh = np.expand_dims(np.fft.fftn(f, axes=grid.axes), -grid.dim - 1)
-    k2 = np.zeros(grid.sizes)
-    for a in range(grid.dim):
-        k2 = k2 + grid.wavenumbers(a) ** 2
+    a vector field (dim, M, *sizes).  k is that of ``spectral_factors``, so
+    the unpaired Nyquist mode of an even axis counts k = 0 along it."""
+    fh = np.expand_dims(_rfft(f, grid), -grid.dim - 1)
+    k2 = -sum(ik * ik for ik in grid.spectral_factors).real  # |k|^2 = -sum (ik)^2
     sigma = np.reshape(sigmas, (-1,) + (1,) * grid.dim)
-    return np.real(np.fft.ifftn(fh * np.exp(-0.5 * k2 * sigma * sigma), axes=grid.axes))
+    return _irfft(fh * np.exp(-0.5 * k2 * sigma * sigma), grid)
 
 
 def hypothesis_functionals(state: State, grid: PeriodicGrid, law, gamma: float,

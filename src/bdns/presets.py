@@ -28,7 +28,7 @@ def _compact_bump(x, center, width, length):
     return out
 
 
-def constant(grid: PeriodicGrid, rho0: float = 1.0, u0=0.0) -> State:
+def constant(grid: PeriodicGrid, rho0: float = 1.0, u0: float | list[float] = 0.0) -> State:
     rho = np.full(grid.sizes, float(rho0))
     mom = grid.zeros_vector()
     u_vec = np.broadcast_to(np.atleast_1d(np.asarray(u0, dtype=float)), (grid.dim,))
@@ -89,7 +89,12 @@ PRESETS = {
 }
 
 
-def make_initial(name: str, grid: PeriodicGrid, params: dict | None = None) -> State:
+def preset(name: str):
+    """A preset's builder: its keyword parameters, annotated, are the preset's."""
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
-    return PRESETS[name](grid, **(params or {}))
+    return PRESETS[name]
+
+
+def make_initial(name: str, grid: PeriodicGrid, params: dict | None = None) -> State:
+    return preset(name)(grid, **(params or {}))

@@ -145,9 +145,9 @@ class SolverConfig:
         if self.integrator not in INTEGRATORS:
             raise ValueError(f"integrator must be one of {INTEGRATORS}, got {self.integrator!r}")
         if self.limiter not in LIMITERS:
-            raise ValueError(f"limiter must be one of {LIMITERS}")
+            raise ValueError(f"limiter must be one of {LIMITERS}, got {self.limiter!r}")
         if self.ledger_stride < 1:
-            raise ValueError("ledger_stride must be >= 1")
+            raise ValueError(f"ledger_stride must be >= 1, got {self.ledger_stride!r}")
         self.moment.validate(self.params.nu)
 
     @property

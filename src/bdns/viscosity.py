@@ -32,7 +32,7 @@ every exponent >= 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -195,19 +195,12 @@ class ViscosityLaw:
         return {"terms": [[a, b] for a, b in self.terms]}
 
     @classmethod
-    def from_json(cls, obj: dict) -> "ViscosityLaw":
-        if not isinstance(obj, dict):
-            raise LawError(f"law spec must be a JSON object, got {obj!r}")
-        try:
-            if "constant" in obj:
-                return cls(constant=float(obj["constant"]))
-            if "terms" in obj:
-                return cls(terms=tuple((float(a), float(b)) for a, b in obj["terms"]))
-        except LawError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise LawError(f"malformed law spec {obj!r}: {exc}") from exc
-        raise LawError(f"law spec needs 'terms' or 'constant', got {sorted(obj)}")
+    def from_json(cls, obj) -> "ViscosityLaw":
+        """The law of a JSON block, read against :data:`LAW`."""
+        return cls(**_json.read_block(obj, LAW, "law", one_of=("terms", "constant")))
+
+
+LAW = _json.fed(ViscosityLaw, terms=_json.PAIRS, constant=_json.NUMBER)  # exactly one
 
 
 class TamperedLaw:
@@ -228,9 +221,6 @@ class TamperedLaw:
 
     def h_prime(self, rho, out=None, term=None):
         return self.base.h_prime(rho, out, term)
-
-    def h_second(self, rho):
-        return self.base.h_second(rho)
 
     def phi(self, rho, rho_ref: float = 1.0):
         return self.base.phi(rho, rho_ref)
@@ -292,14 +282,9 @@ class ConditionRecord:
     note: str = ""
 
     def to_json(self) -> dict:
-        return {
-            "condition": self.condition,
-            "pass": bool(self.passed),
-            "worst_rho": self.worst_rho,
-            "margin": self.margin,
-            "applicable": self.applicable,
-            "note": self.note,
-        }
+        out = asdict(self)
+        out["pass"] = bool(out.pop("passed"))
+        return out
 
 
 @dataclass
@@ -319,15 +304,8 @@ class ValidationReport:
         raise KeyError(condition)
 
     def to_json(self) -> dict:
-        return {
-            "law": self.law,
-            "nu": self.params.nu,
-            "gamma": self.params.gamma,
-            "N": self.params.N,
-            "eps_growth": self.params.eps_growth,
-            "overall": self.overall,
-            "conditions": [r.to_json() for r in self.records],
-        }
+        return {"law": self.law, **asdict(self.params), "overall": self.overall,
+                "conditions": [r.to_json() for r in self.records]}
 
     def dumps(self) -> str:
         return _json.dumps(self.to_json(), indent=2, sort_keys=True)
@@ -358,11 +336,8 @@ def validate(law: ViscosityLaw, params: AdmissibilityParams,
     m8 = hp - nu
     i8 = int(np.argmin(m8))
     h0 = law.h(0.0)
-    if h0 < m8[i8]:
-        rec8 = ConditionRecord("(8)", True, h0 >= 0 and m8[i8] >= 0, 0.0, float(min(h0, m8[i8])))
-    else:
-        rec8 = ConditionRecord("(8)", True, h0 >= 0 and m8[i8] >= 0,
-                               float(rho_samples[i8]), float(m8[i8]))
+    worst_rho, margin = (0.0, h0) if h0 < m8[i8] else (rho_samples[i8], m8[i8])
+    rec8 = ConditionRecord("(8)", True, h0 >= 0 and m8[i8] >= 0, float(worst_rho), float(margin))
     if not rec8.passed:
         rec8.note = "degenerate shear slope; relaxed sub-linear regime unsupported"
     report.records.append(rec8)
@@ -416,9 +391,7 @@ def growth_envelope(law: ViscosityLaw, params: AdmissibilityParams, rho):
     big = r >= 1.0
     lower = np.where(big, c * r**slow, c * r**fast)
     upper = np.where(big, c * r**fast, c * r**slow)
-    if np.isscalar(rho) or r.ndim == 0:
-        return float(lower), float(upper)
-    return lower, upper
+    return _scalar_like(rho, lower), _scalar_like(rho, upper)
 
 
 def find_max_nu(law: ViscosityLaw, gamma: float, N: int,

@@ -1,16 +1,15 @@
-import inspect
 import itertools
 import json
 import os
-import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bdns import cli, config
+from bdns import _json, cli, config, viscosity
 from bdns.cli import cli_main
 from bdns.grid import State, load_checkpoint, save_checkpoint
 
@@ -49,6 +48,17 @@ def test_validate_law_failure_exit_code(tmp_path):
 
 def test_simulate_missing_config_is_usage_error(tmp_path):
     assert cli_main(["simulate", "--config", str(tmp_path / "missing.json")]) == 2
+
+
+@pytest.mark.parametrize("text", [b'{"cfl": 1' + b"0" * 5000 + b"}", b'{"law": "\xff"}'],
+                         ids=["integer-beyond-str-limit", "not-utf-8"])
+def test_config_that_json_cannot_read_is_one_line(tmp_path, capsys, text):
+    # json.load raises a ValueError that is no JSONDecodeError for both
+    path = tmp_path / "bad.json"
+    path.write_bytes(text)
+    assert cli_main(["simulate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("usage error: bad config: "), err
 
 
 def test_unknown_flag_is_usage_error(tmp_path):
@@ -119,6 +129,19 @@ def test_verify_identities_malformed_law_is_one_line(capsys, law):
     assert cli_main(["verify-identities", "--law", law, "--grids", "32"]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and "bad --law" in err[0], err
+
+
+@pytest.mark.parametrize("law, text", [
+    ('{"terms": [["1", true]]}', "law: 'terms' must be a list of [number, number] pairs"),
+    ('{"terms": [[1, 1]], "constant": 1}', "law: give exactly one of 'terms' and 'constant'"),
+    ('{"terms": [[1, 1]], "termz": 3}', "law: unknown key 'termz'"),
+])
+def test_verify_identities_reads_the_law_as_run_configs_do(capsys, law, text):
+    # the strings and the bool are no numbers, and a constant beside terms
+    # does not silently win: the same reader as the run config's law block
+    assert cli_main(["verify-identities", "--law", law, "--grids", "32"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("usage error: bad --law: ") and text in err[0], err
 
 
 def test_module_runs_the_cli():
@@ -223,6 +246,39 @@ def test_config_value_of_the_wrong_json_type_is_one_line(tmp_path, capsys, key, 
     assert repr(key) in simulate_usage_error(tmp_path, capsys, **{key: value})
 
 
+BIG = 10**401  # a JSON integer beyond the float range
+
+
+@pytest.mark.parametrize("overrides, text", [
+    ({"limitter": "none"}, "unknown key 'limitter'"),
+    ({"law": {"terms": [["1.0", True]]}}, "law: 'terms' must be"),
+    ({"law": {"terms": [[1, 1]], "constant": 1}},
+     "law: give exactly one of 'terms' and 'constant'"),
+    ({"law": {"terms": [[1, 1]], "termz": 3}}, "law: unknown key 'termz'"),
+    ({"cfl": BIG}, "'cfl' is beyond the float range"),
+    ({"initial": {"preset": "smooth_bump", "params": {"amp": "0.2"}}},
+     "initial.params: 'amp' must be a number, got '0.2'"),
+    ({"initial": {"preset": "smooth_bump", "params": {"amp": True}}},
+     "initial.params: 'amp' must be a number, got True"),
+    ({"initial": {"preset": "smooth_bump", "parms": {"amp": 5.0}}},
+     "initial: unknown key 'parms'"),
+    ({"initial": {"preset": "smooth_bump", "checkpoint": "x.bdns"}},
+     "initial: give exactly one of 'preset' and 'checkpoint'"),
+    ({"initial": {"checkpoint": 2}}, "initial: 'checkpoint' must be a string, got 2"),
+    ({"study": {"sigma": 0.5}}, "study: unknown key 'sigma'"),
+    ({"lengths": 2.0}, "'lengths' must be a list of numbers, got 2.0"),
+], ids=["top-unknown", "law-types", "law-both", "law-unknown", "cfl-overflow",
+        "params-string", "params-bool", "initial-unknown", "initial-both",
+        "checkpoint-type", "study-unknown", "lengths-type"])
+def test_config_that_the_declaration_refuses_exits_2_naming_the_key(tmp_path, overrides, text):
+    # each block rejects an unknown key, a value of the wrong JSON type and a
+    # second of two exclusive keys; in a process of its own, as a checkpoint
+    # path of 2 would open stderr's file descriptor and close it
+    path = write_config(tmp_path, name="bad.json", cells=32, **overrides)
+    code, err = run_module("simulate", "--config", str(path))
+    assert code == 2 and len(err) == 1 and text in err[0], err
+
+
 def test_simulate_refuses_an_integrator_other_than_ssp_rk2(tmp_path, capsys):
     # RK4 was removed: a config that asks for it exits 2, rather than run
     # another scheme without a word
@@ -230,19 +286,65 @@ def test_simulate_refuses_an_integrator_other_than_ssp_rk2(tmp_path, capsys):
     assert "'RK2_SSP'" in err and "'RK4'" in err, err
 
 
-def test_readme_and_config_docstring_list_the_same_keys_and_defaults():
+def test_readme_table_is_the_declaration():
+    # the README's run-config table lists every key of every declared block,
+    # nested keys dotted, with its JSON kind and its default
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    table = readme[readme.index("| Key | Default | Meaning |"):].splitlines()[2:]
-    rows = [line.split(" | ") for line in itertools.takewhile(lambda l: l.startswith("|"), table)]
-    in_readme = {key.strip("| ").replace("`", ""): default.replace("`", "")
-                 for key, default, *_ in rows}
-    # the docstring's key lines: "    key  default; meaning"
-    listed = (re.fullmatch(r"    (\S.*?)  +(.*)", line) for line in config.__doc__.splitlines())
-    assert in_readme == {m[1]: m[2].split(";")[0] for m in listed if m}
-    # and they are the keys parse_config reads
-    source = inspect.getsource(config.parse_config)
-    read = set(re.findall(r'(?:obj\.get|_require|_require_object)\((?:obj, )?"(\w+)"', source))
-    assert {k for keys in in_readme for k in keys.split(", ")} == read
+    table = readme[readme.index("| Key | Type | Default | Meaning |"):].splitlines()[2:]
+    rows = [line.split(" | ", 3) for line in itertools.takewhile(lambda l: l.startswith("|"), table)]
+    in_readme = {key.strip("|` "): (kind, default.strip("`")) for key, kind, default, _ in rows}
+
+    def shown(default):
+        if default is _json.REQUIRED:
+            return "required"
+        return default if isinstance(default, _json.SameAs) else json.dumps(default)
+
+    blocks = {"": config.TOP, "law.": viscosity.LAW, "initial.": config.INITIAL,
+              "study.": config.STUDY}
+    declared = {prefix + key: (kind, shown(default))
+                for prefix, block in blocks.items() for key, ((kind, _), default) in block.items()}
+    assert in_readme == declared
+
+
+def _script(path: Path, monkeypatch):
+    """A repo script as a module, compiled from its text so that nothing is
+    written beside it."""
+    module = types.ModuleType(f"_shipped_{path.stem}")
+    monkeypatch.setitem(sys.modules, module.__name__, module)
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module
+
+
+def _shipped_configs(monkeypatch, tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    tools = _script(root / "tools" / "count_step_calls.py", monkeypatch)
+    workloads = _script(root / "benchmarks" / "workloads.py", monkeypatch)
+    readme = (root / "README.md").read_text()
+    example = readme[readme.index("A run config is a JSON object:"):].split("```")[1]
+    configs = {"VACUUM1D_256": tools.VACUUM1D_256, "SV2D_128": tools.SV2D_128,
+               "write_config": json.loads(write_config(tmp_path).read_text()),
+               "README": json.loads(example.removeprefix("json"))}
+    for name, workload in workloads.WORKLOADS.items():
+        for seed in (0, 3):
+            inputs = workload.inputs(seed)
+            for i, entry in enumerate(inputs.get("laws", [inputs])):
+                configs[f"{name}[{seed}][{i}]"] = entry["config"]
+    return configs
+
+
+def test_every_shipped_run_config_parses(monkeypatch, tmp_path):
+    # the run configs of the tools, the benchmark, these tests and the README
+    # need no key the declaration lacks; the keys they give are the values run
+    configs = _shipped_configs(monkeypatch, tmp_path)
+    assert len(configs) == 4 + 2 * (1 + 1 + 1 + 3)
+    for name, obj in configs.items():
+        setup = config.parse_config(obj)
+        solver_config = setup.config
+        for key, value in obj.items():
+            if key in config._SOLVER:
+                assert getattr(solver_config, key) == value, (name, key)
+        assert solver_config.grid.dim == obj["dim"] and solver_config.params.nu == obj["nu"]
+        assert (setup.study is None) == ("study" not in obj), name
 
 
 def run_module(*args):
@@ -268,6 +370,9 @@ def test_simulate_non_finite_t_end_is_usage_error(tmp_path, t_end):
     ({"eps_vac": -1}, "eps_vac must be finite and positive"),
     ({"eps_vac": float("nan")}, "eps_vac must be finite and positive"),
     ({"lengths": [float("nan")]}, "lengths must be finite and positive"),
+    ({"limiter": "superbee"}, "limiter must be one of ('mc', 'minmod', 'van_albada', 'none'), "
+                              "got 'superbee'"),
+    ({"ledger_stride": 0}, "ledger_stride must be >= 1, got 0"),
 ])
 def test_simulate_bad_eps_vac_or_lengths_is_usage_error(tmp_path, capsys, overrides, text):
     assert text in simulate_usage_error(tmp_path, capsys, **overrides)

@@ -158,7 +158,10 @@ def complex_spectral_ddx(f, grid, axis):
         idx = [slice(None)] * grid.dim
         idx[axis] = n // 2
         fh[tuple(idx)] = 0.0
-    return np.real(np.fft.ifftn(1j * grid.wavenumbers(axis) * fh))
+    k = 2.0 * np.pi * np.fft.fftfreq(n, d=grid.spacing[axis])
+    shape = [1] * grid.dim
+    shape[axis] = n
+    return np.real(np.fft.ifftn(1j * k.reshape(shape) * fh))
 
 
 SPECTRAL_GRIDS = [((16,), (1.0,)), ((15,), (2.0,)), ((16, 16), (1.0, 1.0)),
