@@ -11,6 +11,8 @@ import inspect
 import json
 from dataclasses import dataclass
 
+import numpy as np
+
 from ._json import (BOOL, INTEGER, INTEGER_OR_INTEGERS, NUMBER, NUMBER_OR_NULL,
                     NUMBER_OR_NUMBERS, NUMBERS, OBJECT, REQUIRED, STRING, SameAs,
                     SchemaError as ConfigError, fed, read_block)
@@ -50,6 +52,21 @@ def _preset_params(name: str) -> dict:
     return {p.name: (_PARAMETER_KINDS[p.annotation], p.default) for p in parameters}
 
 
+def _check_params(params: dict, dim: int):
+    """Refuse the ``initial.params`` that a builder would turn into a flat,
+    dry or non-finite state: a number that is not finite (JSON's NaN and
+    Infinity read as numbers), a width that is not positive, a ``u0`` of
+    neither 1 nor ``dim`` components."""
+    for key, value in params.items():
+        if not np.all(np.isfinite(value)):
+            raise ConfigError(f"initial.params: {key!r} must be finite, got {value!r}")
+    if not params.get("width", 1.0) > 0.0:
+        raise ConfigError(f"initial.params: 'width' must be positive, got {params['width']!r}")
+    if len(np.atleast_1d(params.get("u0", 0.0))) not in (1, dim):
+        raise ConfigError(f"initial.params: 'u0' must have 1 or dim = {dim} components, "
+                          f"got {len(params['u0'])}")
+
+
 def parse_config(obj: dict) -> RunSetup:
     try:
         top = read_block(obj, TOP)
@@ -69,6 +86,7 @@ def parse_config(obj: dict) -> RunSetup:
 
         if init["checkpoint"] is None:
             params = read_block(init["params"], _preset_params(init["preset"]), "initial.params")
+            _check_params(params, dim)
             initial = make_initial(init["preset"], grid, params)
         elif "params" in top["initial"] or top["study"] is not None:
             raise ConfigError("'initial.params' and 'study' need a preset, not a checkpoint")

@@ -8,40 +8,30 @@ by the density.  The two key rewritings are
 * ``h(rho)/sqrt(rho)`` (and ``g/sqrt(rho)``) set to zero on vacuum cells,
   which is the continuous limit for admissible coefficient growth.
 
-A ledger row collects, at one instant:
-
-* energy and its viscous dissipation rate,
-* the weighted entropy functional and its pressure cross term,
-* the velocity-moment functional and the bound on its growth rate,
-* the three a priori bound sets (L2 momentum/density norms, weighted
-  density gradients, plain weighted gradients), and
-* the compactness quantities (pressure space-time integrand, the
-  higher-integrability momentum norm, h/sqrt(rho) and psi in L^6).
-
-Each functional has one definition, a method of the per-state bundle
-``_Fields``; the public helpers, :func:`ledger_row` and the stability study's
-hypothesis table are views of it.  The weak-form residual reads its fields
-from the bundle of each retained state too, the weighted entropy velocity
-and h/sqrt(rho) among them.  A bundle of a batch gives every column
-for all its members at once, one Python float each, so the solver takes a
-ledger row from the bundle it has already made for the state's energy.
-Densities enter as ``max(rho, 0)``.
-
-Ledger columns carry fixed wire-format tags (e.g. ``E_eq15``,
-``X_BD_lemma31``); downstream tooling keys on those names.
+Each column of a ledger row (energy, entropy, moment, a priori and
+compactness estimates at one instant) is declared once, in ``_ENTROPY``,
+``_APRIORI`` or ``_COMPACTNESS``: its tag, its integrands, its last step in
+Python floats and an a priori bound's time aggregation.  One evaluator,
+:meth:`_Fields.columns`, writes each integrand once into its row of one
+block, reduces the block in one call and takes the last steps, one float per
+member of a batch; the energy is the bundle's, integrated once per instant
+for the solver's per-step energy and ``E_eq15`` alike.  Densities enter as
+``max(rho, 0)``.  The tags (e.g. ``E_eq15``) are a wire format.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import _json
 from ._workspace import _harmonic_face, _Workspace
-from .grid import (PeriodicGrid, State, _cutoff, _floats, _lp, _magnitude, _power,
+from .grid import (PeriodicGrid, State, _cutoff, _ddx, _floats, _magnitude, _power,
                    _wave_vector, grad, integrate)
 from .viscosity import _check_gamma
 
@@ -68,39 +58,29 @@ class MomentParams:
 
 
 class _Fields:
-    """One state's derived fields, each computed at most once, and the single
-    definition of every functional on them: the one bundle of a state, where
-    all its pointwise fields are made, h and g through the law's one path.
-    The clamped density, the wet cells (rho > eps_vac) and the cutoff
-    velocity m / rho are computed up front; the energy's fields (sqrt(rho),
-    the weighted momentum sqrt(rho) u, its square and the pressure potential
-    rho^gamma / (gamma - 1)) together when one of them is first asked for,
-    and the others one by one when first asked for.  Every quotient by a
-    power of the density goes through :func:`~bdns.grid._cutoff`, so that
-    it vanishes on dry cells.
+    """One state's derived fields, each computed at most once: the one bundle
+    of a state, where all its pointwise fields are made, h and g through the
+    law's one path.  The clamped density, the wet cells (rho > eps_vac) and
+    the cutoff velocity m / rho are computed up front; the energy's fields
+    (sqrt(rho), the weighted momentum sqrt(rho) u, its square and the
+    pressure potential rho^gamma / (gamma - 1)) together when one of them is
+    first asked for, and the others one by one.  Every quotient by a power
+    of the density goes through :func:`~bdns.grid._cutoff`, so that it
+    vanishes on dry cells.
 
     The solver's bundles take its workspace ``work`` and write their fields
-    into its buffers (see ``_Workspace.bundle_out``); the fields of the
-    energy go to scratch lanes and hold until a kernel next runs.  Such a
-    bundle is made once per state of the stage loop, by the first kernel
-    that needs it, and makes the stage kernels' fields when it is made,
-    each into a buffer of its own, since the stencils write the lanes: |u|
-    and the sound speed c stacked (``waves``), the wave speed |u| + c
-    (``speed``), the pressure rho^gamma (``rho_gamma``), h, the harmonic
-    face viscosity of every axis (``h_face``) and, unless the law's g
-    vanishes, g.  Its gamma is the config's, which ``AdmissibilityParams``
-    has checked; any other bundle given a gamma checks it.
-
-    The functionals that integrate a field return a float for one state and
-    one value per member for a batch; the ledger columns, whose last steps
-    (a root, a square root, a Hoelder product) are taken in Python floats,
-    return one float per member either way.
-
-    The weighted entropy velocity and h/sqrt(rho) are made on each access
-    and kept by none: each reader takes them once, and a ledger row's peak
-    memory does not hold them."""
+    into its buffers (see ``_Workspace.bundle_out``); the energy's go to
+    scratch lanes and hold until a kernel next runs.  Such a bundle is made
+    once per state of the stage loop and makes the stage kernels' fields at
+    once, each into a buffer of its own: |u| and the sound speed c stacked
+    (``waves``), the wave speed |u| + c (``speed``), the pressure rho^gamma
+    (``rho_gamma``), h, the harmonic face viscosity of every axis
+    (``h_face``) and, unless the law's g vanishes, g.  Its gamma is the
+    config's, which ``AdmissibilityParams`` has checked; any other bundle
+    given a gamma checks it."""
 
     _ENERGY_FIELDS = frozenset(("sqrt_rho", "sqrt_rho_u", "sru2", "potential"))
+    _energy = None  # the energy, once computed
 
     def __init__(self, state: State, grid: PeriodicGrid, law, gamma: float | None,
                  eps_vac: float, work: _Workspace | None = None):
@@ -155,143 +135,201 @@ class _Fields:
 
     @cached_property
     def rho_gamma(self):
-        """The pressure rho^gamma, for the energy and the weak form."""
+        """The pressure rho^gamma, for the energy, rho_Lgamma_eq19 and the weak form."""
         return _power(self.rho, self.gamma)
 
     @cached_property
     def g(self):
-        """g(rho), evaluated at most once per bundle, for the dissipation and
-        the weak-form residual; a solver bundle makes it up front unless the
-        law's g vanishes (its kernels then skip the g term)."""
+        """g(rho), for the dissipation and the weak form; a solver bundle makes
+        it up front unless the law's g vanishes (its kernels then skip it)."""
         return self.law.g(self.rho)
 
     @cached_property
-    def grad_u(self):
-        # grad_u[i, j] = d_i u_j
-        u = self.u
-        return np.stack([grad(u[j], self.grid) for j in range(self.grid.dim)], axis=1)
+    def h(self):
+        return self.law.h(self.rho)
+
+    def energy(self) -> float:
+        """The energy, kinetic (via the weighted momentum) plus pressure
+        potential, integrated once per bundle: a float for one state, one
+        value per member for a batch."""
+        if self._energy is None:
+            density = np.multiply(0.5, self.sru2, out=self._out.get("density"))
+            self._energy = integrate(np.add(density, self.potential, out=density), self.grid)
+        return self._energy
+
+    def columns(self, mp: MomentParams | None = None, declared: dict | None = None
+                ) -> dict[str, list[float]]:
+        """The ``declared`` columns (every ledger column by default), one float
+        per member each.  The integrands that read one gradient's fields are
+        written together, from an instant of their own, whose fields then go."""
+        declared = _LEDGER if declared is None else declared
+        gradient = {i: c.gradient for c in declared.values() for i in c.integrands}
+        values = {_Fields.energy: _floats(self.energy())} if _Fields.energy in gradient else {}
+        integrands = sorted((i for i in gradient if i not in values), key=gradient.get)
+        block = np.empty((len(integrands), *self.rho.shape))
+        rows = iter(block)
+        for _, group in itertools.groupby(integrands, key=gradient.get):
+            x = _Instant(self, mp)
+            for integrand in group:
+                integrand(x, next(rows))
+        totals = np.reshape(integrate(block, self.grid), (len(integrands), -1)).tolist()
+        values.update(zip(integrands, totals))
+        return {tag: [c.last(x, *v) for v in zip(*(values[i] for i in c.integrands))]
+                for tag, c in declared.items()}
+
+
+class _Instant:
+    """The fields that the ledger and the weak form read beyond the bundle
+    ``f`` of a state, each made at most once, with the moment exponents
+    ``mp``: a solver's bundle, which serves the next step too, keeps none."""
+
+    def __init__(self, f: _Fields, mp: MomentParams | None = None):
+        self.f, self.mp, self.gamma = f, mp, f.gamma
 
     @cached_property
-    def grad_u_sq(self):
-        return np.add.reduce(self.grad_u**2, axis=(0, 1))
+    def grad_u_terms(self):
+        """|grad u|^2, div u and h |grad u|^2; the entries d_i u_j of grad u,
+        never held together, are summed in the order of a reduction over them."""
+        u, grid = self.f.u, self.f.grid
+        sq, div_u = 0.0, 0
+        for i, j in itertools.product(range(grid.dim), repeat=2):
+            d_ij = _ddx(u[j], grid, i)
+            sq = sq + np.square(d_ij)
+            if i == j:
+                div_u = div_u + d_ij
+        return sq, div_u, self.f.h * sq
+
+    @cached_property
+    def hp(self):
+        return self.f.law.h_prime(self.f.rho)
 
     @cached_property
     def grad_sqrt_rho(self):
-        return grad(self.sqrt_rho, self.grid)
+        return grad(self.f.sqrt_rho, self.f.grid)
 
     @cached_property
     def gsr2(self):
         return np.add.reduce(self.grad_sqrt_rho**2, axis=0)
 
     @cached_property
-    def h(self):
-        return self.law.h(self.rho)
-
-    @cached_property
-    def hp(self):
-        return self.law.h_prime(self.rho)
+    def sru_mag(self):  # |sqrt(rho) u|
+        return np.sqrt(self.f.sru2)
 
     @property
     def entropy_velocity(self):
         """sqrt(rho) u + 2 h'(rho) grad(sqrt(rho)), the weighted entropy velocity."""
-        return self.sqrt_rho_u + 2.0 * self.hp * self.grad_sqrt_rho
+        return self.f.sqrt_rho_u + 2.0 * self.hp * self.grad_sqrt_rho
 
     @property
     def h_over_sqrt_rho(self):
-        return _cutoff(self.h, self.sqrt_rho, self.wet)
-
-    @cached_property
-    def hp_grad_sqrt_rho_sq(self) -> float:
-        """int h'^2 |grad sqrt(rho)|^2."""
-        return integrate(self.hp**2 * self.gsr2, self.grid)
-
-    @cached_property
-    def pressure_weight(self) -> float:
-        """int h' rho^{gamma-1} |grad sqrt(rho)|^2: the cross term over 4 gamma."""
-        return integrate(self.hp * self.rho ** (self.gamma - 1.0) * self.gsr2, self.grid)
-
-    # -- functionals ---------------------------------------------------------
-
-    def energy(self) -> float:
-        density = np.multiply(0.5, self.sru2, out=self._out.get("density"))
-        return integrate(np.add(density, self.potential, out=density), self.grid)
-
-    def dissipation(self) -> float:
-        div_u = sum(self.grad_u[a, a] for a in range(self.grid.dim))
-        return integrate(self.h * self.grad_u_sq + self.g * div_u**2, self.grid)
-
-    def bd_entropy(self) -> float:
-        return integrate(0.5 * np.add.reduce(self.entropy_velocity**2, axis=0) + self.potential,
-                         self.grid)
-
-    def bd_cross(self) -> float:
-        return 4.0 * self.gamma * self.pressure_weight
-
-    def moment(self, delta: float) -> float:
-        umag = _magnitude(self.u)
-        return integrate(self.sru2 * umag**delta, self.grid) / (2.0 + delta)
-
-    def moment_rhs(self, delta: float) -> list[float]:
-        p = 2.0 / (2.0 - delta)
-        # rho^{2 gamma - delta/2} / h where h > 0, +inf on a wet cell with h = 0
-        h = self.h
-        ratio = _cutoff(self.rho ** (2.0 * self.gamma - delta / 2.0), h,
-                        np.logical_and(self.wet, h > 0.0))
-        ratio[np.logical_and(self.wet, h == 0.0)] = math.inf
-        factor1 = _floats(integrate(ratio**p, self.grid))
-        factor2 = _floats(integrate(self.sru2, self.grid))
-        return [a ** ((2.0 - delta) / 2.0) * b ** (delta / 2.0) for a, b in zip(factor1, factor2)]
-
-    def apriori(self) -> dict[str, list[float]]:
-        grid, rho, gamma = self.grid, self.rho, self.gamma
-        return {
-            "sqrt_rho_u_L2_eq19": _lp(_magnitude(self.sqrt_rho_u), grid, 2),
-            "rho_L1_eq19": _floats(integrate(rho, grid)),
-            "rho_Lgamma_eq19": _lp(np.abs(rho), grid, gamma),
-            "sqrt_h_grad_u_L2_eq19": _root(integrate(self.h * self.grad_u_sq, grid)),
-            "hprime_grad_sqrt_rho_L2_eq20": _root(self.hp_grad_sqrt_rho_sq),
-            "sqrt_hprime_rho_gm2_grad_rho_L2_eq20": _root(4.0 * self.pressure_weight),
-            "sqrt_rho_grad_u_L2_eq21": _root(integrate(rho * self.grad_u_sq, grid)),
-            "grad_sqrt_rho_L2_eq21": _lp(_magnitude(self.grad_sqrt_rho), grid, 2),
-            "grad_rho_gamma_half_L2_eq21": _lp(_magnitude(grad(rho ** (gamma / 2.0), grid)),
-                                               grid, 2),
-        }
-
-    def compactness(self, alpha: float) -> dict[str, list[float]]:
-        grid, rho = self.grid, self.rho
-        return {
-            "rho_gamma_L53_lemma42": _floats(integrate(rho ** (5.0 * self.gamma / 3.0), grid)),
-            "sqrt_rho_u_L2p2alpha_lemma43": _lp(_magnitude(self.sqrt_rho_u), grid,
-                                                2.0 + 2.0 * alpha),
-            "h_over_sqrt_rho_L6_lemma44": _lp(np.abs(self.h_over_sqrt_rho), grid, 6),
-            "psi_L6_lemma44": _lp(np.abs(np.asarray(self.law.psi(rho))), grid, 6),
-        }
-
-    def ledger_columns(self, mp: MomentParams) -> dict[str, list[float]]:
-        """Every ledger column but the time and the counters, one float per
-        member, in the order of LEDGER_COLUMNS."""
-        cross = np.add.reduce(self.sqrt_rho_u * 2.0 * self.hp * self.grad_sqrt_rho, axis=0)
-        columns = {
-            "E_eq15": _floats(self.energy()),
-            "D_visc_eq15": _floats(self.dissipation()),
-            "E_BD_lemma31": _floats(self.bd_entropy()),
-            "X_BD_lemma31": _floats(self.bd_cross()),
-            "BD_cross_term": _floats(integrate(cross, self.grid)),
-            "M_delta_lemma32": _floats(self.moment(mp.delta)),
-            "RHS_delta_lemma32": self.moment_rhs(mp.delta),
-            **self.apriori(),
-            **self.compactness(mp.alpha),
-        }
-        # the solver's bundle serves the next step too: it drops the fields
-        # that only a ledger row reads
-        for name in ("hp", "grad_u", "grad_u_sq", "grad_sqrt_rho", "gsr2"):
-            vars(self).pop(name, None)
-        return columns
+        return _cutoff(self.f.h, self.f.sqrt_rho, self.f.wet)
 
 
-def _root(value) -> list[float]:
-    """sqrt(max(x, 0)) of each member's value, in Python floats."""
-    return [math.sqrt(max(x, 0.0)) for x in _floats(value)]
+def _pressure_weight(x: _Instant, out):  # h' rho^{gamma-1} |grad sqrt(rho)|^2
+    np.multiply(x.hp * x.f.rho ** (x.gamma - 1.0), x.gsr2, out=out)
+
+
+def _hp_grad_sqrt_rho_sq(x: _Instant, out):  # h'^2 |grad sqrt(rho)|^2
+    np.multiply(x.hp**2, x.gsr2, out=out)
+
+
+def _holder_pressure(x: _Instant, out):
+    # (rho^{2 gamma - delta/2} / h)^{2/(2-delta)}, the ratio 0 on vacuum cells
+    # and +inf on a wet cell where h = 0, with no division taken
+    f, delta = x.f, x.mp.delta
+    _cutoff(f.rho ** (2.0 * x.gamma - delta / 2.0), f.h, np.logical_and(f.wet, f.h > 0.0), out)
+    out[np.logical_and(f.wet, f.h == 0.0)] = math.inf
+    out **= 2.0 / (2.0 - delta)
+
+
+def _root(x: _Instant, value: float) -> float:
+    return math.sqrt(max(value, 0.0))
+
+
+class _Column(NamedTuple):
+    """A column: its integrands (functions ``(instant, out)``, or the
+    bundle's energy), its last step on an instant and a member's integrals,
+    an a priori bound's time aggregation (``sup``, or ``l2`` for the norm in
+    L2 in time), and the gradient whose fields its integrands read."""
+
+    integrands: tuple
+    last: Callable[..., float] = lambda x, value: value
+    aggregation: str | None = None
+    gradient: str = ""
+
+
+def _norm(magnitude: Callable, p, aggregation: str | None = None, gradient: str = ""
+          ) -> _Column:
+    """The L^p norm of what ``magnitude(instant, out)`` writes; ``p`` is a
+    number or a function of the instant."""
+    exponent = p if callable(p) else lambda x: p
+
+    def integrand(x, out):
+        magnitude(x, out)
+        out **= exponent(x)
+    return _Column((integrand,), lambda x, value: value ** (1.0 / exponent(x)), aggregation,
+                   gradient)
+
+
+_GRAD_U, _GRAD_SQRT_RHO = "grad_u", "grad_sqrt_rho"  # the gradients that integrands read
+_ENTROPY = {
+    "E_eq15": _Column((_Fields.energy,)),
+    "D_visc_eq15": _Column((lambda x, out: np.add(  # h |grad u|^2 + g (div u)^2
+        x.grad_u_terms[2], x.f.g * x.grad_u_terms[1]**2, out=out),), gradient=_GRAD_U),
+    "E_BD_lemma31": _Column((lambda x, out: np.add(  # |entropy velocity|^2 / 2 + potential
+        0.5 * np.add.reduce(x.entropy_velocity**2, axis=0), x.f.potential, out=out),),
+        gradient=_GRAD_SQRT_RHO),
+    "X_BD_lemma31": _Column((_pressure_weight,), lambda x, v: 4.0 * x.gamma * v,
+                            gradient=_GRAD_SQRT_RHO),
+    "BD_cross_term": _Column((lambda x, out: np.add.reduce(  # sqrt(rho) u . 2 h' grad sqrt(rho)
+        x.f.sqrt_rho_u * 2.0 * x.hp * x.grad_sqrt_rho, axis=0, out=out),), gradient=_GRAD_SQRT_RHO),
+    # |sqrt(rho) u|^2 |u|^delta = rho |u|^{2+delta}
+    "M_delta_lemma32": _Column((lambda x, out: np.multiply(
+        x.f.sru2, _magnitude(x.f.u) ** x.mp.delta, out=out),), lambda x, v: v / (2.0 + x.mp.delta)),
+    # the Hoelder product of the weighted pressure factor and the kinetic energy
+    "RHS_delta_lemma32": _Column((_holder_pressure, lambda x, out: np.copyto(out, x.f.sru2)),
+                                 lambda x, a, b: (a ** ((2.0 - x.mp.delta) / 2.0)
+                                                  * b ** (x.mp.delta / 2.0))),
+}
+_APRIORI = {
+    "sqrt_rho_u_L2_eq19": _norm(lambda x, out: np.copyto(out, x.sru_mag), 2, "sup"),
+    "rho_L1_eq19": _Column((lambda x, out: np.copyto(out, x.f.rho),), aggregation="sup"),
+    "rho_Lgamma_eq19": _Column((lambda x, out: np.copyto(out, x.f.rho_gamma),),
+                               lambda x, v: v ** (1.0 / x.gamma), "sup"),
+    "sqrt_h_grad_u_L2_eq19": _Column((lambda x, out: np.copyto(out, x.grad_u_terms[2]),),
+                                     _root, "l2", _GRAD_U),
+    "hprime_grad_sqrt_rho_L2_eq20": _Column((_hp_grad_sqrt_rho_sq,), _root, "sup",
+                                            _GRAD_SQRT_RHO),
+    "sqrt_hprime_rho_gm2_grad_rho_L2_eq20": _Column(
+        (_pressure_weight,), lambda x, v: _root(x, 4.0 * v), "l2", _GRAD_SQRT_RHO),
+    "sqrt_rho_grad_u_L2_eq21": _Column(
+        (lambda x, out: np.multiply(x.f.rho, x.grad_u_terms[0], out=out),), _root, "l2",
+        _GRAD_U),
+    "grad_sqrt_rho_L2_eq21": _norm(lambda x, out: np.sqrt(x.gsr2, out=out), 2, "sup",
+                                   _GRAD_SQRT_RHO),
+    "grad_rho_gamma_half_L2_eq21": _norm(
+        lambda x, out: _magnitude(grad(x.f.rho ** (x.gamma / 2.0), x.f.grid), out), 2, "l2"),
+}
+_COMPACTNESS = {
+    # the instantaneous integrand of the space-time pressure norm
+    "rho_gamma_L53_lemma42": _Column((lambda x, out: _power(x.f.rho, 5.0 * x.gamma / 3.0, out),)),
+    "sqrt_rho_u_L2p2alpha_lemma43": _norm(lambda x, out: np.copyto(out, x.sru_mag),
+                                          lambda x: 2.0 + 2.0 * x.mp.alpha),
+    "h_over_sqrt_rho_L6_lemma44": _norm(lambda x, out: np.abs(x.h_over_sqrt_rho, out=out), 6),
+    "psi_L6_lemma44": _norm(lambda x, out: np.abs(x.f.law.psi(x.f.rho), out=out), 6),
+}
+_LEDGER = {**_ENTROPY, **_APRIORI, **_COMPACTNESS}
+_E, _D, _E_BD, _X_BD, _, _M, _RHS = _ENTROPY  # the single-functional helpers' columns
+
+APRIORI_COLUMNS = tuple(_APRIORI)
+COMPACTNESS_COLUMNS = tuple(_COMPACTNESS)
+TIME_AGGREGATION = {tag: column.aggregation for tag, column in _APRIORI.items()}
+LEDGER_COLUMNS = ("t", *_LEDGER, "clamp_count", "cutoff_count")
+# the stability study's initial-data checks, by their names in its hypothesis table
+HYPOTHESES = {"energy": _ENTROPY[_E],
+              "grad_h_over_rho": _Column((_hp_grad_sqrt_rho_sq,), lambda x, v: 4.0 * v,
+                                         gradient=_GRAD_SQRT_RHO),
+              "moment": _ENTROPY[_M]}
 
 
 def _row(t: float, columns: dict[str, list[float]], k: int, clamp_count: int,
@@ -301,6 +339,13 @@ def _row(t: float, columns: dict[str, list[float]], k: int, clamp_count: int,
             "clamp_count": float(clamp_count), "cutoff_count": float(cutoff_count)}
 
 
+def _values(tags, state: State, grid: PeriodicGrid, law, gamma: float | None, eps_vac: float,
+            mp: MomentParams | None = None) -> dict[str, float]:
+    """One state's values of the ledger columns ``tags``."""
+    columns = _Fields(state, grid, law, gamma, eps_vac).columns(mp, {t: _LEDGER[t] for t in tags})
+    return {tag: value for tag, (value,) in columns.items()}
+
+
 def energy(state: State, grid: PeriodicGrid, gamma: float, eps_vac: float) -> float:
     """Total energy: kinetic (via the weighted momentum) plus pressure potential."""
     return _Fields(state, grid, None, gamma, eps_vac).energy()
@@ -308,101 +353,54 @@ def energy(state: State, grid: PeriodicGrid, gamma: float, eps_vac: float) -> fl
 
 def dissipation(state: State, grid: PeriodicGrid, law, eps_vac: float) -> float:
     """Viscous dissipation rate: int h |grad u|^2 + g (div u)^2."""
-    return _Fields(state, grid, law, None, eps_vac).dissipation()
+    return _values((_D,), state, grid, law, None, eps_vac)[_D]
 
 
 def bd_entropy(state: State, grid: PeriodicGrid, law, gamma: float, eps_vac: float) -> float:
     """Weighted entropy functional, vacuum-safe form of
     int rho |u + grad(phi(rho))|^2 / 2 + rho^gamma/(gamma-1)."""
-    return _Fields(state, grid, law, gamma, eps_vac).bd_entropy()
+    return _values((_E_BD,), state, grid, law, gamma, eps_vac)[_E_BD]
 
 
 def bd_cross(state: State, grid: PeriodicGrid, law, gamma: float, eps_vac: float) -> float:
-    """Pressure cross term int grad(phi) . grad(rho^gamma), computed through
-    the sqrt-density chain rule as 4*gamma*int h' rho^{gamma-1} |grad sqrt(rho)|^2,
-    which is nonnegative for any law with h' >= 0."""
-    return _Fields(state, grid, law, gamma, eps_vac).bd_cross()
+    """Pressure cross term int grad(phi) . grad(rho^gamma), computed as
+    4 gamma int h' rho^{gamma-1} |grad sqrt(rho)|^2, nonnegative where h' >= 0."""
+    return _values((_X_BD,), state, grid, law, gamma, eps_vac)[_X_BD]
 
 
 def moment_functional(state: State, grid: PeriodicGrid, delta: float, eps_vac: float) -> float:
     """int rho |u|^{2+delta} / (2+delta), computed as |sqrt(rho)u|^2 |u|^delta."""
     if not 0.0 < delta < 2.0:
         raise ValueError(f"delta must lie in (0, 2), got {delta}")
-    return _Fields(state, grid, None, None, eps_vac).moment(delta)
+    return _values((_M,), state, grid, None, None, eps_vac, MomentParams(delta))[_M]
 
 
 def moment_rhs(state: State, grid: PeriodicGrid, law, gamma: float, delta: float,
                eps_vac: float) -> float:
     """Bound on the moment growth rate: the Hoelder product of the weighted
-    pressure factor and the kinetic energy.  On vacuum cells
-    rho^{2 gamma - delta/2} / h(rho) is taken as zero, and on a wet cell
-    where h = 0 as +inf, with no division taken."""
+    pressure factor and the kinetic energy (see ``_holder_pressure``)."""
     if not 0.0 < delta < 2.0:
         raise ValueError(f"delta must lie in (0, 2), got {delta}")
-    (value,) = _Fields(state, grid, law, gamma, eps_vac).moment_rhs(delta)
-    return value
-
-
-COMPACTNESS_COLUMNS = (
-    "rho_gamma_L53_lemma42",
-    "sqrt_rho_u_L2p2alpha_lemma43",
-    "h_over_sqrt_rho_L6_lemma44",
-    "psi_L6_lemma44",
-)
-
-# how each bound enters the uniform-in-time statement: sup over time, or
-# L2-in-time accumulation of the instantaneous value
-TIME_AGGREGATION = {
-    "sqrt_rho_u_L2_eq19": "sup",
-    "rho_L1_eq19": "sup",
-    "rho_Lgamma_eq19": "sup",
-    "sqrt_h_grad_u_L2_eq19": "l2",
-    "hprime_grad_sqrt_rho_L2_eq20": "sup",
-    "sqrt_hprime_rho_gm2_grad_rho_L2_eq20": "l2",
-    "sqrt_rho_grad_u_L2_eq21": "l2",
-    "grad_sqrt_rho_L2_eq21": "sup",
-    "grad_rho_gamma_half_L2_eq21": "l2",
-}
-
-APRIORI_COLUMNS = tuple(TIME_AGGREGATION)
+    return _values((_RHS,), state, grid, law, gamma, eps_vac, MomentParams(delta))[_RHS]
 
 
 def apriori_bounds(state: State, grid: PeriodicGrid, law, gamma: float,
                    eps_vac: float) -> dict[str, float]:
     """Instantaneous values of the three a priori bound sets."""
-    return {name: value for name, (value,) in
-            _Fields(state, grid, law, gamma, eps_vac).apriori().items()}
+    return _values(APRIORI_COLUMNS, state, grid, law, gamma, eps_vac)
 
 
 def compactness_quantities(state: State, grid: PeriodicGrid, law, gamma: float,
                            mp: MomentParams, eps_vac: float) -> dict[str, float]:
     """Quantities controlling strong convergence: the space-time pressure
-    integrand, the improved momentum integrability norm, and the L6 norms of
-    h/sqrt(rho) and psi(rho)."""
-    return {name: value for name, (value,) in
-            _Fields(state, grid, law, gamma, eps_vac).compactness(mp.alpha).items()}
-
-
-LEDGER_COLUMNS = (
-    "t",
-    "E_eq15",
-    "D_visc_eq15",
-    "E_BD_lemma31",
-    "X_BD_lemma31",
-    "BD_cross_term",
-    "M_delta_lemma32",
-    "RHS_delta_lemma32",
-    *APRIORI_COLUMNS,
-    *COMPACTNESS_COLUMNS,
-    "clamp_count",
-    "cutoff_count",
-)
+    integrand, the improved momentum norm and the L6 norms of h/sqrt(rho), psi."""
+    return _values(COMPACTNESS_COLUMNS, state, grid, law, gamma, eps_vac, mp)
 
 
 def ledger_row(state: State, grid: PeriodicGrid, law, gamma: float, mp: MomentParams,
                eps_vac: float, clamp_count: int = 0, cutoff_count: int = 0) -> dict[str, float]:
-    """One full diagnostics row, every column taken from one field bundle."""
-    columns = _Fields(state, grid, law, gamma, eps_vac).ledger_columns(mp)
+    """One full diagnostics row, from one evaluation of one field bundle."""
+    columns = _Fields(state, grid, law, gamma, eps_vac).columns(mp)
     return _row(state.t, columns, 0, clamp_count, cutoff_count)
 
 
@@ -556,19 +554,20 @@ def weak_form_residual(trajectory, grid: PeriodicGrid, law, gamma: float,
     dt_terms, space_terms = [], []
     for st in states:
         f = _Fields(st, grid, law, gamma, eps_vac)
+        x = _Instant(f)
         sru = f.sqrt_rho_u
         # momentum . dphi/dt, with m written as sqrt(rho) * (sqrt(rho) u)
         dt_terms.append(integrate(np.add.reduce(f.sqrt_rho * sru * phi, axis=0), grid))
         # the diffusion pairings carry the minus sign of the weak form folded
         # in.  Convection and the gradient part of the shear pairing sum to
         # (sqrt(rho) u + 2 h' grad sqrt(rho)) (x) sqrt(rho) u : grad Phi
-        space = np.einsum("i...,j...,ij...->...", f.entropy_velocity, sru, dphi)
+        space = np.einsum("i...,j...,ij...->...", x.entropy_velocity, sru, dphi)
         # pressure and the g' part of the second-coefficient pairing
-        g_part = 2.0 * law.g_prime(f.rho) * np.add.reduce(sru * f.grad_sqrt_rho, axis=0)
+        g_part = 2.0 * law.g_prime(f.rho) * np.add.reduce(sru * x.grad_sqrt_rho, axis=0)
         space += (f.rho_gamma + g_part) * div_phi
         # the shear and second-coefficient pairings with second derivatives of Phi
         g_over_sqrt_rho = _cutoff(f.g, f.sqrt_rho, f.wet)
-        space += np.add.reduce(sru * (f.h_over_sqrt_rho * lap_phi + g_over_sqrt_rho * grad_div),
+        space += np.add.reduce(sru * (x.h_over_sqrt_rho * lap_phi + g_over_sqrt_rho * grad_div),
                                axis=0)
         space_terms.append(integrate(space, grid))
 

@@ -377,9 +377,10 @@ def _floats(value: float | np.ndarray) -> list[float]:
     return np.reshape(value, -1).tolist()
 
 
-def _magnitude(v: np.ndarray) -> np.ndarray:
-    """Pointwise Euclidean magnitude of a vector field (or a batch of them)."""
-    return np.sqrt(np.add.reduce(v * v, axis=0))
+def _magnitude(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Pointwise Euclidean magnitude of a vector field (or a batch of them),
+    written into ``out`` when given."""
+    return np.sqrt(np.add.reduce(v * v, axis=0), out=out)
 
 
 def _lp(mag: np.ndarray, grid: PeriodicGrid, p: float) -> list[float]:

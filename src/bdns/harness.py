@@ -38,7 +38,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import _json
-from .diagnostics import EntropyLedger, TIME_AGGREGATION, _Fields
+from .diagnostics import HYPOTHESES, EntropyLedger, MomentParams, TIME_AGGREGATION, _Fields
 from .grid import PeriodicGrid, State, _floats, _irfft, _lp, _magnitude, _rfft
 from .presets import make_initial
 from .solver import SolverConfig, Trajectory, _resolve_eps_vac, run_members
@@ -86,14 +86,12 @@ def hypothesis_functionals(state: State, grid: PeriodicGrid, law, gamma: float,
                            delta: float, eps_vac: float) -> dict:
     """The initial-data finiteness checks: energy, weighted density-gradient
     integral (vacuum-safe form 4 int h'^2 |grad sqrt(rho)|^2), and the
-    velocity moment int rho |u|^{2+delta} / (2+delta); one value per member
-    for a batch."""
-    f = _Fields(state, grid, law, gamma, eps_vac)
-    return {
-        "energy": f.energy(),
-        "grad_h_over_rho": 4.0 * f.hp_grad_sqrt_rho_sq,
-        "moment": f.moment(delta),
-    }
+    velocity moment int rho |u|^{2+delta} / (2+delta), as the ledger's
+    evaluator gives them (``diagnostics.HYPOTHESES``): a float for one state,
+    a list of one per member for a batch."""
+    values = _Fields(state, grid, law, gamma, eps_vac).columns(MomentParams(delta), HYPOTHESES)
+    one = state.rho.ndim == grid.dim
+    return {name: v[0] if one else v for name, v in values.items()}
 
 
 def generate_sequence(spec: InitialDataSpec, grid: PeriodicGrid, law, gamma: float,

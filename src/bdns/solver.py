@@ -615,7 +615,7 @@ def _advance(cfg: SolverConfig, members: list, results: list, non_admissible: bo
                 traj.step_energies.append(energies[k])
                 if not booked or traj.step_count % stride == 0 or t[k] >= t_done:
                     if columns is None:
-                        columns = f.ledger_columns(cfg.moment)
+                        columns = f.columns(cfg.moment)
                     traj.times.append(t[k])
                     traj.states.append(_member(state, k))
                     ledger.append(_row(t[k], columns, k, traj.clamp_count,

@@ -396,7 +396,8 @@ def growth_envelope(law: ViscosityLaw, params: AdmissibilityParams, rho):
 
 def find_max_nu(law: ViscosityLaw, gamma: float, N: int,
                 rho_samples: np.ndarray | None = None,
-                eps_growth: float = 0.1, tol: float = 1e-4) -> float | None:
+                eps_growth: float = AdmissibilityParams.eps_growth,
+                tol: float = 1e-4) -> float | None:
     """Largest nu in (0,1) for which :func:`validate` passes on the grid,
     located by bisection (the pass set is monotone in nu).  None if even a
     tiny nu fails."""

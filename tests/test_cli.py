@@ -432,6 +432,26 @@ def test_unknown_preset_params_are_usage_error(tmp_path, capsys):
     assert "bogus" in err
 
 
+@pytest.mark.parametrize("preset, params, text", [
+    ("smooth_bump", {"width": 0}, "'width' must be positive, got 0.0"),
+    ("vacuum_bump", {"width": -0.25}, "'width' must be positive, got -0.25"),
+    ("smooth_bump", {"width": float("nan")}, "'width' must be finite, got nan"),
+    ("vacuum_bump", {"center": float("inf")}, "'center' must be finite, got inf"),
+    ("smooth_bump", {"amp": float("nan")}, "'amp' must be finite, got nan"),
+    ("smooth_bump", {"u_mean": -float("inf")}, "'u_mean' must be finite, got -inf"),
+    ("constant", {"u0": [1.0, 2.0, 3.0]}, "'u0' must have 1 or dim = 1 components, got 3"),
+], ids=["width-zero", "width-negative", "width-nan", "center-inf", "amp-nan", "mean-inf",
+        "u0-length"])
+def test_preset_parameter_that_builds_no_state_is_one_line(tmp_path, capsys, preset, params,
+                                                            text):
+    # the reader takes JSON NaN and Infinity as numbers: a width that is not
+    # positive, a non-finite number or a u0 of the wrong length would build a
+    # flat, dry or non-finite state, or fail in numpy's words
+    err = simulate_usage_error(tmp_path, capsys, cells=32,
+                               initial={"preset": preset, "params": params})
+    assert f"initial.params: {text}" in err, err
+
+
 def test_stability_study_end_to_end(tmp_path):
     path = write_config(
         tmp_path,

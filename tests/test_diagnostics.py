@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -416,6 +419,15 @@ def test_weak_form_residual_one_bundle_two_integrals_per_state(monkeypatch):
 def test_test_field_modes_need_zero_mean():
     with pytest.raises(ValueError):
         TestField(1, [(0, 1.0, (0,), 0.0)], t_end=1.0)
+
+
+def test_readme_ledger_csv_columns_are_the_declaration():
+    # the README's "Ledger CSV" paragraph names every column, in the order
+    # that the declaration of the columns gives LEDGER_COLUMNS
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = readme[readme.index("**Ledger CSV**"):readme.index("`--jsonl` mirrors")]
+    declared = ("t", *diagnostics._LEDGER, "clamp_count", "cutoff_count")
+    assert tuple(re.findall(r"`(\w+)`", text)) == declared == diagnostics.LEDGER_COLUMNS
 
 
 def test_ledger_csv_and_jsonl_round_trip(tmp_path):

@@ -1306,8 +1306,9 @@ def test_1d_step_call_budget():
     assert step["python"] <= 100, counts
     assert step["ufunc"] <= 167, counts
     assert step["fields"] == 2 and counts["ledger_instant_fields"] == 0, counts
-    # a ledger row's reductions: one quadrature per column or factor today
-    assert counts["ledger_instant_integrals"] <= 20, counts
+    # a ledger row's reductions: one, of the block of every integral but the
+    # energy, which the step has integrated already
+    assert counts["ledger_instant_integrals"] <= 1, counts
     assert sum(phase["python"] for phase in counts["phases"].values()) == step["python"]
     # the stencils run on contiguous windows, and the law's h is evaluated
     # into the bundle's buffer

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import math
 import tracemalloc
 
@@ -284,6 +286,16 @@ def test_find_max_nu_for_cubic_mix():
 
 def test_find_max_nu_infeasible_for_constant_law():
     assert find_max_nu(ViscosityLaw(constant=1.0), gamma=2.0, N=2) is None
+
+
+def test_find_max_nu_takes_its_eps_growth_default_from_admissibility_params():
+    # the growth margin's default is written once, on AdmissibilityParams:
+    # find_max_nu names that field instead of repeating its value
+    default = inspect.signature(find_max_nu).parameters["eps_growth"].default
+    assert default == AdmissibilityParams.__dataclass_fields__["eps_growth"].default
+    (fn,) = ast.parse(inspect.getsource(find_max_nu)).body
+    defaults = dict(zip((a.arg for a in reversed(fn.args.args)), reversed(fn.args.defaults)))
+    assert ast.unparse(defaults["eps_growth"]) == "AdmissibilityParams.eps_growth"
 
 
 def test_tampered_law_breaks_structural_relation():

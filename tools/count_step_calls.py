@@ -38,8 +38,10 @@ states are those of the ``vacuum1d_256`` workload (seed 0, 256 cells,
 
 It also counts the ``_Fields`` constructions and the ``grid.integrate``
 calls of one ledger instant (the columns of a ledger row of the step's new
-state).  The counts are deterministic.  The script is never part of a timed
-job: the wrappers, the subclass and the profiler slow every call.
+state, whose energy the step has integrated: one reduction of the block of
+every other integral).  The counts are deterministic.  The script is never
+part of a timed job: the wrappers, the subclass and the profiler slow every
+call.
 """
 
 from __future__ import annotations
@@ -270,7 +272,7 @@ def count(run_config: dict) -> dict:
 
         TALLY.by_phase, TALLY.on = {}, True
         sys.setprofile(count_integrals)
-        kept["work"].fields.ledger_columns(setup.config.moment)
+        kept["work"].fields.columns(setup.config.moment)
         sys.setprofile(None)
         TALLY.on = False
         instant = sum(c["fields"] for c in TALLY.by_phase.values())
