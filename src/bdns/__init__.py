@@ -26,13 +26,11 @@ from .grid import (
     div,
     grad,
     integrate,
-    lap,
     load_checkpoint,
     lp_norm,
     save_checkpoint,
     spectral_div,
     spectral_grad,
-    spectral_lap,
 )
 from .harness import InitialDataSpec, StabilityStudy, generate_sequence, run_study
 from .identities import (

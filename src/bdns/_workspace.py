@@ -10,41 +10,35 @@ holds two state buffers that consecutive steps alternate between (each a
 :class:`_Stacked` state), the stacked derivative, the buffers of the
 per-state bundle :class:`~bdns.diagnostics._Fields` and the stencil
 scratch.  The scratch is four flat lanes (and two boolean ones).  The
-stencils of each grid axis, the bundle's kernel fields (made with the
-bundle), ``stable_dt``, the terms after the axis loop of ``rhs``, the floors
-and the finiteness test of a stage state or of the initial data and the
-bundle's energy fields never run at once, so they all view the same lanes,
-each at its own shapes.  A batch's
-initial data are loaded into the first state buffer and checked and
-floored there, with the workspace's cutoff and boolean buffers, as every
-stage state is: the floors have no other path.  The bundle makes every
-pointwise field of its state, and its own fields (the clamped density, the
-wet cells, the cutoff velocity, |u|, the sound speed, the wave speed, the
-pressure rho^gamma, h, the harmonic faces and, for a law whose g does not
-vanish, g) have buffers of their own, since the kernels read them while
-the stencils write the lanes; h and g are evaluated through the law's one
-path, with those buffers as ``out`` and lanes as scratch.
+stencils of each grid axis, the making of the bundle's kernel fields,
+``stable_dt``, the terms after the axis loop of ``rhs``, the floors and the
+finiteness test of a stage state or of the initial data and the bundle's
+energy fields never run at once, so they all view the same lanes, each at
+its own shapes.  A batch's initial data are loaded into the first state
+buffer and checked and floored there, with the workspace's cutoff and
+boolean buffers, as every stage state is: the floors have no other path.
+The bundle's own fields (the clamped density, the wet cells and the cutoff
+velocity, which ``_Fields`` makes, and |u|, the sound speed, the wave
+speed, the pressure rho^gamma, h, the harmonic faces and, for a law whose g
+does not vanish, g, which ``solver._bundle`` makes) have buffers of their
+own, since the kernels read them while the stencils write the lanes; h and
+g are evaluated through the law's one path, with those buffers as ``out``
+and lanes as scratch.
 
-Every stencil operand is a *window* (see :class:`~bdns.grid._Cut`): a
-contiguous run of a lane, reshaped to the layout of the field padded along
-the stencil's axis with two periodic ghost cells at each end.  A neighbour
-k cells on along the axis is the same window started k cells' stride
-later, so the padded state and its shifts, the differences and the
-limiter's operands, the [left; right] face states and the flux, the halo
-reads of the speed, of h and of the velocity, and the centered differences
-are each one contiguous array, and each numpy call of a stencil is one
-loop.  The windows of a lane end where its slack begins: ``_SHIFTS`` cells
-of the widest stride, so that a shifted window stays in its lane.  The
-lanes are made zeroed, so that what a shift reads past the end of its
-window is zero or a value the step computed: no view but the stacked face
-states, which run from lane 1 across its slack into lane 2, writes a slack.
-The last entries of every row of a window are seams: they read the next
-row (for the left face states, the right ones) or the slack, are computed
-like every other entry and read by nothing.  Only the valid box of a
-window, the first n entries along the axis, is read outside the stencils:
-by the accumulation into the derivative ``d`` (and ``div u``) in ``rhs``
-and into the viscous rate of ``stable_dt``.  The bundle's harmonic faces
-are windows too, of buffers of their own with their own slack.
+Every stencil operand is a window of a lane, in the layout of
+:class:`~bdns.grid._Cut`, so the padded state and its shifts, the
+differences and the limiter's operands, the [left; right] face states and
+the flux, the halo reads of the speed, of h and of the velocity, and the
+centered differences are each one contiguous array.  The windows of a lane
+end where its slack begins: ``_SHIFTS`` cells of the widest stride, so that
+a shifted window stays in its lane.  The lanes are made zeroed, so that
+what a shift reads past the end of its window is zero or a value the step
+computed: no view but the stacked face states, which run from lane 1 across
+its slack into lane 2, writes a slack.  Only the valid box of a window is
+read outside the stencils: by the accumulation into the derivative ``d``
+(and ``div u``) in ``rhs`` and into the viscous rate of ``stable_dt``.  The
+bundle's harmonic faces are windows too, of buffers of their own with their
+own slack.
 
 Every view a step indexes is made here, once, when the workspace is built:
 the windows of every lane and their shifts, the face rows and flux rows,
@@ -126,7 +120,6 @@ class _Workspace:
             "rho": np.empty(shape), "wet": np.empty(shape, dtype=bool), "u": np.empty(vector),
             "waves": np.empty((2, *shape)), "speed": np.empty(shape),
             "rho_gamma": np.empty(shape), "h": np.empty(shape),
-            "h_face": tuple(faces for faces, _ in self.h_faces),
             "g": None if self.g_vanishes else np.empty(shape),
             "u_sq": self.view(0, vector), "h_term": self.view(1, shape),
             "g_spare": self.view(2, shape),

@@ -131,9 +131,11 @@ def _cmd_validate_law(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if args.jsonl and not args.ledger:
+        raise _Usage("--jsonl mirrors the ledger: it needs --ledger")
     setup = _load(args.config)
     outputs = [args.checkpoint, args.ledger]
-    if args.ledger and args.jsonl:
+    if args.jsonl:
         outputs.append(args.ledger + ".jsonl")
     for path in filter(None, outputs):
         _probe(path)

@@ -30,10 +30,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import _json
-from ._workspace import _harmonic_face, _Workspace
 from .grid import (PeriodicGrid, State, _cutoff, _ddx, _floats, _magnitude, _power,
                    _wave_vector, grad, integrate)
-from .viscosity import _check_gamma
+from .viscosity import _check_delta, _check_gamma
 
 
 @dataclass(frozen=True)
@@ -59,8 +58,8 @@ class MomentParams:
 
 class _Fields:
     """One state's derived fields, each computed at most once: the one bundle
-    of a state, where all its pointwise fields are made, h and g through the
-    law's one path.  The clamped density, the wet cells (rho > eps_vac) and
+    of a state, which holds all its pointwise fields, h and g made through
+    the law's one path.  The clamped density, the wet cells (rho > eps_vac) and
     the cutoff velocity m / rho are computed up front; the energy's fields
     (sqrt(rho), the weighted momentum sqrt(rho) u, its square and the
     pressure potential rho^gamma / (gamma - 1)) together when one of them is
@@ -68,55 +67,34 @@ class _Fields:
     of the density goes through :func:`~bdns.grid._cutoff`, so that it
     vanishes on dry cells.
 
-    The solver's bundles take its workspace ``work`` and write their fields
-    into its buffers (see ``_Workspace.bundle_out``); the energy's go to
-    scratch lanes and hold until a kernel next runs.  Such a bundle is made
-    once per state of the stage loop and makes the stage kernels' fields at
-    once, each into a buffer of its own: |u| and the sound speed c stacked
-    (``waves``), the wave speed |u| + c (``speed``), the pressure rho^gamma
-    (``rho_gamma``), h, the harmonic face viscosity of every axis
-    (``h_face``) and, unless the law's g vanishes, g.  Its gamma is the
-    config's, which ``AdmissibilityParams`` has checked; any other bundle
-    given a gamma checks it."""
+    The solver's bundles take its workspace's buffer dict ``out`` (see
+    ``_Workspace.bundle_out``) and write their fields into it; the energy's
+    go to scratch lanes and hold until a kernel next runs.  This class makes
+    the clamped density, the wet cells, the cutoff velocity and the energy's
+    fields of every bundle; ``solver._bundle`` makes the stage kernels'
+    fields of a solver bundle (|u| and c, the wave speed, rho^gamma, h, its
+    harmonic faces and g) right after it.  Its gamma is the config's, which
+    ``AdmissibilityParams`` has checked; any other bundle given a gamma
+    checks it."""
 
     _ENERGY_FIELDS = frozenset(("sqrt_rho", "sqrt_rho_u", "sru2", "potential"))
     _energy = None  # the energy, once computed
 
     def __init__(self, state: State, grid: PeriodicGrid, law, gamma: float | None,
-                 eps_vac: float, work: _Workspace | None = None):
+                 eps_vac: float, out: dict | None = None):
         if not 0.0 < eps_vac < math.inf:  # NaN too: every cell would count as dry
             raise ValueError(f"eps_vac must be finite and positive, got {eps_vac}")
-        if work is None:  # the solver's states have the workspace's shape
+        if out is None:  # the solver's states have the workspace's shape
             state.check_shapes(grid)
             if gamma is not None:
                 _check_gamma(gamma)
-        self.state = state
-        self.grid = grid
-        self.law = law
-        self.gamma = gamma
-        out = self._out = {} if work is None else work.bundle_out
+            out = {}
+        self.state, self.grid, self.law, self.gamma, self._out = state, grid, law, gamma, out
         rho = self.rho = np.maximum(state.rho, 0.0, out=out.get("rho"))
         wet = self.wet = np.greater(state.rho, eps_vac, out=out.get("wet"))
         # an overflowing velocity is no error here: stable_dt reports it
         with np.errstate(over="ignore"):
-            u = self.u = _cutoff(state.mom, rho, wet, out.get("u"))
-        if work is None:
-            return
-        # the stage kernels' fields, before any stencil writes a lane
-        waves = self.waves = out["waves"]  # |u| and c, one square root for both
-        umag, cs = waves
-        np.add.reduce(np.square(u, out=out["u_sq"]), axis=0, out=umag)
-        _power(rho, gamma - 1.0, cs)
-        np.multiply(gamma, cs, out=cs)
-        np.sqrt(waves, out=waves)
-        self.speed = np.add(umag, cs, out=out["speed"])
-        self.rho_gamma = _power(rho, gamma, out["rho_gamma"])
-        self.h = law.h(rho, out["h"], out["h_term"])
-        for s in work.axes:
-            _harmonic_face(s)
-        self.h_face = out["h_face"]
-        if not work.g_vanishes:  # in the faces' scratch lanes, now free
-            self.g = law.g(rho, out["g"], out["h_term"], out["g_spare"])
+            self.u = _cutoff(state.mom, rho, wet, out.get("u"))
 
     def __getattr__(self, name: str):
         # called for an attribute not yet set: the energy's fields are made
@@ -140,8 +118,8 @@ class _Fields:
 
     @cached_property
     def g(self):
-        """g(rho), for the dissipation and the weak form; a solver bundle makes
-        it up front unless the law's g vanishes (its kernels then skip it)."""
+        """g(rho), for the dissipation and the weak form; ``solver._bundle``
+        makes it up front unless the law's g vanishes (its kernels then skip it)."""
         return self.law.g(self.rho)
 
     @cached_property
@@ -370,8 +348,7 @@ def bd_cross(state: State, grid: PeriodicGrid, law, gamma: float, eps_vac: float
 
 def moment_functional(state: State, grid: PeriodicGrid, delta: float, eps_vac: float) -> float:
     """int rho |u|^{2+delta} / (2+delta), computed as |sqrt(rho)u|^2 |u|^delta."""
-    if not 0.0 < delta < 2.0:
-        raise ValueError(f"delta must lie in (0, 2), got {delta}")
+    _check_delta(delta)
     return _values((_M,), state, grid, None, None, eps_vac, MomentParams(delta))[_M]
 
 
@@ -379,8 +356,7 @@ def moment_rhs(state: State, grid: PeriodicGrid, law, gamma: float, delta: float
                eps_vac: float) -> float:
     """Bound on the moment growth rate: the Hoelder product of the weighted
     pressure factor and the kinetic energy (see ``_holder_pressure``)."""
-    if not 0.0 < delta < 2.0:
-        raise ValueError(f"delta must lie in (0, 2), got {delta}")
+    _check_delta(delta)
     return _values((_RHS,), state, grid, law, gamma, eps_vac, MomentParams(delta))[_RHS]
 
 

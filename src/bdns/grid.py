@@ -8,10 +8,10 @@ the centered and Fourier operators and :func:`integrate` act on each member
 alone.
 Two derivative families are provided:
 
-* second-order centered differences (:func:`grad`, :func:`div`, :func:`lap`)
-  which satisfy discrete integration by parts against the midpoint
-  quadrature exactly, taken on windows of a field padded with a periodic
-  halo (see :class:`_Cut`; the solver's stencils use the same layout), and
+* second-order centered differences (:func:`grad`, :func:`div`), which
+  satisfy discrete integration by parts against the midpoint quadrature
+  exactly, taken on windows of a field padded with a periodic halo (see
+  :class:`_Cut`; the solver's stencils use the same layout), and
 * Fourier collocation derivatives (:func:`spectral_grad`, :func:`spectral_div`)
   used as a high-order oracle on band-limited fields.  They use real-to-complex
   transforms over the grid axes (``rfftn``/``irfftn``, half the spectrum), one
@@ -323,11 +323,6 @@ def div(v: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
     return out
 
 
-def lap(f: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
-    """Discrete Laplacian, defined as div(grad(f)) so the composition is exact."""
-    return div(grad(f, grid), grid)
-
-
 def _rfft(f: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
     return np.fft.rfftn(f, s=grid.sizes, axes=grid.axes)
 
@@ -349,10 +344,6 @@ def spectral_div(v: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
     _check_vector(v, grid)
     vh = _rfft(v, grid)
     return _irfft(sum(ik * vh[a] for a, ik in enumerate(grid.spectral_factors)), grid)
-
-
-def spectral_lap(f: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
-    return spectral_div(spectral_grad(f, grid), grid)
 
 
 def _wave_vector(rng: np.random.Generator, dim: int, kmax: int) -> tuple[int, ...]:

@@ -29,9 +29,8 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from . import _json
 from .grid import PeriodicGrid, _wave_vector, integrate, spectral_grad, spectral_div
-from .viscosity import TamperedLaw, _check_gamma, find_max_nu
+from .viscosity import TamperedLaw, _check_delta, _check_gamma, find_max_nu
 
 TOL_ABS = 1e-8
 ORDER_MIN = 4.0
@@ -116,8 +115,11 @@ def manufactured_field(dim: int, seed: int = 0, n_modes: int = 2, kmax: int = 2,
     """Fixed seeded Fourier sums; coefficients are reproducible bit-for-bit.
 
     The default velocity mean keeps |u| bounded away from zero, which the
-    velocity-moment check needs (it raises fractional powers of |u|).
+    velocity-moment check needs (it raises fractional powers of |u|).  A
+    dimension other than 1 or 2 is refused before the first draw.
     """
+    if dim not in (1, 2):  # a wave vector of no entries is never nonzero
+        raise ValueError(f"dim must be 1 or 2, got {dim}")
     rng = np.random.default_rng(seed)
 
     def draw_modes(total_amp):
@@ -140,10 +142,12 @@ def manufactured_field(dim: int, seed: int = 0, n_modes: int = 2, kmax: int = 2,
 
 def gradient_flow_field(dim: int, seed: int = 0, n_modes: int = 2, kmax: int = 2,
                         rho_mean: float = 1.0, rho_amp: float = 0.3,
-                        amp: float = 0.3, length: float = 1.0) -> ManufacturedField:
+                        amp: float = 0.3) -> ManufacturedField:
     """Manufactured field whose velocity is an exact gradient u = grad(chi);
     for such fields the symmetrization slack of the combined entropy
-    inequality vanishes identically."""
+    inequality vanishes identically.  Its grids are those of the checks, on
+    the unit torus; like :func:`manufactured_field`, which it calls first, it
+    refuses a dimension other than 1 or 2 before the first draw."""
     base = manufactured_field(dim, seed=seed, n_modes=n_modes, kmax=kmax,
                               rho_mean=rho_mean, rho_amp=rho_amp, u_amp=0.0)
     rng = np.random.default_rng(seed + 1)
@@ -157,9 +161,9 @@ def gradient_flow_field(dim: int, seed: int = 0, n_modes: int = 2, kmax: int = 2
     for c in range(dim):
         comp = []
         for a, kvec, p in chi_modes:
-            kw = 2.0 * math.pi * kvec[c] / length
+            kw = 2.0 * math.pi * kvec[c]  # on the unit torus, the grids of every check
             if kw != 0.0:
-                comp.append((-a * kw * 1.0, kvec, p + 0.5 * math.pi))
+                comp.append((-a * kw, kvec, p + 0.5 * math.pi))
         u_modes.append(tuple(comp))
     return ManufacturedField(dim, base.rho_mean, base.rho_modes,
                              tuple(0.0 for _ in range(dim)), tuple(u_modes))
@@ -333,14 +337,8 @@ class IdentityReport:
     slacks: dict[str, list[float]] = field(default_factory=dict)
     orders: dict[str, float] = field(default_factory=dict)
     terms: list[dict] = field(default_factory=list)
-    tol_abs: float = TOL_ABS
-    order_min: float = ORDER_MIN
 
     def finalize(self):
-        if not self.grids or any(b <= a for a, b in zip(self.grids, self.grids[1:])):
-            raise ValueError(
-                f"grid sequence must be nonempty and strictly increasing, got {self.grids}"
-            )
         for name, series in self.residuals.items():
             self.orders[name] = fitted_order(self.grids, series)
         return self
@@ -348,14 +346,14 @@ class IdentityReport:
     @property
     def verdict(self) -> bool:
         """Every residual finite, and at the round-off floor or converging at
-        order_min; every slack finite and nonnegative up to tol_abs."""
+        ORDER_MIN; every slack finite and nonnegative up to TOL_ABS."""
         for name, series in self.residuals.items():
             if not all(map(math.isfinite, series)):
                 return False
-            if series[-1] >= self.tol_abs and self.orders.get(name, 0.0) < self.order_min:
+            if series[-1] >= TOL_ABS and self.orders.get(name, 0.0) < ORDER_MIN:
                 return False
         for series in self.slacks.values():
-            if not all(s >= -self.tol_abs for s in series):  # NaN too
+            if not all(s >= -TOL_ABS for s in series):  # NaN too
                 return False
         return True
 
@@ -368,9 +366,6 @@ class IdentityReport:
             "order": dict(self.orders),
             "verdict": "pass" if self.verdict else "fail",
         }
-
-    def dumps(self) -> str:
-        return _json.dumps(self.to_json(), indent=2, sort_keys=True)
 
 
 def fitted_order(grids, residuals) -> float:
@@ -385,8 +380,13 @@ def fitted_order(grids, residuals) -> float:
 def _certify(mf: ManufacturedField, law, gamma: float, grids, checks) -> list[IdentityReport]:
     """One finalized report per (identity name, body) in checks.  Each grid
     gets one spectral context, shared by all the bodies; a body returns the
-    (residuals, slacks, terms) of its identity on that grid."""
+    (residuals, slacks, terms) of its identity on that grid.  The grid
+    sequence must be nonempty and strictly increasing: it is checked before
+    any grid's spectral work."""
     _check_gamma(gamma)
+    grids = list(grids)
+    if not grids or any(b <= a for a, b in zip(grids, grids[1:])):
+        raise ValueError(f"grid sequence must be nonempty and strictly increasing, got {grids}")
     reports = [IdentityReport(name, list(grids)) for name, _ in checks]
     for n in grids:
         c = _Ctx(mf, law, gamma, n)
@@ -572,8 +572,7 @@ def _moment_check(mf: ManufacturedField, law, gamma: float, delta: float, nu: fl
     """The moment checker's (identity name, body), after the prechecks that
     must pass before any grid work."""
     _check_gamma(gamma)
-    if not 0.0 < delta < 2.0:
-        raise ValueError(f"delta must lie in (0, 2), got {delta}")
+    _check_delta(delta)
     if nu is not None and not math.isfinite(nu):
         raise ValueError(f"nu must be finite, got {nu}")
     if nu is not None and not 0.0 < nu < 1.0:

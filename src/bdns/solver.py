@@ -21,48 +21,33 @@ rows of one stacked (1 + dim, B, *sizes) array, and so is its derivative:
 combinations and the finiteness test of a stage act on the stacked state
 buffer.
 
-Every stencil runs on windows (see :class:`~bdns.grid._Cut`): a field
-padded along the stencil's axis with two periodic ghost cells at each end is
-a contiguous run of a workspace lane, and its neighbour k cells on is the
-same run started k strides later, so each operand of a stencil is one
-contiguous array and each numpy call one loop.  Fluxes live on the n + 1
-faces of an axis, face k at index k, so a flux difference is the flux
-window one cell on minus the flux window.  The last entries of every row
-of a window are seams, which read the next row or the lane's slack: they
-are computed and never read, since only the valid box of a window, its
-first n entries along the axis, is read outside the stencils, by the
-accumulation into the derivative (and into div u) here and into the
-viscous rate in ``stable_dt``.  The local Lax-Friedrichs flux of all
-1 + dim equations is one pass over the stacked [left; right] face states:
-the clamp, the wet test, the cutoff velocity, the flux and the jump are
-each one numpy call for both sides, mass and momentum together.  Every
-pointwise field of a state (clamped density, wet cells, cutoff velocity,
-wave speed, the pressure rho^gamma, h and its face values, g) comes from
-the state's one bundle, ``diagnostics._Fields``, which :func:`_bundle`
-makes once per state, for the first kernel that asks for it, h and g
-through the law's one path written into the bundle's buffers; no kernel
-derives one itself.  The new state of a step gets its bundle once, for
-its per-step energy, its ledger row when one is due, the next
-``stable_dt`` and the first stage of the next step.
+Every stencil operand is a window of a workspace lane, one contiguous
+array, so that each numpy call of a stencil is one loop: the window and seam
+layout is that of :class:`~bdns.grid._Cut`, and the lanes, the buffers and
+the views a step reads or writes are planned in ``_workspace``.  The local
+Lax-Friedrichs flux of all 1 + dim equations is one pass over the stacked
+[left; right] face states: the clamp, the wet test, the cutoff velocity,
+the flux and the jump are each one numpy call for both sides, mass and
+momentum together.  Every pointwise field of a state comes from the state's
+one bundle, ``diagnostics._Fields``, which :func:`_bundle` makes once per
+state, for the first kernel that asks for it; no kernel derives one
+itself.  The new state of a step gets its bundle once, for its per-step
+energy, its ledger row when one is due, the next ``stable_dt`` and the
+first stage of the next step.
 
-Every field-sized array of a step (the stage states, the new state, the
-stage derivative, the bundle's fields and the stencil scratch) lives in one
-private workspace (``_workspace._Workspace``), allocated when
-``run_members`` starts a batch and rebuilt when a member leaves it, and so
-does every view that a step reads or writes: the halo pieces of both state
-buffers, the face rows, the flux rows, the windows of every lane with their
-shifts and valid boxes.  A state of the stage loop is one of the
-workspace's two state buffers, which consecutive steps alternate between.
-A step then slices nothing and allocates no field, and its Python-level
-calls are the kernels themselves.
-``run_members`` hands the workspace to the kernels as their private
-``_work`` keyword; without it, the public ``rhs``, ``stable_dt`` and
-``step`` copy their state (one state becoming a batch of one) into a
-throwaway workspace of their own and run the same code, and the arrays they
-return are then the caller's.  Each cell value takes the same operations, in
-the same order, as the plain per-cell formula, so neither the layout nor
-the workspace changes a result, and every member of a batch gets exactly
-the trajectory and ledger of its own :func:`run`.
+Every field-sized array of a step lives in one private workspace
+(``_workspace._Workspace``), allocated when ``run_members`` starts a batch
+and rebuilt when a member leaves it; a state of the stage loop is one of its
+two state buffers, which consecutive steps alternate between.  A step then
+slices nothing and allocates no field, and its Python-level calls are the
+kernels themselves.  ``run_members`` hands the workspace to the kernels as
+their private ``_work`` keyword; without it, the public ``rhs``,
+``stable_dt`` and ``step`` copy their state (one state becoming a batch of
+one) into a throwaway workspace of their own and run the same code, and the
+arrays they return are then the caller's.  Each cell value takes the same
+operations, in the same order, as the plain per-cell formula, so neither
+the layout nor the workspace changes a result, and every member of a batch
+gets exactly the trajectory and ledger of its own :func:`run`.
 
 A member's run ends in one way: the initial checks, ``stable_dt`` (no
 finite positive bound), a stage of ``step`` (a non-finite field) or the
@@ -92,8 +77,8 @@ from typing import Callable
 import numpy as np
 
 from .diagnostics import EntropyLedger, MomentParams, _Fields, _row
-from ._workspace import _limited_slope, _Stacked, _Workspace
-from .grid import PeriodicGrid, State, _centered, _cutoff, _grid_axes
+from ._workspace import _harmonic_face, _limited_slope, _Stacked, _Workspace
+from .grid import PeriodicGrid, State, _centered, _cutoff, _grid_axes, _power
 from .viscosity import AdmissibilityParams, ViscosityLaw, validate
 
 INTEGRATORS = ("RK2_SSP",)
@@ -193,11 +178,31 @@ def _load(work: _Workspace, config: SolverConfig, t: np.ndarray, q: np.ndarray) 
 def _bundle(state: State, config: SolverConfig, work: _Workspace) -> _Fields:
     """The bundle of ``state``, the state buffer of ``work`` written last:
     the one ``work.fields`` keeps until a state buffer is written again,
-    made there by the first kernel, or the run loop, that asks for it."""
+    made there by the first kernel, or the run loop, that asks for it.
+    ``_Fields`` makes its clamped density, wet cells and cutoff velocity;
+    this makes the stage kernels' fields right after, each into a buffer of
+    its own (see ``_Workspace.bundle_out``): |u| and the sound speed c
+    stacked (``waves``), the wave speed |u| + c, the pressure rho^gamma, h,
+    the harmonic face viscosity of every axis and, unless the law's g
+    vanishes, g."""
     f = work.fields
     if f is None:
-        f = work.fields = _Fields(state, config.grid, config.law, config.params.gamma,
-                                  config.eps_vac, work)
+        out, law, gamma = work.bundle_out, config.law, config.params.gamma
+        f = work.fields = _Fields(state, config.grid, law, gamma, config.eps_vac, out)
+        # the stage kernels' fields, before any stencil writes a lane
+        waves = f.waves = out["waves"]  # |u| and c, one square root for both
+        umag, cs = waves
+        np.add.reduce(np.square(f.u, out=out["u_sq"]), axis=0, out=umag)
+        _power(f.rho, gamma - 1.0, cs)
+        np.multiply(gamma, cs, out=cs)
+        np.sqrt(waves, out=waves)
+        np.add(umag, cs, out=out["speed"])
+        f.rho_gamma = _power(f.rho, gamma, out["rho_gamma"])
+        f.h = law.h(f.rho, out["h"], out["h_term"])
+        for s in work.axes:
+            _harmonic_face(s)
+        if not work.g_vanishes:  # in the faces' scratch lanes, now free
+            f.g = law.g(f.rho, out["g"], out["h_term"], out["g_spare"])
     return f
 
 

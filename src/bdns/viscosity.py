@@ -253,6 +253,13 @@ def _check_gamma(gamma: float):
         raise ValueError(f"gamma must be > 1 and finite, got {gamma}")
 
 
+def _check_delta(delta: float):
+    """The exponent of the velocity moment int rho |u|^{2+delta} / (2+delta)
+    and of its balance: delta lies in (0, 2)."""
+    if not 0.0 < delta < 2.0:
+        raise ValueError(f"delta must lie in (0, 2), got {delta}")
+
+
 @dataclass(frozen=True)
 class AdmissibilityParams:
     """Constants the admissibility conditions are checked against."""
@@ -395,14 +402,11 @@ def growth_envelope(law: ViscosityLaw, params: AdmissibilityParams, rho):
 
 
 def find_max_nu(law: ViscosityLaw, gamma: float, N: int,
-                rho_samples: np.ndarray | None = None,
-                eps_growth: float = AdmissibilityParams.eps_growth,
-                tol: float = 1e-4) -> float | None:
-    """Largest nu in (0,1) for which :func:`validate` passes on the grid,
-    located by bisection (the pass set is monotone in nu).  None if even a
-    tiny nu fails."""
-    if rho_samples is None:
-        rho_samples = default_sample_grid()
+                eps_growth: float = AdmissibilityParams.eps_growth) -> float | None:
+    """Largest nu in (0,1) for which :func:`validate` passes on the default
+    sample grid, located by bisection to 1e-4 (the pass set is monotone in
+    nu).  None if even a tiny nu fails."""
+    rho_samples = default_sample_grid()
 
     def ok(nu: float) -> bool:
         params = AdmissibilityParams(nu=nu, gamma=gamma, N=N, eps_growth=eps_growth)
@@ -413,7 +417,7 @@ def find_max_nu(law: ViscosityLaw, gamma: float, N: int,
         return None
     if ok(hi):
         return hi
-    while hi - lo > tol:
+    while hi - lo > 1e-4:
         mid = 0.5 * (lo + hi)
         if ok(mid):
             lo = mid

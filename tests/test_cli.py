@@ -554,6 +554,59 @@ def test_verify_identities_without_dims_is_one_line(capsys, dims):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("dims", ["0", "1,0", "3"])
+def test_verify_identities_dimension_other_than_one_or_two_is_one_line(dims):
+    # in a process of its own: a wave vector of no entries was redrawn forever
+    code, err = run_module("verify-identities", "--law", '{"terms": [[1, 1]]}', "--dims", dims,
+                           "--grids", "32,64")
+    assert code == 2 and len(err) == 1, err
+    assert err[0].startswith("usage error: cannot certify in ") and "dim must be 1 or 2" in err[0]
+
+
+@pytest.mark.parametrize("grids, text", [("x", "bad --dims/--grids"),
+                                         ("64,32", "strictly increasing")])
+def test_verify_identities_bad_grids_is_one_line(capsys, grids, text):
+    code = cli_main(["verify-identities", "--law", '{"terms": [[1, 1]]}', "--dims", "1",
+                     "--grids", grids])
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert code == 2 and len(err) == 1 and text in err[0], err
+    assert captured.out == ""
+
+
+def test_simulate_jsonl_without_ledger_is_usage_error(tmp_path, capsys, monkeypatch):
+    # the JSONL file mirrors the CSV ledger: without --ledger it has no path
+    monkeypatch.chdir(tmp_path)
+    path = write_config(tmp_path)
+    code = cli_main(["simulate", "--config", str(path), "--jsonl"])
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert code == 2 and len(err) == 1, err
+    assert "--jsonl" in err[0] and "--ledger" in err[0], err
+    assert captured.out == "" and sorted(os.listdir(tmp_path)) == ["run.json"]
+
+
+def test_cells_list_of_another_length_than_dim_is_usage_error(tmp_path, capsys):
+    err = simulate_usage_error(tmp_path, capsys, cells=[32, 32])
+    assert "cells [32, 32] does not match dim 1" in err
+
+
+@pytest.mark.parametrize("extra", [{"initial": {"params": {"amp": 0.2}}},
+                                   {"study": {"sigma0": 0.05}}], ids=["params", "study"])
+def test_checkpoint_initial_state_with_params_or_study_is_usage_error(tmp_path, capsys, extra):
+    ck = saved_checkpoint(tmp_path)
+    initial = {"checkpoint": str(ck), **extra.get("initial", {})}
+    err = simulate_usage_error(tmp_path, capsys, initial=initial,
+                               **{k: v for k, v in extra.items() if k != "initial"})
+    assert "need a preset, not a checkpoint" in err
+
+
+def test_checkpoint_of_another_grid_is_usage_error(tmp_path, capsys):
+    ck = saved_checkpoint(tmp_path)  # a 64-cell grid
+    err = simulate_usage_error(tmp_path, capsys, cells=32, initial={"checkpoint": str(ck)})
+    assert "checkpoint grid (64,) does not match config grid (32,)" in err
+
+
 @pytest.mark.parametrize("command, flag", [
     ("validate-law", "--out"),
     ("verify-identities", "--out"),

@@ -86,6 +86,20 @@ def test_generation_error_names_failing_hypothesis():
         generate_sequence(spec, cfg.grid, LINEAR, 2.0, 0.05, EPS)
 
 
+def test_member_whose_hypothesis_exceeds_ten_times_member_zeros_is_flagged():
+    # a narrow bump mollified from wide to narrow: its density gradient grows
+    # past ten times member 0's, its energy and moment do not
+    cfg = small_config(n=128)
+    spec = InitialDataSpec("smooth_bump", {"width": 0.02, "amp": 0.9}, sigma0=0.2, n_max=3)
+    _, table = generate_sequence(spec, cfg.grid, LINEAR, 2.0, 0.05, EPS)
+    flags = [sorted(key for key in row if key.startswith("flag_")) for row in table]
+    assert flags == [[], [], ["flag_grad_h_over_rho"], ["flag_grad_h_over_rho"]]
+    for row in table:
+        for name in ("energy", "grad_h_over_rho", "moment"):
+            above = row[name] > harness.UNIFORMITY_FACTOR * table[0][name]
+            assert row.get(f"flag_{name}") == (1.0 if above else None)
+
+
 def test_mollification_preserves_mass_up_to_roundoff():
     cfg = small_config(n=128)
     spec = InitialDataSpec("smooth_bump", {}, sigma0=0.08, n_max=2)
@@ -116,6 +130,36 @@ def test_study_metrics_and_axioms():
         assert np.array_equal(mat, mat.T)
         assert np.all(np.diag(mat) == 0.0)
         assert np.all(mat[np.triu_indices(3, 1)] > 0.0)
+
+
+def _metric_axioms_by_loops(mat):
+    tol = harness.METRIC_TOL * max(float(np.max(mat)), 1.0)
+    n = len(mat)
+    return (all(abs(mat[i, i]) <= tol for i in range(n))
+            and all(abs(mat[i, j] - mat[j, i]) <= tol for i in range(n) for j in range(n))
+            and all(mat[i, j] <= mat[i, k] + mat[k, j] + tol
+                    for i in range(n) for j in range(n) for k in range(n)))
+
+
+def test_metric_axioms_refuse_a_diagonal_an_asymmetry_and_a_triangle_violation():
+    ok = np.array([[0.0, 1.0, 1.5], [1.0, 0.0, 1.0], [1.5, 1.0, 0.0]])
+    diagonal, asymmetric, triangle = ok.copy(), ok.copy(), ok.copy()
+    diagonal[1, 1] = 1e-6
+    asymmetric[0, 1] = 1.0 + 1e-6
+    triangle[0, 2] = triangle[2, 0] = 2.0 + 1e-6  # above d(0, 1) + d(1, 2)
+    assert harness._check_metric_axioms(ok) is True
+    for bad in (diagonal, asymmetric, triangle):
+        assert harness._check_metric_axioms(bad) is False
+    # each test up to METRIC_TOL times the largest entry: equal to the loops
+    # over every entry, on distance matrices with one entry moved
+    rng = np.random.default_rng(4)
+    for n in range(1, 6):
+        for _ in range(40):
+            x = rng.standard_normal((n, 2)) * 10.0 ** rng.integers(-3, 4)
+            mat = np.sqrt(np.sum((x[:, np.newaxis] - x) ** 2, axis=-1))
+            i, j = rng.integers(0, n, 2)
+            mat[i, j] *= rng.choice([1.0, 1.0 + 1e-13, 0.5, 3.0])
+            assert harness._check_metric_axioms(mat) is _metric_axioms_by_loops(mat)
 
 
 def test_study_is_deterministic():

@@ -360,6 +360,33 @@ def test_moment_prechecks_run_before_grid_work(monkeypatch):
         run_all_identities(mf, LINEAR, 2.0, [32, 64], delta=0.5, nu=0.9)
 
 
+@pytest.mark.parametrize("grids", [[64, 32], [32, 32], []])
+def test_grid_sequence_is_checked_before_any_grid_work(monkeypatch, grids):
+    # a sequence that is empty or not strictly increasing certifies no grid first
+    def no_grid_work(*args):
+        raise AssertionError("grid work before the grid sequence is checked")
+
+    monkeypatch.setattr(identities, "_Ctx", no_grid_work)
+    mf = manufactured_field(1, seed=2)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        run_all_identities(mf, LINEAR, 2.0, grids, nu=0.9)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        verify_energy_step(mf, LINEAR, 2.0, grids)
+
+
+@pytest.mark.parametrize("make", [manufactured_field, gradient_flow_field])
+@pytest.mark.parametrize("dim", [0, 3, -1])
+def test_field_of_a_dimension_other_than_one_or_two_is_refused_before_any_draw(
+        monkeypatch, make, dim):
+    # a wave vector of no entries is never nonzero: its draw would never end
+    def no_draw(*args):
+        raise AssertionError("a wave vector drawn for a dimension that is refused")
+
+    monkeypatch.setattr(identities, "_wave_vector", no_draw)
+    with pytest.raises(ValueError, match=f"dim must be 1 or 2, got {dim}"):
+        make(dim, seed=1)
+
+
 def test_empty_grid_sequence_is_rejected():
     with pytest.raises(ValueError, match="nonempty"):
         verify_energy_step(manufactured_field(1, seed=1), LINEAR, 2.0, [])

@@ -13,7 +13,7 @@ import pytest
 import bdns.solver as solver
 from bdns import diagnostics, identities
 from bdns._workspace import _limited_slope
-from bdns.grid import PeriodicGrid, State, integrate, lp_norm, spectral_grad
+from bdns.grid import GridError, PeriodicGrid, State, integrate, lp_norm, spectral_grad
 from bdns.harness import InitialDataSpec, generate_sequence
 from bdns.presets import make_initial
 from bdns.solver import (
@@ -913,6 +913,20 @@ def test_run_members_fails_a_member_as_its_solo_run():
     with pytest.raises(NonAdmissibleLawError) as solo:
         run(bad_law, good)
     assert [str(r) for r in results] == [str(solo.value)] * 2
+
+
+def test_run_members_member_of_the_wrong_shape_gets_its_grid_error():
+    # the shape check fails the member before the batch is built; the rest
+    # advance as their solo runs do
+    grid = PeriodicGrid((32,))
+    cfg = make_config(grid, t_end=1e-4)
+    good = make_initial("smooth_bump", grid)
+    other = make_initial("vacuum_bump", grid)
+    wrong = make_initial("smooth_bump", PeriodicGrid((16,)))
+    results = solver.run_members(cfg, [good, wrong, other])
+    assert type(results[1]) is GridError and "rho shape (16,)" in str(results[1])
+    assert_same_run(results[0], run(cfg, good))
+    assert_same_run(results[2], run(cfg, other))
 
 
 def test_initial_checks_rerun_on_the_survivors_keep_their_counts():
