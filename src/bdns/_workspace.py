@@ -36,9 +36,9 @@ what a shift reads past the end of its window is zero or a value the step
 computed: no view but the stacked face states, which run from lane 1 across
 its slack into lane 2, writes a slack.  Only the valid box of a window is
 read outside the stencils: by the accumulation into the derivative ``d``
-(and ``div u``) in ``rhs`` and into the viscous rate of ``stable_dt``.  The
-bundle's harmonic faces are windows too, of buffers of their own with their
-own slack.
+(and ``div u``) in ``rhs`` and into the viscous rate of ``stable_dt``,
+which sums the valid boxes of the harmonic faces.  The bundle's harmonic
+faces are windows too, of buffers of their own with their own slack.
 
 Every view a step indexes is made here, once, when the workspace is built:
 the windows of every lane and their shifts, the face rows and flux rows,
@@ -47,8 +47,17 @@ buffers.  A step then slices nothing (unless a forcing hook is set) and
 allocates no field: every function here writes with ``out=`` into those
 views and computes each cell with the same operations, in the same order,
 as the allocating formula it replaces (the limiters as min/max clamps that
-give the same bits, see :func:`_limited_slope`); each guarded division
-goes through :func:`~bdns.grid._cutoff` into a buffer of its own.
+give the same bits, see :func:`_limited_slope`), or the same bits by an
+exact power-of-two scaling.  The local Lax-Friedrichs flux carries no 1/2 and
+its difference is divided by 2h, and the harmonic faces are
+h_l h_r / (h_l + h_r) and are divided by h/2 and h^2/2 where they are used:
+the bits of the halved forms wherever no intermediate is subnormal (below
+about 2.2e-308) or overflows.  On a spacing that is a power of two every
+division by h, h/2, 2h or h^2/2 is a multiply by the exact reciprocal, the
+divide's bits always (see :func:`~bdns.grid._division`; the choice is made
+once per axis, here).  Each guarded division goes through
+:func:`~bdns.grid._cutoff`, its dry mask in a boolean buffer of the
+workspace or of the bundle.
 """
 
 from __future__ import annotations
@@ -58,7 +67,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .grid import _SHIFTS, _Cut, State, _centered_pieces, _cutoff
+from .grid import _SHIFTS, _Cut, State, _centered_pieces, _cutoff, _division
 
 if TYPE_CHECKING:
     from .solver import SolverConfig
@@ -117,7 +126,8 @@ class _Workspace:
         # freed when its last name goes
         self.fields = None
         self.bundle_out = {
-            "rho": np.empty(shape), "wet": np.empty(shape, dtype=bool), "u": np.empty(vector),
+            "rho": np.empty(shape), "wet": np.empty(shape, dtype=bool),
+            "dry": np.empty(shape, dtype=bool), "u": np.empty(vector),
             "waves": np.empty((2, *shape)), "speed": np.empty(shape),
             "rho_gamma": np.empty(shape), "h": np.empty(shape),
             "g": None if self.g_vanishes else np.empty(shape),
@@ -172,10 +182,11 @@ class _AxisScratch:
     those are dead.  The stacked face states of both sides end where lane
     2's slack begins, the left ones mostly in lane 1, and overwrite the
     differences and the limiter's scratch; the flux works in lanes 0 and 3,
-    which the face states leave free (half_a, then the face velocity of both
-    sides, in lane 0; the speed halo, then the jump and the flux difference,
-    in lane 3), and sums in the left face states themselves, the mass flux
-    in the row of the left densities once the face velocity has read them."""
+    which the face states leave free (the face speed a, then the face
+    velocity of both sides, in lane 0; the speed halo, then the jump and the
+    flux difference, in lane 3), and sums in the left face states
+    themselves, the mass flux in the row of the left densities once the face
+    velocity has read them."""
 
     def __init__(self, work: _Workspace, config: SolverConfig, a: int, cut: _Cut,
                  shape: tuple[int, ...], dim: int):
@@ -185,10 +196,14 @@ class _AxisScratch:
         self.axis = cut.axis
         # what the axis adds its term to: 0.0 before the first axis, so that
         # no sum is zeroed first
-        self.rate_in, self.d_in, self.div_u_in = (
-            (0.0, 0.0, 0.0) if a == 0 else (work.rate, work.d, work.div_u))
-        self.h = h = grid.spacing[a]
-        self.half_h, self.h_sq = 0.5 * h, h**2
+        self.d_in, self.div_u_in = (0.0, 0.0) if a == 0 else (work.d, work.div_u)
+        h = grid.spacing[a]
+        self.half_h = 0.5 * h
+        # the ufunc and operands that divide a field by h (the limiter's
+        # differences), h/2 (MC's differences and the shear's), 2h (the flux
+        # difference) and h^2/2 (stable_dt's rate): see grid._division
+        self.divide, (self.by_h, self.by_half_h, self.by_two_h, self.by_half_h_sq) = _division(
+            h, 0.5 * h, 2.0 * h, 0.5 * h**2)
         # face states: the padded state and its shifts, its differences
         # (dminus at index j is the backward difference of cell j - 1, dplus
         # that of cell j), the limiter's scratch and the limited slope of
@@ -207,23 +222,28 @@ class _AxisScratch:
         # the flux one cell on: the seams of its last rows read the right side
         self.flux_1 = windows(2, (2, *stacked), cut, 1)[0][0]
         # the flux: the speed halo in lane 3, then the jump and the flux
-        # difference; half_a in lane 0, then the face velocity of both sides
+        # difference; the face speed a in lane 0, then the face velocity of
+        # both sides
         self.speed_halo = cut.halo(out["speed"])
         self.speed, self.speed_1, self.speed_2 = windows(3, field, cut, 0, 1, 2)
-        self.half_a, self.u_faces = window(0, field), window(0, (2, *field))
+        self.a_face, self.u_faces = window(0, field), window(0, (2, *field))
         self.u_faces_b = self.u_faces[:, np.newaxis]
         self.jump = self.dq = window(3, stacked)
         self.dq_valid = self.dq[cut.valid]
-        self.wet = work.mask((2, *field))
+        self.dry = work.mask((2, *field))
         # the bundle's harmonic faces of h: its halo in lane 0, the sum of
         # both sides in lane 1 and their product in lane 2
         self.h_halo = cut.halo(out["h"])
         self.pad, self.pad_1, self.pad_2 = windows(0, field, cut, 0, 1, 2)
         self.face, self.face_num = window(1, field), window(2, field)
-        self.positive = work.mask(field)
+        self.dry_face = work.mask(field)
         self.h_face, self.h_face_1 = work.h_faces[a]
-        # stable_dt: the rate's term along the axis in lane 1; for the g term,
-        # |g| padded in lane 3 and the coefficient sum_b 1/(4 dx_a dx_b)
+        # stable_dt: the rate's term along the axis, on the valid box of the
+        # faces: the rate itself on the first axis, else in lane 1; for the g
+        # term, its term in lane 1, |g| padded in lane 3 and the coefficient
+        # sum_b 1/(4 dx_a dx_b)
+        self.h_face_valid, self.h_face_1_valid = self.h_face[cut.valid], self.h_face_1[cut.valid]
+        self.rate_term = work.rate if a == 0 else work.view(1, shape)
         self.term = window(1, field)
         self.term_valid = self.term[cut.valid]
         self.rate_g_in = 0.0 if a == 0 else work.rate_g
@@ -252,7 +272,9 @@ def _limited_slope(s: _AxisScratch, limiter: str) -> np.ndarray:
     differences go to ``s.dminus`` (dplus is the same window one cell on).
 
     The differences are taken over h, and by MC over h / 2: a power-of-two
-    scaling, so that they are the doubled differences 2 (dq / h) bit for bit.
+    scaling, so that they are the doubled differences 2 (dq / h) bit for bit
+    (each division a multiply where the spacing allows, see
+    :func:`~bdns.grid._division`).
     minmod and MC (van Leer, J. Comput. Phys. 23 (1977) 276-299) are min/max
     clamps, with no sign, no masked product and no product dminus * dplus,
     which can overflow: minmod is max(min(d-, d+), 0) + min(max(d-, d+), 0)
@@ -267,7 +289,7 @@ def _limited_slope(s: _AxisScratch, limiter: str) -> np.ndarray:
     form where dq / h is subnormal (below about 2.2e-308)."""
     dminus, dplus, out, t = s.dminus, s.dplus, s.slope, s.scratch
     np.subtract(s.qp_1, s.qp, out=dminus)
-    np.divide(dminus, s.half_h if limiter == "mc" else s.h, out=dminus)
+    s.divide(dminus, s.by_half_h if limiter == "mc" else s.by_h, out=dminus)
     if limiter == "mc":
         neg = np.minimum(np.maximum(dminus, dplus, out=t), 0.0, out=t)
         central = np.multiply(0.25, np.add(dminus, dplus, out=out), out=out)
@@ -287,16 +309,17 @@ def _limited_slope(s: _AxisScratch, limiter: str) -> np.ndarray:
     np.square(dminus, out=dminus)  # and so dplus, but at the seams
     denom = np.add(dminus, dplus, out=t)
     keep = np.logical_and(np.greater(denom, 0.0, out=s.keep), same, out=s.keep)
-    dminus[...] = out  # the numerator, so that the quotient goes to the slope
-    return _cutoff(dminus, denom, keep, out)
+    return _cutoff(out, denom, np.logical_not(keep, out=keep), out)
 
 
 def _harmonic_face(s: _AxisScratch) -> np.ndarray:
-    """Harmonic mean of the bundle's h on the n + 1 faces of the axis, into
-    ``s.h_face`` (face k at index k); zero at a face with a dry side."""
+    """Half the harmonic mean of the bundle's h on the n + 1 faces of the
+    axis, h_l h_r / (h_l + h_r), into ``s.h_face`` (face k at index k); zero
+    at a face with a dry side.  Its users divide by h/2 and h^2/2 where the
+    harmonic mean would be divided by h and h^2: the same bits."""
     np.concatenate(s.h_halo, axis=s.axis, out=s.pad)
     left, right = s.pad_1, s.pad_2
     total = np.add(left, right, out=s.face)
-    num = np.multiply(2.0, left, out=s.face_num)
-    np.multiply(num, right, out=num)
-    return _cutoff(num, total, np.greater(total, 0.0, out=s.positive), s.h_face)
+    num = np.multiply(left, right, out=s.face_num)
+    dry = np.logical_not(np.greater(total, 0.0, out=s.dry_face), out=s.dry_face)
+    return _cutoff(num, total, dry, s.h_face)

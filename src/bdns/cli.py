@@ -174,6 +174,8 @@ def _cmd_verify_identities(args) -> int:
         raise _Usage(f"bad --dims/--grids: {exc}") from exc
     if not dims:
         raise _Usage("--dims names no dimension")
+    if args.seed < 0:
+        raise _Usage(f"--seed must be a non-negative integer, got {args.seed}")
     if args.out:
         _probe(args.out)
 

@@ -72,6 +72,8 @@ def parse_config(obj: dict) -> RunSetup:
         top = read_block(obj, TOP)
         init = read_block(top["initial"], INITIAL, "initial", one_of=("preset", "checkpoint"))
         dim, cells = top["dim"], top["cells"]
+        if dim not in (1, 2):  # before a size tuple of dim entries is built
+            raise ConfigError(f"'dim' must be 1 or 2, got {obj['dim']!r:.60}")
         sizes = cells if isinstance(cells, tuple) else (cells,) * dim
         if len(sizes) != dim:
             raise ConfigError(f"cells {list(sizes)} does not match dim {dim}")

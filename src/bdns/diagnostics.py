@@ -59,23 +59,25 @@ class MomentParams:
 class _Fields:
     """One state's derived fields, each computed at most once: the one bundle
     of a state, which holds all its pointwise fields, h and g made through
-    the law's one path.  The clamped density, the wet cells (rho > eps_vac) and
-    the cutoff velocity m / rho are computed up front; the energy's fields
-    (sqrt(rho), the weighted momentum sqrt(rho) u, its square and the
-    pressure potential rho^gamma / (gamma - 1)) together when one of them is
-    first asked for, and the others one by one.  Every quotient by a power
-    of the density goes through :func:`~bdns.grid._cutoff`, so that it
-    vanishes on dry cells.
+    the law's one path.  The clamped density, the wet cells (rho > eps_vac),
+    the dry cells (their complement) and the cutoff velocity m / rho are
+    computed up front; the energy's fields (sqrt(rho), the weighted momentum
+    sqrt(rho) u, its square and the pressure potential
+    rho^gamma / (gamma - 1)) together when one of them is first asked for,
+    and the others one by one.  Every quotient by a power of the density
+    goes through :func:`~bdns.grid._cutoff`, so that it vanishes on dry
+    cells: a solver bundle's under the solver's error state, any other
+    bundle's under one of its own.
 
     The solver's bundles take its workspace's buffer dict ``out`` (see
     ``_Workspace.bundle_out``) and write their fields into it; the energy's
     go to scratch lanes and hold until a kernel next runs.  This class makes
-    the clamped density, the wet cells, the cutoff velocity and the energy's
-    fields of every bundle; ``solver._bundle`` makes the stage kernels'
-    fields of a solver bundle (|u| and c, the wave speed, rho^gamma, h, its
-    harmonic faces and g) right after it.  Its gamma is the config's, which
-    ``AdmissibilityParams`` has checked; any other bundle given a gamma
-    checks it."""
+    the clamped density, the wet and dry cells, the cutoff velocity and the
+    energy's fields of every bundle; ``solver._bundle`` makes the stage
+    kernels' fields of a solver bundle (|u| and c, the wave speed,
+    rho^gamma, h, its harmonic faces and g) right after it.  Its gamma is
+    the config's, which ``AdmissibilityParams`` has checked; any other
+    bundle given a gamma checks it."""
 
     _ENERGY_FIELDS = frozenset(("sqrt_rho", "sqrt_rho_u", "sru2", "potential"))
     _energy = None  # the energy, once computed
@@ -92,9 +94,8 @@ class _Fields:
         self.state, self.grid, self.law, self.gamma, self._out = state, grid, law, gamma, out
         rho = self.rho = np.maximum(state.rho, 0.0, out=out.get("rho"))
         wet = self.wet = np.greater(state.rho, eps_vac, out=out.get("wet"))
-        # an overflowing velocity is no error here: stable_dt reports it
-        with np.errstate(over="ignore"):
-            self.u = _cutoff(state.mom, rho, wet, out.get("u"))
+        self.dry = np.logical_not(wet, out=out.get("dry"))
+        self.u = _cutoff(state.mom, rho, self.dry, out.get("u"))
 
     def __getattr__(self, name: str):
         # called for an attribute not yet set: the energy's fields are made
@@ -103,7 +104,7 @@ class _Fields:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         out = self._out
         sqrt_rho = self.sqrt_rho = np.sqrt(self.rho, out=out.get("sqrt_rho"))
-        sru = self.sqrt_rho_u = _cutoff(self.state.mom, sqrt_rho, self.wet, out.get("sqrt_rho_u"))
+        sru = self.sqrt_rho_u = _cutoff(self.state.mom, sqrt_rho, self.dry, out.get("sqrt_rho_u"))
         sq = np.square(sru, out=out.get("sru_sq"))  # |sqrt(rho) u|^2
         self.sru2 = np.add.reduce(sq, axis=0, out=out.get("sru2"))
         if self.gamma is not None:
@@ -200,7 +201,7 @@ class _Instant:
 
     @property
     def h_over_sqrt_rho(self):
-        return _cutoff(self.f.h, self.f.sqrt_rho, self.f.wet)
+        return _cutoff(self.f.h, self.f.sqrt_rho, self.f.dry)
 
 
 def _pressure_weight(x: _Instant, out):  # h' rho^{gamma-1} |grad sqrt(rho)|^2
@@ -213,9 +214,11 @@ def _hp_grad_sqrt_rho_sq(x: _Instant, out):  # h'^2 |grad sqrt(rho)|^2
 
 def _holder_pressure(x: _Instant, out):
     # (rho^{2 gamma - delta/2} / h)^{2/(2-delta)}, the ratio 0 on vacuum cells
-    # and +inf on a wet cell where h = 0, with no division taken
+    # and +inf on a wet cell where h = 0; the cutoff's allocating form, which
+    # holds its own error state, as the public helpers hold none
     f, delta = x.f, x.mp.delta
-    _cutoff(f.rho ** (2.0 * x.gamma - delta / 2.0), f.h, np.logical_and(f.wet, f.h > 0.0), out)
+    np.copyto(out, _cutoff(f.rho ** (2.0 * x.gamma - delta / 2.0), f.h,
+                           np.logical_not(np.logical_and(f.wet, f.h > 0.0))))
     out[np.logical_and(f.wet, f.h == 0.0)] = math.inf
     out **= 2.0 / (2.0 - delta)
 
@@ -542,7 +545,7 @@ def weak_form_residual(trajectory, grid: PeriodicGrid, law, gamma: float,
         g_part = 2.0 * law.g_prime(f.rho) * np.add.reduce(sru * x.grad_sqrt_rho, axis=0)
         space += (f.rho_gamma + g_part) * div_phi
         # the shear and second-coefficient pairings with second derivatives of Phi
-        g_over_sqrt_rho = _cutoff(f.g, f.sqrt_rho, f.wet)
+        g_over_sqrt_rho = _cutoff(f.g, f.sqrt_rho, f.dry)
         space += np.add.reduce(sru * (x.h_over_sqrt_rho * lap_phi + g_over_sqrt_rho * grad_div),
                                axis=0)
         space_terms.append(integrate(space, grid))

@@ -26,7 +26,19 @@ Two derivative families are provided:
 Velocity is never obtained by a bare division: every quantity divided by
 the density or a power of it (``u = m/rho``, ``sqrt(rho) u = m/sqrt(rho)``,
 ``h/sqrt(rho)``) goes through :func:`_cutoff`, which takes it as zero on dry
-cells, where the velocity is undefined.
+cells, where the velocity is undefined.  It divides every cell, dry ones
+included, and then overwrites the dry cells, so a quotient by a dry cell's
+zero (or NaN) is taken and dropped: its floating-point warnings are no
+error.  Into a buffer, as the stage loop calls it, it runs under its
+caller's error state (``np.errstate`` with divide, invalid and overflow
+ignored), entered once per call of ``solver.run_members`` and of the public
+``rhs``, ``stable_dt`` and ``step``; the allocating form, the diagnostics'
+outside the stage loop, enters that state itself.  No RuntimeWarning of a
+guarded quotient can escape either way.
+
+A division of a field by a spacing (h, h/2, 2h or h^2/2) goes through
+:func:`_division`: on a spacing that is a power of two it is a multiply by
+the exact reciprocal, which rounds as the divide does.
 """
 
 from __future__ import annotations
@@ -249,25 +261,44 @@ def _power(x: np.ndarray, exponent: float, out: np.ndarray | None = None) -> np.
     return out
 
 
-def _cutoff(num: np.ndarray, den: np.ndarray, wet: np.ndarray, out: np.ndarray | None = None
+# the error state under which a guarded quotient runs (see the module docstring)
+_QUIET = {"divide": "ignore", "invalid": "ignore", "over": "ignore"}
+
+
+def _cutoff(num: np.ndarray, den: np.ndarray, dry: np.ndarray, out: np.ndarray | None = None
             ) -> np.ndarray:
-    """``num / den`` on ``wet`` cells and 0 elsewhere, the vacuum convention
-    of every quantity divided by the density (or a power of it); written into
-    ``out`` when given, which must not overlap ``num`` or ``den``: it is
-    zeroed, then the quotient is written on the wet cells alone, so that no
-    division by a dry cell's value is taken."""
+    """``num / den``, and 0 on ``dry`` cells: the vacuum convention of every
+    quantity divided by the density (or a power of it).  ``dry`` is the
+    complement of the caller's wet test, ``np.logical_not(x > t)``, so that a
+    NaN counts as dry.  Every cell is divided, then 0.0 is stored on the dry
+    ones: one unmasked divide and one masked store, into ``out`` (which may
+    be ``num`` or ``den``) under the caller's error state (see the module
+    docstring), or into a new array under an error state of its own."""
     if out is None:
-        out = np.zeros(np.broadcast_shapes(num.shape, den.shape))
-    else:
-        out.fill(0.0)
-    return np.divide(num, den, out=out, where=wet)
+        with np.errstate(**_QUIET):
+            return _cutoff(num, den, dry, np.empty(np.broadcast_shapes(num.shape, den.shape)))
+    np.divide(num, den, out=out)
+    np.copyto(out, 0.0, where=dry)
+    return out
+
+
+def _division(*divisors: float) -> tuple[np.ufunc, tuple[float, ...]]:
+    """The ufunc and the operands that divide a field by each of
+    ``divisors``: ``(np.multiply, reciprocals)`` when every divisor is a
+    power of two with a finite reciprocal, for then ``x * (1/d)`` and
+    ``x / d`` are the one rounding of the same product and have the same
+    bits; else ``(np.divide, divisors)``."""
+    if all(math.frexp(d)[0] == 0.5 and math.isfinite(1.0 / d) for d in divisors):
+        return np.multiply, tuple(1.0 / d for d in divisors)
+    return np.divide, divisors
 
 
 class _Centered(NamedTuple):
     """The views of a centered difference along one axis: the halo pieces
     of the field, the axis, the padded field and its windows shifted by one
     and by three cells (at index c, cells c - 1 and c + 1), the result
-    window, its valid box and the spacing times two."""
+    window, its valid box, and the ufunc and operand that divide by the
+    spacing times two (see :func:`_division`)."""
 
     pieces: tuple
     axis: int
@@ -276,6 +307,7 @@ class _Centered(NamedTuple):
     right: np.ndarray
     out: np.ndarray
     valid: np.ndarray
+    divide: np.ufunc
     two_h: float
 
 
@@ -291,7 +323,8 @@ def _centered_pieces(f: np.ndarray, grid: PeriodicGrid, axis: int,
         shape = cut.padded(f.shape)
         pads = cut.windows(cut.buffer(shape), 0, shape, 0, 1, 3)
         out = np.empty(shape)
-    return _Centered(cut.halo(f), cut.axis, *pads, out, out[cut.valid], 2.0 * grid.spacing[axis])
+    divide, (two_h,) = _division(2.0 * grid.spacing[axis])
+    return _Centered(cut.halo(f), cut.axis, *pads, out, out[cut.valid], divide, two_h)
 
 
 def _centered(c: _Centered) -> np.ndarray:
@@ -299,7 +332,7 @@ def _centered(c: _Centered) -> np.ndarray:
     window ``c.out``; returns its valid box."""
     np.concatenate(c.pieces, axis=c.axis, out=c.pad)
     np.subtract(c.right, c.left, out=c.out)
-    np.divide(c.out, c.two_h, out=c.out)
+    c.divide(c.out, c.two_h, out=c.out)
     return c.valid
 
 
@@ -392,9 +425,9 @@ def lp_norm(f: np.ndarray, grid: PeriodicGrid, p: float) -> float:
     """L^p norm with midpoint quadrature; vector fields use the pointwise
     Euclidean magnitude. p = inf gives the max norm."""
     mag = _pointwise_magnitude(f, grid)
-    if np.isinf(p):
+    if p == math.inf:
         return float(np.max(mag))
-    if p < 1:
+    if not p >= 1:  # NaN and -inf too
         raise ValueError(f"p must be >= 1, got {p}")
     (norm,) = _lp(mag, grid, p)
     return norm

@@ -26,7 +26,7 @@ array, so that each numpy call of a stencil is one loop: the window and seam
 layout is that of :class:`~bdns.grid._Cut`, and the lanes, the buffers and
 the views a step reads or writes are planned in ``_workspace``.  The local
 Lax-Friedrichs flux of all 1 + dim equations is one pass over the stacked
-[left; right] face states: the clamp, the wet test, the cutoff velocity,
+[left; right] face states: the clamp, the dry test, the cutoff velocity,
 the flux and the jump are each one numpy call for both sides, mass and
 momentum together.  Every pointwise field of a state comes from the state's
 one bundle, ``diagnostics._Fields``, which :func:`_bundle` makes once per
@@ -48,6 +48,17 @@ arrays they return are then the caller's.  Each cell value takes the same
 operations, in the same order, as the plain per-cell formula, so neither
 the layout nor the workspace changes a result, and every member of a batch
 gets exactly the trajectory and ledger of its own :func:`run`.
+
+The floating-point error state is entered once per run, by
+``run_members`` around its batches, and once per public ``rhs``,
+``stable_dt`` or ``step``, around the kernel it runs: divide, invalid and
+overflow ignored.  No kernel of the stage loop enters one.  Under it every
+guarded quotient (``grid._cutoff``) divides every cell and overwrites the
+dry ones, and ``stable_dt`` takes rho / rate on every cell and overwrites
+the cells outside its bound with inf, so the quotients by a dry cell's or
+a zero rate's value that those passes take, and drop, warn nothing; an
+overflowing velocity is no warning either, as ``stable_dt`` reports it.
+No RuntimeWarning can escape a run or a public call.
 
 A member's run ends in one way: the initial checks, ``stable_dt`` (no
 finite positive bound), a stage of ``step`` (a non-finite field) or the
@@ -78,7 +89,7 @@ import numpy as np
 
 from .diagnostics import EntropyLedger, MomentParams, _Fields, _row
 from ._workspace import _harmonic_face, _limited_slope, _Stacked, _Workspace
-from .grid import PeriodicGrid, State, _centered, _cutoff, _grid_axes, _power
+from .grid import _QUIET, PeriodicGrid, State, _centered, _cutoff, _grid_axes, _power
 from .viscosity import AdmissibilityParams, ViscosityLaw, validate
 
 INTEGRATORS = ("RK2_SSP",)
@@ -206,19 +217,24 @@ def _bundle(state: State, config: SolverConfig, work: _Workspace) -> _Fields:
     return f
 
 
-def _enter(state: State, config: SolverConfig, caller: str) -> tuple[_Stacked, _Workspace, bool]:
-    """A public call's state copied into a throwaway workspace of its own,
-    that workspace, and whether the call was given one state (which becomes
-    a batch of one): the arrays the call returns are then the caller's."""
+def _public(kernel: Callable, state: State, config: SolverConfig, *args):
+    """A public call of ``kernel`` (``rhs``, ``stable_dt`` or ``step``):
+    ``state`` copied into a throwaway workspace of its own, the kernel run
+    there under the error state of the guarded quotients (see
+    ``grid._cutoff``), and its result with whether the call was given one
+    state (which becomes a batch of one): the arrays the call returns are
+    then the caller's."""
     if config.eps_vac is None:
-        raise ValueError(f"{caller} needs a resolved eps_vac on the config")
+        raise ValueError(f"{kernel.__name__} needs a resolved eps_vac on the config")
     state.check_shapes(config.grid)
     one = np.ndim(state.t) == 0
     rho = state.rho[np.newaxis] if one else state.rho
     mom = state.mom[:, np.newaxis] if one else state.mom
     work = _Workspace(config, rho.shape)
     q = np.concatenate((rho[np.newaxis], mom))
-    return _load(work, config, np.array(state.t, dtype=float, ndmin=1), q), work, one
+    state = _load(work, config, np.array(state.t, dtype=float, ndmin=1), q)
+    with np.errstate(**_QUIET):
+        return kernel(state, config, *args, _work=work), one
 
 
 def _member(state: State, k: int) -> State:
@@ -240,9 +256,9 @@ def rhs(state: State, config: SolverConfig, *, _work: _Workspace | None = None
     batch.  With ``_work``, ``state`` is the state buffer of that workspace
     written last, whose bundle the workspace holds or makes, and the pair
     returned is the workspace's ``rows``."""
-    one = False
     if _work is None:
-        state, _work, one = _enter(state, config, "rhs")
+        (drho, dmom), one = _public(rhs, state, config)
+        return (drho[0], dmom[:, 0]) if one else (drho, dmom)
     work = _work
     f = _bundle(state, config, work)
     eps_vac, limiter = config.eps_vac, config.limiter
@@ -256,21 +272,22 @@ def rhs(state: State, config: SolverConfig, *, _work: _Workspace | None = None
         np.add(s.qp_1, half_slope, out=s.left)
         np.subtract(s.qp_2, s.slope_1, out=s.right)
         np.concatenate(s.speed_halo, axis=s.axis, out=s.speed)
-        half_a, jump, rho = s.half_a, s.jump, s.rho_faces
-        np.multiply(0.5, np.maximum(s.speed_1, s.speed_2, out=half_a), out=half_a)
+        a_face, jump, rho = s.a_face, s.jump, s.rho_faces
+        np.maximum(s.speed_1, s.speed_2, out=a_face)
         np.maximum(rho, 0.0, out=rho)  # of both sides
         # local Lax-Friedrichs on the reconstructed states, every equation at
-        # once: 0.5 * (F(q_l) + F(q_r)) - half_a * (q_r - q_l), with the flux
-        # F(q) = (m_axis, m u_axis) built in the left face states
-        np.multiply(half_a, np.subtract(s.right, s.left, out=jump), out=jump)
-        _cutoff(s.m_faces, rho, np.greater(rho, eps_vac, out=s.wet), s.u_faces)
+        # once: (F(q_l) + F(q_r) - a (q_r - q_l)) / 2, with the flux
+        # F(q) = (m_axis, m u_axis) built in the left face states and the 1/2
+        # taken with the flux difference, divided by 2h
+        np.multiply(a_face, np.subtract(s.right, s.left, out=jump), out=jump)
+        dry = np.logical_not(np.greater(rho, eps_vac, out=s.dry), out=s.dry)
+        _cutoff(s.m_faces, rho, dry, s.u_faces)
         np.add(s.m_left, s.m_right, out=s.mass)
         np.multiply(s.mom_faces, s.u_faces_b, out=s.mom_faces)
         flux = s.left
         np.add(s.left_mom, s.right_mom, out=s.left_mom)
-        np.multiply(0.5, flux, out=flux)
         np.subtract(flux, jump, out=flux)
-        np.divide(np.subtract(s.flux_1, flux, out=s.dq), s.h, out=s.dq)
+        s.divide(np.subtract(s.flux_1, flux, out=s.dq), s.by_two_h, out=s.dq)
         np.subtract(s.d_in, s.dq_valid, out=d)
 
     # pressure gradient, centered, of the bundle's rho^gamma
@@ -279,13 +296,14 @@ def rhs(state: State, config: SolverConfig, *, _work: _Workspace | None = None
         np.subtract(dm, _centered(s.d_pressure), out=dm)
 
     # shear viscosity in compact flux form; harmonic face coefficient so the
-    # flux degenerates with the density at dry faces
+    # flux degenerates with the density at dry faces (the faces hold half the
+    # harmonic mean, so the face difference of u is taken over h/2)
     for s in work.axes:
         flux = s.face_v
         np.concatenate(s.u_halo, axis=s.axis, out=s.pad_v)
         np.subtract(s.pad_v_2, s.pad_v_1, out=flux)
-        np.multiply(s.h_face, np.divide(flux, s.h, out=flux), out=flux)
-        np.divide(np.subtract(s.face_v_1, flux, out=s.dv), s.h, out=s.dv)
+        np.multiply(s.h_face, s.divide(flux, s.by_half_h, out=flux), out=flux)
+        s.divide(np.subtract(s.face_v_1, flux, out=s.dv), s.by_h, out=s.dv)
         np.add(dmom, s.dv_valid, out=dmom)
 
     # second-coefficient term grad(g * div u), centered
@@ -300,8 +318,6 @@ def rhs(state: State, config: SolverConfig, *, _work: _Workspace | None = None
     if config.forcing is not None:  # each member at its own time
         for k, t in enumerate(state.t.tolist()):
             np.add(dmom[:, k], config.forcing(t, config.grid), out=dmom[:, k])
-    if one:
-        return d[0, 0], dmom[:, 0]
     return work.rows
 
 
@@ -323,17 +339,19 @@ def stable_dt(state: State, config: SolverConfig, *, _work: _Workspace | None = 
     of every such member in its ``errors`` map (see :func:`step`).  With
     ``_work``, ``state`` is the state buffer of that workspace written last,
     whose bundle the workspace holds or makes."""
-    one = False
     if _work is None:
-        state, _work, one = _enter(state, config, "stable_dt")
+        dt, one = _public(stable_dt, state, config)
+        return dt.tolist()[0] if one else dt
     work = _work
     f = _bundle(state, config, work)
     grid, eps_vac, cfl = config.grid, config.eps_vac, config.cfl
     dx = min(grid.spacing)
     rate, diff_all = work.rate, work.diff_all
-    for s in work.axes:
-        np.divide(np.add(s.h_face_1, s.h_face, out=s.term), s.h_sq, out=s.term)
-        np.add(s.rate_in, s.term_valid, out=rate)
+    for s in work.axes:  # the faces hold half the harmonic mean: over h^2 / 2
+        term = np.add(s.h_face_1_valid, s.h_face_valid, out=s.rate_term)
+        s.divide(term, s.by_half_h_sq, out=term)
+        if term is not rate:
+            np.add(rate, term, out=rate)
     if not work.g_vanishes:
         # the centered grad(g div u) stencil's row rate for momentum component
         # a, (|g_{i+e_a}| + |g_{i-e_a}|) sum_b 1/(4 dx_a dx_b); the largest over a
@@ -343,9 +361,13 @@ def stable_dt(state: State, config: SolverConfig, *, _work: _Workspace | None = 
             np.multiply(np.add(s.g_pad_1, s.g_pad_3, out=s.term), s.g_coef, out=s.term)
             np.maximum(s.rate_g_in, s.term_valid, out=work.rate_g)
         np.add(rate, work.rate_g, out=rate)
-    diff_all.fill(math.inf)
-    np.divide(f.rho, rate, out=diff_all, where=np.greater(rate, 0.0, out=work.cell_mask))
-    diff = np.minimum.reduce(diff_all, axis=grid.axes, where=f.wet, initial=math.inf).tolist()
+    # rho / rate, and inf where the rate is not positive (NaN included) and
+    # on dry cells: one plain minimum then takes the wet cells' bound
+    np.divide(f.rho, rate, out=diff_all)
+    out_of_bound = np.greater(rate, 0.0, out=work.cell_mask)
+    np.less_equal(out_of_bound, f.dry, out=out_of_bound)  # on booleans: not positive, or dry
+    np.copyto(diff_all, math.inf, where=out_of_bound)
+    diff = np.minimum.reduce(diff_all, axis=grid.axes).tolist()
     top = np.maximum.reduce(f.waves, axis=grid.axes).tolist()  # max |u| and max c
     any_wet = np.logical_or.reduce(f.wet, axis=grid.axes).tolist()
     # the rest per member, in Python floats: cfl * min(adv, diff), with NaN
@@ -367,17 +389,21 @@ def stable_dt(state: State, config: SolverConfig, *, _work: _Workspace | None = 
         dt.append(dt_k)
     if errors:
         raise _MemberErrors(errors)
-    return dt[0] if one else np.array(dt)
+    return np.array(dt)
 
 
 def _apply_floors(rho: np.ndarray, mom: np.ndarray, work: _Workspace):
     """Clamp negative densities and zero momentum on sub-cutoff cells of a
     batch in the workspace ``work``, whose cutoff ``eps_vac`` they use and
     whose boolean buffers they write.  Returns (clamped cells, zeroed
-    cells), each counted per member when the floor catches a cell, else 0."""
+    cells), each counted per member when the floor catches a cell, else 0:
+    both 0 at once when every density lies above the cutoff."""
     cells, axes = work.cell_mask, work.grid_axes
     n_clamp = n_zero = 0
-    if np.fmin.reduce(rho, axis=None) < 0.0:  # fmin passes over NaN, as rho < 0 does
+    lowest = np.fmin.reduce(rho, axis=None)  # fmin passes over NaN, as both floors do
+    if lowest > work.eps_vac:
+        return n_clamp, n_zero
+    if lowest < 0.0:
         neg = np.less(rho, 0.0, out=cells)
         n_clamp = np.add.reduce(neg, axis=axes, dtype=np.intp)
         np.copyto(rho, 0.0, where=neg)
@@ -441,10 +467,11 @@ def step(state: State, config: SolverConfig, dt, *, _work: _Workspace | None = N
     failed step leaves ``state`` as it was and the other members of a batch
     can redo the step from it.  With ``_work``, ``state`` is the state
     buffer of that workspace written last, and ``dt`` an array."""
-    one = False
     if _work is None:
-        state, _work, one = _enter(state, config, "step")
-        dt = np.array(dt, dtype=float, ndmin=1)
+        (new, clamps, zeros), one = _public(step, state, config, np.array(dt, dtype=float, ndmin=1))
+        if one:
+            return State(float(new.t[0]), new.rho[0], new.mom[:, 0]), int(clamps[0]), int(zeros[0])
+        return new, clamps, zeros
     work = _work
     # dt times a field: each member's dt scales every cell of that member
     w = dt.reshape(work.dt_shape)
@@ -463,8 +490,6 @@ def step(state: State, config: SolverConfig, dt, *, _work: _Workspace | None = N
     np.add(np.multiply(0.5, state.q, out=q), k, out=q)
     c, z = _settle(new, work, "after step")
     clamps, zeros = work.no_counts + (clamps + c), work.no_counts + (zeros + z)  # per member
-    if one:
-        return State(float(new.t[0]), new.rho[0], new.mom[:, 0]), int(clamps[0]), int(zeros[0])
     return new, clamps, zeros
 
 
@@ -508,8 +533,9 @@ def run_members(config: SolverConfig, initials: list[State]
     batches: dict[float, list] = {}
     for i, eps_vac in eps.items():
         batches.setdefault(eps_vac, []).append((i, initials[i]))
-    for eps_vac, members in batches.items():
-        _advance(replace(config, eps_vac=eps_vac), members, results, not report.overall)
+    with np.errstate(**_QUIET):  # the one error state of the stage loop: see grid._cutoff
+        for eps_vac, members in batches.items():
+            _advance(replace(config, eps_vac=eps_vac), members, results, not report.overall)
     return results
 
 

@@ -237,6 +237,18 @@ def test_non_integral_config_number_is_one_line(tmp_path, capsys, key, value):
     assert f"{name!r} must be an integer" in err, err
 
 
+@pytest.mark.parametrize("command", ["validate-law", "simulate"])
+@pytest.mark.parametrize("dim", [1e300, 10**30, 3, 0, -1])
+def test_dim_other_than_one_or_two_is_one_line(tmp_path, capsys, command, dim):
+    # refused before the grid's sizes are built: a dim of 1e300 overflowed
+    # building them, with a traceback
+    path = write_config(tmp_path, name="bad.json", dim=dim)
+    code = cli_main([command, "--config", str(path)])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 2 and len(err) == 1, err
+    assert f"'dim' must be 1 or 2, got {dim!r}" in err[0], err
+
+
 @pytest.mark.parametrize("key, value", [("allow_non_admissible", "false"), ("dim", True),
                                         ("ledger_stride", True), ("cfl", "0.4"),
                                         ("t_end", "0.001")])
@@ -561,6 +573,17 @@ def test_verify_identities_dimension_other_than_one_or_two_is_one_line(dims):
                            "--grids", "32,64")
     assert code == 2 and len(err) == 1, err
     assert err[0].startswith("usage error: cannot certify in ") and "dim must be 1 or 2" in err[0]
+
+
+@pytest.mark.parametrize("seed", ["-5", "-1"])
+def test_verify_identities_negative_seed_is_one_line(capsys, seed):
+    code = cli_main(["verify-identities", "--law", '{"terms": [[1, 1]]}', "--dims", "1",
+                     "--grids", "32,64", "--seed", seed])
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert code == 2 and len(err) == 1, err
+    assert f"--seed must be a non-negative integer, got {seed}" in err[0], err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("grids, text", [("x", "bad --dims/--grids"),

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from bdns.diagnostics import _Fields
 from bdns.grid import (
+    _QUIET,
     GridError,
     PeriodicGrid,
     State,
@@ -237,6 +238,16 @@ def test_lp_norm_rejects_small_p():
         lp_norm(np.ones(g.sizes), g, 0.5)
 
 
+@pytest.mark.parametrize("p", [float("nan"), -float("inf")])
+def test_lp_norm_rejects_a_p_that_is_not_a_number_or_below_one(p):
+    # NaN passed both guards (neither infinite nor below 1) and gave 1.0 for
+    # a field of ones
+    g = PeriodicGrid((16,))
+    for f in (np.ones(g.sizes), np.arange(16.0)):
+        with pytest.raises(ValueError, match="p must be >= 1"):
+            lp_norm(f, g, p)
+
+
 # -- vacuum cutoff ----------------------------------------------------------------
 
 
@@ -265,7 +276,7 @@ def test_cutoff_vacuum_conventions():
     for q in (f.u, f.sqrt_rho_u):
         assert q[0, 3] == 0.0 and q[0, 5] == 0.0
         assert np.all(np.delete(q[0], [3, 5]) == 1.0)
-    assert np.array_equal(_cutoff(mom, rho, rho > 1e-10), f.u)
+    assert np.array_equal(_cutoff(mom, rho, np.logical_not(rho > 1e-10)), f.u)
 
 
 def test_cutoff_scales_linearly():
@@ -278,18 +289,29 @@ def test_cutoff_scales_linearly():
     assert np.array_equal(f4.sqrt_rho_u, 4.0 * f1.sqrt_rho_u)
 
 
-def test_cutoff_into_a_buffer_divides_wet_cells_only():
+def test_cutoff_matches_the_quotient_on_wet_cells_bit_for_bit():
+    # every pair of these numerators and denominators: zeros of both signs,
+    # NaN, infinities, subnormals, extremes and plain values; a batch of two
+    # numerators over one row of denominators
+    values = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 2.2e-308, 1e-300, 0.5,
+              -1.0, 3.0, 1e300, -1.7976931348623157e308]
+    num, den = (a.ravel() for a in np.meshgrid(values, values))
+    num = np.stack([num, num[::-1]])
     rng = np.random.default_rng(3)
-    num, den = rng.standard_normal((2, 40)), rng.random(40)
-    wet = den > 0.5
-    den[~wet & (np.arange(40) % 2 == 0)] = 0.0  # a dry cell's value is never divided by
-    want = np.where(wet, num / np.where(wet, den, 1.0), 0.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert np.array_equal(_cutoff(num, den, wet), want)
-        out = np.full((2, 40), np.nan)  # whatever the buffer held before
-        assert _cutoff(num, den, wet, out) is out
-    assert np.array_equal(out, want)
+    for wet in (den > 1e-10, den > 0.0, rng.random(den.size) < 0.5):
+        with np.errstate(all="ignore"):
+            want = np.where(wet, num / den, 0.0)
+        dry = np.logical_not(wet)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _cutoff(num, den, dry)  # the allocating form holds its own error state
+            out = np.full(num.shape, np.nan)  # whatever the buffer held before
+            in_place = num.copy()
+            with np.errstate(**_QUIET):  # into a buffer, the caller holds it
+                assert _cutoff(num, den, dry, out) is out
+                _cutoff(in_place, den, dry, in_place)
+        for a in (got, out, in_place):
+            assert a.tobytes() == want.tobytes()
 
 
 def test_fields_require_positive_cutoff():

@@ -25,6 +25,10 @@ states are those of the ``vacuum1d_256`` workload (seed 0, 256 cells,
   with an array operand that is not C-contiguous, ``out=`` and ``where=``
   operands included: the calls that numpy cannot run as one loop over
   whole arrays;
+* ``masked``: those ufunc calls, through the namespace or as operators,
+  given an array ``where=``: a masked loop, several times slower than the
+  plain one (``np.copyto(..., where=)`` is no ufunc call and is not
+  counted);
 * ``allocations``: arrays of at least one field's cells (a member's grid)
   made in the step, by a numpy constructor (``np.zeros``, ``np.empty``,
   ``np.concatenate`` without ``out=`` and the like) or by a ufunc call or
@@ -65,7 +69,8 @@ SV2D_128 = {
 }
 WARM_UP_STEPS = 3
 REDUCTIONS = ("reduce", "accumulate", "reduceat", "outer", "at")
-KINDS = ("python", "dispatchers", "ufunc", "operators", "strided", "allocations", "fields")
+KINDS = ("python", "dispatchers", "ufunc", "operators", "strided", "masked", "allocations",
+         "fields")
 # the numpy constructors whose results count as allocations
 CONSTRUCTORS = ("empty", "zeros", "ones", "full", "empty_like", "zeros_like", "ones_like",
                 "full_like", "array", "copy", "concatenate", "stack")
@@ -133,11 +138,14 @@ def _namespace_call(fn, args, kwargs):
 
 
 def _operands(inputs, out, where):
-    """Count a ufunc call as strided if an array operand is not C-contiguous."""
+    """Count a ufunc call as strided if an array operand is not C-contiguous,
+    and as masked if it is given an array ``where=``."""
     outs = out if isinstance(out, tuple) else (out,)
     if any(isinstance(x, np.ndarray) and not x.flags.c_contiguous
            for x in (*inputs, *outs, where)):
         TALLY.add("strided")
+    if isinstance(where, np.ndarray):
+        TALLY.add("masked")
 
 
 def _made(result):
