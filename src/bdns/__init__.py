@@ -8,16 +8,8 @@ from .diagnostics import (
     EntropyLedger,
     MomentParams,
     TestField,
-    apriori_bounds,
-    bd_cross,
-    bd_entropy,
-    compactness_quantities,
-    dissipation,
-    energy,
     ledger_row,
     make_test_fields,
-    moment_functional,
-    moment_rhs,
     weak_form_residual,
 )
 from .grid import (
@@ -39,11 +31,6 @@ from .identities import (
     gradient_flow_field,
     manufactured_field,
     run_all_identities,
-    verify_bd_combination,
-    verify_energy_step,
-    verify_moment_derivation,
-    verify_step2,
-    verify_step3_cross,
 )
 from .presets import make_initial
 from .solver import (

@@ -49,6 +49,9 @@ class MomentParams:
                 f"delta must lie in (0, min(nu/4, 2)) = (0, {min(nu / 4.0, 2.0):g}), "
                 f"got {self.delta}"
             )
+        self._check_alpha()
+
+    def _check_alpha(self):
         if not 0.0 < self.alpha < self.delta / 2.0:
             raise ValueError(
                 f"alpha must lie in (0, delta/2) = (0, {self.delta / 2.0:g}), "
@@ -215,7 +218,7 @@ def _hp_grad_sqrt_rho_sq(x: _Instant, out):  # h'^2 |grad sqrt(rho)|^2
 def _holder_pressure(x: _Instant, out):
     # (rho^{2 gamma - delta/2} / h)^{2/(2-delta)}, the ratio 0 on vacuum cells
     # and +inf on a wet cell where h = 0; the cutoff's allocating form, which
-    # holds its own error state, as the public helpers hold none
+    # holds its own error state, as a ledger row outside the solver holds none
     f, delta = x.f, x.mp.delta
     np.copyto(out, _cutoff(f.rho ** (2.0 * x.gamma - delta / 2.0), f.h,
                            np.logical_not(np.logical_and(f.wet, f.h > 0.0))))
@@ -300,17 +303,16 @@ _COMPACTNESS = {
     "psi_L6_lemma44": _norm(lambda x, out: np.abs(x.f.law.psi(x.f.rho), out=out), 6),
 }
 _LEDGER = {**_ENTROPY, **_APRIORI, **_COMPACTNESS}
-_E, _D, _E_BD, _X_BD, _, _M, _RHS = _ENTROPY  # the single-functional helpers' columns
 
 APRIORI_COLUMNS = tuple(_APRIORI)
 COMPACTNESS_COLUMNS = tuple(_COMPACTNESS)
 TIME_AGGREGATION = {tag: column.aggregation for tag, column in _APRIORI.items()}
 LEDGER_COLUMNS = ("t", *_LEDGER, "clamp_count", "cutoff_count")
 # the stability study's initial-data checks, by their names in its hypothesis table
-HYPOTHESES = {"energy": _ENTROPY[_E],
+HYPOTHESES = {"energy": _ENTROPY["E_eq15"],
               "grad_h_over_rho": _Column((_hp_grad_sqrt_rho_sq,), lambda x, v: 4.0 * v,
                                          gradient=_GRAD_SQRT_RHO),
-              "moment": _ENTROPY[_M]}
+              "moment": _ENTROPY["M_delta_lemma32"]}
 
 
 def _row(t: float, columns: dict[str, list[float]], k: int, clamp_count: int,
@@ -320,65 +322,13 @@ def _row(t: float, columns: dict[str, list[float]], k: int, clamp_count: int,
             "clamp_count": float(clamp_count), "cutoff_count": float(cutoff_count)}
 
 
-def _values(tags, state: State, grid: PeriodicGrid, law, gamma: float | None, eps_vac: float,
-            mp: MomentParams | None = None) -> dict[str, float]:
-    """One state's values of the ledger columns ``tags``."""
-    columns = _Fields(state, grid, law, gamma, eps_vac).columns(mp, {t: _LEDGER[t] for t in tags})
-    return {tag: value for tag, (value,) in columns.items()}
-
-
-def energy(state: State, grid: PeriodicGrid, gamma: float, eps_vac: float) -> float:
-    """Total energy: kinetic (via the weighted momentum) plus pressure potential."""
-    return _Fields(state, grid, None, gamma, eps_vac).energy()
-
-
-def dissipation(state: State, grid: PeriodicGrid, law, eps_vac: float) -> float:
-    """Viscous dissipation rate: int h |grad u|^2 + g (div u)^2."""
-    return _values((_D,), state, grid, law, None, eps_vac)[_D]
-
-
-def bd_entropy(state: State, grid: PeriodicGrid, law, gamma: float, eps_vac: float) -> float:
-    """Weighted entropy functional, vacuum-safe form of
-    int rho |u + grad(phi(rho))|^2 / 2 + rho^gamma/(gamma-1)."""
-    return _values((_E_BD,), state, grid, law, gamma, eps_vac)[_E_BD]
-
-
-def bd_cross(state: State, grid: PeriodicGrid, law, gamma: float, eps_vac: float) -> float:
-    """Pressure cross term int grad(phi) . grad(rho^gamma), computed as
-    4 gamma int h' rho^{gamma-1} |grad sqrt(rho)|^2, nonnegative where h' >= 0."""
-    return _values((_X_BD,), state, grid, law, gamma, eps_vac)[_X_BD]
-
-
-def moment_functional(state: State, grid: PeriodicGrid, delta: float, eps_vac: float) -> float:
-    """int rho |u|^{2+delta} / (2+delta), computed as |sqrt(rho)u|^2 |u|^delta."""
-    _check_delta(delta)
-    return _values((_M,), state, grid, None, None, eps_vac, MomentParams(delta))[_M]
-
-
-def moment_rhs(state: State, grid: PeriodicGrid, law, gamma: float, delta: float,
-               eps_vac: float) -> float:
-    """Bound on the moment growth rate: the Hoelder product of the weighted
-    pressure factor and the kinetic energy (see ``_holder_pressure``)."""
-    _check_delta(delta)
-    return _values((_RHS,), state, grid, law, gamma, eps_vac, MomentParams(delta))[_RHS]
-
-
-def apriori_bounds(state: State, grid: PeriodicGrid, law, gamma: float,
-                   eps_vac: float) -> dict[str, float]:
-    """Instantaneous values of the three a priori bound sets."""
-    return _values(APRIORI_COLUMNS, state, grid, law, gamma, eps_vac)
-
-
-def compactness_quantities(state: State, grid: PeriodicGrid, law, gamma: float,
-                           mp: MomentParams, eps_vac: float) -> dict[str, float]:
-    """Quantities controlling strong convergence: the space-time pressure
-    integrand, the improved momentum norm and the L6 norms of h/sqrt(rho), psi."""
-    return _values(COMPACTNESS_COLUMNS, state, grid, law, gamma, eps_vac, mp)
-
-
 def ledger_row(state: State, grid: PeriodicGrid, law, gamma: float, mp: MomentParams,
                eps_vac: float, clamp_count: int = 0, cutoff_count: int = 0) -> dict[str, float]:
-    """One full diagnostics row, from one evaluation of one field bundle."""
+    """Every ledger column of one state by tag, from one evaluation of one
+    field bundle.  It refuses moment exponents outside delta in (0, 2) and
+    alpha in (0, delta/2), the ranges that need no nu."""
+    _check_delta(mp.delta)
+    mp._check_alpha()
     columns = _Fields(state, grid, law, gamma, eps_vac).columns(mp)
     return _row(state.t, columns, 0, clamp_count, cutoff_count)
 
@@ -494,7 +444,10 @@ class TestField:
 
 def make_test_fields(dim: int, t_end: float, seed: int = 0, count: int = 3,
                      kmax: int = 3) -> list[TestField]:
-    """Fixed seeded family of band-limited test fields."""
+    """Fixed seeded family of band-limited test fields.  A dimension other
+    than 1 or 2 is refused before the first draw."""
+    if dim not in (1, 2):  # the grids' dimensions; a field of no component has no modes
+        raise ValueError(f"dim must be 1 or 2, got {dim}")
     rng = np.random.default_rng(seed)
     fields = []
     for _ in range(count):
@@ -520,6 +473,9 @@ def weak_form_residual(trajectory, grid: PeriodicGrid, law, gamma: float,
     integration is the trapezoid rule over the stored checkpoints; the test
     field must vanish at the final checkpoint time.
     """
+    if test_field.dim != grid.dim:
+        raise ValueError(f"a test field of dimension {test_field.dim} "
+                         f"on a grid of dimension {grid.dim}")
     times = trajectory.times
     states = trajectory.states
     if len(times) < 2:

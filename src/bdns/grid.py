@@ -381,7 +381,9 @@ def spectral_div(v: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
 
 def _wave_vector(rng: np.random.Generator, dim: int, kmax: int) -> tuple[int, ...]:
     """A nonzero integer wave vector with entries in [-kmax, kmax]: ``rng``
-    draws whole vectors until one is nonzero."""
+    draws whole vectors until one is nonzero, which needs kmax >= 1."""
+    if not kmax >= 1:
+        raise ValueError(f"kmax must be at least 1, got {kmax}")
     while True:
         kvec = tuple(int(k) for k in rng.integers(-kmax, kmax + 1, size=dim))
         if any(kvec):

@@ -401,6 +401,8 @@ def _certify(mf: ManufacturedField, law, gamma: float, grids, checks) -> list[Id
 
 
 def _energy_step(c: _Ctx):
+    """Energy balance: d/dt of kinetic + pressure energy against the viscous
+    dissipation, under PDE substitution."""
     lhs = c.d_dt_kinetic + c.d_dt_pressure
     rhs = -c.visc_h - c.visc_g
     scale = max(abs(c.d_dt_kinetic), abs(c.d_dt_pressure), abs(c.visc_h), abs(c.visc_g))
@@ -413,13 +415,10 @@ def _energy_step(c: _Ctx):
     return {"equality": c.norm(lhs - rhs, scale)}, {}, terms
 
 
-def verify_energy_step(mf: ManufacturedField, law, gamma: float, grids) -> IdentityReport:
-    """Energy balance: d/dt of kinetic + pressure energy against the viscous
-    dissipation, under PDE substitution."""
-    return _certify(mf, law, gamma, grids, [("energy_step", _energy_step)])[0]
-
-
 def _grad_phi_transport(c: _Ctx):
+    """Transport identity for the weighted density-gradient energy
+    d/dt int rho |grad phi|^2 / 2 (three-term right-hand side); it does not
+    involve the pressure."""
     w = c.w
     quad = np.einsum("ij...,i...,j...->...", c.grad_u, w, w)  # d_i u_j d_i phi d_j phi
     t1 = -c.int_(c.rho * quad)
@@ -432,14 +431,9 @@ def _grad_phi_transport(c: _Ctx):
     return {"equality": c.norm(lhs - rhs, scale)}, {}, {"lhs": lhs, "t1": t1, "t2": t2, "t3": t3}
 
 
-def verify_step2(mf: ManufacturedField, law, grids) -> IdentityReport:
-    """Transport identity for the weighted density-gradient energy
-    d/dt int rho |grad phi|^2 / 2 (three-term right-hand side)."""
-    # the identity does not involve the pressure, so any gamma serves
-    return _certify(mf, law, 2.0, grids, [("grad_phi_transport", _grad_phi_transport)])[0]
-
-
 def _cross_term_expansion(c: _Ctx):
+    """Cross-term derivative identity plus the two diffusion integration-by-
+    parts rewritings used to expand grad(phi) . dt(rho u)."""
     w = c.w
     # (a) d/dt int rho u . grad phi = int grad phi . dt m + int (div m)^2 phi'
     direct = c.d_dt_cross
@@ -469,13 +463,17 @@ def _cross_term_expansion(c: _Ctx):
     return residuals, {}, {"cross_direct": direct, "g_lhs": lhs_g, "h_lhs": lhs_h}
 
 
-def verify_step3_cross(mf: ManufacturedField, law, gamma: float, grids) -> IdentityReport:
-    """Cross-term derivative identity plus the two diffusion integration-by-
-    parts rewritings used to expand grad(phi) . dt(rho u)."""
-    return _certify(mf, law, gamma, grids, [("cross_term_expansion", _cross_term_expansion)])[0]
-
-
 def _bd_combination(c: _Ctx):
+    """Combined entropy balance.  The equality chain
+
+        -int grad(phi).div(rho u x u) + int phi'(div(rho u))^2
+            = int g (div u)^2 + int h d_i u_j d_j u_i
+
+    holds only under the structural relation g = rho h' - h; with a tampered
+    pair its residual stays O(1) under refinement.  The inequality part is
+    the nonnegative symmetrization slack int h (|grad u|^2 - d_i u_j d_j u_i),
+    and the combined statement bounds d/dt of the weighted entropy plus the
+    pressure cross term by the viscous dissipation."""
     w = c.w
     # int h d_i u_j d_j u_i
     transpose = c.int_(c.h * np.einsum("ij...,ji...->...", c.grad_u, c.grad_u))
@@ -499,21 +497,15 @@ def _bd_combination(c: _Ctx):
     return {"step4_chain": c.norm(lhs4 - rhs4, scale)}, slacks, terms
 
 
-def verify_bd_combination(mf: ManufacturedField, law, gamma: float, grids) -> IdentityReport:
-    """Combined entropy balance.  The equality chain
-
-        -int grad(phi).div(rho u x u) + int phi'(div(rho u))^2
-            = int g (div u)^2 + int h d_i u_j d_j u_i
-
-    holds only under the structural relation g = rho h' - h; with a tampered
-    pair its residual stays O(1) under refinement.  The inequality part is
-    the nonnegative symmetrization slack int h (|grad u|^2 - d_i u_j d_j u_i),
-    and the combined statement bounds d/dt of the weighted entropy plus the
-    pressure cross term by the viscous dissipation."""
-    return _certify(mf, law, gamma, grids, [("bd_combination", _bd_combination)])[0]
-
-
 def _moment_balance(c: _Ctx, delta: float, nu: float):
+    """Velocity-moment balance: multiplying the momentum equation by
+    u |u|^delta gives an exact identity (checked as a residual) and a chain
+    of inequalities (each checked as a nonnegative slack) ending in
+
+        d/dt int rho |u|^{2+delta}/(2+delta) + (nu/4) int h |u|^delta |grad u|^2
+            <= (int (rho^{2 gamma - delta/2}/h)^{2/(2-delta)})^{(2-delta)/2}
+               (int rho |u|^2)^{delta/2}.
+    """
     N = c.dim
     umag = np.sqrt(np.sum(c.u**2, axis=0))
     ud = umag**delta
@@ -594,23 +586,11 @@ def _moment_check(mf: ManufacturedField, law, gamma: float, delta: float, nu: fl
     return f"moment_balance_delta_{delta:g}", partial(_moment_balance, delta=delta, nu=nu)
 
 
-def verify_moment_derivation(mf: ManufacturedField, law, gamma: float, delta: float,
-                             grids, nu: float | None = None) -> IdentityReport:
-    """Velocity-moment balance: multiplying the momentum equation by
-    u |u|^delta gives an exact identity (checked as a residual) and a chain
-    of inequalities (each checked as a nonnegative slack) ending in
-
-        d/dt int rho |u|^{2+delta}/(2+delta) + (nu/4) int h |u|^delta |grad u|^2
-            <= (int (rho^{2 gamma - delta/2}/h)^{2/(2-delta)})^{(2-delta)/2}
-               (int rho |u|^2)^{delta/2}.
-    """
-    return _certify(mf, law, gamma, grids, [_moment_check(mf, law, gamma, delta, nu)])[0]
-
-
 def run_all_identities(mf: ManufacturedField, law, gamma: float, grids,
                        delta: float = 0.05, nu: float | None = None) -> list[IdentityReport]:
-    """Every checker on one field, sharing one spectral context per grid;
-    used by the command-line driver."""
+    """Every checker on one field, sharing one spectral context per grid: the
+    certifier's one entry, used by the command-line driver.  The moment
+    check's prechecks run before any grid work."""
     checks = [
         ("energy_step", _energy_step),
         ("grad_phi_transport", _grad_phi_transport),

@@ -10,14 +10,7 @@ import pytest
 
 from bdns.diagnostics import make_test_fields, weak_form_residual
 from bdns.grid import PeriodicGrid, State, integrate, lp_norm
-from bdns.identities import (
-    manufactured_field,
-    verify_bd_combination,
-    verify_energy_step,
-    verify_moment_derivation,
-    verify_step2,
-    verify_step3_cross,
-)
+from bdns.identities import manufactured_field, run_all_identities
 from bdns.harness import InitialDataSpec, run_study
 from bdns.presets import make_initial
 from bdns.solver import SolverConfig, run
@@ -89,12 +82,8 @@ def test_criterion_01_identity_certification():
         grids = GRIDS[dim]
         idx = grids.index(FINEST[dim])
         for law in (LINEAR, MIXED):
-            reports = (
-                verify_energy_step(mf, law, GAMMA, grids),
-                verify_step2(mf, law, grids),
-                verify_step3_cross(mf, law, GAMMA, grids),
-                verify_bd_combination(mf, law, GAMMA, grids),
-            )
+            # the four derivation steps, before the moment balance
+            *reports, _ = run_all_identities(mf, law, GAMMA, grids, nu=NU_FOR[law])
             for rep in reports:
                 for name, series in rep.residuals.items():
                     worst = max(worst, series[idx])
@@ -112,7 +101,8 @@ def test_criterion_02_structural_relation_necessity():
     ok = True
     smallest = np.inf
     for dim in (1, 2):
-        rep = verify_bd_combination(fields_for(dim), bad, GAMMA, GRIDS[dim])
+        reports = run_all_identities(fields_for(dim), bad, GAMMA, GRIDS[dim], nu=NU_FOR[LINEAR])
+        rep = reports[3]  # bd_combination
         smallest = min(smallest, min(rep.residuals["step4_chain"]))
         if any(r <= 1e-2 for r in rep.residuals["step4_chain"]):
             ok = False
@@ -129,8 +119,8 @@ def test_criterion_03_moment_estimate_certification():
         mf = fields_for(dim)
         for law in (LINEAR, MIXED):
             for delta in (0.01, 0.05):
-                rep = verify_moment_derivation(mf, law, GAMMA, delta, GRIDS[dim],
-                                               nu=NU_FOR[law])
+                *_, rep = run_all_identities(mf, law, GAMMA, GRIDS[dim], delta=delta,
+                                             nu=NU_FOR[law])
                 worst_slack = min(worst_slack, min(rep.slacks["end_to_end_slack"]))
                 if any(s < -1e-8 for s in rep.slacks["end_to_end_slack"]):
                     ok = False
@@ -138,8 +128,9 @@ def test_criterion_03_moment_estimate_certification():
                     ok = False
     # delta -> 0 limit agrees with the energy balance kinetic rate
     mf = fields_for(1)
-    dk = verify_energy_step(mf, LINEAR, GAMMA, [64]).terms[0]["d_dt_kinetic"]
-    dm = verify_moment_derivation(mf, LINEAR, GAMMA, 1e-6, [64], nu=0.9).terms[0]["d_dt_moment"]
+    energy, *_, moment = run_all_identities(mf, LINEAR, GAMMA, [64], delta=1e-6, nu=0.9)
+    dk = energy.terms[0]["d_dt_kinetic"]
+    dm = moment.terms[0]["d_dt_moment"]
     if abs(dm - dk) > 1e-4 * abs(dk):
         ok = False
     _report(3, "moment-balance equality and end-to-end inequality certified",

@@ -8,23 +8,17 @@ from hypothesis import strategies as st
 
 import bdns.diagnostics as diagnostics
 from bdns.diagnostics import (
+    APRIORI_COLUMNS,
+    COMPACTNESS_COLUMNS,
     MomentParams,
     TestField,
-    apriori_bounds,
-    bd_cross,
-    bd_entropy,
-    compactness_quantities,
-    dissipation,
-    energy,
     ledger_row,
     make_test_fields,
-    moment_functional,
-    moment_rhs,
     weak_form_residual,
 )
 from bdns.grid import PeriodicGrid, State, grad, integrate, lp_norm
 from bdns.presets import make_initial
-from bdns.solver import SolverConfig, run
+from bdns.solver import SolverConfig, Trajectory, run
 from bdns.viscosity import AdmissibilityParams, ViscosityLaw
 
 LINEAR = ViscosityLaw(terms=((1.0, 1.0),))
@@ -39,20 +33,26 @@ def sine_state(n=256, a=0.5, u_amp=1.0):
     return grid, State(0.0, rho, mom)
 
 
+def row_of(st0, grid, delta=0.05, gamma=2.0, eps_vac=EPS):
+    """The ledger row of one state under h = rho."""
+    return ledger_row(st0, grid, LINEAR, gamma, MomentParams(delta), eps_vac)
+
+
 # -- energy and dissipation -----------------------------------------------------
 
 
 def test_energy_of_vacuum_is_zero():
     grid = PeriodicGrid((32,))
     st0 = State(0.0, np.zeros(grid.sizes), np.zeros((1, 32)))
-    assert energy(st0, grid, 2.0, EPS) == 0.0
-    assert dissipation(st0, grid, LINEAR, EPS) == 0.0
+    vacuum = row_of(st0, grid)
+    assert vacuum["E_eq15"] == 0.0
+    assert vacuum["D_visc_eq15"] == 0.0
 
 
 def test_energy_of_rest_state():
     grid = PeriodicGrid((32, 32))
     st0 = State(0.0, np.ones(grid.sizes), np.zeros((2, 32, 32)))
-    assert energy(st0, grid, 2.0, EPS) == pytest.approx(1.0, rel=1e-13)
+    assert row_of(st0, grid)["E_eq15"] == pytest.approx(1.0, rel=1e-13)
 
 
 def test_dissipation_against_analytic_integral():
@@ -60,7 +60,7 @@ def test_dissipation_against_analytic_integral():
     grid = PeriodicGrid((512,))
     x = grid.axis_coords(0)
     st0 = State(0.0, np.ones(grid.sizes), np.sin(2 * np.pi * x)[np.newaxis])
-    assert dissipation(st0, grid, LINEAR, EPS) == pytest.approx(2 * np.pi**2, rel=1e-3)
+    assert row_of(st0, grid)["D_visc_eq15"] == pytest.approx(2 * np.pi**2, rel=1e-3)
 
 
 # -- weighted entropy functional ---------------------------------------------------
@@ -78,20 +78,20 @@ def test_bd_entropy_kernel_of_quadratic_term():
     mom = -sqrt_rho * 2.0 * hp * gsr
     st0 = State(0.0, rho, mom)
     expected = integrate(rho**2.0 / (2.0 - 1.0), grid)
-    assert bd_entropy(st0, grid, LINEAR, 2.0, EPS) == pytest.approx(expected, rel=1e-12)
+    assert row_of(st0, grid)["E_BD_lemma31"] == pytest.approx(expected, rel=1e-12)
 
 
 def test_bd_cross_zero_for_flat_density():
     grid = PeriodicGrid((64,))
     st0 = State(0.0, np.ones(grid.sizes), np.ones((1, 64)))
-    assert bd_cross(st0, grid, LINEAR, 2.0, EPS) == 0.0
+    assert row_of(st0, grid)["X_BD_lemma31"] == 0.0
 
 
 def test_bd_cross_against_quadrature_oracle():
     # rho = 1 + sin(2 pi x)/2, h = rho, gamma = 2:
     # gamma int h' rho^{gamma-2} |rho'|^2 = 2 int (pi cos)^2 = pi^2
     grid, st0 = sine_state(512)
-    assert bd_cross(st0, grid, LINEAR, 2.0, EPS) == pytest.approx(np.pi**2, rel=2e-3)
+    assert row_of(st0, grid)["X_BD_lemma31"] == pytest.approx(np.pi**2, rel=2e-3)
 
 
 def test_bd_cross_nonnegative_random_states():
@@ -100,7 +100,7 @@ def test_bd_cross_nonnegative_random_states():
     for _ in range(10):
         rho = np.abs(rng.standard_normal(grid.sizes)) + 0.01
         st0 = State(0.0, rho, rng.standard_normal((1, 64)))
-        assert bd_cross(st0, grid, LINEAR, 2.0, EPS) >= 0.0
+        assert row_of(st0, grid)["X_BD_lemma31"] >= 0.0
 
 
 def test_energy_decomposition_identity():
@@ -111,25 +111,6 @@ def test_energy_decomposition_identity():
     lhs = row["E_BD_lemma31"]
     rhs = row["E_eq15"] + row["BD_cross_term"] + 2.0 * row["hprime_grad_sqrt_rho_L2_eq20"] ** 2
     assert lhs == pytest.approx(rhs, rel=1e-12)
-
-
-def test_public_helpers_equal_ledger_columns_exactly():
-    # compact-support density: dry cells exercise every vacuum cutoff
-    grid = PeriodicGrid((128,))
-    st0 = make_initial("vacuum_bump", grid, {"amp": 1.0, "width": 0.3, "u_amp": 0.2})
-    mp = MomentParams()
-    row = ledger_row(st0, grid, LINEAR, 2.0, mp, EPS)
-    assert np.any(st0.rho <= EPS)
-    assert energy(st0, grid, 2.0, EPS) == row["E_eq15"]
-    assert dissipation(st0, grid, LINEAR, EPS) == row["D_visc_eq15"]
-    assert bd_entropy(st0, grid, LINEAR, 2.0, EPS) == row["E_BD_lemma31"]
-    assert bd_cross(st0, grid, LINEAR, 2.0, EPS) == row["X_BD_lemma31"]
-    assert moment_functional(st0, grid, mp.delta, EPS) == row["M_delta_lemma32"]
-    assert moment_rhs(st0, grid, LINEAR, 2.0, mp.delta, EPS) == row["RHS_delta_lemma32"]
-    for name, v in apriori_bounds(st0, grid, LINEAR, 2.0, EPS).items():
-        assert v == row[name], name
-    for name, v in compactness_quantities(st0, grid, LINEAR, 2.0, mp, EPS).items():
-        assert v == row[name], name
 
 
 def test_ledger_row_derives_fields_once(monkeypatch):
@@ -154,49 +135,65 @@ def test_ledger_row_derives_fields_once(monkeypatch):
 def test_moment_functional_zero_velocity():
     grid = PeriodicGrid((32,))
     st0 = State(0.0, np.ones(grid.sizes), np.zeros((1, 32)))
-    assert moment_functional(st0, grid, 0.1, EPS) == 0.0
+    assert row_of(st0, grid, delta=0.1)["M_delta_lemma32"] == 0.0
 
 
 def test_moment_functional_constant_fields():
     grid = PeriodicGrid((32,))
     st0 = State(0.0, np.ones(grid.sizes), np.full((1, 32), 2.0))
-    assert moment_functional(st0, grid, 0.1, EPS) == pytest.approx(2.0**2.1 / 2.1, rel=1e-13)
+    assert row_of(st0, grid, delta=0.1)["M_delta_lemma32"] == pytest.approx(2.0**2.1 / 2.1,
+                                                                         rel=1e-13)
 
 
 def test_moment_rhs_constant_fields():
     grid = PeriodicGrid((32,))
     st0 = State(0.0, np.ones(grid.sizes), np.full((1, 32), 2.0))
-    assert moment_rhs(st0, grid, LINEAR, 2.0, 0.1, EPS) == pytest.approx(4.0**0.05, rel=1e-13)
+    assert row_of(st0, grid, delta=0.1)["RHS_delta_lemma32"] == pytest.approx(4.0**0.05, rel=1e-13)
 
 
 def test_moment_delta_range_enforced():
     grid = PeriodicGrid((32,))
     st0 = State(0.0, np.ones(grid.sizes), np.zeros((1, 32)))
-    with pytest.raises(ValueError):
-        moment_functional(st0, grid, 2.5, EPS)
-    with pytest.raises(ValueError):
-        moment_rhs(st0, grid, LINEAR, 2.0, -0.1, EPS)
+    with pytest.raises(ValueError, match="delta"):
+        row_of(st0, grid, delta=2.5)
+    with pytest.raises(ValueError, match="delta"):
+        row_of(st0, grid, delta=-0.1)
+
+
+@pytest.mark.parametrize("delta, alpha, exponent", [
+    (2.0, 0.02, "delta"), (float("nan"), 0.02, "delta"), (0.0, 0.02, "delta"),
+    (0.05, -1.0, "alpha"), (0.05, float("nan"), "alpha"), (0.05, 0.025, "alpha"),
+    (0.05, 0.0, "alpha"),
+])
+def test_ledger_row_refuses_moment_exponents_out_of_range(delta, alpha, exponent):
+    # the exponent ranges that need no nu: delta in (0, 2), alpha in (0, delta/2)
+    grid, st0 = sine_state(32)
+    with pytest.raises(ValueError, match=f"^{exponent} must lie in"):
+        ledger_row(st0, grid, LINEAR, 2.0, MomentParams(delta, alpha), EPS)
 
 
 @pytest.mark.parametrize("gamma", [1.0, 0.5, float("nan")])
 def test_energy_rejects_gamma_not_above_one(gamma):
     grid = PeriodicGrid((16,))
     with pytest.raises(ValueError, match="gamma must be > 1 and finite"):
-        energy(make_initial("smooth_bump", grid), grid, gamma, EPS)
+        row_of(make_initial("smooth_bump", grid), grid, gamma=gamma)
+
+
+def two_state_trajectory(grid, t_end=1e-3):
+    st0 = make_initial("smooth_bump", grid, {"u_amp": 0.3})
+    return Trajectory(times=[0.0, t_end], states=[st0, State(t_end, st0.rho, st0.mom)])
 
 
 @pytest.mark.parametrize("gamma", [1.0, 0.5, float("nan"), float("inf")])
 def test_every_helper_given_gamma_rejects_it_not_above_one(gamma):
     # one check, worded as AdmissibilityParams' and the certifier's, for
-    # every functional given gamma: none returns a value for gamma <= 1
+    # each entry given gamma, the ledger row and the weak form: none
+    # returns a value for gamma <= 1
     grid = PeriodicGrid((16,))
-    st0 = make_initial("smooth_bump", grid, {"u_amp": 0.3})
-    calls = (lambda: ledger_row(st0, grid, LINEAR, gamma, MomentParams(), EPS),
-             lambda: bd_entropy(st0, grid, LINEAR, gamma, EPS),
-             lambda: bd_cross(st0, grid, LINEAR, gamma, EPS),
-             lambda: moment_rhs(st0, grid, LINEAR, gamma, 0.05, EPS),
-             lambda: apriori_bounds(st0, grid, LINEAR, gamma, EPS),
-             lambda: compactness_quantities(st0, grid, LINEAR, gamma, MomentParams(), EPS))
+    traj = two_state_trajectory(grid)
+    (tf,) = make_test_fields(1, t_end=1e-3, count=1)
+    calls = (lambda: row_of(traj.states[0], grid, gamma=gamma),
+             lambda: weak_form_residual(traj, grid, LINEAR, gamma, tf, EPS))
     for call in calls:
         with pytest.raises(ValueError, match="gamma must be > 1 and finite"):
             call()
@@ -207,10 +204,10 @@ def test_helpers_reject_eps_vac_not_finite_and_positive(eps_vac):
     # with a NaN or infinite threshold every cell would count as dry and the
     # kinetic parts would silently vanish
     grid = PeriodicGrid((16,))
-    st0 = make_initial("smooth_bump", grid, {"u_amp": 0.3})
-    for call in (lambda: energy(st0, grid, 2.0, eps_vac),
-                 lambda: dissipation(st0, grid, LINEAR, eps_vac),
-                 lambda: moment_functional(st0, grid, 0.05, eps_vac)):
+    traj = two_state_trajectory(grid)
+    (tf,) = make_test_fields(1, t_end=1e-3, count=1)
+    for call in (lambda: row_of(traj.states[0], grid, eps_vac=eps_vac),
+                 lambda: weak_form_residual(traj, grid, LINEAR, 2.0, tf, eps_vac)):
         with pytest.raises(ValueError, match="eps_vac"):
             call()
 
@@ -229,36 +226,34 @@ def test_moment_params_validation():
 def test_apriori_bounds_rest_state():
     grid = PeriodicGrid((32,))
     st0 = State(0.0, np.ones(grid.sizes), np.zeros((1, 32)))
-    vals = apriori_bounds(st0, grid, LINEAR, 2.0, EPS)
+    vals = row_of(st0, grid)
     assert vals["rho_L1_eq19"] == pytest.approx(1.0, rel=1e-13)
-    for name, v in vals.items():
+    for name in APRIORI_COLUMNS:
         if "grad" in name or "_u_" in name:
-            assert v == pytest.approx(0.0, abs=1e-12), name
+            assert vals[name] == pytest.approx(0.0, abs=1e-12), name
 
 
 def test_apriori_bounds_velocity_scaling():
     grid, st0 = sine_state(128)
-    base = apriori_bounds(st0, grid, LINEAR, 2.0, EPS)
-    scaled = apriori_bounds(State(0.0, st0.rho, 3.0 * st0.mom), grid, LINEAR, 2.0, EPS)
+    base = row_of(st0, grid)
+    scaled = row_of(State(0.0, st0.rho, 3.0 * st0.mom), grid)
     assert scaled["sqrt_rho_u_L2_eq19"] == pytest.approx(3.0 * base["sqrt_rho_u_L2_eq19"], rel=1e-12)
 
 
 def test_compactness_quantities_vacuum_and_flat():
     grid = PeriodicGrid((32,))
-    mp = MomentParams()
     empty = State(0.0, np.zeros(grid.sizes), np.zeros((1, 32)))
-    vals = compactness_quantities(empty, grid, LINEAR, 2.0, mp, EPS)
-    assert all(v == 0.0 for v in vals.values())
+    vals = row_of(empty, grid)
+    assert all(vals[name] == 0.0 for name in COMPACTNESS_COLUMNS)
     flat = State(0.0, np.ones(grid.sizes), np.zeros((1, 32)))
-    vals = compactness_quantities(flat, grid, LINEAR, 2.0, mp, EPS)
-    assert vals["h_over_sqrt_rho_L6_lemma44"] == pytest.approx(1.0, rel=1e-13)
+    assert row_of(flat, grid)["h_over_sqrt_rho_L6_lemma44"] == pytest.approx(1.0, rel=1e-13)
 
 
 def test_compactness_h_over_sqrt_rho_against_oracle():
     # rho = 1 + sin(2 pi x)/2, h = rho: ||sqrt(rho)||_L6 = (int rho^3)^{1/6} = 1.375^{1/6}
     grid, st0 = sine_state(512)
-    vals = compactness_quantities(st0, grid, LINEAR, 2.0, MomentParams(), EPS)
-    assert vals["h_over_sqrt_rho_L6_lemma44"] == pytest.approx(1.375 ** (1.0 / 6.0), rel=1e-6)
+    assert row_of(st0, grid)["h_over_sqrt_rho_L6_lemma44"] == pytest.approx(1.375 ** (1.0 / 6.0),
+                                                                          rel=1e-6)
 
 
 @given(a=st.floats(0.0, 0.9), b=st.floats(0.0, 2.0))
@@ -414,6 +409,27 @@ def test_weak_form_residual_one_bundle_two_integrals_per_state(monkeypatch):
     assert calls["fields"] == n_states
     # two per retained state, and one for the initial pairing
     assert calls["integrate"] <= 2 * n_states + 1
+
+
+@pytest.mark.parametrize("field_dim", [1, 3])
+def test_weak_form_refuses_a_test_field_of_another_dimension(field_dim):
+    grid = PeriodicGrid((16, 16))
+    tf = TestField(field_dim, [(field_dim - 1, 1.0, (1,) * field_dim, 0.0)], t_end=1e-3)
+    with pytest.raises(ValueError,
+                       match=f"test field of dimension {field_dim} on a grid of dimension 2"):
+        weak_form_residual(two_state_trajectory(grid), grid, LINEAR, 2.0, tf, EPS)
+
+
+@pytest.mark.parametrize("dim", [0, 3, -1])
+def test_test_fields_of_a_dimension_other_than_one_or_two_are_refused_before_any_draw(
+        monkeypatch, dim):
+    # with no component a field has no modes, and no band limit
+    def no_draw(*args):
+        raise AssertionError("a wave vector drawn for a dimension that is refused")
+
+    monkeypatch.setattr(diagnostics, "_wave_vector", no_draw)
+    with pytest.raises(ValueError, match=f"dim must be 1 or 2, got {dim}"):
+        make_test_fields(dim, 1.0)
 
 
 def test_test_field_modes_need_zero_mean():

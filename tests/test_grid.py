@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bdns.diagnostics import _Fields
+from bdns.diagnostics import _Fields, make_test_fields
 from bdns.grid import (
     _QUIET,
     GridError,
     PeriodicGrid,
     State,
     _cutoff,
+    _wave_vector,
     div,
     grad,
     integrate,
@@ -21,7 +22,7 @@ from bdns.grid import (
     spectral_div,
     spectral_grad,
 )
-from bdns.identities import _Ctx, manufactured_field
+from bdns.identities import _Ctx, gradient_flow_field, manufactured_field
 from bdns.viscosity import ViscosityLaw
 
 
@@ -345,3 +346,38 @@ def test_checkpoint_magic_bytes(tmp_path):
     bad.write_bytes(b"XXXX" + b"\0" * 32)
     with pytest.raises(ValueError):
         load_checkpoint(bad)
+
+
+class _NoWaveVectorDraw:
+    """A generator whose uniform draws are numpy's and whose integer draws,
+    those of wave vectors, fail the test instead of looping."""
+
+    # numpy's own constructor, bound here: the class stands in for it when patched
+    def __init__(self, seed=None, _make=np.random.default_rng):
+        self._rng = _make(seed)
+
+    def uniform(self, *args, **kwargs):
+        return self._rng.uniform(*args, **kwargs)
+
+    def integers(self, *args, **kwargs):
+        raise AssertionError("a wave vector drawn with no nonzero vector to draw")
+
+
+@pytest.mark.parametrize("kmax", [0, -1])
+def test_wave_vector_refuses_kmax_below_one_before_any_draw(kmax):
+    with pytest.raises(ValueError, match=f"kmax must be at least 1, got {kmax}"):
+        _wave_vector(_NoWaveVectorDraw(), 1, kmax)
+
+
+@pytest.mark.parametrize("make", [
+    lambda kmax: make_test_fields(1, 1.0, kmax=kmax),
+    lambda kmax: manufactured_field(1, kmax=kmax),
+    lambda kmax: gradient_flow_field(1, kmax=kmax),
+], ids=["make_test_fields", "manufactured_field", "gradient_flow_field"])
+@pytest.mark.parametrize("kmax", [0, -1])
+def test_field_generators_refuse_kmax_below_one(monkeypatch, make, kmax):
+    # with kmax = 0 the only wave vector is zero: drawing until one is
+    # nonzero would never end
+    monkeypatch.setattr(np.random, "default_rng", _NoWaveVectorDraw)
+    with pytest.raises(ValueError, match=f"kmax must be at least 1, got {kmax}"):
+        make(kmax)

@@ -13,11 +13,6 @@ from bdns.identities import (
     gradient_flow_field,
     manufactured_field,
     run_all_identities,
-    verify_bd_combination,
-    verify_energy_step,
-    verify_moment_derivation,
-    verify_step2,
-    verify_step3_cross,
 )
 from bdns.viscosity import TamperedLaw, ViscosityLaw
 
@@ -38,6 +33,19 @@ def constant_field(dim, rho=1.0, u=0.5):
         u_mean=tuple(u for _ in range(dim)),
         u_modes=tuple(((0.0, tuple(1 if i == 0 else 0 for i in range(dim)), 0.0),) for _ in range(dim)),
     )
+
+
+def certify(mf, law, grids, delta=0.05, nu=0.9):
+    """The reports of run_all_identities by identity name, the moment
+    balance's as "moment"."""
+    *steps, moment = run_all_identities(mf, law, 2.0, grids, delta=delta, nu=nu)
+    return {**{rep.identity: rep for rep in steps}, "moment": moment}
+
+
+def certify_one(mf, law, grids, name):
+    """The report of one derivation step's body alone, for a field outside
+    the moment check's domain (its speed vanishes somewhere)."""
+    return identities._certify(mf, law, 2.0, grids, [(name, getattr(identities, f"_{name}"))])[0]
 
 
 # -- manufactured fields ---------------------------------------------------------
@@ -64,8 +72,8 @@ def test_manufactured_field_rejects_vacuum_touching_density():
 
 def test_band_limit_guard():
     mf = manufactured_field(1, seed=0, kmax=4)
-    with pytest.raises(ValueError):
-        verify_energy_step(mf, LINEAR, 2.0, [16])
+    with pytest.raises(ValueError, match="band limit"):
+        run_all_identities(mf, LINEAR, 2.0, [16], nu=0.9)
 
 
 # -- trivial cases -----------------------------------------------------------------
@@ -73,7 +81,7 @@ def test_band_limit_guard():
 
 def test_constant_field_gives_zero_rates():
     mf = constant_field(1)
-    rep = verify_energy_step(mf, LINEAR, 2.0, [32])
+    rep = certify(mf, LINEAR, [32])["energy_step"]
     t = rep.terms[0]
     assert abs(t["d_dt_kinetic"]) < 1e-12 and abs(t["visc_h"]) < 1e-24
 
@@ -82,7 +90,7 @@ def test_step2_trivial_when_density_flat():
     mf = ManufacturedField(
         1, 1.0, ((0.0, (1,), 0.0),), (1.0,), (((0.3, (2,), 0.1),),)
     )
-    rep = verify_step2(mf, LINEAR, [32, 64])
+    rep = certify(mf, LINEAR, [32, 64])["grad_phi_transport"]
     assert all(abs(t["lhs"]) < 1e-13 for t in rep.terms)
     assert rep.verdict
 
@@ -91,7 +99,7 @@ def test_step3_trivial_when_velocity_zero():
     mf = ManufacturedField(
         1, 1.0, ((0.3, (1,), 0.2),), (0.0,), (((0.0, (1,), 0.0),),)
     )
-    rep = verify_step3_cross(mf, LINEAR, 2.0, [32, 64])
+    rep = certify_one(mf, LINEAR, [32, 64], "cross_term_expansion")
     assert rep.verdict
     # with u = 0 the g/h pairings carry no velocity: both sides vanish
     assert all(abs(t["g_lhs"]) < 1e-12 and abs(t["h_lhs"]) < 1e-12 for t in rep.terms)
@@ -104,12 +112,8 @@ def test_step3_trivial_when_velocity_zero():
 @pytest.mark.parametrize("law", [LINEAR, MIXED], ids=["h=rho", "h=rho+rho2"])
 def test_identity_residuals_below_floor(dim, grids, law):
     mf = manufactured_field(dim, seed=7 + dim)
-    for rep in (
-        verify_energy_step(mf, law, 2.0, grids),
-        verify_step2(mf, law, grids),
-        verify_step3_cross(mf, law, 2.0, grids),
-        verify_bd_combination(mf, law, 2.0, grids),
-    ):
+    reports = run_all_identities(mf, law, 2.0, grids, nu=0.9 if law is LINEAR else 0.3)
+    for rep in reports[:4]:  # the four derivation steps before the moment balance
         for name, series in rep.residuals.items():
             assert series[-1] < 1e-8, (rep.identity, name, series)
         assert rep.verdict, rep.identity
@@ -144,13 +148,13 @@ def test_certifier_sweep_with_the_command_line_defaults(dim):
 def test_one_dimensional_transpose_contraction_degenerates():
     # in 1D the transpose contraction equals |grad u|^2 identically
     mf = manufactured_field(1, seed=3)
-    rep = verify_bd_combination(mf, LINEAR, 2.0, [32, 64])
+    rep = certify(mf, LINEAR, [32, 64])["bd_combination"]
     assert all(abs(s) < 1e-13 for s in rep.slacks["symmetry_slack"])
 
 
 def test_gradient_flow_symmetry_slack_vanishes():
     gf = gradient_flow_field(2, seed=5)
-    rep = verify_bd_combination(gf, LINEAR, 2.0, [32, 64])
+    rep = certify_one(gf, LINEAR, [32, 64], "bd_combination")
     assert all(abs(s) < 1e-10 for s in rep.slacks["symmetry_slack"])
 
 
@@ -166,7 +170,7 @@ def test_rotational_flow_has_strictly_positive_slack():
             ((1.0, (1, 0), 0.5 * np.pi),),
         ),
     )
-    rep = verify_bd_combination(mf, LINEAR, 2.0, [32, 64])
+    rep = certify_one(mf, LINEAR, [32, 64], "bd_combination")
     assert all(s > 0.1 for s in rep.slacks["symmetry_slack"])
     assert all(r < 1e-6 for r in rep.residuals["step4_chain"])
 
@@ -175,7 +179,7 @@ def test_tampered_pair_residual_does_not_converge():
     bad = TamperedLaw(LINEAR, 1.0)
     for dim, grids in ((1, GRIDS_1D), (2, GRIDS_2D)):
         mf = manufactured_field(dim, seed=7 + dim)
-        rep = verify_bd_combination(mf, bad, 2.0, grids)
+        rep = certify(mf, bad, grids)["bd_combination"]
         assert all(r > 1e-2 for r in rep.residuals["step4_chain"])
         assert not rep.verdict
 
@@ -187,7 +191,7 @@ def test_tampered_pair_residual_does_not_converge():
 def test_moment_equality_and_slacks(delta):
     for dim, grids in ((1, GRIDS_1D), (2, GRIDS_2D)):
         mf = manufactured_field(dim, seed=7 + dim)
-        rep = verify_moment_derivation(mf, LINEAR, 2.0, delta, grids, nu=0.9)
+        rep = certify(mf, LINEAR, grids, delta=delta)["moment"]
         assert all(r < 1e-8 for r in rep.residuals["equality"])
         for name, series in rep.slacks.items():
             assert all(s >= -1e-8 for s in series), (name, series)
@@ -198,15 +202,15 @@ def test_moment_constant_velocity_trivial():
     # uniform speed: viscous terms vanish and the moment reduces to a
     # multiple of the conserved mass
     mf = ManufacturedField(1, 1.0, ((0.3, (1,), 0.0),), (2.0,), (((0.0, (1,), 0.0),),))
-    rep = verify_moment_derivation(mf, LINEAR, 2.0, 0.05, [32], nu=0.9)
+    rep = certify(mf, LINEAR, [32])["moment"]
     t = rep.terms[0]
     assert abs(t["v_h"]) < 1e-12 and abs(t["d_dt_moment"]) < 1e-10
 
 
 def test_moment_small_delta_matches_energy_identity():
     mf = manufactured_field(1, seed=8)
-    re = verify_energy_step(mf, LINEAR, 2.0, [64])
-    rm = verify_moment_derivation(mf, LINEAR, 2.0, 1e-6, [64], nu=0.9)
+    reports = certify(mf, LINEAR, [64], delta=1e-6)
+    re, rm = reports["energy_step"], reports["moment"]
     dk = re.terms[0]["d_dt_kinetic"]
     dm = rm.terms[0]["d_dt_moment"]
     assert abs(dm - dk) <= 1e-4 * abs(dk)
@@ -214,16 +218,16 @@ def test_moment_small_delta_matches_energy_identity():
 
 def test_moment_rejects_bad_delta():
     mf = manufactured_field(1, seed=8)
-    with pytest.raises(ValueError):
-        verify_moment_derivation(mf, LINEAR, 2.0, 0.5, [32], nu=0.9)
-    with pytest.raises(ValueError):
-        verify_moment_derivation(mf, LINEAR, 2.0, 2.5, [32], nu=0.9)
+    with pytest.raises(ValueError, match="nu/4"):
+        certify(mf, LINEAR, [32], delta=0.5)
+    with pytest.raises(ValueError, match=r"\(0, 2\)"):
+        certify(mf, LINEAR, [32], delta=2.5)
 
 
 def test_moment_needs_nonvanishing_speed():
     mf = ManufacturedField(1, 1.0, ((0.2, (1,), 0.0),), (0.3,), (((0.3, (1,), 0.0),),))
-    with pytest.raises(ValueError):
-        verify_moment_derivation(mf, LINEAR, 2.0, 0.05, [32], nu=0.9)
+    with pytest.raises(ValueError, match="bounded away from zero"):
+        certify(mf, LINEAR, [32])
 
 
 # -- spectral decay and reports -----------------------------------------------------------
@@ -233,7 +237,7 @@ def test_spectral_decay_until_floor():
     # the log-density weight of h = rho + rho^2 is transcendental, so the
     # residual is visibly above floor on the coarsest grid and must collapse
     mf = manufactured_field(2, seed=9, rho_amp=0.45)
-    rep = verify_step2(mf, MIXED, [16, 32, 64])
+    rep = certify(mf, MIXED, [16, 32, 64], nu=0.3)["grad_phi_transport"]
     series = rep.residuals["equality"]
     for a, b in zip(series, series[1:]):
         assert b <= max(a * 1e-2, 1e-11)
@@ -247,13 +251,13 @@ def test_fitted_order_on_synthetic_series():
 
 def test_grid_sequence_must_increase():
     mf = manufactured_field(1, seed=1)
-    with pytest.raises(ValueError):
-        verify_energy_step(mf, LINEAR, 2.0, [64, 32])
+    with pytest.raises(ValueError, match="strictly increasing"):
+        certify(mf, LINEAR, [64, 32])
 
 
 def test_report_json_schema():
     mf = manufactured_field(1, seed=1)
-    rep = verify_energy_step(mf, LINEAR, 2.0, [32, 64])
+    rep = certify(mf, LINEAR, [32, 64])["energy_step"]
     payload = rep.to_json()
     assert set(payload) == {"identity", "grids", "residuals", "slacks", "order", "verdict"}
     json.dumps(payload)  # serializable
@@ -276,13 +280,11 @@ def test_run_all_identities_shares_one_context_per_grid(monkeypatch):
 
     grids = [32, 64]
     mf = manufactured_field(2, seed=9)
-    singles = [
-        verify_energy_step(mf, MIXED, 2.0, grids),
-        verify_step2(mf, MIXED, grids),
-        verify_step3_cross(mf, MIXED, 2.0, grids),
-        verify_bd_combination(mf, MIXED, 2.0, grids),
-        verify_moment_derivation(mf, MIXED, 2.0, 0.05, grids, nu=0.3),
-    ]
+    # each body certified alone, on a spectral context of its own
+    checks = [(name, getattr(identities, f"_{name}")) for name in (
+        "energy_step", "grad_phi_transport", "cross_term_expansion", "bd_combination")]
+    checks.append(identities._moment_check(mf, MIXED, 2.0, 0.05, 0.3))
+    singles = [identities._certify(mf, MIXED, 2.0, grids, [check])[0] for check in checks]
     monkeypatch.setattr(identities, "_Ctx", CountingCtx)
     reports = run_all_identities(mf, MIXED, 2.0, grids, delta=0.05, nu=0.3)
     assert built == grids
@@ -371,7 +373,7 @@ def test_grid_sequence_is_checked_before_any_grid_work(monkeypatch, grids):
     with pytest.raises(ValueError, match="strictly increasing"):
         run_all_identities(mf, LINEAR, 2.0, grids, nu=0.9)
     with pytest.raises(ValueError, match="strictly increasing"):
-        verify_energy_step(mf, LINEAR, 2.0, grids)
+        identities._certify(mf, LINEAR, 2.0, grids, [("energy_step", identities._energy_step)])
 
 
 @pytest.mark.parametrize("make", [manufactured_field, gradient_flow_field])
@@ -389,7 +391,7 @@ def test_field_of_a_dimension_other_than_one_or_two_is_refused_before_any_draw(
 
 def test_empty_grid_sequence_is_rejected():
     with pytest.raises(ValueError, match="nonempty"):
-        verify_energy_step(manufactured_field(1, seed=1), LINEAR, 2.0, [])
+        run_all_identities(manufactured_field(1, seed=1), LINEAR, 2.0, [], nu=0.9)
 
 
 @pytest.mark.parametrize("residuals, slacks", [

@@ -1228,7 +1228,7 @@ def test_energy_in_workspace_lanes_allocates_no_field(sizes):
     for st in [*states, stack(states)]:
         with np.errstate(**_QUIET):  # the solver's, for its bundles
             bundle = solver._bundle(st, cfg, solver._Workspace(cfg, st.rho.shape))
-        want = diagnostics.energy(st, grid, cfg.gamma, cfg.eps_vac)
+        want = diagnostics._Fields(st, grid, None, cfg.gamma, cfg.eps_vac).energy()
         # numpy's iterator buffers of a ufunc on broadcast operands (m over
         # sqrt(rho)), not a field: see ITER_BUFFER_ELEMENTS
         old_bufsize = np.setbufsize(ITER_BUFFER_ELEMENTS)
