@@ -325,8 +325,10 @@ def _row(t: float, columns: dict[str, list[float]], k: int, clamp_count: int,
 def ledger_row(state: State, grid: PeriodicGrid, law, gamma: float, mp: MomentParams,
                eps_vac: float, clamp_count: int = 0, cutoff_count: int = 0) -> dict[str, float]:
     """Every ledger column of one state by tag, from one evaluation of one
-    field bundle.  It refuses moment exponents outside delta in (0, 2) and
-    alpha in (0, delta/2), the ranges that need no nu."""
+    field bundle.  It refuses a batch, and moment exponents outside delta in
+    (0, 2) and alpha in (0, delta/2), the ranges that need no nu."""
+    if np.ndim(state.t):
+        raise ValueError(f"ledger_row takes one state, not a batch of {np.size(state.t)} members")
     _check_delta(mp.delta)
     mp._check_alpha()
     columns = _Fields(state, grid, law, gamma, eps_vac).columns(mp)
@@ -393,7 +395,8 @@ class TestField:
 
     ``modes`` is a sequence of (component, amplitude, wavevector, phase);
     each contributes amplitude * cos(2 pi k . x / L + phase) to Phi_component.
-    All spatial derivatives are evaluated in closed form.
+    All spatial derivatives are evaluated in closed form.  ``t_end`` = T
+    must be finite and positive.
     """
 
     __test__ = False  # not a pytest class
@@ -403,6 +406,8 @@ class TestField:
         self.modes = [(int(c), float(a), tuple(int(k) for k in kvec), float(p))
                       for c, a, kvec, p in modes]
         self.t_end = float(t_end)
+        if not 0.0 < self.t_end < math.inf:  # NaN too
+            raise ValueError(f"t_end must be finite and positive, got {t_end}")
         for c, a, kvec, p in self.modes:
             if not 0 <= c < dim:
                 raise ValueError(f"component {c} out of range for dim {dim}")

@@ -16,6 +16,12 @@ coefficient pair violating g = rho h' - h) leaves a grid-independent
 residual, which is how the checks certify that each hypothesis is actually
 used.
 
+Each grid gets one spectral context, built in one pass in the order of the
+derivation: the fields, h, h', g and phi, their spectral derivatives,
+dt(rho) and dt(rho u) by the two equations above, then the integrated
+rates.  The checks share it, and it is freed before the next grid's is
+built.
+
 Equality checks report normalized residuals; inequality steps report their
 slack, which must stay nonnegative up to the same normalized floor.  No
 solver code is involved anywhere in this module.
@@ -25,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import partial
 
 import numpy as np
 
@@ -170,161 +176,71 @@ def gradient_flow_field(dim: int, seed: int = 0, n_modes: int = 2, kmax: int = 2
 
 
 class _Ctx:
-    """All spectral quantities for one field on one grid, each computed at
-    most once and shared by every checker run on that grid.  A tensor term
-    is one whole array and each spectral derivative one forward and one
-    inverse transform of it, whatever the number of its components."""
+    """Every quantity the identity bodies read, for one field on one grid,
+    built in one pass in the order of the derivation (see the module
+    docstring).  A tensor term is one whole array and each spectral
+    derivative one forward and one inverse transform of it, whatever the
+    number of its components."""
 
-    def __init__(self, mf: ManufacturedField, law, gamma: float, n: int):
-        self.grid = PeriodicGrid(tuple(n for _ in range(mf.dim)))
+    def __init__(self, mf: ManufacturedField, law, gamma: float, grid: PeriodicGrid):
+        n = min(grid.sizes)
         if mf.band_limit > n // 8:
             raise ValueError(
                 f"field band limit {mf.band_limit} exceeds Nyquist/4 of a {n}-cell grid"
             )
-        self.law = law
-        self.gamma = gamma
-        self.rho, self.u = mf.evaluate(self.grid)
-        self.dim = mf.dim
+        self.grid, self.gamma, self.dim = grid, gamma, mf.dim
+        self.rho, self.u = rho, u = mf.evaluate(grid)
+        self.m = m = rho * u
+        self.h = h = law.h(rho)
+        self.g = g = law.g(rho)
+        self.phi = law.phi(rho)
+        self.phi_p = law.h_prime(rho) / rho
 
-    # raw fields ------------------------------------------------------------
-    @cached_property
-    def m(self):
-        return self.rho * self.u
+        # grad_u[i, j] = d_i u_j: the gradient of u as a stack of scalar fields
+        self.grad_u = grad_u = spectral_grad(u, grid)
+        self.grad_u_sq = np.sum(grad_u**2, axis=(0, 1))
+        self.div_u = np.trace(grad_u)
+        self.w = w = spectral_grad(self.phi, grid)  # grad(phi(rho))
+        self.lap_phi = spectral_div(w, grid)
+        self.grad_p = spectral_grad(rho**gamma, grid)
+        self.div_m = spectral_div(m, grid)
+        # div(h grad u), component j = sum_i d_i(h d_i u_j): the divergence
+        # over i of the whole tensor
+        self.visc_h_term = spectral_div(h * grad_u, grid)
+        # grad(g div u); exact zeros when the law's g is identically 0
+        self.visc_g_term = (np.zeros_like(u) if law.g_vanishes
+                            else spectral_grad(g * self.div_u, grid))
+        # div(rho u x u), component j = sum_i d_i(rho u_i u_j): the divergence
+        # over i of the whole tensor m_i u_j
+        self.conv_term = spectral_div(m[:, np.newaxis] * u, grid)
 
-    @cached_property
-    def h(self):
-        return self.law.h(self.rho)
+        self.dt_rho = dt_rho = -self.div_m
+        self.dt_m = dt_m = -self.conv_term - self.grad_p + self.visc_h_term + self.visc_g_term
 
-    @cached_property
-    def hp(self):
-        return self.law.h_prime(self.rho)
+        w2 = np.sum(w**2, axis=0)
+        # int rho (|grad u|^2 + |grad phi|^2): the size of the velocity and
+        # density gradients every identity's terms are built from
+        self.natural = self.int_(rho * (self.grad_u_sq + w2))
+        # d/dt int rho|u|^2/2 via the chain rule through (rho, m)
+        udm = np.sum(u * dt_m, axis=0)
+        u2 = np.sum(u**2, axis=0)
+        self.d_dt_kinetic = self.int_(udm - 0.5 * u2 * dt_rho)
+        self.d_dt_pressure = gamma / (gamma - 1.0) * self.int_(rho ** (gamma - 1.0) * dt_rho)
+        grad_phi_rate = spectral_grad(self.phi_p * dt_rho, grid)  # dt grad(phi)
+        # d/dt int rho |grad phi|^2 / 2 and d/dt int rho u . grad phi
+        self.d_dt_half_sq = self.int_(0.5 * w2 * dt_rho + rho * np.sum(w * grad_phi_rate, axis=0))
+        self.d_dt_cross = (self.int_(np.sum(dt_m * w, axis=0))
+                           + self.int_(np.sum(m * grad_phi_rate, axis=0)))
+        self.visc_h = self.int_(h * self.grad_u_sq)  # int h |grad u|^2
+        self.visc_g = self.int_(g * self.div_u**2)  # int g (div u)^2
 
-    @cached_property
-    def g(self):
-        return self.law.g(self.rho)
-
-    @cached_property
-    def phi(self):
-        return self.law.phi(self.rho)
-
-    @cached_property
-    def phi_p(self):
-        return self.hp / self.rho
-
-    # spectral derivatives ----------------------------------------------------
-    @cached_property
-    def grad_u(self):
-        """grad_u[i, j] = d_i u_j: the gradient of u as a stack of scalar fields."""
-        return spectral_grad(self.u, self.grid)
-
-    @cached_property
-    def grad_u_sq(self):
-        return np.sum(self.grad_u**2, axis=(0, 1))
-
-    @cached_property
-    def div_u(self):
-        return np.trace(self.grad_u)
-
-    @cached_property
-    def w(self):
-        """grad(phi(rho))"""
-        return spectral_grad(self.phi, self.grid)
-
-    @cached_property
-    def lap_phi(self):
-        """lap(phi) = div(grad phi), from the cached grad phi."""
-        return spectral_div(self.w, self.grid)
-
-    @cached_property
-    def grad_p(self):
-        return spectral_grad(self.rho**self.gamma, self.grid)
-
-    @cached_property
-    def div_m(self):
-        return spectral_div(self.m, self.grid)
-
-    @cached_property
-    def dt_rho(self):
-        return -self.div_m
-
-    @cached_property
-    def visc_h_term(self):
-        """div(h grad u), component j = sum_i d_i(h d_i u_j): the divergence
-        over i of the whole tensor."""
-        return spectral_div(self.h * self.grad_u, self.grid)
-
-    @cached_property
-    def visc_g_term(self):
-        """grad(g div u); exact zeros when the law's g is identically 0."""
-        if self.law.g_vanishes:
-            return np.zeros_like(self.u)
-        return spectral_grad(self.g * self.div_u, self.grid)
-
-    @cached_property
-    def conv_term(self):
-        """div(rho u x u), component j = sum_i d_i(rho u_i u_j): the divergence
-        over i of the whole tensor m_i u_j."""
-        return spectral_div(self.m[:, np.newaxis] * self.u, self.grid)
-
-    @cached_property
-    def dt_m(self):
-        return -self.conv_term - self.grad_p + self.visc_h_term + self.visc_g_term
-
-    # composite rates ---------------------------------------------------------
     def int_(self, f):
         return integrate(f, self.grid)
-
-    @cached_property
-    def natural(self):
-        """int rho (|grad u|^2 + |grad phi|^2): the size of the velocity and
-        density gradients every identity's terms are built from."""
-        return self.int_(self.rho * (self.grad_u_sq + np.sum(self.w**2, axis=0)))
 
     def norm(self, value: float, scale: float) -> float:
         """|value| relative to the scale of an identity's terms, floored at
         the round-off level of the natural magnitude (see SCALE_FLOOR)."""
         return abs(value) / max(scale, SCALE_FLOOR * self.natural, 1e-30)
-
-    @cached_property
-    def d_dt_kinetic(self):
-        """d/dt int rho|u|^2/2 via the chain rule through (rho, m)."""
-        udm = np.sum(self.u * self.dt_m, axis=0)
-        u2 = np.sum(self.u**2, axis=0)
-        return self.int_(udm - 0.5 * u2 * self.dt_rho)
-
-    @cached_property
-    def d_dt_pressure(self):
-        gam = self.gamma
-        return gam / (gam - 1.0) * self.int_(self.rho ** (gam - 1.0) * self.dt_rho)
-
-    @cached_property
-    def grad_phi_rate(self):
-        """dt grad(phi) = grad(phi'(rho) dt rho)."""
-        return spectral_grad(self.phi_p * self.dt_rho, self.grid)
-
-    @cached_property
-    def d_dt_half_sq(self):
-        """d/dt int rho |grad phi|^2 / 2."""
-        w2 = np.sum(self.w**2, axis=0)
-        return self.int_(0.5 * w2 * self.dt_rho + self.rho * np.sum(self.w * self.grad_phi_rate, axis=0))
-
-    @cached_property
-    def d_dt_cross(self):
-        """d/dt int rho u . grad phi."""
-        return self.int_(np.sum(self.dt_m * self.w, axis=0)) + self.int_(
-            np.sum(self.m * self.grad_phi_rate, axis=0)
-        )
-
-    @cached_property
-    def visc_h(self):
-        """int h |grad u|^2."""
-        return self.int_(self.h * self.grad_u_sq)
-
-    @cached_property
-    def visc_g(self):
-        """int g (div u)^2."""
-        return self.int_(self.g * self.div_u**2)
-
 
 
 @dataclass
@@ -389,7 +305,7 @@ def _certify(mf: ManufacturedField, law, gamma: float, grids, checks) -> list[Id
         raise ValueError(f"grid sequence must be nonempty and strictly increasing, got {grids}")
     reports = [IdentityReport(name, list(grids)) for name, _ in checks]
     for n in grids:
-        c = _Ctx(mf, law, gamma, n)
+        c = _Ctx(mf, law, gamma, PeriodicGrid((n,) * mf.dim))
         for rep, (_, body) in zip(reports, checks):
             residuals, slacks, terms = body(c)
             for name, value in residuals.items():
@@ -397,6 +313,7 @@ def _certify(mf: ManufacturedField, law, gamma: float, grids, checks) -> list[Id
             for name, value in slacks.items():
                 rep.slacks.setdefault(name, []).append(value)
             rep.terms.append(terms)
+        del c  # so that the next grid's context is built with this one freed
     return [rep.finalize() for rep in reports]
 
 

@@ -242,20 +242,13 @@ def _member(state: State, k: int) -> State:
     return State(float(state.t[k]), state.rho[k].copy(), state.mom[:, k].copy())
 
 
-def _derivative(pair: tuple[np.ndarray, np.ndarray], work: _Workspace) -> np.ndarray:
-    """The stacked derivative of a (d rho/dt, d m/dt) pair that is not the
-    workspace's own ``rows`` (those of a replaced ``rhs``), copied into it."""
-    d = work.d
-    d[0], d[1:] = pair
-    return d
-
-
 def rhs(state: State, config: SolverConfig, *, _work: _Workspace | None = None
         ) -> tuple[np.ndarray, np.ndarray]:
     """Semi-discrete right-hand side (d rho/dt, d m/dt) of one state or of a
     batch.  With ``_work``, ``state`` is the state buffer of that workspace
     written last, whose bundle the workspace holds or makes, and the pair
-    returned is the workspace's ``rows``."""
+    returned is the workspace's ``rows``: the rows of its stacked derivative
+    ``d``, which ``step`` reads."""
     if _work is None:
         (drho, dmom), one = _public(rhs, state, config)
         return (drho[0], dmom[:, 0]) if one else (drho, dmom)
@@ -478,12 +471,11 @@ def step(state: State, config: SolverConfig, dt, *, _work: _Workspace | None = N
     new = work.stacked[1 - state.slot]  # the stage state, then the new state
     q = new.q
     new.t = state.t + dt
-    pair = rhs(state, config, _work=work)
-    k = work.d if pair is work.rows else _derivative(pair, work)
+    k = work.d  # the stacked derivative, which rhs writes
+    rhs(state, config, _work=work)
     np.add(state.q, np.multiply(w, k, out=q), out=q)
     clamps, zeros = _settle(new, work, "after stage 1")
-    pair = rhs(new, config, _work=work)
-    k = work.d if pair is work.rows else _derivative(pair, work)
+    rhs(new, config, _work=work)
     # 0.5 * state + 0.5 * (s1 + w * k), the sums in that order
     np.add(q, np.multiply(w, k, out=k), out=k)
     np.multiply(0.5, k, out=k)

@@ -172,6 +172,16 @@ def test_ledger_row_refuses_moment_exponents_out_of_range(delta, alpha, exponent
         ledger_row(st0, grid, LINEAR, 2.0, MomentParams(delta, alpha), EPS)
 
 
+@pytest.mark.parametrize("members", [1, 2])
+def test_ledger_row_refuses_a_batch(members):
+    # a batch's row would be member 0's columns with every member's time
+    grid, st0 = sine_state(32)
+    batch = State(np.linspace(0.1, 0.2, members), np.stack([st0.rho] * members),
+                  np.stack([st0.mom] * members, axis=1))
+    with pytest.raises(ValueError, match=f"not a batch of {members} members"):
+        ledger_row(batch, grid, LINEAR, 2.0, MomentParams(), EPS)
+
+
 @pytest.mark.parametrize("gamma", [1.0, 0.5, float("nan")])
 def test_energy_rejects_gamma_not_above_one(gamma):
     grid = PeriodicGrid((16,))
@@ -430,6 +440,16 @@ def test_test_fields_of_a_dimension_other_than_one_or_two_are_refused_before_any
     monkeypatch.setattr(diagnostics, "_wave_vector", no_draw)
     with pytest.raises(ValueError, match=f"dim must be 1 or 2, got {dim}"):
         make_test_fields(dim, 1.0)
+
+
+@pytest.mark.parametrize("t_end", [0.0, -1e-3, float("nan"), float("inf"), -float("inf")])
+def test_test_fields_refuse_a_final_time_not_finite_and_positive(t_end):
+    # 0 divides by zero in w(t); NaN makes every weight NaN, which the
+    # weak form's vanishing test at the final time lets through
+    with pytest.raises(ValueError, match="t_end must be finite and positive"):
+        TestField(1, [(0, 1.0, (1,), 0.0)], t_end=t_end)
+    with pytest.raises(ValueError, match="t_end must be finite and positive"):
+        make_test_fields(1, t_end)
 
 
 def test_test_field_modes_need_zero_mean():

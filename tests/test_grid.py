@@ -195,7 +195,7 @@ def test_spectral_operators_act_on_each_member_of_a_batch():
 @pytest.mark.parametrize("dim", [1, 2])
 def test_identity_context_lap_phi_is_spectral_lap_bit_for_bit(dim):
     law = ViscosityLaw(terms=((1.0, 1.0), (1.0, 2.0)))
-    ctx = _Ctx(manufactured_field(dim, seed=7 + dim), law, 2.0, 32)
+    ctx = _Ctx(manufactured_field(dim, seed=7 + dim), law, 2.0, PeriodicGrid((32,) * dim))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         np.testing.assert_array_equal(ctx.lap_phi,

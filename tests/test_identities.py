@@ -1,5 +1,6 @@
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -275,7 +276,7 @@ def test_run_all_identities_shares_one_context_per_grid(monkeypatch):
 
     class CountingCtx(identities._Ctx):
         def __init__(self, *args):
-            built.append(args[-1])
+            built.append(args[-1].sizes)
             super().__init__(*args)
 
     grids = [32, 64]
@@ -287,8 +288,24 @@ def test_run_all_identities_shares_one_context_per_grid(monkeypatch):
     singles = [identities._certify(mf, MIXED, 2.0, grids, [check])[0] for check in checks]
     monkeypatch.setattr(identities, "_Ctx", CountingCtx)
     reports = run_all_identities(mf, MIXED, 2.0, grids, delta=0.05, nu=0.3)
-    assert built == grids
+    assert built == [(n, n) for n in grids]
     assert [r.to_json() for r in reports] == [r.to_json() for r in singles]
+
+
+def test_each_grids_context_is_freed_before_the_next_one_is_built(monkeypatch):
+    # a context holds some thirty fields of its grid: the finest grid's is
+    # built with no coarser one alive
+    previous, alive = [], []
+
+    class WatchedCtx(identities._Ctx):
+        def __init__(self, *args):
+            alive.append([ref() is not None for ref in previous])
+            super().__init__(*args)
+            previous.append(weakref.ref(self))
+
+    monkeypatch.setattr(identities, "_Ctx", WatchedCtx)
+    run_all_identities(manufactured_field(2, seed=9), MIXED, 2.0, [32, 64, 128], nu=0.3)
+    assert alive == [[], [False], [False, False]]
 
 
 def test_one_forward_and_one_inverse_transform_per_spectral_derivative(monkeypatch):
@@ -309,9 +326,7 @@ def test_tensor_terms_and_contractions_match_per_component_loops(monkeypatch):
     # a non-square grid and a gradient with no symmetry, so that a
     # transposed index changes every term
     mf = manufactured_field(2, seed=5)
-    c = identities._Ctx(mf, MIXED, 2.0, 32)
-    c.grid = PeriodicGrid((32, 48))
-    c.rho, c.u = mf.evaluate(c.grid)
+    c = identities._Ctx(mf, MIXED, 2.0, PeriodicGrid((32, 48)))
     grid, dim, u, w = c.grid, c.dim, c.u, c.w
 
     def close(got, want):

@@ -93,7 +93,7 @@ def test_rhs_is_second_order_against_the_certifiers_pde(dim, law):
     field = identities.manufactured_field(dim, seed=7 + dim)
     errors = []
     for n in (32, 64, 128):
-        ctx = identities._Ctx(field, law, 2.0, n)
+        ctx = identities._Ctx(field, law, 2.0, PeriodicGrid((n,) * dim))
         cfg = make_config(ctx.grid, law=law, limiter="none")
         drho, dmom = rhs(State(0.0, ctx.rho, ctx.m), cfg)
         errors.append([lp_norm(drho - ctx.dt_rho, ctx.grid, 2),
@@ -561,9 +561,10 @@ def test_run_matches_roll_reference(monkeypatch):
     def one(s):  # a run is a batch of one; the references take the one state
         return State(float(s.t[0]), s.rho[0], s.mom[:, 0])
 
-    def batched_ref_rhs(s, c, _work=None):
-        drho, dmom = ref_rhs(one(s), c)
-        return drho[np.newaxis], dmom[:, np.newaxis]
+    def batched_ref_rhs(s, c, _work=None):  # writes the rows the step reads, as rhs does
+        drho, dmom = _work.rows
+        drho[0], dmom[:, 0] = ref_rhs(one(s), c)
+        return _work.rows
 
     monkeypatch.setattr(solver, "rhs", batched_ref_rhs)
     monkeypatch.setattr(solver, "stable_dt",

@@ -1,6 +1,8 @@
 import ast
+import copy
 import inspect
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -303,6 +305,10 @@ def test_tampered_law_breaks_structural_relation():
     assert bad.g(3.0) == 1.0
     assert bad.h(3.0) == LINEAR.h(3.0)
     assert bad.g(3.0) + bad.h(3.0) != pytest.approx(3.0 * bad.h_prime(3.0))
+    # what the wrapper does not define is its base law's, on a copy too
+    for law in (bad, copy.deepcopy(bad), pickle.loads(pickle.dumps(bad))):
+        assert (law.phi(3.0), law.psi(3.0)) == (LINEAR.phi(3.0), LINEAR.psi(3.0))
+        assert law.max_exponent() == 1.0 and law.g(3.0) == 1.0
 
 
 def test_validate_tampered_law_reads_its_base_law_exponent():
