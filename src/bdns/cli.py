@@ -33,8 +33,20 @@ from .solver import NonAdmissibleLawError, SolverError, run
 from .viscosity import TamperedLaw, ViscosityLaw, validate
 
 
+class _Usage(Exception):
+    pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse with its errors as usage errors of one line, not its usage
+    block: the subcommands' parsers are of this class too."""
+
+    def error(self, message):
+        raise _Usage(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bdns",
         description="degenerate-viscosity compressible flow laboratory",
     )
@@ -79,10 +91,6 @@ def _load(path):
         raise _Usage(f"cannot read {exc.filename}: {exc.strerror}") from exc
     except ValueError as exc:  # ConfigError, or JSON that json cannot read
         raise _Usage(f"bad config: {exc}") from exc
-
-
-class _Usage(Exception):
-    pass
 
 
 def _write(path, write):
@@ -233,12 +241,6 @@ def _cmd_stability_study(args) -> int:
 
 
 def cli_main(argv=None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors and 0 for --help
-        return int(exc.code or 0)
     handlers = {
         "validate-law": _cmd_validate_law,
         "simulate": _cmd_simulate,
@@ -246,7 +248,10 @@ def cli_main(argv=None) -> int:
         "stability-study": _cmd_stability_study,
     }
     try:
+        args = _build_parser().parse_args(argv)
         return handlers[args.command](args)
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0)
     except _Usage as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -96,7 +96,8 @@ def parse_config(obj: dict) -> RunSetup:
             initial, ck_grid = load_checkpoint(init["checkpoint"])
             if ck_grid.sizes != grid.sizes or ck_grid.lengths != grid.lengths:
                 raise ConfigError(f"checkpoint grid {ck_grid.sizes} does not match config "
-                                  f"grid {grid.sizes}")
+                                  f"grid {grid.sizes}: lengths {ck_grid.lengths} against "
+                                  f"{grid.lengths}")
         study = None if top["study"] is None else InitialDataSpec(
             init["preset"], params, **read_block(top["study"], STUDY, "study"))
     except ValueError as exc:

@@ -30,6 +30,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import _json
+from ._draws import _Draws
 from .grid import (PeriodicGrid, State, _cutoff, _ddx, _floats, _magnitude, _power,
                    _wave_vector, grad, integrate)
 from .viscosity import _check_delta, _check_gamma
@@ -453,7 +454,7 @@ def make_test_fields(dim: int, t_end: float, seed: int = 0, count: int = 3,
     than 1 or 2 is refused before the first draw."""
     if dim not in (1, 2):  # the grids' dimensions; a field of no component has no modes
         raise ValueError(f"dim must be 1 or 2, got {dim}")
-    rng = np.random.default_rng(seed)
+    rng = _Draws(seed)
     fields = []
     for _ in range(count):
         modes = []

@@ -51,6 +51,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._draws import _Draws
+
 CHECKPOINT_MAGIC = b"BDNS"
 CHECKPOINT_VERSION = 1
 
@@ -379,7 +381,7 @@ def spectral_div(v: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
     return _irfft(sum(ik * vh[a] for a, ik in enumerate(grid.spectral_factors)), grid)
 
 
-def _wave_vector(rng: np.random.Generator, dim: int, kmax: int) -> tuple[int, ...]:
+def _wave_vector(rng: _Draws, dim: int, kmax: int) -> tuple[int, ...]:
     """A nonzero integer wave vector with entries in [-kmax, kmax]: ``rng``
     draws whole vectors until one is nonzero, which needs kmax >= 1."""
     if not kmax >= 1:

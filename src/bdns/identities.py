@@ -35,7 +35,8 @@ from functools import partial
 
 import numpy as np
 
-from .grid import PeriodicGrid, _wave_vector, integrate, spectral_grad, spectral_div
+from ._draws import _Draws
+from .grid import _QUIET, PeriodicGrid, _wave_vector, integrate, spectral_grad, spectral_div
 from .viscosity import TamperedLaw, _check_delta, _check_gamma, find_max_nu
 
 TOL_ABS = 1e-8
@@ -126,7 +127,7 @@ def manufactured_field(dim: int, seed: int = 0, n_modes: int = 2, kmax: int = 2,
     """
     if dim not in (1, 2):  # a wave vector of no entries is never nonzero
         raise ValueError(f"dim must be 1 or 2, got {dim}")
-    rng = np.random.default_rng(seed)
+    rng = _Draws(seed)
 
     def draw_modes(total_amp):
         amps = rng.uniform(0.4, 1.0, size=n_modes)
@@ -156,7 +157,7 @@ def gradient_flow_field(dim: int, seed: int = 0, n_modes: int = 2, kmax: int = 2
     refuses a dimension other than 1 or 2 before the first draw."""
     base = manufactured_field(dim, seed=seed, n_modes=n_modes, kmax=kmax,
                               rho_mean=rho_mean, rho_amp=rho_amp, u_amp=0.0)
-    rng = np.random.default_rng(seed + 1)
+    rng = _Draws(seed + 1)
     chi_modes = []
     for _ in range(n_modes):
         kvec = _wave_vector(rng, dim, kmax)
@@ -293,12 +294,15 @@ def fitted_order(grids, residuals) -> float:
     return float(np.polyfit(x, y, 1)[0])
 
 
+@np.errstate(**_QUIET)
 def _certify(mf: ManufacturedField, law, gamma: float, grids, checks) -> list[IdentityReport]:
     """One finalized report per (identity name, body) in checks.  Each grid
     gets one spectral context, shared by all the bodies; a body returns the
     (residuals, slacks, terms) of its identity on that grid.  The grid
     sequence must be nonempty and strictly increasing: it is checked before
-    any grid's spectral work."""
+    any grid's spectral work.  It runs under one quiet error state, as a
+    solver run does: a term that overflows on finite extreme inputs is
+    non-finite, and a non-finite residual or slack fails the verdict."""
     _check_gamma(gamma)
     grids = list(grids)
     if not grids or any(b <= a for a, b in zip(grids, grids[1:])):

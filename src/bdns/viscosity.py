@@ -37,7 +37,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import _json
-from .grid import _power
+from .grid import _QUIET, _power
 
 
 class DomainError(ValueError):
@@ -322,9 +322,13 @@ def default_sample_grid() -> np.ndarray:
     return np.logspace(-6.0, 6.0, 601)
 
 
+@np.errstate(**_QUIET)
 def validate(law: ViscosityLaw, params: AdmissibilityParams,
              rho_samples: np.ndarray | None = None) -> ValidationReport:
-    """Check conditions (8)-(10), and (12) when it applies, on a density grid."""
+    """Check conditions (8)-(10), and (12) when it applies, on a density grid,
+    under one quiet error state (the nu search's too): a margin that
+    overflows on a finite extreme law is NaN or infinite, and fails or passes
+    as its comparison says, with no warning."""
     if rho_samples is None:
         rho_samples = default_sample_grid()
     rho_samples = np.asarray(rho_samples, dtype=float)

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import types
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 
 from bdns import _json, cli, config, viscosity
 from bdns.cli import cli_main
-from bdns.grid import State, load_checkpoint, save_checkpoint
+from bdns.grid import PeriodicGrid, State, load_checkpoint, save_checkpoint
 
 
 def write_config(tmp_path, name="run.json", **overrides):
@@ -597,6 +598,57 @@ def test_verify_identities_bad_grids_is_one_line(capsys, grids, text):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("flag, value, text", [
+    ("--gamma", "-inf", "argument --gamma: expected one argument"),
+    ("--g-override", "-inf", "argument --g-override: expected one argument"),
+    ("--grids", "-32,64", "argument --grids: expected one argument"),
+    ("--seed", "1e3", "argument --seed: invalid int value: '1e3'"),
+], ids=["gamma", "g-override", "grids", "seed"])
+def test_verify_identities_flag_argparse_refuses_is_one_line(capsys, flag, value, text):
+    code = cli_main(["verify-identities", "--law", '{"terms": [[1, 1]]}', flag, value])
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert code == 2 and err == [f"usage error: bdns verify-identities: {text}"], err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv, text", [
+    ([], "bdns: the following arguments are required: command"),
+    (["simulate"], "bdns simulate: the following arguments are required: --config"),
+    (["simulate", "--config", "x.json", "--bogus"], "bdns: unrecognized arguments: --bogus"),
+    (["frobnicate"], "bdns: argument command: invalid choice: 'frobnicate'"),
+], ids=["no-command", "no-config", "unknown-flag", "unknown-command"])
+def test_every_argparse_refusal_is_one_line(capsys, argv, text):
+    code = cli_main(argv)
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 2 and len(err) == 1 and err[0].startswith(f"usage error: {text}"), err
+
+
+def test_help_still_prints_argparse_usage(capsys):
+    assert cli_main(["verify-identities", "--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: bdns verify-identities")
+
+
+@pytest.mark.parametrize("args, code", [
+    (["--gamma", "1e300"], 1),
+    (["--law", '{"terms": [[1e300, 1]]}'], 1),
+    (["--law", '{"terms": [[1, 1e300]]}'], 2),
+], ids=["gamma-1e300", "coefficient-1e300", "exponent-1e300"])
+def test_verify_identities_finite_extreme_inputs_warn_nothing(capsys, args, code):
+    # the terms overflow to inf and NaN: the verdict fails on them, silently
+    argv = ["verify-identities", "--law", '{"terms": [[1, 1]]}', *args]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli_main(argv) == code
+    assert [str(w.message) for w in caught] == []
+    captured = capsys.readouterr()
+    if code == 1:
+        assert "FAIL" in captured.out and captured.err == ""
+    else:
+        assert captured.err.strip().splitlines() == [
+            "usage error: cannot certify in 1D: law admits no feasible nu; pass one explicitly"]
+
+
 def test_simulate_jsonl_without_ledger_is_usage_error(tmp_path, capsys, monkeypatch):
     # the JSONL file mirrors the CSV ledger: without --ledger it has no path
     monkeypatch.chdir(tmp_path)
@@ -628,6 +680,15 @@ def test_checkpoint_of_another_grid_is_usage_error(tmp_path, capsys):
     ck = saved_checkpoint(tmp_path)  # a 64-cell grid
     err = simulate_usage_error(tmp_path, capsys, cells=32, initial={"checkpoint": str(ck)})
     assert "checkpoint grid (64,) does not match config grid (32,)" in err
+
+
+def test_checkpoint_of_other_lengths_names_them(tmp_path, capsys):
+    ck = tmp_path / "tiny.bdns"
+    save_checkpoint(ck, State(0.0, np.ones(16), np.zeros((1, 16))), PeriodicGrid((16,), (1e-320,)))
+    err = simulate_usage_error(tmp_path, capsys, cells=16, lengths=[1e300],
+                               initial={"checkpoint": str(ck)})
+    assert err == ("usage error: bad config: checkpoint grid (16,) does not match config grid "
+                   "(16,): lengths (1e-320,) against (1e+300,)")
 
 
 @pytest.mark.parametrize("command, flag", [

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bdns import diagnostics, identities
+from bdns._draws import _Draws
 from bdns.diagnostics import _Fields, make_test_fields
 from bdns.grid import (
     _QUIET,
@@ -349,12 +351,11 @@ def test_checkpoint_magic_bytes(tmp_path):
 
 
 class _NoWaveVectorDraw:
-    """A generator whose uniform draws are numpy's and whose integer draws,
+    """A generator whose uniform draws are bdns's and whose integer draws,
     those of wave vectors, fail the test instead of looping."""
 
-    # numpy's own constructor, bound here: the class stands in for it when patched
-    def __init__(self, seed=None, _make=np.random.default_rng):
-        self._rng = _make(seed)
+    def __init__(self, seed=0):
+        self._rng = _Draws(seed)
 
     def uniform(self, *args, **kwargs):
         return self._rng.uniform(*args, **kwargs)
@@ -378,6 +379,7 @@ def test_wave_vector_refuses_kmax_below_one_before_any_draw(kmax):
 def test_field_generators_refuse_kmax_below_one(monkeypatch, make, kmax):
     # with kmax = 0 the only wave vector is zero: drawing until one is
     # nonzero would never end
-    monkeypatch.setattr(np.random, "default_rng", _NoWaveVectorDraw)
+    for module in (diagnostics, identities):
+        monkeypatch.setattr(module, "_Draws", _NoWaveVectorDraw)
     with pytest.raises(ValueError, match=f"kmax must be at least 1, got {kmax}"):
         make(kmax)
